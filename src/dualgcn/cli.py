@@ -9,10 +9,13 @@ merged config is echoed into summary.json.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -68,78 +71,40 @@ def _parse_opt_int(s: str):
     return None if s.strip().lower() in ("none", "null") else int(s)
 
 
+# config key -> (dataclass, field); ModelConfig's own scalar fields keep their names
+_FIELDS = {
+    **{f.name: (ModelConfig, f.name) for f in fields(ModelConfig) if f.name not in ("walk", "gl")},
+    "walk_q": (WalkConfig, "q"),
+    "walk_w": (WalkConfig, "w"),
+    "walk_gamma": (WalkConfig, "gamma_walks"),
+    "gl_gamma": (GlConfig, "gamma_reg"),
+    "gl_beta": (GlConfig, "beta"),
+    "split_per_class": (SplitSpec, "per_class_train"),
+    "split_val": (SplitSpec, "val_size"),
+    "split_test": (SplitSpec, "test_size"),
+    "split_seed": (SplitSpec, "seed"),
+    "cluster_c": (PartitionConfig, "c"),
+    "cluster_q": (PartitionConfig, "q"),
+    "cluster_balance": (PartitionConfig, "balance_tolerance"),
+    "cluster_seed": (PartitionConfig, "seed"),
+}
+
+_TYPE_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, int | None: _parse_opt_int}
+
+_HINTS = {cls: get_type_hints(cls) for cls in (ModelConfig, WalkConfig, GlConfig, SplitSpec, PartitionConfig)}
+
 _KEY_PARSERS = {
-    "hidden_gcn": int,
-    "hidden_gl": _parse_opt_int,
-    "depth": int,
-    "share_weights": _parse_bool,
-    "supervise": str,
-    "lambda1": float,
-    "lambda2": float,
-    "dropout": float,
-    "lr1": float,
-    "lr2": float,
-    "weight_decay": float,
-    "epochs": int,
-    "ppmi_refresh": int,
-    "ce_reduction": str,
-    "agreement_mean": _parse_bool,
-    "learn_graph": _parse_bool,
-    "stop_threshold": float,
-    "dense_limit": int,
-    "eval_every": int,
-    "init": str,
-    "walk_q": int,
-    "walk_w": int,
-    "walk_gamma": int,
-    "gl_gamma": float,
-    "gl_beta": float,
-    "split_per_class": int,
-    "split_val": int,
-    "split_test": int,
-    "split_seed": int,
-    "cluster_c": int,
-    "cluster_q": int,
-    "cluster_balance": float,
-    "cluster_seed": int,
+    **{key: _TYPE_PARSERS[_HINTS[cls][name]] for key, (cls, name) in _FIELDS.items()},
     "cluster_weighted": _parse_bool,
-    "seed": int,
     "threads": int,
 }
 
+# unset unless given: a cluster run needs cluster_c, and cluster_seed falls back to seed
+_UNSET = ("cluster_c", "cluster_q", "cluster_seed")
+
 _DEFAULTS = {
-    "hidden_gcn": 16,
-    "hidden_gl": 200,
-    "depth": 2,
-    "share_weights": True,
-    "supervise": "a",
-    "lambda1": 0.01,
-    "lambda2": 0.01,
-    "dropout": 0.6,
-    "lr1": 0.005,
-    "lr2": 0.005,
-    "weight_decay": 5e-3,
-    "epochs": 1000,
-    "ppmi_refresh": 25,
-    "ce_reduction": "sum",
-    "agreement_mean": True,
-    "learn_graph": True,
-    "stop_threshold": 0.0,
-    "dense_limit": 20000,
-    "eval_every": 1,
-    "init": "glorot",
-    "walk_q": 3,
-    "walk_w": 3,
-    "walk_gamma": 10,
-    "gl_gamma": 0.01,
-    "gl_beta": 0.1,
-    "split_per_class": 20,
-    "split_val": 500,
-    "split_test": 1000,
-    "split_seed": 0,
-    "cluster_balance": 1.1,
+    **{key: getattr(cls, name) for key, (cls, name) in _FIELDS.items() if key not in _UNSET},
     "cluster_weighted": True,
-    "seed": 0,
     "threads": 0,
 }
 
@@ -203,33 +168,16 @@ def merge_config(dataset_name: str | None, file_cfg: dict, overrides: dict) -> d
     return merged
 
 
+def _from_merged(cls, merged: dict, **fallback):
+    """cls built from the merged keys aliased to its fields; fallback fills absent ones."""
+    given = {name: merged[key] for key, (owner, name) in _FIELDS.items() if owner is cls and key in merged}
+    return cls(**{**fallback, **given})
+
+
 def model_config_from(merged: dict) -> ModelConfig:
-    return ModelConfig(
-        hidden_gcn=merged["hidden_gcn"],
-        hidden_gl=merged["hidden_gl"],
-        depth=merged["depth"],
-        share_weights=merged["share_weights"],
-        supervise=merged["supervise"],
-        lambda1=merged["lambda1"],
-        lambda2=merged["lambda2"],
-        dropout=merged["dropout"],
-        lr1=merged["lr1"],
-        lr2=merged["lr2"],
-        weight_decay=merged["weight_decay"],
-        epochs=merged["epochs"],
-        seed=merged["seed"],
-        ppmi_refresh=merged["ppmi_refresh"],
-        walk=WalkConfig(q=merged["walk_q"], w=merged["walk_w"],
-                        gamma_walks=merged["walk_gamma"], seed=merged["seed"]),
-        gl=GlConfig(gamma_reg=merged["gl_gamma"], beta=merged["gl_beta"]),
-        ce_reduction=merged["ce_reduction"],
-        agreement_mean=merged["agreement_mean"],
-        learn_graph=merged["learn_graph"],
-        stop_threshold=merged["stop_threshold"],
-        dense_limit=merged["dense_limit"],
-        eval_every=merged["eval_every"],
-        init=merged["init"],
-    )
+    return _from_merged(ModelConfig, merged,
+                        walk=_from_merged(WalkConfig, merged, seed=merged["seed"]),
+                        gl=_from_merged(GlConfig, merged))
 
 
 _thread_controller = None
@@ -250,23 +198,34 @@ def _limit_threads(k: int) -> int:
     return 0
 
 
+def _write_atomic(path, write) -> None:
+    """write(fh) into a temp file beside path, then rename it over path.
+
+    A failed write leaves any earlier file at path intact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_summary(out_dir, summary: dict) -> str:
     path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, lambda fh: fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode()))
     return path
 
 
 def _ensure_masks(bundle, merged: dict):
     if bundle.has_masks():
         return bundle
-    spec = SplitSpec(
-        per_class_train=merged["split_per_class"],
-        val_size=merged["split_val"],
-        test_size=merged["split_test"],
-        seed=merged["split_seed"],
-    )
-    return with_split(bundle, spec)
+    return with_split(bundle, _from_merged(SplitSpec, merged))
 
 
 def cmd_train(args) -> int:
@@ -305,12 +264,7 @@ def cmd_train(args) -> int:
         raise ConfigError("cluster training requires c (e.g. --cluster c=10 q=2)")
     try:
         if use_cluster:
-            part_cfg = PartitionConfig(
-                c=merged["cluster_c"],
-                q=merged.get("cluster_q", 1),
-                balance_tolerance=merged["cluster_balance"],
-                seed=merged.get("cluster_seed", merged["seed"]),
-            )
+            part_cfg = _from_merged(PartitionConfig, merged, seed=merged["seed"])
             result = cluster_fit(bundle, cfg, part_cfg,
                                  weighted_loss=merged["cluster_weighted"], on_epoch=on_epoch)
         else:
@@ -320,7 +274,7 @@ def cmd_train(args) -> int:
 
     pred = predict(result.params, bundle)
     test_acc = accuracy(pred, bundle.y, bundle.test_mask)
-    save_checkpoint(checkpoint_path, result.params, cfg_echo=_jsonable(merged))
+    _write_atomic(checkpoint_path, lambda fh: save_checkpoint(fh, result.params, cfg_echo=_jsonable(merged)))
     final_loss = result.history[-1]["train_loss"] if result.history else float("nan")
     summary = {
         "command": "train",
@@ -526,18 +480,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ppmi = sub.add_parser("ppmi", help="compute and cache the PPMI matrix of a dataset graph")
     add_common(p_ppmi)
-    p_ppmi.add_argument("--q", type=int, default=3)
-    p_ppmi.add_argument("--w", type=int, default=3)
-    p_ppmi.add_argument("--gamma", type=int, default=10)
-    p_ppmi.add_argument("--seed", type=int, default=0)
+    p_ppmi.add_argument("--q", type=int, default=WalkConfig.q)
+    p_ppmi.add_argument("--w", type=int, default=WalkConfig.w)
+    p_ppmi.add_argument("--gamma", type=int, default=WalkConfig.gamma_walks)
+    p_ppmi.add_argument("--seed", type=int, default=WalkConfig.seed)
     p_ppmi.add_argument("--out", default=None)
     p_ppmi.set_defaults(func=cmd_ppmi)
 
     p_part = sub.add_parser("partition", help="partition a dataset graph and report the cut")
     add_common(p_part)
     p_part.add_argument("--c", type=int, required=True)
-    p_part.add_argument("--seed", type=int, default=0)
-    p_part.add_argument("--balance", type=float, default=1.1)
+    p_part.add_argument("--seed", type=int, default=PartitionConfig.seed)
+    p_part.add_argument("--balance", type=float, default=PartitionConfig.balance_tolerance)
     p_part.add_argument("--out", default=None)
     p_part.set_defaults(func=cmd_partition)
     return parser

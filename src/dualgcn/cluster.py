@@ -16,24 +16,13 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .graph import Graph, graph_from_csr
-from .model import (
-    FitResult,
-    ModelConfig,
-    _GraphContext,
-    _build_ppmi_operator,
-    _eval_predictions,
-    _needs_ppmi,
-    _refresh_due,
-    accuracy,
-    forward,
-    init_params,
-    total_loss,
-)
-from .optim import adam_step, init_adam_states
+from .model import FitResult, ModelConfig, _GraphContext, _TrainBatch, _train
+# not called here: perfbench/layers.py wraps these names in both trainer modules
+from .model import _build_ppmi_operator, _eval_predictions, forward, total_loss  # noqa: F401
+from .optim import adam_step  # noqa: F401
 from .rng import RngStream
-from . import tape
 
 __all__ = [
     "PartitionConfig",
@@ -450,94 +439,17 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
         raise DataError("dataset has no train/val/test masks; apply a split first")
     if partition is None:
         partition = partition_graph(dataset.graph, part_cfg)
-    rng = RngStream(cfg.seed)
-    x, y = dataset.x, dataset.y
-    n = dataset.n
-    val_idx = np.flatnonzero(dataset.val_mask)
-    params = init_params(dataset.p, dataset.class_count, cfg, rng)
-    gl_group = params.gl_parameters()
-    conv_group = params.conv_parameters()
-    gl_states = init_adam_states(gl_group)
-    conv_states = init_adam_states(conv_group)
-    need_p = _needs_ppmi(cfg)
-    eval_ctx = _GraphContext(x, dataset.graph, dc_replace(cfg, lambda2=0.0))
 
-    ppmi_cache: dict = {}
-    refresh_idx = -1
-    best_val = -1.0
-    best_epoch = -1
-    best_state = None
-    last_val = float("nan")
-    history: list[dict] = []
-    skipped = 0
-    epochs_run = 0
-
-    for epoch in range(cfg.epochs):
-        batch = form_batch(partition, part_cfg.q, rng.child("batch", epoch), dataset.graph, x, y)
-        if need_p and _refresh_due(epoch, cfg.ppmi_refresh):
-            refresh_idx += 1
-            ppmi_cache.clear()
+    def next_batch(epoch, rng):
+        batch = form_batch(partition, part_cfg.q, rng.child("batch", epoch),
+                           dataset.graph, dataset.x, dataset.y)
         train_local = np.flatnonzero(dataset.train_mask[batch.nodes])
-        prev = params.state_dict() if cfg.stop_threshold > 0 else None
-        updated = False
-        if train_local.size == 0:
-            skipped += 1
-            comps = {"total": float("nan"), "l0": float("nan"), "lreg": float("nan"), "lgl": float("nan")}
-        else:
-            ctx = _GraphContext(batch.x, batch.graph, cfg)
-            s = ctx.build_affinity(params, cfg)
-            p_op = None
-            if need_p:
-                key = batch.cluster_ids
-                p_op = ppmi_cache.get(key)
-                if p_op is None:
-                    p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", refresh_idx))
-                    ppmi_cache[key] = p_op
-            cache = forward(batch.x, s, p_op, params, cfg, "train", rng, epoch)
-            gl_term = ctx.gl_term(s, cfg)
-            loss, comps = total_loss(cache, batch.y, train_local, gl_term, cfg)
-            if weighted_loss:
-                share = batch.nodes.size / n
-                loss = tape.scale(loss, share)
-                comps["total"] = comps["total"] * share
-            if not np.isfinite(comps["total"]):
-                raise NumericError(f"non-finite loss at epoch {epoch}: {comps}")
-            tape.backward(loss)
-            if gl_group:
-                adam_step(gl_group, gl_states, cfg.lr1, cfg.weight_decay)
-            adam_step(conv_group, conv_states, cfg.lr2, cfg.weight_decay)
-            updated = True
-        epochs_run = epoch + 1
+        ctx = _GraphContext(batch.x, batch.graph, cfg) if train_local.size else None
+        share = batch.nodes.size / dataset.n if weighted_loss else 1.0
+        return _TrainBatch(ctx, batch.y, train_local, share, ppmi_key=batch.cluster_ids)
 
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            pred = _eval_predictions(eval_ctx, params, cfg)
-            last_val = accuracy(pred, y, val_idx)
-            # ties go to the later epoch: more training at equal validation
-            if last_val >= best_val:
-                best_val = last_val
-                best_epoch = epoch
-                best_state = params.state_dict()
-        row = {
-            "epoch": epoch,
-            "train_loss": comps["total"],
-            "l0": comps["l0"],
-            "lreg": comps["lreg"],
-            "lgl": comps["lgl"],
-            "val_acc": last_val,
-        }
-        history.append(row)
-        if on_epoch is not None:
-            on_epoch(row)
-        # skipped batches leave parameters untouched and must not stop training
-        if prev is not None and updated:
-            delta = max(np.abs(p.value - prev[p.name]).max() for p in params.all_parameters())
-            if delta < cfg.stop_threshold:
-                break
-
-    if best_state is not None:
-        params.load_state_dict(best_state)
-    return FitResult(params=params, history=history, best_epoch=best_epoch,
-                     best_val_acc=best_val, epochs_run=epochs_run, skipped_batches=skipped)
+    eval_ctx = _GraphContext(dataset.x, dataset.graph, dc_replace(cfg, lambda2=0.0))
+    return _train(dataset, cfg, eval_ctx, next_batch, on_epoch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The two-branch network: learned-affinity convolution branch, PPMI
-convolution branch, combined objective and the full-batch trainer.
+convolution branch, combined objective and the epoch loop shared by the
+full-batch trainer here and the cluster trainer in ``cluster``.
 
 Branch A propagates through D_s^{-1/2} S D_s^{-1/2} where S is the
 learned affinity (or a frozen normalized adjacency); branch P propagates
@@ -14,6 +15,7 @@ with supervision attached to branch A by default.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +56,8 @@ __all__ = [
     "load_checkpoint",
     "HISTORY_COLUMNS",
 ]
+
+_log = logging.getLogger(__name__)
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "l0", "lreg", "lgl", "val_acc")
 
@@ -175,12 +179,6 @@ class ForwardCache:
     za: Tensor
     zp: Tensor | None
     s: object  # LearnedGraph or PropagationOperator
-
-    def tape_bytes(self) -> int:
-        total = tape.tape_nbytes(self.za)
-        if self.zp is not None:
-            total += tape.tape_nbytes(self.zp)
-        return total
 
 
 def _dropout_any(h, rate: float, rng, training: bool):
@@ -345,11 +343,8 @@ class _GraphContext:
                     f"dense affinity needs n <= {cfg.dense_limit} (got n={n}); "
                     "provide a graph or use cluster training"
                 )
-            import sys
-
             est_mb = 2 * n * n * 8 / 1e6
-            print(f"[graph-learning] dense mode: n={n}, ~{est_mb:.0f} MB for S and distances",
-                  file=sys.stderr)
+            _log.warning("dense mode: n=%d, ~%.0f MB for S and distances", n, est_mb)
             if cfg.lambda2 > 0:
                 self.dist2 = pairwise_sq_distances(x)
 
@@ -421,56 +416,87 @@ def _eval_config(params: ModelParams) -> ModelConfig:
     )
 
 
-def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
-    """Full-batch training; returns the best-validation parameter snapshot.
+@dataclass(frozen=True)
+class _TrainBatch:
+    """One epoch's training graph, as a batch source hands it to the loop."""
 
-    Per epoch: rebuild the learned affinity from the current parameters,
-    refresh the PPMI operator on the configured schedule, take one Adam
-    step (graph-learner group at lr1, convolution group at lr2), then
-    score the validation set.  Aborts on a non-finite loss.
+    ctx: _GraphContext | None  # None when the batch holds no train labels
+    y: np.ndarray
+    train_idx: np.ndarray  # local indices of the labelled nodes
+    share: float  # the loss is scaled by this factor
+    ppmi_key: object  # PPMI operators are cached per key between refreshes
+
+
+def _train(dataset, cfg: ModelConfig, eval_ctx: _GraphContext, next_batch, on_epoch) -> FitResult:
+    """The epoch loop behind fit and cluster_fit.
+
+    Per epoch: take the batch next_batch(epoch, rng) gives, refresh the
+    PPMI operators on the configured schedule, take one Adam step on the
+    batch loss (graph-learner group at lr1, convolution group at lr2),
+    then score the validation set on eval_ctx.  A batch without train
+    labels is skipped and counted.  Aborts on a non-finite loss or
+    parameter; returns the best-validation parameter snapshot.
+
+    forward, total_loss, adam_step, _eval_predictions, _build_ppmi_operator
+    and tape.backward are looked up on their modules at each call, never
+    bound to locals, so wrappers installed on the modules see every call.
     """
-    if not dataset.has_masks():
-        raise DataError("dataset has no train/val/test masks; apply a split first")
     rng = RngStream(cfg.seed)
-    x = dataset.x
-    train_idx = np.flatnonzero(dataset.train_mask)
-    val_idx = np.flatnonzero(dataset.val_mask)
-    ctx = _GraphContext(x, dataset.graph, cfg)
     params = init_params(dataset.p, dataset.class_count, cfg, rng)
-    gl_group = params.gl_parameters()
-    conv_group = params.conv_parameters()
-    gl_states = init_adam_states(gl_group)
-    conv_states = init_adam_states(conv_group)
+    val_idx = np.flatnonzero(dataset.val_mask)
+    groups = [(group, init_adam_states(group), lr)
+              for group, lr in ((params.gl_parameters(), cfg.lr1), (params.conv_parameters(), cfg.lr2))
+              if group]
     need_p = _needs_ppmi(cfg)
 
-    p_op = None
+    ppmi_cache: dict = {}
     refresh_idx = -1
     best_val = -1.0
     best_epoch = -1
     best_state = None
     last_val = float("nan")
     history: list[dict] = []
+    skipped = 0
     epochs_run = 0
 
     for epoch in range(cfg.epochs):
-        s = ctx.build_affinity(params, cfg)
+        batch = next_batch(epoch, rng)
         if need_p and _refresh_due(epoch, cfg.ppmi_refresh):
             refresh_idx += 1
-            p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", refresh_idx))
-        cache = forward(x, s, p_op if need_p else None, params, cfg, "train", rng, epoch)
-        gl_term = ctx.gl_term(s, cfg)
-        loss, comps = total_loss(cache, dataset.y, train_idx, gl_term, cfg)
-        if not np.isfinite(comps["total"]):
-            raise NumericError(f"non-finite loss at epoch {epoch}: {comps}")
-        tape.backward(loss)
-        prev = params.state_dict() if cfg.stop_threshold > 0 else None
-        if gl_group:
-            adam_step(gl_group, gl_states, cfg.lr1, cfg.weight_decay)
-        adam_step(conv_group, conv_states, cfg.lr2, cfg.weight_decay)
+            ppmi_cache.clear()
+        trains = batch.train_idx.size > 0
+        # skipped batches leave parameters untouched and must not stop training
+        prev = params.state_dict() if cfg.stop_threshold > 0 and trains else None
+        if not trains:
+            skipped += 1
+            comps = dict.fromkeys(("total", "l0", "lreg", "lgl"), float("nan"))
+        else:
+            ctx = batch.ctx
+            s = ctx.build_affinity(params, cfg)
+            p_op = None
+            if need_p:
+                p_op = ppmi_cache.get(batch.ppmi_key)
+                if p_op is None:
+                    p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", refresh_idx))
+                    ppmi_cache[batch.ppmi_key] = p_op
+            cache = forward(ctx.x, s, p_op, params, cfg, "train", rng, epoch)
+            gl_term = ctx.gl_term(s, cfg)
+            loss, comps = total_loss(cache, batch.y, batch.train_idx, gl_term, cfg)
+            if batch.share != 1.0:
+                loss = tape.scale(loss, batch.share)
+                comps["total"] = comps["total"] * batch.share
+            if not np.isfinite(comps["total"]):
+                raise NumericError(f"non-finite loss at epoch {epoch}: {comps}")
+            tape.backward(loss)
+            for group, states, lr in groups:
+                adam_step(group, states, lr, cfg.weight_decay)
+            for p in params.all_parameters():
+                if not np.isfinite(p.value).all():
+                    raise NumericError(f"non-finite parameter {p.name} after the update at epoch {epoch}")
         epochs_run = epoch + 1
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            pred = _eval_predictions(ctx, params, cfg)
+            pred = _eval_predictions(eval_ctx, params, cfg)
             last_val = accuracy(pred, dataset.y, val_idx)
             # ties go to the later epoch: more training at equal validation
             if last_val >= best_val:
@@ -496,7 +522,22 @@ def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
     if best_state is not None:
         params.load_state_dict(best_state)
     return FitResult(params=params, history=history, best_epoch=best_epoch,
-                     best_val_acc=best_val, epochs_run=epochs_run)
+                     best_val_acc=best_val, epochs_run=epochs_run, skipped_batches=skipped)
+
+
+def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
+    """Full-batch training: the one-batch case of the epoch loop.
+
+    Every epoch trains on the whole graph with an unscaled loss, and the
+    same prebuilt graph context serves training and validation.
+    """
+    if not dataset.has_masks():
+        raise DataError("dataset has no train/val/test masks; apply a split first")
+    ctx = _GraphContext(dataset.x, dataset.graph, cfg)
+    whole = _TrainBatch(ctx, dataset.y, np.flatnonzero(dataset.train_mask), share=1.0, ppmi_key=None)
+    if whole.train_idx.size == 0:
+        raise DataError("empty training mask")
+    return _train(dataset, cfg, ctx, lambda epoch, rng: whole, on_epoch)
 
 
 # ---------------------------------------------------------------------------

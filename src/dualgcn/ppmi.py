@@ -27,7 +27,6 @@ __all__ = [
     "ppmi",
     "ppmi_operator",
     "save_ppmi_cache",
-    "load_ppmi_cache",
 ]
 
 
@@ -230,28 +229,3 @@ def save_ppmi_cache(path, p: PpmiMatrix, cfg: WalkConfig) -> None:
         fh.write(f"# ppmi n={p.n} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={cfg.seed}\n")
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{i}\t{j}\t{v:.17g}\n")
-
-
-def load_ppmi_cache(path, n: int, cfg: WalkConfig) -> PpmiMatrix | None:
-    """Load a cached PPMI matrix; returns None when the header mismatches."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return None
-    with fh:
-        header = fh.readline().strip()
-        expected = f"# ppmi n={n} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={cfg.seed}"
-        if header != expected:
-            return None
-        rows, cols, vals = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i, j, v = line.split("\t")
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(v))
-    p = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    deg = np.asarray(p.sum(axis=1)).ravel()
-    return PpmiMatrix(P=p, deg=deg)

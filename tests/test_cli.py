@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dualgcn import cli
 from dualgcn.cli import main, merge_config, read_config_file
 from dualgcn.errors import ConfigError
 from conftest import make_sbm_bundle
@@ -99,6 +100,25 @@ def test_train_cluster_routing(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cluster_mode"] is True
     assert summary["config"]["cluster_c"] == 2
+
+
+def test_failed_artifact_write_keeps_the_earlier_artifact(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "karate", "--out", str(out)] + FAST_TRAIN) == 0
+    before = {name: (out / name).read_bytes() for name in ("checkpoint.npz", "summary.json")}
+
+    def broken_save(fh, params, cfg_echo=None):
+        fh.write(b"half a checkpoint")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_checkpoint", broken_save)
+    with pytest.raises(OSError, match="disk full"):
+        run(["train", "--dataset", "karate", "--out", str(out)] + FAST_TRAIN)
+    # a summary that cannot be serialized
+    with pytest.raises(TypeError):
+        cli._write_summary(str(out), {"command": "train", "config": object()})
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(os.listdir(out)) == ["checkpoint.npz", "history.csv", "summary.json"]
 
 
 def test_train_unknown_key_exit_2(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualgcn import tape
 from dualgcn.cluster import (
     Partition,
     PartitionConfig,
@@ -20,7 +19,7 @@ from dualgcn.cluster import (
 )
 from dualgcn.errors import ConfigError
 from dualgcn.graph import add_self_loops, build_graph, sym_normalize
-from dualgcn.model import ModelConfig, _GraphContext, accuracy, fit, forward, predict, total_loss
+from dualgcn.model import ModelConfig, accuracy, fit, forward, predict, total_loss
 from dualgcn.ppmi import WalkConfig
 from dualgcn.rng import RngStream
 from conftest import make_random_graph, make_sbm_bundle
@@ -288,35 +287,6 @@ def test_cluster_fit_skips_batches_without_labels():
     res = cluster_fit(bundle, cfg, PartitionConfig(c=6, q=1, seed=2))
     assert res.skipped_batches > 0
     assert len(res.history) == 12
-
-
-def test_batch_activation_memory_tracks_batch_size_not_graph_size():
-    """Tape bytes for a batch step depend on the batch node count; doubling
-    the graph while keeping the per-cluster size fixed leaves them flat."""
-
-    def batch_tape_bytes(n, c, seed):
-        bundle = make_sbm_bundle(n=n, k=4, seed=seed)
-        cfg = ModelConfig(hidden_gcn=8, hidden_gl=4, dropout=0.0, epochs=1, seed=0,
-                          lambda1=0.01, lambda2=0.01,
-                          walk=WalkConfig(q=2, w=2, gamma_walks=4, seed=0))
-        from dualgcn.model import init_params
-
-        part = partition_graph(bundle.graph, PartitionConfig(c=c, seed=0))
-        params = init_params(bundle.p, bundle.class_count, cfg, RngStream(1))
-        batch = form_batch(part, 1, RngStream(2), bundle.graph, bundle.x, bundle.y)
-        ctx = _GraphContext(batch.x, batch.graph, cfg)
-        s = ctx.build_affinity(params, cfg)
-        cache = forward(batch.x, s, None, params, cfg, "train", RngStream(3), 0)
-        loss, _ = total_loss(cache, batch.y, np.arange(batch.nodes.size), ctx.gl_term(s, cfg), cfg)
-        return tape.tape_nbytes(loss), batch.nodes.size
-
-    small_bytes, small_nodes = batch_tape_bytes(256, 8, 21)
-    big_bytes, big_nodes = batch_tape_bytes(512, 16, 22)
-    # similar batch sizes, double the graph: memory should not double
-    assert 0.5 <= big_nodes / small_nodes <= 2.0
-    assert big_bytes < 1.6 * small_bytes
-    full_bytes, _ = batch_tape_bytes(512, 1, 22)
-    assert full_bytes > 4 * big_bytes
 
 
 def test_cluster_fit_stop_threshold(karate):

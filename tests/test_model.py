@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualgcn import tape
+from dualgcn import model, tape
 from dualgcn.errors import ConfigError, DataError, NumericError
 from dualgcn.graph import PropagationOperator, add_self_loops, sym_normalize
 from dualgcn.model import (
@@ -186,6 +186,24 @@ def test_fit_nonfinite_loss_aborts(karate):
     # after one step the weights are ~1e160, so layer products overflow
     cfg = _cfg(lr1=1e160, lr2=1e160, epochs=10, dropout=0.0, hidden_gl=4)
     with np.errstate(all="ignore"), pytest.raises(NumericError):
+        fit(karate, cfg)
+
+
+def test_fit_nonfinite_parameter_aborts(karate, monkeypatch):
+    # a NaN written by the last update never reaches a loss, only the parameters
+    cfg = _cfg(epochs=3)
+    real_step = model.adam_step
+    conv_steps = []
+
+    def poisoned_step(group, states, lr, weight_decay):
+        real_step(group, states, lr, weight_decay)
+        if group[0].name == "W.0":
+            conv_steps.append(1)
+            if len(conv_steps) == cfg.epochs:
+                group[-1].value[0, 0] = np.nan
+
+    monkeypatch.setattr(model, "adam_step", poisoned_step)
+    with pytest.raises(NumericError, match="W.1"):
         fit(karate, cfg)
 
 

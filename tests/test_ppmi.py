@@ -12,11 +12,9 @@ from dualgcn.ppmi import (
     WalkConfig,
     exact_frequency_matrix,
     frequency_matrix,
-    load_ppmi_cache,
     ppmi,
     ppmi_operator,
     random_walk,
-    save_ppmi_cache,
 )
 from dualgcn.rng import RngStream
 from conftest import make_random_graph
@@ -211,19 +209,6 @@ def test_ppmi_operator_symmetric(seed):
     op = ppmi_operator(ppmi(f)).matrix
     asym = abs(op - op.T)
     assert (asym.max() if asym.nnz else 0.0) <= 1e-12
-
-
-def test_cache_roundtrip_and_invalidation(tmp_path, karate):
-    cfg = WalkConfig(q=3, w=3, gamma_walks=10, seed=1)
-    p = ppmi(frequency_matrix(karate.graph.adj, cfg))
-    path = tmp_path / "ppmi.tsv"
-    save_ppmi_cache(path, p, cfg)
-    loaded = load_ppmi_cache(path, 34, cfg)
-    assert loaded is not None
-    assert (loaded.P != p.P).nnz == 0
-    stale = load_ppmi_cache(path, 34, WalkConfig(q=3, w=3, gamma_walks=10, seed=2))
-    assert stale is None
-    assert load_ppmi_cache(tmp_path / "missing.tsv", 34, cfg) is None
 
 
 def test_frequency_runtime_scales_linearly_in_gamma():
