@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import logging
 import os
 import sys
 import time
@@ -50,6 +51,8 @@ from .ppmi import WalkConfig, frequency_matrix, ppmi, save_ppmi_cache
 from .rng import RngStream
 from . import tape
 from .graphlearn import GlConfig
+
+_log = logging.getLogger(__name__)
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -164,7 +167,10 @@ def merge_config(dataset_name: str | None, file_cfg: dict, overrides: dict) -> d
         for key, value in source.items():
             if key not in _KEY_PARSERS:
                 raise ConfigError(f"unknown config key: {key!r}")
-            merged[key] = _KEY_PARSERS[key](value) if isinstance(value, str) else value
+            try:
+                merged[key] = _KEY_PARSERS[key](value) if isinstance(value, str) else value
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     return merged
 
 
@@ -184,18 +190,18 @@ _thread_controller = None
 
 
 def _limit_threads(k: int) -> int:
-    """Cap BLAS parallelism; recorded for reproducibility."""
+    """Cap BLAS parallelism with threadpoolctl; returns the cap applied, 0 if none."""
     global _thread_controller
-    if k and k > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-
-            _thread_controller = threadpool_limits(limits=k)
-        except ImportError:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(k)
-        return k
-    return 0
+    if not k or k <= 0:
+        return 0
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        # BLAS is loaded by now, so setting *_NUM_THREADS here would do nothing
+        _log.warning("threads=%d not applied: threadpoolctl is not installed", k)
+        return 0
+    _thread_controller = threadpool_limits(limits=k)
+    return k
 
 
 def _write_atomic(path, write) -> None:

@@ -3,9 +3,9 @@
 The learner scores node pairs by a^T |x_i - x_j| (optionally after a
 linear projection of the features), passes the scores through ReLU and
 normalizes each row with a softmax, so S is non-negative and
-row-stochastic.  With an adjacency available the scores are restricted
-to the support of A + I; otherwise every pair participates (dense mode,
-memory-guarded).
+row-stochastic.  The scores are restricted to a support: that of A + I
+when the data has a graph, otherwise the complete graph with self-pairs,
+so every pair participates (memory grows as n^2).
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ __all__ = [
     "SupportStructure",
     "LearnedGraph",
     "init_graph_learner",
-    "learn_S_dense",
     "learn_S_masked",
     "gl_loss",
     "support_distances",
-    "pairwise_sq_distances",
 ]
 
 
@@ -85,45 +83,30 @@ class SupportStructure:
         self.n = g.n
         self.indptr = adj.indptr.copy()
         self.cols = adj.indices.astype(np.int64, copy=True)
-        self.counts = np.diff(self.indptr)
-        self.rows = np.repeat(np.arange(self.n, dtype=np.int64), self.counts)
-        nnz = self.cols.size
-        ones = np.ones(nnz)
-        arange = np.arange(nnz)
-        # (n x nnz) transposed selectors; used to scatter edge gradients to nodes
-        self.scatter_r = sp.csr_matrix((ones, (self.rows, arange)), shape=(self.n, nnz))
-        self.scatter_c = sp.csr_matrix((ones, (self.cols, arange)), shape=(self.n, nnz))
-        self._absdiff_key = None
-        self._absdiff = None
+        self.rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+
+    @classmethod
+    def complete(cls, n: int) -> "SupportStructure":
+        """Every ordered pair, self-pairs included: the support for data without a graph."""
+        ones = sp.csr_matrix((np.ones(n * n), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)), shape=(n, n))
+        return cls(Graph(n=n, adj=ones))
 
     @property
     def nnz(self) -> int:
         return self.cols.size
 
-    def edge_absdiff(self, x) -> np.ndarray:
-        """Constant |x_i - x_j| on the support, cached per feature matrix."""
-        if self._absdiff_key != id(x):
-            diff = x[self.rows] - x[self.cols]
-            self._absdiff = np.abs(diff.toarray() if sp.issparse(diff) else diff)
-            self._absdiff_key = id(x)
-        return self._absdiff
-
 
 @dataclass
 class LearnedGraph:
-    """Row-stochastic learned affinity, masked to a support or dense."""
+    """Row-stochastic learned affinity: softmax values on a CSR support."""
 
-    n: int
-    mode: str  # "masked" | "dense"
     values: Tensor = field(repr=False)
-    support: SupportStructure | None = None
+    support: SupportStructure
 
-    def matrix(self) -> sp.csr_matrix | np.ndarray:
+    def matrix(self) -> sp.csr_matrix:
         """Detached copy of S as a concrete matrix (for walks, caching)."""
-        if self.mode == "masked":
-            s = self.support
-            return sp.csr_matrix((self.values.value.copy(), s.cols.copy(), s.indptr.copy()), shape=(self.n, self.n))
-        return self.values.value.copy()
+        s = self.support
+        return sp.csr_matrix((self.values.value.copy(), s.cols.copy(), s.indptr.copy()), shape=(s.n, s.n))
 
 
 def _project(x, gl: GraphLearnerParams):
@@ -131,7 +114,7 @@ def _project(x, gl: GraphLearnerParams):
     if gl.proj is None:
         return x
     if sp.issparse(x):
-        return tape.sparse_matmul(x, gl.proj)
+        return tape.spmm_const(x, gl.proj)
     return tape.matmul(tape.constant(x), gl.proj)
 
 
@@ -144,55 +127,29 @@ def learn_S_masked(x, g: Graph, gl: GraphLearnerParams, support: SupportStructur
     if support is None:
         support = SupportStructure(g)
     xp = _project(x, gl)
-    if isinstance(xp, Tensor):
-        e = tape.edge_abs_diff(xp, support.rows, support.cols, support.scatter_r, support.scatter_c)
-    else:
-        e = tape.constant(support.edge_absdiff(xp))
-    scores = tape.relu(tape.matvec(e, gl.a))
+    scores = tape.relu(tape.edge_scores(xp, gl.a, support.rows, support.cols))
     values = tape.segment_softmax(scores, support.indptr)
-    return LearnedGraph(n=support.n, mode="masked", values=values, support=support)
+    return LearnedGraph(values=values, support=support)
 
 
-def learn_S_dense(x, gl: GraphLearnerParams, dense_limit: int = 20000) -> LearnedGraph:
-    """All-pairs affinity for data without a graph; rows softmax to 1.
+def support_distances(x, support: SupportStructure, block: int | None = None) -> np.ndarray:
+    """||x_i - x_j||^2 per support entry (constant wrt parameters).
 
-    Callers announce the n^2 memory cost up front (see model._GraphContext);
-    here only the hard limit is enforced.
+    The per-entry dot products are taken over blocks of entries
+    (tape.entry_block by default), so no (nnz, p) array is built.
     """
-    n = x.shape[0]
-    if n > dense_limit:
-        raise ConfigError(
-            f"dense affinity needs n <= {dense_limit} (got n={n}); "
-            "provide a graph or use cluster training"
-        )
-    xp = _project(x, gl)
-    if not isinstance(xp, Tensor):
-        xp = tape.constant(xp.toarray() if sp.issparse(xp) else xp)
-    scores = tape.relu(tape.pairwise_abs_scores(xp, gl.a))
-    values = tape.row_softmax(scores)
-    return LearnedGraph(n=n, mode="dense", values=values)
-
-
-def support_distances(x, support: SupportStructure) -> np.ndarray:
-    """||x_i - x_j||^2 per support entry (constant wrt parameters)."""
-    if sp.issparse(x):
-        sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
-        dots = np.asarray(x[support.rows].multiply(x[support.cols]).sum(axis=1)).ravel()
-    else:
+    sparse = sp.issparse(x)
+    if not sparse:
         x = np.asarray(x, dtype=np.float64)
-        sq = (x * x).sum(axis=1)
-        dots = (x[support.rows] * x[support.cols]).sum(axis=1)
-    d2 = sq[support.rows] + sq[support.cols] - 2.0 * dots
-    return np.maximum(d2, 0.0)
-
-
-def pairwise_sq_distances(x) -> np.ndarray:
-    """Dense n x n matrix of squared feature distances."""
-    if sp.issparse(x):
-        x = x.toarray()
-    x = np.asarray(x, dtype=np.float64)
-    sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    sq = np.asarray(x.multiply(x).sum(axis=1)).ravel() if sparse else (x * x).sum(axis=1)
+    block = block or tape.entry_block(x.shape[1])
+    rows, cols = support.rows, support.cols
+    dots = np.empty(support.nnz)
+    for lo in range(0, support.nnz, block):
+        r, c = rows[lo:lo + block], cols[lo:lo + block]
+        prod = x[r].multiply(x[c]) if sparse else x[r] * x[c]
+        dots[lo:lo + block] = np.asarray(prod.sum(axis=1)).ravel()
+    d2 = sq[rows] + sq[cols] - 2.0 * dots
     return np.maximum(d2, 0.0)
 
 
@@ -204,14 +161,10 @@ def gl_loss(x, s: LearnedGraph, a_graph: Graph | None = None, cfg: GlConfig = Gl
     given) beta ||S - A~||_F^2 against the binary support of A + I, which
     is exactly the support S is stored on.
     """
-    if s.mode == "masked":
-        if dist2 is None:
-            dist2 = support_distances(x, s.support)
-        loss = tape.add(tape.vdot_const(s.values, dist2), tape.scale(tape.sum_sq(s.values), cfg.gamma_reg))
-        if a_graph is not None and cfg.beta > 0:
-            target = np.ones(s.support.nnz)
-            loss = tape.add(loss, tape.scale(tape.sum_sq_diff(s.values, target), cfg.beta))
-        return loss
     if dist2 is None:
-        dist2 = pairwise_sq_distances(x)
-    return tape.add(tape.vdot_const(s.values, dist2), tape.scale(tape.sum_sq(s.values), cfg.gamma_reg))
+        dist2 = support_distances(x, s.support)
+    loss = tape.add(tape.vdot_const(s.values, dist2), tape.scale(tape.sum_sq(s.values), cfg.gamma_reg))
+    if a_graph is not None and cfg.beta > 0:
+        target = np.ones(s.support.nnz)
+        loss = tape.add(loss, tape.scale(tape.sum_sq_diff(s.values, target), cfg.beta))
+    return loss

@@ -30,9 +30,7 @@ from .graphlearn import (
     SupportStructure,
     gl_loss,
     init_graph_learner,
-    learn_S_dense,
     learn_S_masked,
-    pairwise_sq_distances,
     support_distances,
 )
 from .optim import adam_step, init_adam_states
@@ -201,7 +199,7 @@ def _matmul_any(h, w: Parameter) -> Tensor:
     if isinstance(h, Tensor):
         return tape.matmul(h, w)
     if sp.issparse(h):
-        return tape.sparse_matmul(h, w)
+        return tape.spmm_const(h, w)
     return tape.matmul(tape.constant(h), w)
 
 
@@ -231,18 +229,11 @@ def forward(x, s, p_op: PropagationOperator | None, params: ModelParams, cfg: Mo
     if training and rng is None:
         raise ConfigError("training forward needs an RngStream for dropout")
     if isinstance(s, LearnedGraph):
-        if s.mode == "masked":
-            sup = s.support
-            t_vals = tape.sym_normalize_values(s.values, sup.rows, sup.cols, sup.indptr, s.n)
+        sup = s.support
+        t_vals = tape.sym_normalize_values(s.values, sup.rows, sup.cols, sup.indptr, sup.n)
 
-            def apply_s(u):
-                return tape.spmm_values(t_vals, sup.rows, sup.cols, sup.indptr, s.n, u)
-
-        else:
-            t_dense = tape.sym_normalize_dense(s.values)
-
-            def apply_s(u):
-                return tape.matmul(t_dense, u)
+        def apply_s(u):
+            return tape.spmm_values(t_vals, sup.rows, sup.cols, sup.indptr, sup.n, u)
 
     elif isinstance(s, PropagationOperator):
         mat = s.matrix
@@ -317,43 +308,37 @@ class FitResult:
 
 
 class _GraphContext:
-    """Prebuilt per-graph structures shared by train and eval passes."""
+    """Prebuilt per-graph structures shared by train and eval passes.
+
+    Without a graph the learned affinity lives on the complete graph, and
+    graph is left None so the loss has no adjacency-fidelity term.
+    """
 
     def __init__(self, x, graph: Graph | None, cfg: ModelConfig):
         self.x = x
         self.graph = graph
-        self.masked = graph is not None
         self.support = None
         self.frozen_op = None
         self.dist2 = None
-        if self.masked:
-            g_loops = add_self_loops(graph)
-            if cfg.learn_graph:
-                self.support = SupportStructure(g_loops)
-                if cfg.lambda2 > 0:
-                    self.dist2 = support_distances(x, self.support)
-            else:
-                self.frozen_op = sym_normalize(g_loops.adj)
-        else:
+        if graph is None:
             if not cfg.learn_graph:
                 raise ConfigError("learn_graph=False requires a dataset with a graph")
             n = x.shape[0]
             if n > cfg.dense_limit:
-                raise ConfigError(
-                    f"dense affinity needs n <= {cfg.dense_limit} (got n={n}); "
-                    "provide a graph or use cluster training"
-                )
-            est_mb = 2 * n * n * 8 / 1e6
-            _log.warning("dense mode: n=%d, ~%.0f MB for S and distances", n, est_mb)
-            if cfg.lambda2 > 0:
-                self.dist2 = pairwise_sq_distances(x)
+                raise ConfigError(f"without a graph S spans all n^2 pairs: n={n} > dense_limit={cfg.dense_limit}")
+            _log.warning("no graph: S spans all %d^2 node pairs, ~%.0f MB for S and its support", n, 32e-6 * n * n)
+            self.support = SupportStructure.complete(n)
+        elif cfg.learn_graph:
+            self.support = SupportStructure(add_self_loops(graph))
+        else:
+            self.frozen_op = sym_normalize(add_self_loops(graph).adj)
+        if self.support is not None and cfg.lambda2 > 0:
+            self.dist2 = support_distances(x, self.support)
 
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
         if not cfg.learn_graph:
             return self.frozen_op
-        if self.masked:
-            return learn_S_masked(self.x, None, params.gl, self.support)
-        return learn_S_dense(self.x, params.gl, cfg.dense_limit)
+        return learn_S_masked(self.x, None, params.gl, self.support)
 
     def gl_term(self, s, cfg: ModelConfig):
         if not cfg.learn_graph or cfg.lambda2 <= 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import ConfigError
 from .graph import PropagationOperator, sym_normalize
 from .rng import RngStream
 
@@ -41,11 +42,11 @@ class WalkConfig:
 
     def __post_init__(self):
         if self.q < 1:
-            raise ValueError(f"walk length q must be >= 1, got {self.q}")
+            raise ConfigError(f"walk length q must be >= 1, got {self.q}")
         if not 1 <= self.w <= self.q:
-            raise ValueError(f"window w must be in [1, q], got w={self.w}, q={self.q}")
+            raise ConfigError(f"window w must be in [1, q], got w={self.w}, q={self.q}")
         if self.gamma_walks < 1:
-            raise ValueError(f"gamma_walks must be >= 1, got {self.gamma_walks}")
+            raise ConfigError(f"gamma_walks must be >= 1, got {self.gamma_walks}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,9 @@ class FrequencyMatrix:
 
 @dataclass(frozen=True)
 class PpmiMatrix:
-    """Non-negative PPMI matrix with its row-sum degree vector."""
+    """Non-negative PPMI matrix."""
 
     P: sp.csr_matrix = field(repr=False)
-    deg: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -210,8 +210,7 @@ def ppmi(freq: FrequencyMatrix) -> PpmiMatrix:
     vals = np.log(ratio)
     keep = vals > 0
     p = sp.csr_matrix((vals[keep], (coo.row[keep], coo.col[keep])), shape=f.shape)
-    deg = np.asarray(p.sum(axis=1)).ravel()
-    return PpmiMatrix(P=p, deg=deg)
+    return PpmiMatrix(P=p)
 
 
 def ppmi_operator(p: PpmiMatrix) -> PropagationOperator:

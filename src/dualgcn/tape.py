@@ -25,7 +25,6 @@ __all__ = [
     "backward",
     "constant",
     "matmul",
-    "sparse_matmul",
     "add",
     "scale",
     "relu",
@@ -63,9 +62,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.value)
-
-    def detach(self) -> np.ndarray:
-        return np.array(self.value, copy=True)
 
 
 class Parameter(Tensor):
@@ -153,18 +149,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return Tensor(out, (a, b), vjp)
-
-
-def sparse_matmul(a_const: sp.spmatrix, b: Tensor) -> Tensor:
-    """Constant sparse matrix times a tape value (features @ weights)."""
-    if a_const.shape[1] != b.value.shape[0]:
-        raise ValueError(f"sparse_matmul dimension mismatch: {a_const.shape} @ {b.value.shape}")
-    out = a_const @ b.value
-
-    def vjp(g):
-        return (a_const.T @ g,)
-
-    return Tensor(np.asarray(out), (b,), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -279,7 +263,7 @@ def branch_agreement_loss(zp: Tensor, za: Tensor, mean_over_rows: bool = True) -
 
 
 def spmm_const(op_const: sp.spmatrix, h: Tensor) -> Tensor:
-    """Fixed propagation operator times a tape value."""
+    """Constant sparse matrix (propagation operator, sparse features) times a tape value."""
     if op_const.shape[1] != h.value.shape[0]:
         raise ValueError(f"spmm dimension mismatch: {op_const.shape} @ {h.value.shape}")
     out = op_const @ h.value
@@ -325,44 +309,60 @@ def sum_sq_diff(t: Tensor, c) -> Tensor:
 # masked-sparse ops: values live on a fixed CSR support (rows, cols, indptr)
 # ---------------------------------------------------------------------------
 
-def edge_abs_diff(xp: Tensor, rows, cols, scatter_r=None, scatter_c=None) -> Tensor:
-    """|xp[rows] - xp[cols]| per support entry, shape (nnz, p).
+def entry_block(p: int) -> int:
+    """Support entries per block so one block's (block, p) float64 array is ~32 MB."""
+    return max(1, 2**22 // p)
 
-    scatter_r / scatter_c are optional precomputed (n x nnz) CSR selection
-    transposes used to push gradients back without np.add.at.
+
+def edge_scores(xp, a: Tensor, rows, cols, block: int | None = None) -> Tensor:
+    """s_k = a . |xp[rows_k] - xp[cols_k]| per support entry, shape (nnz,).
+
+    xp is a tape value or a constant (dense, or scipy sparse, which is
+    densified).  The (block, p) difference exists for one block of
+    entries at a time and is recomputed on the backward pass, so memory is
+    O(block * p) rather than O(nnz * p); the default block is entry_block(p).
     """
-    left = xp.value[rows]
-    right = xp.value[cols]
-    diff = left - right
-    sign = np.sign(diff)
-    out = np.abs(diff)
+    tracked = isinstance(xp, Tensor)
+    x = xp.value if tracked else xp
+    if sp.issparse(x):
+        # once per call: indexing a sparse matrix costs ~0.25 ms per block, more
+        # than a karate epoch, and n x p is no larger than one (nnz, p) difference
+        x = x.toarray()
+    n, p = x.shape
+    block = block or entry_block(p)
+    nnz = rows.size
+    spans = [(lo, min(lo + block, nnz)) for lo in range(0, nnz, block)]
+
+    def diff(lo, hi):
+        d = x[rows[lo:hi]]
+        d -= x[cols[lo:hi]]
+        return d
+
+    # block arrays are reused in place: a fresh 32 MB array costs page faults
+    out = np.empty(nnz)
+    for lo, hi in spans:
+        d = diff(lo, hi)
+        out[lo:hi] = np.abs(d, out=d) @ a.value
 
     def vjp(g):
-        gs = g * sign
-        if scatter_r is not None:
-            gx = scatter_r @ gs
-            gx -= scatter_c @ gs
-        else:
-            gx = np.zeros_like(xp.value)
-            np.add.at(gx, rows, gs)
-            np.subtract.at(gx, cols, gs)
-        return (gx,)
+        gx = np.zeros_like(x) if tracked and xp.needs_grad else None
+        ga = np.zeros_like(a.value) if a.needs_grad else None
+        for lo, hi in spans:
+            d = diff(lo, hi)
+            if gx is not None:
+                gs = np.sign(d)
+                gs *= a.value
+                gs *= g[lo:hi, None]
+                # scatter through one-hot (n x block) selectors; np.add.at is ~10x slower
+                ones = np.ones(hi - lo)
+                ptr = np.arange(hi - lo + 1)
+                gx += sp.csc_matrix((ones, rows[lo:hi], ptr), shape=(n, hi - lo)) @ gs
+                gx -= sp.csc_matrix((ones, cols[lo:hi], ptr), shape=(n, hi - lo)) @ gs
+            if ga is not None:
+                ga += np.abs(d, out=d).T @ g[lo:hi]
+        return (gx, ga) if tracked else (ga,)
 
-    return Tensor(out, (xp,), vjp)
-
-
-def matvec(e: Tensor, a: Tensor) -> Tensor:
-    """(nnz, p) matrix times length-p vector -> (nnz,) scores."""
-    if e.value.shape[1] != a.value.shape[0]:
-        raise ValueError(f"matvec dimension mismatch: {e.value.shape} @ {a.value.shape}")
-    out = e.value @ a.value
-
-    def vjp(g):
-        ge = g[:, None] * a.value[None, :] if e.needs_grad else None
-        ga = e.value.T @ g if a.needs_grad else None
-        return ge, ga
-
-    return Tensor(out, (e, a), vjp)
+    return Tensor(out, (xp, a) if tracked else (a,), vjp)
 
 
 def segment_softmax(scores: Tensor, indptr) -> Tensor:
@@ -416,62 +416,16 @@ def spmm_values(t_vals: Tensor, rows, cols, indptr, n: int, h: Tensor) -> Tensor
     out = mat @ h.value
 
     def vjp(g):
-        gt = (g[rows] * h.value[cols]).sum(axis=1) if t_vals.needs_grad else None
+        gt = None
+        if t_vals.needs_grad:
+            # per-entry dots g_i . h_j over blocks of entries, as in edge_scores
+            gt = np.empty(rows.size)
+            block = entry_block(g.shape[1])
+            for lo in range(0, rows.size, block):
+                prod = g[rows[lo:lo + block]]
+                prod *= h.value[cols[lo:lo + block]]
+                gt[lo:lo + block] = prod.sum(axis=1)
         gh = mat.T @ g if h.needs_grad else None
         return gt, gh
 
     return Tensor(np.asarray(out), (t_vals, h), vjp)
-
-
-# ---------------------------------------------------------------------------
-# dense-mode graph-learning ops (no adjacency mask; blockwise to bound memory)
-# ---------------------------------------------------------------------------
-
-def pairwise_abs_scores(xp: Tensor, a: Tensor, block: int = 256) -> Tensor:
-    """Scores m[i, j] = sum_f a[f] * |xp[i, f] - xp[j, f]| for all pairs.
-
-    Materializes |x_i - x_j| one row-block at a time (and again on the
-    backward pass) so peak memory is block * n * p.
-    """
-    n = xp.value.shape[0]
-    out = np.empty((n, n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        d = np.abs(xp.value[lo:hi, None, :] - xp.value[None, :, :])
-        out[lo:hi] = d @ a.value
-
-    def vjp(g):
-        ga = np.zeros_like(a.value) if a.needs_grad else None
-        gx = np.zeros_like(xp.value) if xp.needs_grad else None
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            diff = xp.value[lo:hi, None, :] - xp.value[None, :, :]
-            if ga is not None:
-                ga += np.einsum("ij,ijf->f", g[lo:hi], np.abs(diff))
-            if gx is not None:
-                signed = np.sign(diff) * a.value[None, None, :]
-                gx[lo:hi] += np.einsum("ij,ijf->if", g[lo:hi], signed)
-                gx -= np.einsum("ij,ijf->jf", g[lo:hi], signed)
-        return gx, ga
-
-    return Tensor(out, (xp, a), vjp)
-
-
-def sym_normalize_dense(s: Tensor) -> Tensor:
-    """Dense D^{-1/2} S D^{-1/2} with D the row sums of S."""
-    deg = s.value.sum(axis=1)
-    pos = deg > 0
-    u = np.zeros_like(deg)
-    u[pos] = deg[pos] ** -0.5
-    out = s.value * u[:, None] * u[None, :]
-
-    def vjp(g):
-        direct = g * u[:, None] * u[None, :]
-        uprime = np.zeros_like(deg)
-        uprime[pos] = -0.5 * deg[pos] ** -1.5
-        w = g * s.value
-        row_acc = (w * u[None, :]).sum(axis=1) * uprime
-        col_acc = (w * u[:, None]).sum(axis=0) * uprime
-        return (direct + (row_acc + col_acc)[:, None],)
-
-    return Tensor(out, (s,), vjp)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +125,23 @@ def test_failed_artifact_write_keeps_the_earlier_artifact(tmp_path, monkeypatch)
 def test_train_unknown_key_exit_2(tmp_path):
     rc = run(["train", "--dataset", "karate", "--set", "bogus=1", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("setting", ["walk_w=9", "epochs=abc", "dropout=x"])
+def test_train_bad_config_value_exit_2(tmp_path, capsys, setting):
+    rc = run(["train", "--dataset", "karate", "--set", setting, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_thread_cap_not_applied_is_recorded_as_zero(tmp_path, monkeypatch):
+    # without threadpoolctl BLAS is already loaded and the cap cannot take effect
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "karate", "--threads", "2", "--out", str(out)] + FAST_TRAIN) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["threads"] == 0
+    assert summary["config"]["threads"] == 2
 
 
 def test_train_missing_dataset_exit_3(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dualgcn import tape
@@ -10,15 +11,15 @@ from dualgcn.graphlearn import (
     SupportStructure,
     gl_loss,
     init_graph_learner,
-    learn_S_dense,
     learn_S_masked,
     support_distances,
 )
 from dualgcn.errors import ConfigError
+from dualgcn.model import ModelConfig, fit
 from dualgcn.optim import finite_diff_check
 from dualgcn.rng import RngStream
 from dualgcn.tape import Parameter
-from conftest import make_random_graph
+from conftest import make_random_graph, make_sbm_bundle
 
 
 def _params(a_values, proj=None):
@@ -26,30 +27,37 @@ def _params(a_values, proj=None):
                               proj=proj)
 
 
+def _learn_complete(x, gl):
+    """S over every node pair, as a graphless dataset learns it."""
+    return learn_S_masked(x, None, gl, SupportStructure.complete(x.shape[0]))
+
+
 def test_dense_zero_scorer_gives_uniform_rows():
     x = RngStream(0).random((5, 3))
-    s = learn_S_dense(x, _params(np.zeros(3)))
-    np.testing.assert_allclose(s.values.value, np.full((5, 5), 0.2), atol=1e-15)
+    s = _learn_complete(x, _params(np.zeros(3)))
+    np.testing.assert_allclose(s.matrix().toarray(), np.full((5, 5), 0.2), atol=1e-15)
 
 
 def test_dense_identical_rows_give_uniform():
     x = np.tile(RngStream(1).random(4), (6, 1))
-    s = learn_S_dense(x, _params(RngStream(2).random(4)))
-    np.testing.assert_allclose(s.values.value, np.full((6, 6), 1 / 6), atol=1e-15)
+    s = _learn_complete(x, _params(RngStream(2).random(4)))
+    np.testing.assert_allclose(s.matrix().toarray(), np.full((6, 6), 1 / 6), atol=1e-15)
 
 
 def test_dense_crafted_scores_proportional():
     # a^T |x0 - x1| = ln 2, all other pair scores 0 -> row 0 ~ (1, 2, 1)
     x = np.array([[0.0], [np.log(2.0)], [0.0]])
-    s = learn_S_dense(x, _params([1.0]))
-    row = s.values.value[0]
+    s = _learn_complete(x, _params([1.0]))
+    row = s.matrix().toarray()[0]
     np.testing.assert_allclose(row, np.array([1.0, 2.0, 1.0]) / 4.0, rtol=1e-12)
 
 
 def test_dense_limit_enforced():
-    x = np.zeros((11, 2))
+    from dataclasses import replace
+
+    no_graph = replace(make_sbm_bundle(n=12, k=2, per_class_train=2), graph=None)
     with pytest.raises(ConfigError):
-        learn_S_dense(x, _params(np.zeros(2)), dense_limit=10)
+        fit(no_graph, ModelConfig(hidden_gl=None, epochs=1, dense_limit=10))
 
 
 def test_masked_zero_scorer_uniform_over_neighborhood():
@@ -96,9 +104,9 @@ def test_dense_rows_stochastic(seed):
     rng = RngStream(seed, ("gld",))
     x = rng.random((7, 3)) * 3
     a = rng.child("a").random(3) - 0.5
-    s = learn_S_dense(x, _params(a))
-    np.testing.assert_allclose(s.values.value.sum(axis=1), np.ones(7), atol=1e-10)
-    assert (s.values.value >= 0).all()
+    dense = _learn_complete(x, _params(a)).matrix().toarray()
+    np.testing.assert_allclose(dense.sum(axis=1), np.ones(7), atol=1e-10)
+    assert (dense >= 0).all()
 
 
 def test_masked_complete_graph_equals_dense():
@@ -109,8 +117,12 @@ def test_masked_complete_graph_equals_dense():
     x = rng.random((n, 3))
     a = rng.child("a").random(3) - 0.5
     masked = learn_S_masked(x, complete, _params(a)).matrix().toarray()
-    dense = learn_S_dense(x, _params(a)).values.value
+    dense = _learn_complete(x, _params(a)).matrix().toarray()
     np.testing.assert_allclose(masked, dense, atol=1e-12)
+    # the formula over all pairs: row softmax of ReLU(sum_f a_f |x_if - x_jf|)
+    scores = np.maximum(np.abs(x[:, None, :] - x[None, :, :]) @ a, 0.0)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(dense, e / e.sum(axis=1, keepdims=True), rtol=1e-12)
 
 
 def test_score_monotonicity_in_single_pair():
@@ -128,7 +140,7 @@ def test_score_monotonicity_in_single_pair():
 
 def test_gl_loss_identical_features_zero():
     x = np.ones((4, 3))
-    s = learn_S_dense(x, _params(np.zeros(3)))
+    s = _learn_complete(x, _params(np.zeros(3)))
     loss = gl_loss(x, s, None, GlConfig(gamma_reg=0.0, beta=0.0))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -139,8 +151,8 @@ def test_gl_loss_uniform_three_node_hand_value():
     gamma = 0.37
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     d2 = np.ones((3, 3)) - np.eye(3)  # unit squared distance between every pair
-    s = learn_S_dense(x, _params(np.zeros(2)))
-    loss = gl_loss(x, s, None, GlConfig(gamma_reg=gamma, beta=0.0), dist2=d2)
+    s = _learn_complete(x, _params(np.zeros(2)))
+    loss = gl_loss(x, s, None, GlConfig(gamma_reg=gamma, beta=0.0), dist2=d2.ravel())
     assert loss.item() == pytest.approx(2.0 + gamma, rel=1e-12)
 
 
@@ -165,6 +177,10 @@ def test_support_distances_match_dense_oracle():
         i, j = sup.rows[k], sup.cols[k]
         expected = ((x[i] - x[j]) ** 2).sum()
         assert d2[k] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    # blocking over entries leaves every per-entry sum bit-identical
+    np.testing.assert_array_equal(support_distances(x, sup, block=4), d2)
+    xs = sp.csr_matrix(np.where(x > 0.5, x, 0.0))
+    np.testing.assert_array_equal(support_distances(xs, sup, block=4), support_distances(xs, sup))
 
 
 def test_gl_gradients_match_finite_differences():
@@ -189,7 +205,7 @@ def test_gl_dense_gradients_match_finite_differences():
     cfg = GlConfig(gamma_reg=0.02, beta=0.0)
 
     def loss_fn():
-        s = learn_S_dense(x, gl)
+        s = _learn_complete(x, gl)
         return gl_loss(x, s, None, cfg)
 
     report = finite_diff_check(loss_fn, gl.parameters(), h=1e-5)
@@ -199,3 +215,29 @@ def test_gl_dense_gradients_match_finite_differences():
 def test_glconfig_rejects_negative():
     with pytest.raises(ConfigError):
         GlConfig(gamma_reg=-0.1)
+
+
+def test_entry_blocking_leaves_loss_and_gradients_unchanged(monkeypatch):
+    rng = RngStream(13)
+    x = rng.random((6, 4))
+    gl = init_graph_learner(4, 3, rng)
+    w = Parameter(rng.child("w").random((4, 2)), name="w")
+    params = gl.parameters() + [w]
+
+    def loss_and_grads():
+        for p in params:
+            p.zero_grad()
+        s = _learn_complete(x, gl)
+        t_vals = tape.sym_normalize_values(s.values, s.support.rows, s.support.cols, s.support.indptr, 6)
+        h = tape.spmm_values(t_vals, s.support.rows, s.support.cols, s.support.indptr, 6,
+                             tape.matmul(tape.constant(x), w))
+        loss = tape.add(tape.sum_sq(h), gl_loss(x, s, None, GlConfig()))
+        tape.backward(loss)
+        return loss.item(), [p.grad.copy() for p in params]
+
+    whole_loss, whole_grads = loss_and_grads()
+    monkeypatch.setattr(tape, "entry_block", lambda p: 5)  # 36 entries in 8 blocks
+    blocked_loss, blocked_grads = loss_and_grads()
+    assert blocked_loss == pytest.approx(whole_loss, rel=1e-13)
+    for a, b in zip(whole_grads, blocked_grads):
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-15)

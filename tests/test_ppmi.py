@@ -196,7 +196,7 @@ def test_ppmi_operator_equal_symmetric_entries():
 
     val = 0.7
     mat = sp.csr_matrix(np.full((2, 2), val))
-    p = PpmiMatrix(P=mat, deg=np.asarray(mat.sum(axis=1)).ravel())
+    p = PpmiMatrix(P=mat)
     op = ppmi_operator(p)
     np.testing.assert_allclose(op.matrix.toarray(), np.full((2, 2), 0.5))
 

@@ -225,3 +225,30 @@ def test_tape_nbytes_counts_reachable_values():
     w = Parameter(np.ones((10, 10)))
     out = tape.relu(w)
     assert tape.tape_nbytes(out) == 2 * 10 * 10 * 8
+
+
+@pytest.mark.parametrize("kind", ["tape", "dense", "sparse"])
+def test_edge_scores_blocked_gradients_match_finite_differences(kind):
+    from dualgcn.optim import finite_diff_check
+
+    rng = RngStream(21, ("edge-scores",))
+    n, p, nnz = 6, 4, 23
+    rows = rng.child("rows").integers(0, n, nnz)
+    cols = rng.child("cols").integers(0, n, nnz)
+    rows[:n] = cols[:n] = np.arange(n)  # self-pairs score zero
+    x = rng.child("x").random((n, p))
+    x[x < 0.3] = 0.0
+    a = Parameter(rng.child("a").random(p) - 0.5, name="a")
+    weights = rng.child("w").random(nnz) - 0.5
+    xp = {"tape": Parameter(x, name="xp"), "dense": x, "sparse": sp.csr_matrix(x)}[kind]
+
+    expected = np.abs(x[rows] - x[cols]) @ a.value
+    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
+    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols, block=5).value, expected, rtol=1e-12)
+
+    def loss_fn():
+        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols, block=5), weights)
+
+    params = [a, xp] if kind == "tape" else [a]
+    report = finite_diff_check(loss_fn, params, h=1e-6)
+    assert all(entry["status"] == "checked" and entry["passed"] for entry in report.values()), report
