@@ -74,7 +74,13 @@ def init_graph_learner(p_features: int, hidden: int | None, rng: RngStream) -> G
 
 
 class SupportStructure:
-    """Frozen CSR pattern (of A + I) shared by S, its operator and losses."""
+    """Frozen CSR pattern (of A + I) shared by S, its operator and losses.
+
+    The pattern must be symmetric.  Pair scores and distances are symmetric
+    and vanish on self-pairs, so they are computed once per unordered pair:
+    pair_rows/pair_cols hold the entries with row < col in CSR order, and
+    pair_of maps every entry to its pair's index (self-pairs to npairs).
+    """
 
     def __init__(self, g: Graph):
         adj = g.adj
@@ -84,6 +90,20 @@ class SupportStructure:
         self.indptr = adj.indptr.copy()
         self.cols = adj.indices.astype(np.int64, copy=True)
         self.rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = self.rows < self.cols
+        lower = (self.rows > self.cols).nonzero()[0]
+        self.pair_rows = self.rows[upper]
+        self.pair_cols = self.cols[upper]
+        # the k-th smallest mirrored lower key is the k-th smallest pair key
+        keys = self.pair_rows * self.n + self.pair_cols
+        mirror = self.cols[lower] * self.n + self.rows[lower]
+        by_key = keys.argsort(kind="stable")
+        by_mirror = mirror.argsort(kind="stable")
+        if mirror.size != keys.size or (keys[by_key] != mirror[by_mirror]).any():
+            raise ValueError("support pattern must be symmetric")
+        self.pair_of = np.full(self.nnz, keys.size, dtype=np.int64)
+        self.pair_of[upper] = np.arange(keys.size)
+        self.pair_of[lower[by_mirror]] = by_key
 
     @classmethod
     def complete(cls, n: int) -> "SupportStructure":
@@ -94,6 +114,10 @@ class SupportStructure:
     @property
     def nnz(self) -> int:
         return self.cols.size
+
+    @property
+    def npairs(self) -> int:
+        return self.pair_rows.size
 
 
 @dataclass
@@ -122,12 +146,15 @@ def learn_S_masked(x, g: Graph, gl: GraphLearnerParams, support: SupportStructur
     """Affinity restricted to the support of g (which must hold self-loops).
 
     S_ij = A~_ij exp(ReLU(a^T |x_i - x_j|)) / sum_j A~_ij exp(...), so each
-    row is a softmax over the node's closed neighborhood.
+    row is a softmax over the node's closed neighborhood.  The score is
+    symmetric and 0 on self-pairs, so each unordered pair is scored once
+    and spread to both of its entries.
     """
     if support is None:
         support = SupportStructure(g)
     xp = _project(x, gl)
-    scores = tape.relu(tape.edge_scores(xp, gl.a, support.rows, support.cols))
+    pair = tape.relu(tape.edge_scores(xp, gl.a, support.pair_rows, support.pair_cols))
+    scores = tape.take_or_zero(pair, support.pair_of)
     values = tape.segment_softmax(scores, support.indptr)
     return LearnedGraph(values=values, support=support)
 
@@ -135,22 +162,23 @@ def learn_S_masked(x, g: Graph, gl: GraphLearnerParams, support: SupportStructur
 def support_distances(x, support: SupportStructure, block: int | None = None) -> np.ndarray:
     """||x_i - x_j||^2 per support entry (constant wrt parameters).
 
-    The per-entry dot products are taken over blocks of entries
-    (tape.entry_block by default), so no (nnz, p) array is built.
+    Taken once per unordered pair and spread to both entries, with 0 on
+    self-pairs.  The per-pair dot products are taken over blocks of pairs
+    (tape.entry_block by default), so no (npairs, p) array is built.
     """
     sparse = sp.issparse(x)
     if not sparse:
         x = np.asarray(x, dtype=np.float64)
     sq = np.asarray(x.multiply(x).sum(axis=1)).ravel() if sparse else (x * x).sum(axis=1)
     block = block or tape.entry_block(x.shape[1])
-    rows, cols = support.rows, support.cols
-    dots = np.empty(support.nnz)
-    for lo in range(0, support.nnz, block):
+    rows, cols = support.pair_rows, support.pair_cols
+    dots = np.empty(support.npairs)
+    for lo in range(0, support.npairs, block):
         r, c = rows[lo:lo + block], cols[lo:lo + block]
         prod = x[r].multiply(x[c]) if sparse else x[r] * x[c]
         dots[lo:lo + block] = np.asarray(prod.sum(axis=1)).ravel()
-    d2 = sq[rows] + sq[cols] - 2.0 * dots
-    return np.maximum(d2, 0.0)
+    d2 = np.maximum(sq[rows] + sq[cols] - 2.0 * dots, 0.0)
+    return np.append(d2, 0.0)[support.pair_of]
 
 
 def gl_loss(x, s: LearnedGraph, a_graph: Graph | None = None, cfg: GlConfig = GlConfig(),

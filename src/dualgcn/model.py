@@ -172,11 +172,10 @@ def init_params(p_in: int, n_classes: int, cfg: ModelConfig, rng: RngStream) -> 
 
 @dataclass
 class ForwardCache:
-    """Branch outputs after softmax plus the affinity used."""
+    """Branch outputs after softmax."""
 
     za: Tensor
     zp: Tensor | None
-    s: object  # LearnedGraph or PropagationOperator
 
 
 def _dropout_any(h, rate: float, rng, training: bool):
@@ -253,7 +252,7 @@ def forward(x, s, p_op: PropagationOperator | None, params: ModelParams, cfg: Mo
             return tape.spmm_const(p_mat, u)
 
         zp = _branch(x, apply_p, params.w_p, "p", cfg, rng, training, epoch)
-    return ForwardCache(za=za, zp=zp, s=s)
+    return ForwardCache(za=za, zp=zp)
 
 
 def total_loss(cache: ForwardCache, labels, train_idx, gl_term: Tensor | None, cfg: ModelConfig):

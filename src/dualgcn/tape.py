@@ -37,6 +37,12 @@ __all__ = [
     "sum_sq",
     "sum_sq_diff",
     "tape_nbytes",
+    "entry_block",
+    "edge_scores",
+    "take_or_zero",
+    "segment_softmax",
+    "sym_normalize_values",
+    "spmm_values",
 ]
 
 LOG_CLAMP = 1e-12  # floor for ln arguments; keeps early-training losses finite
@@ -315,7 +321,7 @@ def entry_block(p: int) -> int:
 
 
 def edge_scores(xp, a: Tensor, rows, cols, block: int | None = None) -> Tensor:
-    """s_k = a . |xp[rows_k] - xp[cols_k]| per support entry, shape (nnz,).
+    """s_k = a . |xp[rows_k] - xp[cols_k]| per (rows_k, cols_k) pair, shape (len(rows),).
 
     xp is a tape value or a constant (dense, or scipy sparse, which is
     densified).  The (block, p) difference exists for one block of
@@ -363,6 +369,21 @@ def edge_scores(xp, a: Tensor, rows, cols, block: int | None = None) -> Tensor:
         return (gx, ga) if tracked else (ga,)
 
     return Tensor(out, (xp, a) if tracked else (a,), vjp)
+
+
+def take_or_zero(t: Tensor, idx) -> Tensor:
+    """out_k = t[idx_k], reading 0 where idx_k == len(t).
+
+    Spreads per-pair values to the support entries: both entries of a pair
+    read its value and self-pairs read the extra zero slot.
+    """
+    m = t.value.size
+    out = np.append(t.value, 0.0)[idx]
+
+    def vjp(g):
+        return (np.bincount(idx, weights=g, minlength=m + 1)[:m],)
+
+    return Tensor(out, (t,), vjp)
 
 
 def segment_softmax(scores: Tensor, indptr) -> Tensor:

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dualgcn import tape
-from dualgcn.graph import add_self_loops, build_graph
+from dualgcn.graph import Graph, add_self_loops, build_graph
 from dualgcn.graphlearn import (
     GlConfig,
     GraphLearnerParams,
@@ -241,3 +241,73 @@ def test_entry_blocking_leaves_loss_and_gradients_unchanged(monkeypatch):
     assert blocked_loss == pytest.approx(whole_loss, rel=1e-13)
     for a, b in zip(whole_grads, blocked_grads):
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-15)
+
+
+def _pair_supports():
+    adj = add_self_loops(make_random_graph(9, 0.35, seed=14)).adj
+    # the same pattern with every row's column indices reversed
+    flipped = np.concatenate([adj.indices[lo:hi][::-1] for lo, hi in zip(adj.indptr[:-1], adj.indptr[1:])])
+    unsorted = sp.csr_matrix((adj.data, flipped, adj.indptr), shape=adj.shape)
+    return {"graph": SupportStructure(Graph(n=9, adj=adj)),
+            "unsorted": SupportStructure(Graph(n=9, adj=unsorted)),
+            "complete": SupportStructure.complete(7)}
+
+
+@pytest.mark.parametrize("kind", ["graph", "unsorted", "complete"])
+def test_pair_scores_spread_to_every_entry(kind, monkeypatch):
+    sup = _pair_supports()[kind]
+    rows, cols = sup.rows, sup.cols
+    assert (sup.pair_rows < sup.pair_cols).all()
+    off = rows != cols
+    assert sup.npairs * 2 == off.sum()
+    np.testing.assert_array_equal(sup.pair_of[~off], sup.npairs)
+    lo, hi = np.minimum(rows, cols)[off], np.maximum(rows, cols)[off]
+    np.testing.assert_array_equal(sup.pair_rows[sup.pair_of[off]], lo)
+    np.testing.assert_array_equal(sup.pair_cols[sup.pair_of[off]], hi)
+
+    rng = RngStream(15, (kind,))
+    x = rng.random((sup.n, 4))
+    a = rng.child("a").random(4) - 0.3
+    seen = {}
+    real = tape.segment_softmax
+
+    def spy(scores, indptr):
+        seen["scores"] = scores.value.copy()
+        return real(scores, indptr)
+
+    monkeypatch.setattr(tape, "segment_softmax", spy)
+    learn_S_masked(x, None, _params(a), sup)
+    scores = seen["scores"]
+    expected = np.maximum(np.abs(x[rows] - x[cols]) @ a, 0.0)
+    np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0.0)
+    assert (scores[~off] == 0.0).all()
+    dense = sp.csr_matrix((scores, cols, sup.indptr), shape=(sup.n, sup.n)).toarray()
+    np.testing.assert_array_equal(dense, dense.T)
+
+
+def test_support_rejects_asymmetric_pattern():
+    def support(pairs):
+        rows, cols = zip(*pairs)
+        adj = sp.csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(3, 3))
+        return SupportStructure(Graph(n=3, adj=adj))
+
+    loops = [(0, 0), (1, 1), (2, 2)]
+    support(loops + [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="symmetric"):
+        support(loops + [(0, 1)])
+    with pytest.raises(ValueError, match="symmetric"):
+        support(loops + [(0, 1), (2, 1)])
+
+
+@pytest.mark.parametrize("kind", ["graph", "unsorted", "complete"])
+def test_pair_distances_match_per_entry_formula(kind):
+    sup = _pair_supports()[kind]
+    x = RngStream(16, (kind,)).random((sup.n, 5))
+    xs = sp.csr_matrix(np.where(x > 0.5, x, 0.0))
+    for feats, dense in ((x, x), (xs, xs.toarray())):
+        d2 = support_distances(feats, sup)
+        expected = ((dense[sup.rows] - dense[sup.cols]) ** 2).sum(axis=1)
+        np.testing.assert_allclose(d2, expected, rtol=1e-10, atol=1e-12)
+        assert (d2[sup.rows == sup.cols] == 0.0).all()
+        square = sp.csr_matrix((d2, sup.cols, sup.indptr), shape=(sup.n, sup.n)).toarray()
+        np.testing.assert_array_equal(square, square.T)

@@ -118,7 +118,7 @@ def test_total_loss_reduces_to_plain_cross_entropy():
     n, k = 6, 3
     rng = RngStream(9)
     za = tape.row_softmax(tape.constant(rng.random((n, k))))
-    cache = ForwardCache(za=za, zp=None, s=None)
+    cache = ForwardCache(za=za, zp=None)
     labels = rng.integers(0, k, n)
     cfg = _cfg(lambda1=0.0, lambda2=0.0)
     loss, comps = total_loss(cache, labels, np.arange(n), None, cfg)
@@ -130,7 +130,7 @@ def test_total_loss_reduces_to_plain_cross_entropy():
 def test_total_loss_zero_agreement_for_identical_branches():
     n, k = 5, 4
     z = tape.row_softmax(tape.constant(RngStream(10).random((n, k))))
-    cache = ForwardCache(za=z, zp=z, s=None)
+    cache = ForwardCache(za=z, zp=z)
     cfg = _cfg(lambda1=0.7)
     loss, comps = total_loss(cache, np.zeros(n, dtype=int), np.arange(n), None, cfg)
     assert comps["lreg"] == 0.0
@@ -142,7 +142,7 @@ def test_total_loss_components_sum():
     za = tape.row_softmax(tape.constant(rng.random((n, k))))
     zp = tape.row_softmax(tape.constant(rng.random((n, k))))
     gl_term = tape.constant(np.float64(1.234))
-    cache = ForwardCache(za=za, zp=zp, s=None)
+    cache = ForwardCache(za=za, zp=zp)
     cfg = _cfg(lambda1=0.3, lambda2=0.2)
     labels = rng.integers(0, k, n)
     loss, comps = total_loss(cache, labels, np.arange(n), gl_term, cfg)
@@ -153,7 +153,7 @@ def test_total_loss_components_sum():
 
 def test_total_loss_empty_mask_errors():
     z = tape.row_softmax(tape.constant(np.zeros((2, 2))))
-    cache = ForwardCache(za=z, zp=None, s=None)
+    cache = ForwardCache(za=z, zp=None)
     with pytest.raises(DataError):
         total_loss(cache, np.zeros(2, dtype=int), np.array([], dtype=int), None, _cfg())
 

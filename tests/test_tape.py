@@ -252,3 +252,32 @@ def test_edge_scores_blocked_gradients_match_finite_differences(kind):
     params = [a, xp] if kind == "tape" else [a]
     report = finite_diff_check(loss_fn, params, h=1e-6)
     assert all(entry["status"] == "checked" and entry["passed"] for entry in report.values()), report
+
+
+def test_take_or_zero_gradients_match_finite_differences():
+    from dualgcn.optim import finite_diff_check
+
+    rng = RngStream(22, ("take-or-zero",))
+    v = Parameter(rng.child("v").random(4) - 0.5, name="v")
+    idx = np.array([2, 0, 4, 2, 3, 4, 0, 2])  # repeats, and 4 == len(v) reads the zero slot
+    weights = rng.child("w").random(idx.size) - 0.5
+    vals = v.value
+    expected = [vals[2], vals[0], 0.0, vals[2], vals[3], 0.0, vals[0], vals[2]]
+    np.testing.assert_array_equal(tape.take_or_zero(v, idx).value, expected)
+
+    def loss_fn():
+        spread = tape.take_or_zero(v, idx)
+        return tape.add(tape.sum_sq(spread), tape.vdot_const(spread, weights))
+
+    report = finite_diff_check(loss_fn, [v], h=1e-6)
+    assert all(entry["status"] == "checked" and entry["passed"] for entry in report.values()), report
+
+
+def test_all_lists_every_public_function():
+    import inspect
+
+    for name in tape.__all__:
+        assert hasattr(tape, name), name
+    public = {name for name, obj in vars(tape).items()
+              if inspect.isfunction(obj) and obj.__module__ == tape.__name__ and not name.startswith("_")}
+    assert public <= set(tape.__all__), sorted(public - set(tape.__all__))
