@@ -164,7 +164,9 @@ def support_distances(x, support: SupportStructure, block: int | None = None) ->
 
     Taken once per unordered pair and spread to both entries, with 0 on
     self-pairs.  The per-pair dot products are taken over blocks of pairs
-    (tape.entry_block by default), so no (npairs, p) array is built.
+    (tape.entry_block, ~32 MB, by default), so no (npairs, p) array is
+    built.  Not the smaller tape.cache_block: indexing rows of a sparse x
+    costs ~0.25 ms per block whatever its size.
     """
     sparse = sp.issparse(x)
     if not sparse:

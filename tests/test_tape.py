@@ -254,6 +254,79 @@ def test_edge_scores_blocked_gradients_match_finite_differences(kind):
     assert all(entry["status"] == "checked" and entry["passed"] for entry in report.values()), report
 
 
+@pytest.mark.parametrize("kind", ["tape", "dense", "sparse"])
+@pytest.mark.parametrize("block", [5, None])
+def test_edge_scores_cache_chunks_match_oracle_and_finite_differences(kind, block, monkeypatch):
+    from dualgcn.optim import finite_diff_check
+
+    rng = RngStream(23, ("edge-chunks",))
+    n, p, nnz = 7, 4, 29
+    rows = rng.child("rows").integers(0, n, nnz)
+    cols = rng.child("cols").integers(0, n, nnz)
+    rows[:n] = cols[:n] = np.arange(n)
+    x = rng.child("x").random((n, p))
+    x[x < 0.3] = 0.0
+    a = Parameter(rng.child("a").random(p) - 0.5, name="a")
+    weights = rng.child("w").random(nnz) - 0.5
+    xp = {"tape": Parameter(x, name="xp"), "dense": x, "sparse": sp.csr_matrix(x)}[kind]
+    # chunks of 3 do not divide blocks of 5; block=None is one block of all 29 in chunks of 3
+    monkeypatch.setattr(tape, "cache_block", lambda p: 3)
+
+    expected = np.abs(x[rows] - x[cols]) @ a.value
+    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols, block=block).value, expected, rtol=1e-12)
+
+    def loss_fn():
+        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols, block=block), weights)
+
+    params = [a, xp] if kind == "tape" else [a]
+    report = finite_diff_check(loss_fn, params, h=1e-6)
+    assert all(entry["status"] == "checked" and entry["passed"] for entry in report.values()), report
+
+
+def test_spmm_values_cache_chunks_leave_gradients_unchanged(monkeypatch):
+    rng = RngStream(24, ("spmm-chunks",))
+    n, width = 6, 3
+    dense = rng.child("pattern").random((n, n)) < 0.5
+    np.fill_diagonal(dense, True)
+    pattern = sp.csr_matrix(dense.astype(np.float64))
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    t_vals = Parameter(rng.child("t").random(pattern.nnz), name="t")
+    h = Parameter(rng.child("h").random((n, width)), name="h")
+    weights = rng.child("w").random((n, width)) - 0.5
+
+    def grads():
+        t_vals.zero_grad()
+        h.zero_grad()
+        out = tape.spmm_values(t_vals, rows, pattern.indices, pattern.indptr, n, h)
+        backward(tape.vdot_const(out, weights))
+        return t_vals.grad.copy(), h.grad.copy()
+
+    whole = grads()
+    monkeypatch.setattr(tape, "cache_block", lambda p: 4)  # nnz entries in chunks of 4
+    chunked = grads()
+    for w, c in zip(whole, chunked):
+        np.testing.assert_allclose(c, w, rtol=1e-12)
+
+
+def test_edge_scores_forward_memory_is_one_cache_chunk():
+    import tracemalloc
+
+    rng = RngStream(25, ("edge-memory",))
+    n, p, nnz = 400, 200, 20_000
+    x = rng.child("x").random((n, p))
+    rows = rng.child("rows").integers(0, n, nnz)
+    cols = rng.child("cols").integers(0, n, nnz)
+    a = Parameter(rng.child("a").random(p) - 0.5, name="a")
+    tracemalloc.start()
+    try:
+        tape.edge_scores(x, a, rows, cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole (nnz, p) difference would be 32 MB; the output itself is 160 KB
+    assert peak < 4 * 2**20, peak
+
+
 def test_take_or_zero_gradients_match_finite_differences():
     from dualgcn.optim import finite_diff_check
 
