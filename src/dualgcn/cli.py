@@ -423,7 +423,7 @@ def cmd_ppmi(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc))
     out_path = args.out or f"{bundle.name}_ppmi.tsv"
-    save_ppmi_cache(out_path, p, walk)
+    _write_atomic(out_path, lambda fh: save_ppmi_cache(fh, p, walk))
     max_entry = float(p.P.data.max()) if p.P.nnz else 0.0
     print(f"nnz={p.P.nnz} max={max_entry:.6g} file={out_path}")
     return _EXIT_OK
@@ -445,7 +445,7 @@ def cmd_partition(args) -> int:
     report["c"] = args.c
     report["seed"] = args.seed
     out_path = args.out or f"{bundle.name}_partition.txt"
-    save_partition_cache(out_path, part, args.seed)
+    _write_atomic(out_path, lambda fh: save_partition_cache(fh, part, args.seed))
     report["file"] = out_path
     print(json.dumps(report, sort_keys=True))
     return _EXIT_OK

@@ -2,11 +2,16 @@
 
 The partitioner is a multilevel scheme standing in for a full METIS:
 heavy-edge matching coarsens the graph, greedy growing seeds a balanced
-partition on the coarsest level, and move/swap refinement under the
-balance cap cleans up each uncoarsening step.  Training then samples q
-clusters per step, trains on their induced subgraph (cross-cluster edges
-between chosen clusters stay in), and scales the loss by the batch's
-node share.
+partition on the coarsest level, and each uncoarsening step is refined by
+size-constrained label propagation (Meyerhenke, Sanders & Schulz, SEA
+2014) in rounds of whole-array work.  Every round reads each node's
+connectivity to every cluster from one sparse product, adj @ onehot(assign),
+and either moves nodes to better clusters with room under the balance cap
+(upward in cluster id on even rounds, downward on odd ones) or swaps
+equal-weight node pairs between two clusters; a round that would raise the
+cut is dropped.  Training then samples q clusters per step, trains on
+their induced subgraph (cross-cluster edges between chosen clusters stay
+in), and scales the loss by the batch's node share.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ __all__ = [
     "cluster_fit",
     "random_balanced_partition",
     "save_partition_cache",
-    "load_partition_cache",
 ]
 
 
@@ -97,9 +101,11 @@ def _edge_cut(adj: sp.csr_matrix, assign: np.ndarray) -> int:
 
 
 def partition_from_assign(g: Graph, assign: np.ndarray, c: int) -> Partition:
-    members = tuple(np.flatnonzero(assign == t) for t in range(c))
-    return Partition(c=c, assign=assign.astype(np.int64), members=members,
-                     edge_cut=_edge_cut(g.adj, assign))
+    assign = np.array(assign, dtype=np.int64)
+    # one stable sort: each cluster's members come out in ascending id order
+    order = np.argsort(assign, kind="stable")
+    members = tuple(np.split(order, np.cumsum(np.bincount(assign, minlength=c))[:c - 1]))
+    return Partition(c=c, assign=assign, members=members, edge_cut=_edge_cut(g.adj, assign))
 
 
 def random_balanced_partition(g: Graph, c: int, rng: RngStream) -> Partition:
@@ -229,86 +235,206 @@ def _greedy_grow(adj: sp.csr_matrix, node_w: np.ndarray, c: int, cap: int, total
     return assign
 
 
-def _node_conn(adj, v: int, assign: np.ndarray, c: int) -> np.ndarray:
-    conn = np.zeros(c)
-    for k in range(adj.indptr[v], adj.indptr[v + 1]):
-        conn[assign[adj.indices[k]]] += adj.data[k]
-    return conn
+def _connectivity(adj: sp.csr_matrix, assign: np.ndarray, c: int):
+    """Every node's edge weight into every cluster, as one sparse product.
+
+    Returns the entries of ``adj @ onehot(assign)`` (n x c, kept sparse)
+    that point into another cluster as ``(node, cluster, weight)`` arrays,
+    plus each node's weight into its own cluster.
+    """
+    n = adj.shape[0]
+    onehot = sp.csr_matrix((np.ones(n), assign, np.arange(n + 1)), shape=(n, c))
+    conn = adj @ onehot
+    rows = np.repeat(np.arange(n), np.diff(conn.indptr))
+    cols = conn.indices.astype(np.int64)
+    mine = cols == assign[rows]
+    own = np.zeros(n)
+    own[rows[mine]] = conn.data[mine]
+    other = ~mine
+    return rows[other], cols[other], conn.data[other], own
+
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """For a sorted key array, the index where each entry's run begins."""
+    start = np.ones(keys.size, dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    return np.maximum.accumulate(np.where(start, np.arange(keys.size), 0))
+
+
+def _move_round(conn, node_w, assign, c: int, cap: int, upward: bool) -> np.ndarray:
+    """One label-propagation round; returns the new assignment.
+
+    A node's candidates are the clusters it gains by joining, plus those
+    it joins at no loss that are lighter than its own even after the
+    move.  It picks the best (highest gain, then lowest cluster id) and
+    moves if that points in this round's direction.  Each target admits
+    movers by gain, then node id, while its room lasts; no source cluster
+    is emptied.
+    """
+    rows, cols, vals, own = conn
+    gain = vals - own[rows]
+    weights = np.bincount(assign, weights=node_w, minlength=c)
+    eligible = (gain > 0) | ((gain == 0) & (weights[cols] + node_w[rows] < weights[assign[rows]]))
+    rows, cols, gain = rows[eligible], cols[eligible], gain[eligible]
+    order = np.lexsort((cols, -gain, rows))
+    best = order[_group_starts(rows[order]) == np.arange(order.size)]
+    v, t, gain = rows[best], cols[best], gain[best]
+    s = assign[v]
+    keep = (t > s) if upward else (t < s)
+    v, t, s, gain = v[keep], t[keep], s[keep], gain[keep]
+    if v.size == 0:
+        return assign
+    order = np.lexsort((v, -gain, t))
+    v, t, s, gain = v[order], t[order], s[order], gain[order]
+    w = node_w[v]
+    filled = np.cumsum(w)
+    head = _group_starts(t)
+    filled -= filled[head] - w[head]
+    ok = filled <= cap - weights[t]
+    v, t, s, gain = v[ok], t[ok], s[ok], gain[ok]
+    # a source losing every member keeps its weakest mover
+    emptied = np.bincount(s, minlength=c) >= np.bincount(assign, minlength=c)
+    if emptied.any():
+        order = np.lexsort((-v, gain, s))
+        weakest = order[_group_starts(s[order]) == np.arange(s.size)]
+        drop = np.zeros(v.size, dtype=bool)
+        drop[weakest[emptied[s[weakest]]]] = True
+        v, t = v[~drop], t[~drop]
+    out = assign.copy()
+    out[v] = t
+    return out
+
+
+def _swap_round(conn, adj, weight_class, assign, c: int, edge_key: np.ndarray) -> np.ndarray:
+    """One balance-preserving swap round; returns the new assignment.
+
+    Candidates are every (node, other cluster) entry of the connectivity.
+    Within each cluster pair and node weight, each s->t mover is paired
+    with the t->s movers of its own gain rank and the ranks next to it; a
+    pair (u, v) is worth g_u + g_v - 2 w_uv.  Positive pairs are taken
+    best first, each node in at most one.
+    """
+    n = adj.shape[0]
+    rows, cols, vals, own = conn
+    gain = vals - own[rows]
+    if gain.size == 0 or gain.max() <= 0:
+        return assign
+    src = assign[rows]
+    pair = np.minimum(src, cols) * c + np.maximum(src, cols)
+    # a positive pair has a half that gains, by at most max(gain): only
+    # cluster pairs with a gaining entry can swap, and in them only entries
+    # with gain > -max(gain); what goes is a tail of each rank order, so
+    # no kept entry changes rank
+    live = np.zeros(c * c, dtype=bool)
+    live[pair[gain > 0]] = True
+    keep = live[pair] & (gain > -gain.max())
+    rows, gain, src, pair = rows[keep], gain[keep], src[keep], pair[keep]
+    upward = src < cols[keep]
+    # each (cluster pair, node weight) block holds its hi->lo movers, then
+    # its lo->hi ones, each by gain; rows ascend, so ties go to lower ids
+    block = pair * (weight_class.max() + 1) + weight_class[rows]
+    order = np.lexsort((-gain, 2 * block + upward))
+    rows, gain, upward = rows[order], gain[order], upward[order]
+    head = _group_starts(block[order])
+    n_down = np.bincount(head, weights=~upward, minlength=rows.size).astype(np.int64)
+    n_up = np.bincount(head, weights=upward, minlength=rows.size).astype(np.int64)
+    down = np.flatnonzero(~upward)
+    rank, h = down - head[down], head[down]
+    first, partner = [], []
+    for shift in (-1, 0, 1):
+        ok = (rank + shift >= 0) & (rank + shift < n_up[h])
+        first.append(down[ok])
+        partner.append(h[ok] + n_down[h[ok]] + rank[ok] + shift)
+    first, partner = np.concatenate(first), np.concatenate(partner)
+    u, v = rows[first], rows[partner]
+    key = u * n + v
+    pos = np.minimum(np.searchsorted(edge_key, key), edge_key.size - 1)
+    w_uv = np.where(edge_key[pos] == key, adj.data[pos], 0.0)
+    pair_gain = gain[first] + gain[partner] - 2.0 * w_uv
+    good = pair_gain > 0
+    u, v, pair_gain = u[good], v[good], pair_gain[good]
+    order = np.lexsort((v, u, -pair_gain))
+    u, v = u[order], v[order]
+    # best-first greedy matching as rounds of locally dominant pairs: a
+    # pair is taken when it is the best one left at both of its nodes
+    taken = np.zeros(u.size, dtype=bool)
+    alive = np.ones(u.size, dtype=bool)
+    used = np.zeros(n, dtype=bool)
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        best = np.full(n, u.size)
+        np.minimum.at(best, u[idx], idx)
+        np.minimum.at(best, v[idx], idx)
+        win = idx[(best[u[idx]] == idx) & (best[v[idx]] == idx)]
+        taken[win] = True
+        used[u[win]] = used[v[win]] = True
+        alive &= ~(used[u] | used[v])
+    u, v = u[taken], v[taken]
+    out = assign.copy()
+    out[u], out[v] = assign[v], assign[u]
+    return out
 
 
 def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, cap: int,
-            max_rounds: int = 4, swap_limit: int = 2000):
-    """Greedy boundary moves plus balance-preserving pair swaps."""
-    weights = np.bincount(assign, weights=node_w, minlength=c)
-    counts = np.bincount(assign, minlength=c)
+            max_rounds: int = 32):
+    """Size-constrained label propagation with pair-swap rounds.
+
+    Move rounds (even ones upward in cluster id, odd ones downward)
+    alternate with swap rounds.  A round is kept only if it lowers the
+    (weighted) cut, or keeps it and evens out the cluster weights (their
+    sum of squares falls), so the cut never grows.  Moves keep every
+    cluster at or under cap and swaps exchange equal weights.  Refinement
+    stops when an upward move, a downward move and a swap all leave the
+    assignment as it is, or after max_rounds move-and-swap rounds.
+    """
     n = adj.shape[0]
-    for _ in range(max_rounds):
-        moved = 0
-        for _pass in range(8):
-            pass_moves = 0
-            for v in range(n):
-                s = assign[v]
-                conn = _node_conn(adj, v, assign, c)
-                own = conn[s]
-                conn[s] = -np.inf
-                t = int(np.argmax(conn))
-                gain = conn[t] - own
-                if gain <= 0:
-                    continue
-                if weights[t] + node_w[v] > cap or counts[s] <= 1:
-                    continue
-                assign[v] = t
-                weights[s] -= node_w[v]
-                weights[t] += node_w[v]
-                counts[s] -= 1
-                counts[t] += 1
-                pass_moves += 1
-            moved += pass_moves
-            if pass_moves == 0:
+    if not adj.has_sorted_indices:
+        adj = adj.sorted_indices()
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+    dst = adj.indices.astype(np.int64)
+    edge_key = src * n + dst  # ascending: w_uv lookups search it
+    weight_class = np.unique(node_w, return_inverse=True)[1]
+
+    def score(a):
+        cut = adj.data[a[src] != a[dst]].sum()
+        return cut, (np.bincount(a, weights=node_w, minlength=c) ** 2).sum()
+
+    best, conn = score(assign), None
+    idle = set()  # the round kinds that left the current assignment as it is
+    for step in range(2 * max_rounds):
+        kind = "swap" if step % 2 else ("up" if step % 4 == 0 else "down")
+        if kind in idle:
+            continue
+        if conn is None:
+            conn = _connectivity(adj, assign, c)
+        if kind == "swap":
+            trial = _swap_round(conn, adj, weight_class, assign, c, edge_key)
+        else:
+            trial = _move_round(conn, node_w, assign, c, cap, upward=kind == "up")
+        got = score(trial) if trial is not assign else best
+        if got < best:
+            assign, best, conn = trial, got, None
+            idle.clear()
+        else:
+            idle.add(kind)
+            if len(idle) == 3:
                 break
-        if n > swap_limit:
-            break
-        # balance-locked improvements need swaps: equal-weight boundary pairs
-        swapped = 0
-        boundary = [v for v in range(n)
-                    if any(assign[adj.indices[k]] != assign[v]
-                           for k in range(adj.indptr[v], adj.indptr[v + 1]))]
-        for u in boundary:
-            s = assign[u]
-            conn_u = _node_conn(adj, u, assign, c)
-            for v in boundary:
-                t = assign[v]
-                if t == s or node_w[u] != node_w[v]:
-                    continue
-                conn_v = _node_conn(adj, v, assign, c)
-                w_uv = 0.0
-                for k in range(adj.indptr[u], adj.indptr[u + 1]):
-                    if adj.indices[k] == v:
-                        w_uv = adj.data[k]
-                        break
-                gain = (conn_u[t] - conn_u[s]) + (conn_v[s] - conn_v[t]) - 2.0 * w_uv
-                if gain > 0:
-                    assign[u], assign[v] = t, s
-                    swapped += 1
-                    break
-        if moved == 0 and swapped == 0:
-            break
     return assign
 
 
 def _enforce_balance(adj, node_w, assign, c: int, cap: int):
+    """Move least-internal members out of over-cap clusters, one at a time,
+    into the lightest cluster with room."""
     weights = np.bincount(assign, weights=node_w, minlength=c)
+    if weights.max() <= cap:
+        return assign
+    own = _connectivity(adj, assign, c)[3]
     guard = 0
     while weights.max() > cap and guard < 10 * assign.size:
         guard += 1
         s = int(np.argmax(weights))
         members = np.flatnonzero(assign == s)
-        # move the member with least internal connectivity
-        best_v, best_int = members[0], np.inf
-        for v in members:
-            internal = _node_conn(adj, v, assign, c)[s]
-            if internal < best_int:
-                best_v, best_int = v, internal
+        best_v = members[np.argmin(own[members])]
         room = np.flatnonzero(weights + node_w[best_v] <= cap)
         t = int(room[np.argmin(weights[room])]) if room.size else int(np.argmin(weights))
         if t == s:
@@ -316,6 +442,12 @@ def _enforce_balance(adj, node_w, assign, c: int, cap: int):
         assign[best_v] = t
         weights[s] -= node_w[best_v]
         weights[t] += node_w[best_v]
+        # only best_v and its neighbours change their own-cluster weight
+        span = slice(adj.indptr[best_v], adj.indptr[best_v + 1])
+        nbrs, w = adj.indices[span], adj.data[span]
+        into_t = assign[nbrs] == t
+        own[nbrs] += np.where(into_t, w, 0.0) - np.where(assign[nbrs] == s, w, 0.0)
+        own[best_v] = w[into_t].sum()
     return assign
 
 
@@ -453,27 +585,10 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
 
 
 # ---------------------------------------------------------------------------
-# partition cache: "# partition n=<n> c=<c> seed=<seed>" + one index per line
+# partition file: "# partition n=<n> c=<c> seed=<seed>" + one index per line
 # ---------------------------------------------------------------------------
 
-def save_partition_cache(path, part: Partition, seed: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# partition n={part.n} c={part.c} seed={seed}\n")
-        for t in part.assign:
-            fh.write(f"{t}\n")
-
-
-def load_partition_cache(path, g: Graph, cfg: PartitionConfig) -> Partition | None:
-    """Reload a cached partition; returns None when the header mismatches."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return None
-    with fh:
-        header = fh.readline().strip()
-        if header != f"# partition n={g.n} c={cfg.c} seed={cfg.seed}":
-            return None
-        assign = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
-    if assign.shape[0] != g.n:
-        return None
-    return partition_from_assign(g, assign, cfg.c)
+def save_partition_cache(fh, part: Partition, seed: int) -> None:
+    """Write the partition file to a binary file object."""
+    lines = [f"# partition n={part.n} c={part.c} seed={seed}\n"] + [f"{t}\n" for t in part.assign]
+    fh.write("".join(lines).encode())

@@ -14,6 +14,7 @@ normal case for bag-of-words citation data.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _SPARSE_DENSITY_CUTOFF = 0.25
+_FEATURE_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,40 @@ class DatasetBundle:
 
 
 def _load_features(path) -> np.ndarray | sp.csr_matrix:
+    """Parse features.csv _FEATURE_CHUNK_ROWS data rows at a time into CSR
+    blocks, so the text is never held as one dense array; the result is
+    densified when at least _SPARSE_DENSITY_CUTOFF of it is nonzero."""
     try:
-        dense = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        fh = open(path, "r", encoding="utf-8")
     except OSError:
         raise DataError(f"missing features file: {path}")
-    if dense.size and np.count_nonzero(dense) / dense.size < _SPARSE_DENSITY_CUTOFF:
-        return sp.csr_matrix(dense)
+    blocks, width, nonzero = [], None, 0
+    with fh:
+        while raw := list(itertools.islice(fh, _FEATURE_CHUNK_ROWS)):
+            # blank and comment-only lines would make a chunk of no data
+            lines = [line for line in raw if line.split("#", 1)[0].strip()]
+            if not lines:
+                continue
+            try:
+                chunk = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}")
+            if width is not None and chunk.shape[1] != width:
+                raise DataError(f"{path}: rows have {width} and {chunk.shape[1]} columns")
+            width = chunk.shape[1]
+            nonzero += np.count_nonzero(chunk)
+            # -0.0 is stored too, so a dense result keeps its sign bit
+            r, c = np.nonzero((chunk != 0) | np.signbit(chunk))
+            blocks.append(sp.csr_matrix((chunk[r, c], (r, c)), shape=chunk.shape))
+    if not blocks:
+        return np.empty((0, 1))
+    x = sp.vstack(blocks, format="csr")
+    if nonzero / (x.shape[0] * width) < _SPARSE_DENSITY_CUTOFF:
+        x.eliminate_zeros()
+        return x
+    # assigned, not summed into zeros as toarray() does, which turns -0.0 into 0.0
+    dense = np.zeros(x.shape)
+    dense[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr)), x.indices] = x.data
     return dense
 
 

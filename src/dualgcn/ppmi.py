@@ -222,9 +222,9 @@ def ppmi_operator(p: PpmiMatrix) -> PropagationOperator:
 # cache file: "# ppmi n=<n> q=<q> w=<w> gamma=<g> seed=<s>" then i<TAB>j<TAB>v
 # ---------------------------------------------------------------------------
 
-def save_ppmi_cache(path, p: PpmiMatrix, cfg: WalkConfig) -> None:
+def save_ppmi_cache(fh, p: PpmiMatrix, cfg: WalkConfig) -> None:
+    """Write the cache file to a binary file object."""
     coo = p.P.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# ppmi n={p.n} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={cfg.seed}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i}\t{j}\t{v:.17g}\n")
+    lines = [f"# ppmi n={p.n} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={cfg.seed}\n"]
+    lines += [f"{i}\t{j}\t{v:.17g}\n" for i, j, v in zip(coo.row, coo.col, coo.data)]
+    fh.write("".join(lines).encode())

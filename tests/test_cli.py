@@ -230,6 +230,26 @@ def test_partition_command(tmp_path, capsys):
     assert header == "# partition n=34 c=4 seed=2"
 
 
+@pytest.mark.parametrize("command,writer", [
+    (["partition", "--dataset", "karate", "--c", "4"], "save_partition_cache"),
+    (["ppmi", "--dataset", "karate", "--gamma", "4"], "save_ppmi_cache"),
+])
+def test_failed_cache_write_keeps_the_earlier_file(tmp_path, monkeypatch, command, writer):
+    out = tmp_path / "cache.txt"
+    assert run(command + ["--out", str(out)]) == 0
+    before = out.read_bytes()
+
+    def broken(fh, *args):
+        fh.write(b"half a file")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, writer, broken)
+    with pytest.raises(OSError, match="disk full"):
+        run(command + ["--out", str(out)])
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.txt"]
+
+
 def test_partition_c_above_n_exit_2(tmp_path):
     rc = run(["partition", "--dataset", "karate", "--c", "35", "--out", str(tmp_path / "p.txt")])
     assert rc == 2

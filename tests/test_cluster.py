@@ -3,14 +3,18 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from dualgcn.cluster import (
     Partition,
     PartitionConfig,
+    _edge_cut,
+    _enforce_balance,
+    _refine,
+    _strip_diagonal,
     cluster_fit,
     edge_cut_report,
     form_batch,
-    load_partition_cache,
     partition_from_assign,
     partition_graph,
     random_balanced_partition,
@@ -303,10 +307,78 @@ def test_partition_cache_roundtrip(tmp_path):
     cfg = PartitionConfig(c=4, seed=3)
     part = partition_graph(g, cfg)
     path = tmp_path / "part.txt"
-    save_partition_cache(path, part, cfg.seed)
-    loaded = load_partition_cache(path, g, cfg)
-    assert loaded is not None
-    np.testing.assert_array_equal(loaded.assign, part.assign)
-    assert loaded.edge_cut == part.edge_cut
-    stale = load_partition_cache(path, g, PartitionConfig(c=4, seed=4))
-    assert stale is None
+    with open(path, "wb") as fh:
+        save_partition_cache(fh, part, cfg.seed)
+    assert path.read_text().splitlines()[0] == "# partition n=20 c=4 seed=3"
+    np.testing.assert_array_equal(np.loadtxt(path, dtype=np.int64), part.assign)
+
+
+def _two_cliques():
+    """Two K4s, {0..3} and {4..7}, joined by the edge 3-4."""
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    edges += [(i + 4, j + 4) for i, j in edges] + [(3, 4)]
+    return _strip_diagonal(build_graph(edges, 8).adj)
+
+
+def test_refine_swap_fixes_a_balance_locked_partition():
+    # both clusters are at the cap, so no single move is allowed: only
+    # swapping 3 and 4 lowers the cut (from 7 to 1)
+    adj = _two_cliques()
+    start = np.array([0, 0, 0, 1, 0, 1, 1, 1])
+    assert _edge_cut(adj, start) == 7
+    out = _refine(adj, np.ones(8), start.copy(), c=2, cap=4)
+    assert _edge_cut(adj, out) == 1
+    np.testing.assert_array_equal(out, [0, 0, 0, 0, 1, 1, 1, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 80), st.integers(2, 8), st.floats(1.0, 1.3), st.integers(0, 10_000))
+def test_refine_properties_on_random_graphs(n, c, tol, seed):
+    c = min(c, n)
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.4), 1)
+    rows, cols = np.nonzero(upper)
+    w = rng.integers(1, 4, rows.size).astype(float)
+    adj = sp.csr_matrix((np.r_[w, w], (np.r_[rows, cols], np.r_[cols, rows])), shape=(n, n))
+    cap = max(int(tol * np.ceil(n / c)), int(np.ceil(n / c)))
+    start = np.empty(n, dtype=np.int64)
+    for t, part in enumerate(np.array_split(rng.permutation(n), c)):
+        start[part] = t
+    before = adj.data[start[adj.tocoo().row] != start[adj.tocoo().col]].sum()
+    out = _refine(adj, np.ones(n), start.copy(), c, cap)
+    again = _refine(adj, np.ones(n), start.copy(), c, cap)
+    np.testing.assert_array_equal(out, again)
+    assert ((out >= 0) & (out < c)).all()
+    sizes = np.bincount(out, minlength=c)
+    assert sizes.max() <= cap
+    assert sizes.min() >= 1
+    after = adj.data[out[adj.tocoo().row] != out[adj.tocoo().col]].sum()
+    assert after <= before
+
+
+def test_enforce_balance_empties_an_over_cap_cluster_to_the_cap():
+    g = make_random_graph(30, 0.2, seed=4)
+    adj = _strip_diagonal(g.adj)
+    start = np.r_[np.zeros(16), np.ones(7), np.full(7, 2)].astype(np.int64)  # cap 11
+    out = _enforce_balance(adj, np.ones(30), start.copy(), 3, 11)
+    again = _enforce_balance(adj, np.ones(30), start.copy(), 3, 11)
+    np.testing.assert_array_equal(out, again)
+    sizes = np.bincount(out, minlength=3)
+    assert sizes.max() <= 11
+    assert sizes.sum() == 30
+    # only members of the over-cap cluster move
+    assert (out[16:] == start[16:]).all()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_partition_from_assign_members_match_the_per_cluster_scan(seed):
+    rng = np.random.default_rng(seed)
+    n, c = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+    assign = rng.integers(0, c, n)  # some clusters may be empty
+    g = make_random_graph(n, 0.05, seed=seed)
+    part = partition_from_assign(g, assign, c)
+    assert len(part.members) == c
+    for t in range(c):
+        expected = np.flatnonzero(assign == t)
+        assert np.array_equal(part.members[t], expected)
+        assert part.members[t].dtype == expected.dtype

@@ -175,3 +175,51 @@ def test_sparse_feature_storage(tmp_path):
     bundle = load_dataset(d)
     assert sp.issparse(bundle.x)
     assert bundle.x.shape == (6, 40)
+
+
+def _write_features(d, rows):
+    d.mkdir()
+    (d / "features.csv").write_text("".join(rows))
+    (d / "labels.txt").write_text("".join(f"{i % 2}\n" for i in range(len(rows))))
+
+
+@pytest.mark.parametrize("density", [0.9, 0.1])
+def test_chunked_feature_parse_equals_one_shot_parse(tmp_path, monkeypatch, density):
+    import warnings
+
+    from dualgcn import data
+
+    rng = np.random.default_rng(3)
+    dense = np.where(rng.random((11, 7)) < density, rng.normal(size=(11, 7)), 0.0)
+    dense[0, 0] = -0.0 if density > 0.5 else dense[0, 0]
+    rows = [",".join(f"{v:.17g}" for v in row) + "\n" for row in dense]
+    rows.insert(4, "\n")  # a blank line inside a chunk
+    rows.insert(9, "# a comment line\n")
+    _write_features(tmp_path / "x", rows)
+    one_shot = np.loadtxt(tmp_path / "x" / "features.csv", delimiter=",", ndmin=2)
+    monkeypatch.setattr(data, "_FEATURE_CHUNK_ROWS", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = data._load_features(tmp_path / "x" / "features.csv")
+    if density > 0.5:
+        assert isinstance(x, np.ndarray)
+        assert x.tobytes() == one_shot.tobytes()  # bit-identical, -0.0 included
+    else:
+        assert sp.issparse(x)
+        ref = sp.csr_matrix(one_shot)
+        assert x.shape == ref.shape
+        np.testing.assert_array_equal(x.indptr, ref.indptr)
+        np.testing.assert_array_equal(x.indices, ref.indices)
+        assert x.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("bad_row", [1, 9])
+def test_chunked_feature_parse_rejects_a_ragged_row(tmp_path, monkeypatch, bad_row):
+    from dualgcn import data
+
+    rows = ["1,0,2\n"] * 10
+    rows[bad_row] = "1,0\n"  # inside the first chunk, or alone in the last one
+    _write_features(tmp_path / "x", rows)
+    monkeypatch.setattr(data, "_FEATURE_CHUNK_ROWS", 3)
+    with pytest.raises(DataError):
+        load_dataset(tmp_path / "x")
