@@ -16,14 +16,14 @@ in), and scales the loss by the batch's node share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .graph import Graph, graph_from_csr
-from .model import FitResult, ModelConfig, _GraphContext, _TrainBatch, _train
+from .model import FitResult, ModelConfig, _GraphContext, _TrainBatch, _release_freed_heap, _train
 # not called here: perfbench/layers.py wraps these names in both trainer modules
 from .model import _build_ppmi_operator, _eval_predictions, forward, total_loss  # noqa: F401
 from .optim import adam_step  # noqa: F401
@@ -563,7 +563,8 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     batch subgraph, builds the batch PPMI operator (cached per cluster
     set between refreshes), and takes one Adam step on the batch loss
     scaled by |batch| / n.  Batches with no training labels are skipped
-    and counted.  Validation accuracy is scored on the full graph.
+    and counted.  Validation accuracy is scored on the depth-hop ball of
+    the validation nodes (see model._validation_context).
     """
     if dataset.graph is None:
         raise DataError("cluster training requires a dataset with a graph")
@@ -580,8 +581,9 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
         share = batch.nodes.size / dataset.n if weighted_loss else 1.0
         return _TrainBatch(ctx, batch.y, train_local, share, ppmi_key=batch.cluster_ids)
 
-    eval_ctx = _GraphContext(dataset.x, dataset.graph, dc_replace(cfg, lambda2=0.0))
-    return _train(dataset, cfg, eval_ctx, next_batch, on_epoch)
+    result = _train(dataset, cfg, next_batch, on_epoch)
+    _release_freed_heap()
+    return result
 
 
 # ---------------------------------------------------------------------------

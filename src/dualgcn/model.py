@@ -2,27 +2,30 @@
 convolution branch, combined objective and the epoch loop shared by the
 full-batch trainer here and the cluster trainer in ``cluster``.
 
-Branch A propagates through D_s^{-1/2} S D_s^{-1/2} where S is the
-learned affinity (or a frozen normalized adjacency); branch P propagates
-through the normalized PPMI matrix of S, refreshed on a fixed epoch
-schedule.  Both branches end in a row softmax; the objective is
+Branch A propagates through the learned affinity S (or a frozen
+normalized adjacency); branch P propagates through the normalized PPMI
+matrix of S, refreshed on a fixed epoch schedule.  Both branches end in
+a row softmax; the objective is
 
     L = L_ce + lambda1 * L_agree + lambda2 * L_graphlearn
 
-with supervision attached to branch A by default.
+with supervision attached to branch A by default.  Validation is scored
+on the subgraph induced by the depth-hop ball around the validation
+nodes, which fixes their outputs exactly; predict scores every node.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import Graph, PropagationOperator, add_self_loops, sym_normalize
+from .graph import Graph, PropagationOperator, add_self_loops, graph_from_csr, sym_normalize
 from .graphlearn import (
     GlConfig,
     GraphLearnerParams,
@@ -229,10 +232,11 @@ def forward(x, s, p_op: PropagationOperator | None, params: ModelParams, cfg: Mo
         raise ConfigError("training forward needs an RngStream for dropout")
     if isinstance(s, LearnedGraph):
         sup = s.support
-        t_vals = tape.sym_normalize_values(s.values, sup.rows, sup.cols, sup.indptr, sup.n)
+        # the paper propagates through D_s^{-1/2} S D_s^{-1/2}; S is a row
+        # softmax, so D_s = I and S is used as it is
 
         def apply_s(u):
-            return tape.spmm_values(t_vals, sup.rows, sup.cols, sup.indptr, sup.n, u)
+            return tape.spmm_values(s.values, sup.rows, sup.cols, sup.indptr, sup.n, u)
 
     elif isinstance(s, PropagationOperator):
         mat = s.matrix
@@ -311,9 +315,12 @@ class _GraphContext:
 
     Without a graph the learned affinity lives on the complete graph, and
     graph is left None so the loss has no adjacency-fidelity term.
+    frozen_op, when given, replaces the normalized adjacency of graph as
+    the frozen operator.
     """
 
-    def __init__(self, x, graph: Graph | None, cfg: ModelConfig):
+    def __init__(self, x, graph: Graph | None, cfg: ModelConfig,
+                 frozen_op: PropagationOperator | None = None):
         self.x = x
         self.graph = graph
         self.support = None
@@ -329,6 +336,8 @@ class _GraphContext:
             self.support = SupportStructure.complete(n)
         elif cfg.learn_graph:
             self.support = SupportStructure(add_self_loops(graph))
+        elif frozen_op is not None:
+            self.frozen_op = frozen_op
         else:
             self.frozen_op = sym_normalize(add_self_loops(graph).adj)
         if self.support is not None and cfg.lambda2 > 0:
@@ -365,9 +374,40 @@ def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> PropagationOper
 
 
 def _eval_predictions(ctx: _GraphContext, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
-    s = ctx.build_affinity(params, cfg)
-    cache = forward(ctx.x, s, None, params, cfg, mode="eval")
+    with tape.no_grad():
+        s = ctx.build_affinity(params, cfg)
+        cache = forward(ctx.x, s, None, params, cfg, mode="eval")
     return np.argmax(cache.za.value, axis=1)
+
+
+def _validation_context(dataset, cfg: ModelConfig, full_ctx: _GraphContext | None = None):
+    """The context validation is scored on, and the validation nodes' rows in it.
+
+    With a graph this is the subgraph induced by the cfg.depth-hop ball
+    around the validation nodes.  It is exact: a depth-layer output reads
+    only nodes within depth hops, and every node within depth - 1 hops
+    keeps its whole closed neighbourhood in the ball, so its softmax row of
+    S is complete.  The frozen operator is the full graph's, sliced, since
+    its boundary nodes need their full-graph degrees.  Without a graph
+    there is no ball, and full_ctx, the whole data's context, is returned.
+    """
+    val_idx = np.flatnonzero(dataset.val_mask)
+    if val_idx.size == 0:
+        raise DataError("empty validation mask")
+    g = dataset.graph
+    if g is None:
+        return full_ctx, val_idx
+    ball = np.zeros(g.n, dtype=bool)
+    ball[val_idx] = True
+    for _ in range(cfg.depth):
+        ball |= g.adj @ ball.astype(np.float64) > 0
+    nodes = np.flatnonzero(ball)
+    sub = graph_from_csr(g.adj[nodes][:, nodes], is_weighted=g.is_weighted)
+    frozen = None
+    if not cfg.learn_graph:
+        frozen = PropagationOperator(sym_normalize(add_self_loops(g).adj).matrix[nodes][:, nodes])
+    ctx = _GraphContext(dataset.x[nodes], sub, replace(cfg, lambda2=0.0), frozen)
+    return ctx, np.searchsorted(nodes, val_idx)
 
 
 def accuracy(pred, labels, mask) -> float:
@@ -411,15 +451,16 @@ class _TrainBatch:
     ppmi_key: object  # PPMI operators are cached per key between refreshes
 
 
-def _train(dataset, cfg: ModelConfig, eval_ctx: _GraphContext, next_batch, on_epoch) -> FitResult:
+def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphContext | None = None) -> FitResult:
     """The epoch loop behind fit and cluster_fit.
 
     Per epoch: take the batch next_batch(epoch, rng) gives, refresh the
     PPMI operators on the configured schedule, take one Adam step on the
     batch loss (graph-learner group at lr1, convolution group at lr2),
-    then score the validation set on eval_ctx.  A batch without train
-    labels is skipped and counted.  Aborts on a non-finite loss or
-    parameter; returns the best-validation parameter snapshot.
+    then score the validation set on the context _validation_context
+    builds once per fit (full_ctx for data without a graph).  A batch
+    without train labels is skipped and counted.  Aborts on a non-finite
+    loss or parameter; returns the best-validation parameter snapshot.
 
     forward, total_loss, adam_step, _eval_predictions, _build_ppmi_operator
     and tape.backward are looked up on their modules at each call, never
@@ -427,7 +468,8 @@ def _train(dataset, cfg: ModelConfig, eval_ctx: _GraphContext, next_batch, on_ep
     """
     rng = RngStream(cfg.seed)
     params = init_params(dataset.p, dataset.class_count, cfg, rng)
-    val_idx = np.flatnonzero(dataset.val_mask)
+    eval_ctx, val_pos = _validation_context(dataset, cfg, full_ctx)
+    val_y = np.asarray(dataset.y)[np.flatnonzero(dataset.val_mask)]
     groups = [(group, init_adam_states(group), lr)
               for group, lr in ((params.gl_parameters(), cfg.lr1), (params.conv_parameters(), cfg.lr2))
               if group]
@@ -481,7 +523,7 @@ def _train(dataset, cfg: ModelConfig, eval_ctx: _GraphContext, next_batch, on_ep
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             pred = _eval_predictions(eval_ctx, params, cfg)
-            last_val = accuracy(pred, dataset.y, val_idx)
+            last_val = float((pred[val_pos] == val_y).mean())
             # ties go to the later epoch: more training at equal validation
             if last_val >= best_val:
                 best_val = last_val
@@ -509,11 +551,36 @@ def _train(dataset, cfg: ModelConfig, eval_ctx: _GraphContext, next_batch, on_ep
                      best_val_acc=best_val, epochs_run=epochs_run, skipped_batches=skipped)
 
 
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]  # pad: bytes left untrimmed at the heap top
+    _MALLOC_TRIM.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):  # a C library other than glibc
+    _MALLOC_TRIM = None
+
+
+def _release_freed_heap() -> None:
+    """Hand the heap pages a fit freed back to the OS (glibc; a no-op elsewhere).
+
+    The epoch loop allocates and frees batch contexts, tapes and PPMI
+    operators of many sizes.  glibc keeps freed heap pages resident
+    unless they end up at the top of the heap, and where each block lands
+    differs between runs with the address layout and string hashing:
+    after the same pubmed-cluster fit the process kept anywhere from 84
+    to 113 MB resident, and a predict after it raised the peak RSS by that
+    difference.  fit and cluster_fit call this once, after the epoch loop
+    has returned and its arrays are freed.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
     """Full-batch training: the one-batch case of the epoch loop.
 
-    Every epoch trains on the whole graph with an unscaled loss, and the
-    same prebuilt graph context serves training and validation.
+    Every epoch trains on the whole graph with an unscaled loss.  Data
+    without a graph is also validated on this context, so its O(n^2)
+    complete support is built once.
     """
     if not dataset.has_masks():
         raise DataError("dataset has no train/val/test masks; apply a split first")
@@ -521,7 +588,10 @@ def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
     whole = _TrainBatch(ctx, dataset.y, np.flatnonzero(dataset.train_mask), share=1.0, ppmi_key=None)
     if whole.train_idx.size == 0:
         raise DataError("empty training mask")
-    return _train(dataset, cfg, ctx, lambda epoch, rng: whole, on_epoch)
+    result = _train(dataset, cfg, lambda epoch, rng: whole, on_epoch, ctx)
+    del ctx, whole  # so the training context's pages are freed before the trim
+    _release_freed_heap()
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ Conventions
   receive gradients.
 * A forward pass builds a DAG of Tensor nodes; ``backward(loss)``
   accumulates d loss / d leaf into every reachable Parameter's ``grad``.
+  Under ``no_grad()`` nothing is recorded: each op returns a bare value.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,16 +40,18 @@ __all__ = [
     "sum_sq",
     "sum_sq_diff",
     "tape_nbytes",
+    "no_grad",
     "entry_block",
     "cache_block",
     "edge_scores",
     "take_or_zero",
     "segment_softmax",
-    "sym_normalize_values",
     "spmm_values",
 ]
 
 LOG_CLAMP = 1e-12  # floor for ln arguments; keeps early-training losses finite
+
+_recording = True  # False inside no_grad()
 
 
 class Tensor:
@@ -57,6 +62,8 @@ class Tensor:
     def __init__(self, value, parents=(), vjp=None, needs_grad=None):
         self.value = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=np.float64)
         self.grad = None
+        if parents and not _recording:
+            parents, vjp, needs_grad = (), None, False
         self._parents = tuple(parents)
         self._vjp = vjp
         if needs_grad is None:
@@ -124,6 +131,23 @@ def backward(loss: Tensor) -> None:
             if g is None or not parent.needs_grad:
                 continue
             _accumulate(parent, g)
+
+
+@contextmanager
+def no_grad():
+    """Record nothing while inside: new Tensors keep no parents and no VJP.
+
+    Their values are computed as usual, but each one drops the inputs it
+    was made from, so the arrays behind a forward pass are freed as it
+    goes and backward cannot reach a parameter through them.
+    """
+    global _recording
+    before = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = before
 
 
 def tape_nbytes(root: Tensor) -> int:
@@ -424,31 +448,6 @@ def segment_softmax(scores: Tensor, indptr) -> Tensor:
         return (out * (g - np.repeat(inner, counts)),)
 
     return Tensor(out, (scores,), vjp)
-
-
-def sym_normalize_values(s: Tensor, rows, cols, indptr, n: int) -> Tensor:
-    """D^{-1/2} S D^{-1/2} on CSR values, D the row sums of S.
-
-    Zero-degree rows map to zero, matching graph.sym_normalize.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    starts = indptr[:-1]
-    deg = np.add.reduceat(s.value, starts) if s.value.size else np.zeros(n)
-    pos = deg > 0
-    u = np.zeros_like(deg)
-    u[pos] = deg[pos] ** -0.5
-    out = s.value * u[rows] * u[cols]
-
-    def vjp(g):
-        direct = g * u[rows] * u[cols]
-        uprime = np.zeros_like(deg)
-        uprime[pos] = -0.5 * deg[pos] ** -1.5
-        w = g * s.value
-        row_acc = np.add.reduceat(w * u[cols], starts) * uprime
-        col_acc = np.bincount(cols, weights=w * u[rows], minlength=n) * uprime
-        return (direct + (row_acc + col_acc)[rows],)
-
-    return Tensor(out, (s,), vjp)
 
 
 def spmm_values(t_vals: Tensor, rows, cols, indptr, n: int, h: Tensor) -> Tensor:

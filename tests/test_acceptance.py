@@ -285,6 +285,30 @@ def test_criterion_8b_memory_tracks_batch_not_graph():
     assert full > 4 * big
 
 
+def test_criterion_8b_whole_cluster_fit_memory_tracks_batch_not_graph():
+    import tracemalloc
+
+    from conftest import make_citation_surrogate
+
+    def run_peak(n):
+        bundle = with_split(make_citation_surrogate(n=n, k=4, p=300), SplitSpec(20, 40, 200, seed=0))
+        part_cfg = PartitionConfig(c=n // 100, q=1, seed=0)
+        part = partition_graph(bundle.graph, part_cfg)
+        tracemalloc.start()
+        try:
+            cluster_fit(bundle, ModelConfig(epochs=3, seed=0), part_cfg, partition=part)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, big = run_peak(1000), run_peak(4000)
+    ok = big < 1.5 * small
+    _report("8b whole-run memory", ok, f"peak n=1000: {small / 2**20:.2f} MB, n=4000: {big / 2**20:.2f} MB")
+    # same batch size (n / c = 100 nodes), four times the graph: the run's
+    # peak, validation included, must not grow with it
+    assert ok, (small, big)
+
+
 # -- 9. Partition quality -------------------------------------------------------
 
 @pytest.mark.slow

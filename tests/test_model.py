@@ -377,3 +377,155 @@ def test_frozen_affinity_reduction_tracks_standalone_gcn(karate):
     best = len(oracle_vals) - 1 - oracle_vals[::-1].index(max(oracle_vals))
     for wi, oi in zip((p.value for p in res.params.w_a), oracle_traj[best]):
         np.testing.assert_allclose(wi, oi, rtol=1e-7, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# validation on the depth-hop ball of the validation nodes
+# ---------------------------------------------------------------------------
+
+def _ball_bundle(weighted: bool):
+    """A 30-node ring with chords, an isolated node (30), a two-node
+    component (31-32) and a 7-node path (33-39); validation nodes sit in
+    every part, so the depth-hop ball is a strict subset of the graph."""
+    from dualgcn.data import DatasetBundle
+    from dualgcn.graph import build_graph
+
+    rng = RngStream(40, ("ball",))
+    edges = [(i, (i + 1) % 30) for i in range(30)] + [(0, 7), (4, 15), (11, 23), (18, 27)]
+    edges += [(31, 32)] + [(i, i + 1) for i in range(33, 39)]
+    if weighted:
+        edges = [(i, j, 0.5 + 2.5 * rng.random()) for i, j in edges]
+    n = 40
+    graph = build_graph(edges, n)
+    y = np.arange(n) % 3
+    val = np.zeros(n, dtype=bool)
+    val[[0, 2, 30, 31, 36]] = True
+    train = np.zeros(n, dtype=bool)
+    train[[5, 9, 13, 20, 33]] = True
+    test = ~(val | train)
+    return DatasetBundle(name="ball", x=rng.child("x").random((n, 6)), y=y, graph=graph,
+                         train_mask=train, val_mask=val, test_mask=test, class_count=3)
+
+
+def _hop_ball_oracle(graph, seeds, hops):
+    """Breadth-first search, one neighbour list at a time."""
+    adj = graph.adj
+    dist = {int(s): 0 for s in seeds}
+    frontier = list(dist)
+    for h in range(1, hops + 1):
+        nxt = []
+        for u in frontier:
+            for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]]:
+                if int(v) not in dist:
+                    dist[int(v)] = h
+                    nxt.append(int(v))
+        frontier = nxt
+    return np.array(sorted(dist))
+
+
+def _eval_za(ctx, params, cfg):
+    return forward(ctx.x, ctx.build_affinity(params, cfg), None, params, cfg, mode="eval").za.value
+
+
+def _ball_case(learn_graph, depth, weighted):
+    bundle = _ball_bundle(weighted)
+    cfg = _cfg(depth=depth, hidden_gl=3, learn_graph=learn_graph, lambda2=0.01)
+    params = init_params(bundle.p, bundle.class_count, cfg, RngStream(41))
+    if params.gl is not None:
+        # lift every pair score above the ReLU hinge so S is far from uniform
+        params.gl.a.value[...] = np.abs(params.gl.a.value) + 0.5
+    return bundle, cfg, params
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("learn_graph", [True, False])
+def test_ball_context_gives_the_full_graph_validation_rows(learn_graph, depth, weighted):
+    bundle, cfg, params = _ball_case(learn_graph, depth, weighted)
+    val_idx = np.flatnonzero(bundle.val_mask)
+    ball = _hop_ball_oracle(bundle.graph, val_idx, depth)
+    assert ball.size < bundle.n
+    ctx, val_pos = model._validation_context(bundle, cfg)
+    np.testing.assert_array_equal(ctx.x, bundle.x[ball])
+    np.testing.assert_array_equal(ball[val_pos], val_idx)
+    assert ctx.dist2 is None  # built with lambda2=0
+    full = _GraphContext(bundle.x, bundle.graph, cfg)
+    want = _eval_za(full, params, cfg)[val_idx]
+    np.testing.assert_allclose(_eval_za(ctx, params, cfg)[val_pos], want, rtol=1e-12)
+    np.testing.assert_array_equal(model._eval_predictions(ctx, params, cfg)[val_pos],
+                                  model._eval_predictions(full, params, cfg)[val_idx])
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_frozen_operator_renormalized_on_the_ball_is_not_exact(depth, weighted):
+    from dualgcn.graph import graph_from_csr
+
+    bundle, cfg, params = _ball_case(False, depth, weighted)
+    val_idx = np.flatnonzero(bundle.val_mask)
+    ball = _hop_ball_oracle(bundle.graph, val_idx, depth)
+    sub = graph_from_csr(bundle.graph.adj[ball][:, ball], is_weighted=weighted)
+    renormalized = _GraphContext(bundle.x[ball], sub, cfg)
+    want = _eval_za(_GraphContext(bundle.x, bundle.graph, cfg), params, cfg)[val_idx]
+    got = _eval_za(renormalized, params, cfg)[np.searchsorted(ball, val_idx)]
+    assert not np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_validation_context_rejects_an_empty_validation_mask():
+    from dataclasses import replace
+
+    bundle = _ball_bundle(False)
+    with pytest.raises(DataError):
+        model._validation_context(replace(bundle, val_mask=np.zeros(bundle.n, dtype=bool)), _cfg())
+
+
+def test_graphless_fit_builds_the_complete_support_once(monkeypatch):
+    from dataclasses import replace
+
+    from dualgcn.graphlearn import SupportStructure
+
+    sizes = []
+    complete = SupportStructure.complete
+    monkeypatch.setattr(SupportStructure, "complete", lambda n: sizes.append(n) or complete(n))
+    bundle = replace(make_sbm_bundle(n=40, k=3, seed=15), graph=None)
+    res = fit(bundle, _cfg(epochs=3, lambda2=0.01))
+    assert sizes == [40]
+    val_idx = np.flatnonzero(bundle.val_mask)
+    assert accuracy(predict(res.params, bundle), bundle.y, val_idx) == pytest.approx(res.best_val_acc)
+
+
+@pytest.mark.parametrize("learn_graph", [True, False])
+def test_best_val_acc_matches_full_graph_predictions(learn_graph):
+    from dualgcn.cluster import PartitionConfig, cluster_fit
+
+    bundle = _ball_bundle(True)
+    cfg = _cfg(epochs=6, hidden_gl=3, learn_graph=learn_graph, seed=3, dropout=0.3)
+    val_idx = np.flatnonzero(bundle.val_mask)
+    for res in (fit(bundle, cfg), cluster_fit(bundle, cfg, PartitionConfig(c=4, q=2, seed=0))):
+        assert accuracy(predict(res.params, bundle), bundle.y, val_idx) == pytest.approx(res.best_val_acc)
+
+
+def test_fits_release_freed_heap_once_after_their_contexts_are_gone(monkeypatch):
+    import weakref
+
+    from dualgcn.cluster import PartitionConfig, cluster_fit
+
+    contexts, live_at_release = [], []
+    init = _GraphContext.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(_GraphContext, "__init__", tracked_init)
+    monkeypatch.setattr(model, "_MALLOC_TRIM",
+                        lambda pad: live_at_release.append(sum(r() is not None for r in contexts)))
+    bundle = make_sbm_bundle(n=40, k=3, seed=16)
+    cfg = _cfg(epochs=3, hidden_gl=3, lambda2=0.01)
+    fit(bundle, cfg)
+    cluster_fit(bundle, cfg, PartitionConfig(c=4, q=2, seed=0))
+    assert len(contexts) > 2
+    assert live_at_release == [0, 0]
+    # without glibc there is nothing to call
+    monkeypatch.setattr(model, "_MALLOC_TRIM", None)
+    fit(bundle, cfg)

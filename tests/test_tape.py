@@ -354,3 +354,38 @@ def test_all_lists_every_public_function():
     public = {name for name, obj in vars(tape).items()
               if inspect.isfunction(obj) and obj.__module__ == tape.__name__ and not name.startswith("_")}
     assert public <= set(tape.__all__), sorted(public - set(tape.__all__))
+
+
+def test_no_grad_records_no_parents_and_no_closures():
+    from conftest import make_random_graph
+    from dualgcn.model import ModelConfig, _GraphContext, forward, init_params
+
+    x = RngStream(26).random((9, 5))
+    cfg = ModelConfig(hidden_gcn=4, hidden_gl=3, dropout=0.0)
+    params = init_params(5, 3, cfg, RngStream(27))
+    ctx = _GraphContext(x, make_random_graph(9, 0.3, seed=26), cfg)
+    with tape.no_grad():
+        za = forward(x, ctx.build_affinity(params, cfg), None, params, cfg, mode="eval").za
+    assert tape.tape_nbytes(za) == za.value.nbytes
+    assert za._parents == () and za._vjp is None and not za.needs_grad
+    # an eval-mode forward outside no_grad still records: gradcheck differentiates one
+    recorded = forward(x, ctx.build_affinity(params, cfg), None, params, cfg, mode="eval").za
+    np.testing.assert_array_equal(recorded.value, za.value)
+    assert tape.tape_nbytes(recorded) > 10 * za.value.nbytes
+    backward(tape.sum_sq(recorded))
+    assert all(p.grad is not None and np.abs(p.grad).sum() > 0 for p in params.all_parameters())
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    w = Parameter(np.ones((2, 2)), name="w")
+    with pytest.raises(RuntimeError):
+        with tape.no_grad():
+            with tape.no_grad():
+                pass
+            assert not tape.matmul(tape.constant(np.eye(2)), w).needs_grad
+            raise RuntimeError("inside no_grad")
+    out = tape.matmul(tape.constant(np.eye(2)), w)
+    assert out.needs_grad and out._parents
+    # parameters made inside no_grad stay trainable leaves
+    with tape.no_grad():
+        assert Parameter(np.zeros(2)).needs_grad
