@@ -2,7 +2,7 @@
 PPMI diffusion, and cluster-partitioned mini-batch training."""
 
 from .data import DatasetBundle, SplitSpec, builtin_karate, load_dataset, make_planetoid_split
-from .graph import Graph, PropagationOperator, add_self_loops, build_graph, spmm, sym_normalize
+from .graph import Graph, add_self_loops, build_graph, sym_normalize
 from .graphlearn import GlConfig, LearnedGraph, gl_loss, learn_S_masked
 from .model import (
     FitResult,

@@ -245,8 +245,7 @@ def cmd_train(args) -> int:
     cluster_overrides = dict(_parse_kv(t) for t in args.cluster or [])
     for k, v in cluster_overrides.items():
         overrides[f"cluster_{k}"] = v
-    dataset_name = args.dataset if args.dataset in _PROFILES or args.dataset == "karate" else os.path.basename(
-        os.path.normpath(args.dataset))
+    dataset_name = args.dataset if args.dataset in _PROFILES else os.path.basename(os.path.normpath(args.dataset))
     merged = merge_config(dataset_name, file_cfg, overrides)
     threads = _limit_threads(merged["threads"])
     bundle = resolve_dataset(args.dataset, args.data_dir)
@@ -335,7 +334,7 @@ def cmd_eval(args) -> int:
     return _EXIT_OK
 
 
-def _gradcheck_instance(seed: int, merged: dict):
+def _gradcheck_instance(seed: int):
     """Small deterministic instance: 8 nodes, 5 features, 3 classes."""
     rng = RngStream(seed, ("gradcheck",))
     n, p, k = 8, 5, 3
@@ -361,7 +360,7 @@ def cmd_gradcheck(args) -> int:
     if merged["lambda2"] == 0.0:
         merged["learn_graph"] = False
     cfg = model_config_from(merged)
-    g, x, y, train_idx = _gradcheck_instance(merged["seed"], merged)
+    g, x, y, train_idx = _gradcheck_instance(merged["seed"])
     rng = RngStream(merged["seed"])
     params = init_params(x.shape[1], 3, cfg, rng)
     if params.gl is not None:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import Graph, build_graph, read_edge_list, write_edge_list
 from .rng import RngStream
 
@@ -51,9 +51,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if self.per_class_train < 1:
-            raise DataError("per_class_train must be >= 1")
+            raise ConfigError("per_class_train must be >= 1")
         if self.val_size < 0 or self.test_size < 0:
-            raise DataError("val_size and test_size must be >= 0")
+            raise ConfigError("val_size and test_size must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class DatasetBundle:
     val_mask: np.ndarray | None = None
     test_mask: np.ndarray | None = None
     class_count: int = 0
-    info: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -176,13 +175,10 @@ def load_dataset(path, name: str | None = None) -> DatasetBundle:
     class_count = int(y.max()) + 1 if y.size else 0
 
     graph = None
-    info = {"n": n, "p": x.shape[1], "classes": class_count}
     edge_path = os.path.join(path, "edges.tsv")
     if os.path.isfile(edge_path):
         edges, _ = read_edge_list(edge_path, n=n)
         graph = build_graph(edges, n)
-        info["edges_raw_lines"] = len(edges)
-        info["edges_undirected"] = graph.num_edges
 
     manifest_path = os.path.join(path, "manifest.txt")
     if os.path.isfile(manifest_path):
@@ -208,7 +204,6 @@ def load_dataset(path, name: str | None = None) -> DatasetBundle:
         val_mask=masks.get("val"),
         test_mask=masks.get("test"),
         class_count=class_count,
-        info=info,
     )
     bundle.validate()
     return bundle
@@ -309,7 +304,6 @@ def builtin_karate(train_seed: int | None = None) -> DatasetBundle:
         val_mask=val,
         test_mask=test,
         class_count=4,
-        info={"n": 34, "p": 34, "classes": 4, "edges_undirected": graph.num_edges},
     )
     bundle.validate()
     return bundle

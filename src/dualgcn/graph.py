@@ -16,12 +16,9 @@ import scipy.sparse as sp
 
 __all__ = [
     "Graph",
-    "PropagationOperator",
     "build_graph",
     "add_self_loops",
-    "degrees",
     "sym_normalize",
-    "spmm",
     "read_edge_list",
     "write_edge_list",
 ]
@@ -44,17 +41,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.asarray(self.adj.sum(axis=1)).ravel()
-
-
-@dataclass(frozen=True)
-class PropagationOperator:
-    """Sparse matrix holding D^{-1/2} M D^{-1/2} entries."""
-
-    matrix: sp.csr_matrix = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def build_graph(edge_list, n: int, is_weighted: bool | None = None) -> Graph:
@@ -111,14 +97,7 @@ def add_self_loops(g: Graph) -> Graph:
     return Graph(n=g.n, adj=adj, is_weighted=g.is_weighted)
 
 
-def degrees(m) -> np.ndarray:
-    """Row-sum degree vector of a sparse or dense square matrix."""
-    if sp.issparse(m):
-        return np.asarray(m.sum(axis=1)).ravel()
-    return np.asarray(m, dtype=np.float64).sum(axis=1)
-
-
-def sym_normalize(m) -> PropagationOperator:
+def sym_normalize(m) -> sp.csr_matrix:
     """D^{-1/2} m D^{-1/2} with D the row-sum degrees of m.
 
     Zero-degree rows (and columns) map to zero: 0^{-1/2} * 0 is defined
@@ -138,16 +117,7 @@ def sym_normalize(m) -> PropagationOperator:
     dinv[d <= 0] = 0.0
     out = mat.tocoo()
     data = out.data * dinv[out.row] * dinv[out.col]
-    norm = sp.csr_matrix((data, (out.row, out.col)), shape=mat.shape)
-    return PropagationOperator(matrix=norm)
-
-
-def spmm(op: PropagationOperator, h: np.ndarray) -> np.ndarray:
-    """Sparse operator times dense matrix."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or op.matrix.shape[1] != h.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {op.matrix.shape} @ h {h.shape}")
-    return op.matrix @ h
+    return sp.csr_matrix((data, (out.row, out.col)), shape=mat.shape)
 
 
 def read_edge_list(path, n: int | None = None):

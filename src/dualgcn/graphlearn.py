@@ -133,15 +133,6 @@ class LearnedGraph:
         return sp.csr_matrix((self.values.value.copy(), s.cols.copy(), s.indptr.copy()), shape=(s.n, s.n))
 
 
-def _project(x, gl: GraphLearnerParams):
-    """Feature input for the scorer: projected (tape) or raw (constant)."""
-    if gl.proj is None:
-        return x
-    if sp.issparse(x):
-        return tape.spmm_const(x, gl.proj)
-    return tape.matmul(tape.constant(x), gl.proj)
-
-
 def learn_S_masked(x, g: Graph, gl: GraphLearnerParams, support: SupportStructure | None = None) -> LearnedGraph:
     """Affinity restricted to the support of g (which must hold self-loops).
 
@@ -152,7 +143,7 @@ def learn_S_masked(x, g: Graph, gl: GraphLearnerParams, support: SupportStructur
     """
     if support is None:
         support = SupportStructure(g)
-    xp = _project(x, gl)
+    xp = x if gl.proj is None else tape.matmul(x, gl.proj)
     pair = tape.relu(tape.edge_scores(xp, gl.a, support.pair_rows, support.pair_cols))
     scores = tape.take_or_zero(pair, support.pair_of)
     values = tape.segment_softmax(scores, support.indptr)

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import Graph, PropagationOperator, add_self_loops, graph_from_csr, sym_normalize
+from .graph import Graph, add_self_loops, graph_from_csr, sym_normalize
 from .graphlearn import (
     GlConfig,
     GraphLearnerParams,
@@ -81,8 +81,6 @@ class ModelConfig:
     ppmi_refresh: int = 25  # recompute P every R epochs; 0 = once from the initial S
     walk: WalkConfig = field(default_factory=WalkConfig)
     gl: GlConfig = field(default_factory=GlConfig)
-    ce_reduction: str = "sum"  # sum per labeled node, or mean
-    agreement_mean: bool = True  # divide branch distance by node count
     learn_graph: bool = True  # False freezes S to the normalized adjacency
     stop_threshold: float = 0.0  # stop when max-abs param change falls below; 0 disables
     dense_limit: int = 20000
@@ -102,8 +100,6 @@ class ModelConfig:
             raise ConfigError("dropout must be in [0, 1)")
         if self.supervise not in ("a", "p", "both"):
             raise ConfigError(f"supervise must be a|p|both, got {self.supervise}")
-        if self.ce_reduction not in ("sum", "mean"):
-            raise ConfigError("ce_reduction must be sum|mean")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.eval_every < 1:
@@ -181,48 +177,32 @@ class ForwardCache:
     zp: Tensor | None
 
 
-def _dropout_any(h, rate: float, rng, training: bool):
-    """Dropout for tape values and for constant dense/sparse inputs."""
-    if not training or rate == 0.0:
-        return h
-    if isinstance(h, Tensor):
-        return tape.dropout(h, rate, rng, True)
-    scale = 1.0 / (1.0 - rate)
-    if sp.issparse(h):
-        keep = rng.random(h.data.shape) >= rate
-        out = h.copy()
-        out.data = np.where(keep, out.data * scale, 0.0)
-        return out
-    keep = rng.random(h.shape) >= rate
-    return np.where(keep, h * scale, 0.0)
+def _propagate(s, u: Tensor) -> Tensor:
+    if isinstance(s, LearnedGraph):
+        # the paper propagates through D_s^{-1/2} S D_s^{-1/2}; S is a row
+        # softmax, so D_s = I and S is used as it is
+        sup = s.support
+        return tape.spmm_values(s.values, sup.rows, sup.cols, sup.indptr, sup.n, u)
+    return tape.matmul(s, u)
 
 
-def _matmul_any(h, w: Parameter) -> Tensor:
-    if isinstance(h, Tensor):
-        return tape.matmul(h, w)
-    if sp.issparse(h):
-        return tape.spmm_const(h, w)
-    return tape.matmul(tape.constant(h), w)
-
-
-def _branch(x, apply_op, weights, tag: str, cfg: ModelConfig, rng, training: bool, epoch: int) -> Tensor:
+def _branch(x, s, weights, tag: str, cfg: ModelConfig, rng, training: bool, epoch: int) -> Tensor:
     h = x
     last = len(weights) - 1
     for layer, w in enumerate(weights):
         drop_rng = rng.child("dropout", epoch, tag, layer) if training else None
-        h = _dropout_any(h, cfg.dropout, drop_rng, training)
-        u = _matmul_any(h, w)
-        v = apply_op(u)
+        h = tape.dropout(h, cfg.dropout, drop_rng, training)
+        v = _propagate(s, tape.matmul(h, w))
         h = tape.relu(v) if layer < last else v
     return tape.row_softmax(h)
 
 
-def forward(x, s, p_op: PropagationOperator | None, params: ModelParams, cfg: ModelConfig,
+def forward(x, s, p_op: sp.csr_matrix | None, params: ModelParams, cfg: ModelConfig,
             mode: str = "train", rng: RngStream | None = None, epoch: int = 0) -> ForwardCache:
     """Run both branches; p_op None skips the PPMI branch entirely.
 
-    s is either a LearnedGraph (tape-tracked affinity) or a fixed
-    PropagationOperator.  ReLU sits between layers, none after the last;
+    s is either a LearnedGraph (tape-tracked affinity) or a fixed sparse
+    propagation matrix.  ReLU sits between layers, none after the last;
     dropout is applied to every layer input in training mode.
     """
     if mode not in ("train", "eval"):
@@ -230,32 +210,12 @@ def forward(x, s, p_op: PropagationOperator | None, params: ModelParams, cfg: Mo
     training = mode == "train"
     if training and rng is None:
         raise ConfigError("training forward needs an RngStream for dropout")
-    if isinstance(s, LearnedGraph):
-        sup = s.support
-        # the paper propagates through D_s^{-1/2} S D_s^{-1/2}; S is a row
-        # softmax, so D_s = I and S is used as it is
-
-        def apply_s(u):
-            return tape.spmm_values(s.values, sup.rows, sup.cols, sup.indptr, sup.n, u)
-
-    elif isinstance(s, PropagationOperator):
-        mat = s.matrix
-
-        def apply_s(u):
-            return tape.spmm_const(mat, u)
-
-    else:
+    if not (isinstance(s, LearnedGraph) or sp.issparse(s)):
         raise ConfigError(f"unsupported affinity object: {type(s)!r}")
-
-    za = _branch(x, apply_s, params.w_a, "a", cfg, rng, training, epoch)
+    za = _branch(x, s, params.w_a, "a", cfg, rng, training, epoch)
     zp = None
     if p_op is not None:
-        p_mat = p_op.matrix
-
-        def apply_p(u):
-            return tape.spmm_const(p_mat, u)
-
-        zp = _branch(x, apply_p, params.w_p, "p", cfg, rng, training, epoch)
+        zp = _branch(x, p_op, params.w_p, "p", cfg, rng, training, epoch)
     return ForwardCache(za=za, zp=zp)
 
 
@@ -267,25 +227,25 @@ def total_loss(cache: ForwardCache, labels, train_idx, gl_term: Tensor | None, c
     if train_idx.size == 0:
         raise DataError("empty training mask")
     if cfg.supervise == "a":
-        l0 = tape.masked_cross_entropy(cache.za, labels, train_idx, cfg.ce_reduction)
+        l0 = tape.masked_cross_entropy(cache.za, labels, train_idx)
     elif cfg.supervise == "p":
         if cache.zp is None:
             raise ConfigError("supervise='p' requires the PPMI branch")
-        l0 = tape.masked_cross_entropy(cache.zp, labels, train_idx, cfg.ce_reduction)
+        l0 = tape.masked_cross_entropy(cache.zp, labels, train_idx)
     else:
         if cache.zp is None:
             raise ConfigError("supervise='both' requires the PPMI branch")
         l0 = tape.scale(
             tape.add(
-                tape.masked_cross_entropy(cache.za, labels, train_idx, cfg.ce_reduction),
-                tape.masked_cross_entropy(cache.zp, labels, train_idx, cfg.ce_reduction),
+                tape.masked_cross_entropy(cache.za, labels, train_idx),
+                tape.masked_cross_entropy(cache.zp, labels, train_idx),
             ),
             0.5,
         )
     total = l0
     lreg_val = 0.0
     if cache.zp is not None and cfg.lambda1 > 0:
-        lreg = tape.branch_agreement_loss(cache.zp, cache.za, cfg.agreement_mean)
+        lreg = tape.branch_agreement_loss(cache.zp, cache.za)
         total = tape.add(total, tape.scale(lreg, cfg.lambda1))
         lreg_val = lreg.item()
     lgl_val = 0.0
@@ -320,7 +280,7 @@ class _GraphContext:
     """
 
     def __init__(self, x, graph: Graph | None, cfg: ModelConfig,
-                 frozen_op: PropagationOperator | None = None):
+                 frozen_op: sp.csr_matrix | None = None):
         self.x = x
         self.graph = graph
         self.support = None
@@ -364,8 +324,8 @@ def _refresh_due(epoch: int, every: int) -> bool:
     return every > 0 and epoch % every == 0
 
 
-def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> PropagationOperator:
-    trans = s.matrix() if isinstance(s, LearnedGraph) else s.matrix
+def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> sp.csr_matrix:
+    trans = s.matrix() if isinstance(s, LearnedGraph) else s
     try:
         freq = frequency_matrix(trans, walk, rng)
         return ppmi_operator(ppmi(freq))
@@ -405,7 +365,7 @@ def _validation_context(dataset, cfg: ModelConfig, full_ctx: _GraphContext | Non
     sub = graph_from_csr(g.adj[nodes][:, nodes], is_weighted=g.is_weighted)
     frozen = None
     if not cfg.learn_graph:
-        frozen = PropagationOperator(sym_normalize(add_self_loops(g).adj).matrix[nodes][:, nodes])
+        frozen = sym_normalize(add_self_loops(g).adj)[nodes][:, nodes]
     ctx = _GraphContext(dataset.x[nodes], sub, replace(cfg, lambda2=0.0), frozen)
     return ctx, np.searchsorted(nodes, val_idx)
 
@@ -422,22 +382,14 @@ def accuracy(pred, labels, mask) -> float:
 
 
 def predict(params: ModelParams, dataset) -> np.ndarray:
-    """Class index per node from the supervised branch; ties break low."""
-    cfg = _eval_config(params)
+    """Class index per node from branch A (za), as validation reads it,
+    whichever branch carried the cross-entropy; ties break low."""
+    width = params.w_a[0].value.shape[0]
+    if width != dataset.p:
+        raise DataError(f"parameters expect {width} features per node, dataset has {dataset.p}")
+    cfg = ModelConfig(learn_graph=params.gl is not None, lambda2=0.0)
     ctx = _GraphContext(dataset.x, dataset.graph, cfg)
     return _eval_predictions(ctx, params, cfg)
-
-
-def _eval_config(params: ModelParams) -> ModelConfig:
-    """Minimal config for inference; widths come from the parameters."""
-    return ModelConfig(
-        hidden_gcn=max(1, params.w_a[0].value.shape[1]),
-        depth=max(2, len(params.w_a)),
-        share_weights=params.share_weights,
-        learn_graph=params.gl is not None,
-        lambda1=0.0,
-        lambda2=0.0,
-    )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .graph import PropagationOperator, sym_normalize
+from .graph import sym_normalize
 from .rng import RngStream
 
 __all__ = [
@@ -213,7 +213,7 @@ def ppmi(freq: FrequencyMatrix) -> PpmiMatrix:
     return PpmiMatrix(P=p)
 
 
-def ppmi_operator(p: PpmiMatrix) -> PropagationOperator:
+def ppmi_operator(p: PpmiMatrix) -> sp.csr_matrix:
     """Symmetric normalization of the PPMI matrix."""
     return sym_normalize(p.P)
 

@@ -8,8 +8,8 @@ central finite differences (see optim.finite_diff_check).
 Conventions
 -----------
 * Values are float64 numpy arrays.  Constants enter as plain arrays (or
-  scipy sparse matrices for the fixed propagation operators) and never
-  receive gradients.
+  scipy sparse matrices: the fixed propagation operators, sparse
+  features) and never receive gradients.
 * A forward pass builds a DAG of Tensor nodes; ``backward(loss)``
   accumulates d loss / d leaf into every reachable Parameter's ``grad``.
   Under ``no_grad()`` nothing is recorded: each op returns a bare value.
@@ -35,7 +35,6 @@ __all__ = [
     "dropout",
     "masked_cross_entropy",
     "branch_agreement_loss",
-    "spmm_const",
     "vdot_const",
     "sum_sq",
     "sum_sq_diff",
@@ -169,17 +168,30 @@ def tape_nbytes(root: Tensor) -> int:
 # dense kernels
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape[-1] != b.value.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}")
-    out = a.value @ b.value
+def _value(v):
+    """The array behind a tape value; a constant as it is, an ndarray cast to float64."""
+    if isinstance(v, Tensor):
+        return v.value
+    return v if sp.issparse(v) else np.asarray(v, dtype=np.float64)
+
+
+def matmul(a, b) -> Tensor:
+    """a @ b; either operand may be a constant (ndarray or scipy sparse)."""
+    av, bv = _value(a), _value(b)
+    if av.shape[-1] != bv.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {av.shape} @ {bv.shape}")
+    out = av @ bv
+    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
 
     def vjp(g):
-        ga = g @ b.value.T if a.needs_grad else None
-        gb = a.value.T @ g if b.needs_grad else None
-        return ga, gb
+        grads = []
+        if isinstance(a, Tensor):
+            grads.append(g @ bv.T if a.needs_grad else None)
+        if isinstance(b, Tensor):
+            grads.append(av.T @ g if b.needs_grad else None)
+        return grads
 
-    return Tensor(out, (a, b), vjp)
+    return Tensor(np.asarray(out), parents, vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -224,15 +236,27 @@ def row_softmax(x: Tensor) -> Tensor:
     return Tensor(out, (x,), vjp)
 
 
-def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
-    """Inverted dropout; eval mode (or rate 0) is the identity."""
+def dropout(x, rate: float, rng, training: bool):
+    """Inverted dropout; eval mode (or rate 0) is the identity.
+
+    A constant (ndarray or scipy sparse) comes back as a constant of its
+    kind; a sparse one draws for, and drops, only its stored entries.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    keep = rng.random(x.value.shape) >= rate
     scale_ = 1.0 / (1.0 - rate)
-    out = np.where(keep, x.value * scale_, 0.0)
+    if sp.issparse(x):
+        keep = rng.random(x.data.shape) >= rate
+        out = x.copy()
+        out.data = np.where(keep, out.data * scale_, 0.0)
+        return out
+    v = _value(x)
+    keep = rng.random(v.shape) >= rate
+    out = np.where(keep, v * scale_, 0.0)
+    if not isinstance(x, Tensor):
+        return out
 
     def vjp(g):
         return (np.where(keep, g * scale_, 0.0),)
@@ -244,8 +268,8 @@ def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
 # losses
 # ---------------------------------------------------------------------------
 
-def masked_cross_entropy(z: Tensor, labels, mask_idx, reduction: str = "sum") -> Tensor:
-    """Negative log likelihood of the true class over the masked nodes.
+def masked_cross_entropy(z: Tensor, labels, mask_idx) -> Tensor:
+    """Negative log likelihood of the true class, summed over the masked nodes.
 
     ``z`` holds row-softmax outputs; ln arguments are clamped below at
     LOG_CLAMP so the loss stays finite.
@@ -259,29 +283,24 @@ def masked_cross_entropy(z: Tensor, labels, mask_idx, reduction: str = "sum") ->
         raise ValueError("label out of class range")
     zt = z.value[mask_idx, y]
     clamped = np.maximum(zt, LOG_CLAMP)
-    per_node = -np.log(clamped)
-    coef = 1.0 / mask_idx.size if reduction == "mean" else 1.0
-    out = per_node.sum() * coef
+    out = -np.log(clamped).sum()
 
     def vjp(g):
         gz = np.zeros_like(z.value)
         live = zt > LOG_CLAMP
-        gz[mask_idx[live], y[live]] = -float(g) * coef / zt[live]
+        gz[mask_idx[live], y[live]] = -float(g) / zt[live]
         return (gz,)
 
     return Tensor(np.float64(out), (z,), vjp)
 
 
-def branch_agreement_loss(zp: Tensor, za: Tensor, mean_over_rows: bool = True) -> Tensor:
-    """Squared distance between the two branches' softmax outputs.
-
-    Defaults to the full squared Frobenius distance divided by the row
-    count; ``mean_over_rows=False`` gives the raw sum.
-    """
+def branch_agreement_loss(zp: Tensor, za: Tensor) -> Tensor:
+    """Squared Frobenius distance between the two branches' softmax
+    outputs, divided by the row count."""
     if zp.value.shape != za.value.shape:
         raise ValueError(f"shape mismatch: {zp.value.shape} vs {za.value.shape}")
     diff = zp.value - za.value
-    coef = 1.0 / zp.value.shape[0] if mean_over_rows else 1.0
+    coef = 1.0 / zp.value.shape[0]
     out = coef * float((diff * diff).sum())
 
     def vjp(g):
@@ -291,18 +310,6 @@ def branch_agreement_loss(zp: Tensor, za: Tensor, mean_over_rows: bool = True) -
         return gp, ga
 
     return Tensor(np.float64(out), (zp, za), vjp)
-
-
-def spmm_const(op_const: sp.spmatrix, h: Tensor) -> Tensor:
-    """Constant sparse matrix (propagation operator, sparse features) times a tape value."""
-    if op_const.shape[1] != h.value.shape[0]:
-        raise ValueError(f"spmm dimension mismatch: {op_const.shape} @ {h.value.shape}")
-    out = op_const @ h.value
-
-    def vjp(g):
-        return (op_const.T @ g,)
-
-    return Tensor(np.asarray(out), (h,), vjp)
 
 
 def vdot_const(t: Tensor, c) -> Tensor:

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,11 +128,35 @@ def test_train_unknown_key_exit_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("setting", ["walk_w=9", "epochs=abc", "dropout=x"])
+def _save_unsplit(path):
+    """An SBM dataset directory with no train/val/test.txt."""
+    from dataclasses import replace
+    from dualgcn.data import save_dataset
+
+    bundle = replace(make_sbm_bundle(n=30, k=3, seed=5), train_mask=None, val_mask=None, test_mask=None)
+    save_dataset(bundle, path)
+    return path
+
+
+@pytest.mark.parametrize("setting", ["walk_w=9", "epochs=abc", "dropout=x", "split_per_class=0", "split_val=-1"])
 def test_train_bad_config_value_exit_2(tmp_path, capsys, setting):
-    rc = run(["train", "--dataset", "karate", "--set", setting, "--out", str(tmp_path)])
+    # the split keys are read only when the dataset ships no split
+    dataset = str(_save_unsplit(tmp_path / "toy")) if setting.startswith("split_") else "karate"
+    rc = run(["train", "--dataset", dataset, "--set", setting, "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_readme_documents_every_config_key():
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert documented == set(cli._KEY_PARSERS)
 
 
 def test_thread_cap_not_applied_is_recorded_as_zero(tmp_path, monkeypatch):
@@ -166,6 +191,21 @@ def test_eval_checkpoint(tmp_path):
     summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
     assert summary["command"] == "eval"
     assert 0.0 <= summary["test_acc"] <= 1.0
+
+
+def test_eval_checkpoint_of_another_feature_width_exit_3(tmp_path, capsys):
+    from dataclasses import replace
+    from dualgcn.data import builtin_karate, save_dataset
+
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "karate", "--out", str(out)] + FAST_TRAIN) == 0
+    narrow = replace(builtin_karate(), x=np.eye(34)[:, :5])
+    save_dataset(narrow, tmp_path / "narrow")
+    capsys.readouterr()
+    rc = run(["eval", "--dataset", str(tmp_path / "narrow"), "--checkpoint", str(out / "checkpoint.npz")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "34" in err and "5" in err
 
 
 def test_gradcheck_exit_codes():

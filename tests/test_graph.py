@@ -3,11 +3,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dualgcn import tape
 from dualgcn.graph import (
     add_self_loops,
     build_graph,
     read_edge_list,
-    spmm,
     sym_normalize,
     write_edge_list,
 )
@@ -80,13 +80,13 @@ def test_degree_sum_after_self_loops(karate):
 
 def test_sym_normalize_identity():
     op = sym_normalize(np.eye(3))
-    np.testing.assert_allclose(op.matrix.toarray(), np.eye(3))
+    np.testing.assert_allclose(op.toarray(), np.eye(3))
 
 
 def test_sym_normalize_single_edge():
     g = build_graph([(0, 1)], n=2)
     op = sym_normalize(g.adj)
-    np.testing.assert_allclose(op.matrix.toarray(), [[0, 1], [1, 0]])
+    np.testing.assert_allclose(op.toarray(), [[0, 1], [1, 0]])
 
 
 def test_sym_normalize_k3_with_loops():
@@ -96,14 +96,14 @@ def test_sym_normalize_k3_with_loops():
     dense = g.adj.toarray()
     d = dense.sum(axis=1)
     expected = dense / np.sqrt(np.outer(d, d))
-    np.testing.assert_allclose(op.matrix.toarray(), np.full((3, 3), 1 / 3))
-    np.testing.assert_allclose(op.matrix.toarray(), expected)
+    np.testing.assert_allclose(op.toarray(), np.full((3, 3), 1 / 3))
+    np.testing.assert_allclose(op.toarray(), expected)
 
 
 def test_sym_normalize_zero_rows_map_to_zero():
     m = np.zeros((3, 3))
     m[0, 1] = m[1, 0] = 1.0
-    out = sym_normalize(m).matrix.toarray()
+    out = sym_normalize(m).toarray()
     assert np.isfinite(out).all()
     np.testing.assert_array_equal(out[2], 0.0)
 
@@ -113,26 +113,32 @@ def test_sym_normalize_rejects_negative():
         sym_normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
+# the normalized operator propagates as a sparse constant of tape.matmul
+
+def _propagate(op, h):
+    return tape.matmul(op, h).value
+
+
 def test_spmm_identity_and_zero():
     h = RngStream(0).random((4, 3))
     ident = sym_normalize(np.eye(4))
-    np.testing.assert_allclose(spmm(ident, h), h)
+    np.testing.assert_allclose(_propagate(ident, h), h)
     zero = sym_normalize(np.zeros((4, 4)))
-    np.testing.assert_array_equal(spmm(zero, h), np.zeros((4, 3)))
+    np.testing.assert_array_equal(_propagate(zero, h), np.zeros((4, 3)))
 
 
 def test_spmm_matches_dense_oracle():
     g = make_random_graph(6, 0.5, seed=1)
     op = sym_normalize(add_self_loops(g).adj)
     h = RngStream(2).random((6, 4))
-    dense = op.matrix.toarray() @ h
-    np.testing.assert_allclose(spmm(op, h), dense, rtol=1e-12, atol=0)
+    dense = op.toarray() @ h
+    np.testing.assert_allclose(_propagate(op, h), dense, rtol=1e-12, atol=0)
 
 
 def test_spmm_dimension_mismatch():
     op = sym_normalize(np.eye(3))
     with pytest.raises(ValueError):
-        spmm(op, np.zeros((4, 2)))
+        _propagate(op, np.zeros((4, 2)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,7 +160,7 @@ def test_built_graphs_exactly_symmetric(seed):
 @given(st.integers(0, 1000))
 def test_sym_normalize_preserves_symmetry(seed):
     g = make_random_graph(int(RngStream(seed).integers(2, 20)), 0.3, seed)
-    out = sym_normalize(add_self_loops(g).adj).matrix
+    out = sym_normalize(add_self_loops(g).adj)
     asym = abs(out - out.T)
     rel = asym.max() / max(out.max(), 1e-30) if asym.nnz else 0.0
     assert rel <= 1e-12
@@ -168,8 +174,8 @@ def test_spmm_dense_oracle_small_graphs(seed):
     g = make_random_graph(n, 0.3, seed)
     op = sym_normalize(add_self_loops(g).adj)
     h = rng.random((n, 5))
-    expected = op.matrix.toarray() @ h
-    got = spmm(op, h)
+    expected = op.toarray() @ h
+    got = _propagate(op, h)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 

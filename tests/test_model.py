@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from dualgcn import model, tape
 from dualgcn.errors import ConfigError, DataError, NumericError
-from dualgcn.graph import PropagationOperator, add_self_loops, sym_normalize
+from dualgcn.graph import add_self_loops, sym_normalize
 from dualgcn.model import (
     ForwardCache,
     ModelConfig,
@@ -24,7 +24,7 @@ from conftest import make_random_graph, make_sbm_bundle
 
 
 def _identity_op(n):
-    return PropagationOperator(matrix=sp.identity(n, format="csr"))
+    return sp.identity(n, format="csr")
 
 
 def _cfg(**kw):
@@ -94,7 +94,7 @@ def test_forward_matches_dense_reimplementation():
         return e / e.sum(axis=1, keepdims=True)
 
     za = softmax(t_dense @ (np.maximum(t_dense @ (x @ w0), 0.0) @ w1))
-    tp = p_op.matrix.toarray()
+    tp = p_op.toarray()
     zp = softmax(tp @ (np.maximum(tp @ (x @ w0), 0.0) @ w1))
     np.testing.assert_allclose(cache.za.value, za, atol=1e-10)
     np.testing.assert_allclose(cache.zp.value, zp, atol=1e-10)
@@ -305,7 +305,7 @@ def _oracle_gcn_trajectory(bundle, cfg, epochs):
     """Independent numpy implementation of the two-layer convolution net,
     sharing only the rng stream labels and the normalized operator."""
     rng = RngStream(cfg.seed)
-    t_mat = sym_normalize(add_self_loops(bundle.graph).adj).matrix
+    t_mat = sym_normalize(add_self_loops(bundle.graph).adj)
     x = bundle.x if not sp.issparse(bundle.x) else bundle.x.toarray()
     n, p = x.shape
     k = bundle.class_count

@@ -188,7 +188,7 @@ def test_ppmi_rejects_all_zero():
 def test_ppmi_operator_diagonal():
     p = ppmi(FrequencyMatrix(F=sp.csr_matrix(np.eye(2))))
     op = ppmi_operator(p)
-    np.testing.assert_allclose(op.matrix.toarray(), np.eye(2))
+    np.testing.assert_allclose(op.toarray(), np.eye(2))
 
 
 def test_ppmi_operator_equal_symmetric_entries():
@@ -198,7 +198,7 @@ def test_ppmi_operator_equal_symmetric_entries():
     mat = sp.csr_matrix(np.full((2, 2), val))
     p = PpmiMatrix(P=mat)
     op = ppmi_operator(p)
-    np.testing.assert_allclose(op.matrix.toarray(), np.full((2, 2), 0.5))
+    np.testing.assert_allclose(op.toarray(), np.full((2, 2), 0.5))
 
 
 @settings(max_examples=10, deadline=None)
@@ -206,7 +206,7 @@ def test_ppmi_operator_equal_symmetric_entries():
 def test_ppmi_operator_symmetric(seed):
     g = make_random_graph(int(RngStream(seed).integers(3, 9)), 0.5, seed)
     f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=6, seed=seed))
-    op = ppmi_operator(ppmi(f)).matrix
+    op = ppmi_operator(ppmi(f))
     asym = abs(op - op.T)
     assert (asym.max() if asym.nnz else 0.0) <= 1e-12
 
