@@ -312,7 +312,9 @@ def _jsonable(merged: dict) -> dict:
 def cmd_eval(args) -> int:
     t0 = time.time()
     params, meta = load_checkpoint(args.checkpoint)
-    merged = merge_config(None, {}, {})
+    # a dataset without a shipped split is split as it was for training
+    trained = meta.get("cfg", {})
+    merged = merge_config(None, {}, {k: v for k, v in trained.items() if k.startswith("split_")})
     bundle = resolve_dataset(args.dataset, args.data_dir)
     bundle = _ensure_masks(bundle, merged)
     pred = predict(params, bundle)

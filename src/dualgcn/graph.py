@@ -39,9 +39,6 @@ class Graph:
         diag = int((self.adj.diagonal() != 0).sum())
         return (nnz - diag) // 2 + diag
 
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.adj.sum(axis=1)).ravel()
-
 
 def build_graph(edge_list, n: int, is_weighted: bool | None = None) -> Graph:
     """Build a symmetric Graph from (i, j) or (i, j, w) tuples.
@@ -115,9 +112,14 @@ def sym_normalize(m) -> sp.csr_matrix:
     with np.errstate(divide="ignore"):
         dinv = np.where(d > 0, d, 1.0) ** -0.5
     dinv[d <= 0] = 0.0
-    out = mat.tocoo()
-    data = out.data * dinv[out.row] * dinv[out.col]
-    return sp.csr_matrix((data, (out.row, out.col)), shape=mat.shape)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    data = mat.data * dinv[rows] * dinv[mat.indices]
+    # fresh index arrays: mat may share them with m, and summing
+    # duplicates sorts them in place
+    out = sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)
+    if not mat.has_canonical_format:
+        out.sum_duplicates()
+    return out
 
 
 def read_edge_list(path, n: int | None = None):

@@ -5,6 +5,11 @@ along sampled walks; an exact-expectation oracle computes the same
 quantity from powers of the (substochastic) transition matrix so the
 sampler can be validated.  PPMI entries use the natural log; the base
 only rescales the matrix uniformly and is absorbed by the weights.
+
+The sampled build works in whole arrays: a walk step bisects each
+walker's row of the cumulative weights, O(walkers * q * log max row
+length) in all, and counting is one sort of the window pairs' keys.
+Every matrix stays in CSR order, so no COO round-trip re-sorts it.
 """
 
 from __future__ import annotations
@@ -82,40 +87,44 @@ def _batch_walks(m: sp.csr_matrix, starts: np.ndarray, q: int, rng: RngStream) -
 
     Transition i -> j is drawn with probability m_ij / sum_j m_ij; a
     walker at a node with zero out-weight truncates (recorded, not fatal).
+    Each step bisects the walker's own row of the cumulative weights, so a
+    step costs O(log max row length) per walker.
     """
     indptr, indices, data = m.indptr, m.indices, m.data
+    n = m.shape[0]
     cum = np.cumsum(data) if data.size else np.zeros(0)
+    lo_n = indptr[:-1].astype(np.int64)
+    hi_n = indptr[1:].astype(np.int64)
+    nonempty = hi_n > lo_n
+    base_n = np.zeros(n)
+    total_n = np.zeros(n)
+    ne = np.flatnonzero(nonempty)
+    base_n[ne] = cum[lo_n[ne]] - data[lo_n[ne]]
+    total_n[ne] = cum[hi_n[ne] - 1] - base_n[ne]
+    can_step = nonempty & (total_n > 0)
+    rounds = int((hi_n - lo_n).max(initial=0)).bit_length()
     walks = np.full((starts.size, q + 1), -1, dtype=np.int64)
     walks[:, 0] = starts
+    live = np.arange(starts.size)
     cur = starts.astype(np.int64, copy=True)
-    alive = np.ones(starts.size, dtype=bool)
     for step in range(1, q + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        c = cur[idx]
-        lo = indptr[c]
-        hi = indptr[c + 1]
-        nonempty = hi > lo
-        base = np.zeros(idx.size)
-        total = np.zeros(idx.size)
-        ne = np.flatnonzero(nonempty)
-        if ne.size:
-            base[ne] = cum[lo[ne]] - data[lo[ne]]
-            total[ne] = cum[hi[ne] - 1] - base[ne]
-        ok = nonempty & (total > 0)
-        dead = idx[~ok]
-        alive[dead] = False
-        live = idx[ok]
+        ok = can_step[cur]
+        live, cur = live[ok], cur[ok]
         if live.size == 0:
-            continue
-        u = rng.random(live.size)
-        target = base[ok] + u * total[ok]
-        k = np.searchsorted(cum, target, side="right")
-        k = np.clip(k, lo[ok], hi[ok] - 1)
-        nxt = indices[k]
-        cur[live] = nxt
-        walks[live, step] = nxt
+            break
+        target = base_n[cur] + rng.random(live.size) * total_n[cur]
+        # first k in [lo, hi-1] with cum[k] > target, as a right-sided
+        # searchsorted over all of cum finds it; a target at or past the
+        # row's last cumulative weight ends at hi and is clipped to hi-1
+        last = hi_n[cur] - 1
+        l, h = lo_n[cur], last
+        for _ in range(rounds):
+            mid = (l + h) >> 1
+            right = cum[mid] <= target
+            l = np.where(right, mid + 1, l)
+            h = np.where(right, h, mid)
+        cur = indices[np.minimum(l, last)]
+        walks[live, step] = cur
     return walks
 
 
@@ -129,32 +138,35 @@ def random_walk(m, start: int, q: int, rng: RngStream) -> list[int]:
 
 
 def _pair_counts(walks: np.ndarray, q: int, w: int, n: int) -> sp.csr_matrix:
-    rows, cols = [], []
-    for s in range(q):
-        for d in range(1, min(w, q - s) + 1):
-            a = walks[:, s]
-            b = walks[:, s + d]
-            valid = (a >= 0) & (b >= 0)
-            if not valid.any():
-                continue
-            rows.append(a[valid])
-            rows.append(b[valid])
-            cols.append(b[valid])
-            cols.append(a[valid])
-    if not rows:
-        return sp.csr_matrix((n, n), dtype=np.float64)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    f = sp.coo_matrix((np.ones(r.size), (r, c)), shape=(n, n)).tocsr()
-    f.sum_duplicates()
-    return f
+    """Window co-occurrence counts of the walks, symmetric with a doubled diagonal.
+
+    Each pair is keyed once as min * n + max; one sort of the keys gives
+    the upper triangle's entries in CSR order and their counts.
+    """
+    first, second = np.array([(s, s + d) for s in range(q) for d in range(1, min(w, q - s) + 1)]).T
+    key_t = np.int32 if n * n < 2**31 else np.int64
+    nodes = walks.astype(key_t)
+    a, b = nodes[:, first], nodes[:, second]
+    valid = (a >= 0) & (b >= 0)
+    a, b = a[valid], b[valid]
+    keys = np.minimum(a, b) * key_t(n) + np.maximum(a, b)
+    keys.sort()
+    head = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    counts = np.diff(starts, append=keys.size).astype(np.float64)
+    rows, cols = np.divmod(keys[starts], key_t(n))
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    up = sp.csr_matrix((counts, cols, indptr), shape=(n, n))
+    return up + up.T.tocsr()
 
 
 def frequency_matrix(m, cfg: WalkConfig, rng: RngStream | None = None) -> FrequencyMatrix:
     """Sampled co-occurrence counts: gamma_walks walks of length q per node.
 
     Every position pair within window distance <= w adds 1 to both
-    F[a, b] and F[b, a].  Runtime is O(n * gamma * q^2) plus the walk cost.
+    F[a, b] and F[b, a].  The walks cost O(n * gamma * q * log max row
+    length); counting sorts the O(n * gamma * q * w) window pairs once.
     """
     mat = _as_csr(m)
     n = mat.shape[0]
@@ -199,17 +211,20 @@ def ppmi(freq: FrequencyMatrix) -> PpmiMatrix:
     Entries with F[i, j] = 0 are exactly zero (no log of zero is taken);
     positive entries are max(ln(p_ij / (p_i* p_*j)), 0).
     """
-    f = freq.F
+    f = freq.F.tocsr(copy=True)
+    f.sum_duplicates()  # the entries are read in canonical CSR order
     total = float(f.sum())
     if total <= 0:
         raise ValueError("ppmi: all-zero frequency matrix")
     rowsum = np.asarray(f.sum(axis=1)).ravel()
     colsum = np.asarray(f.sum(axis=0)).ravel()
-    coo = f.tocoo()
-    ratio = coo.data * total / (rowsum[coo.row] * colsum[coo.col])
+    rows = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))
+    ratio = f.data * total / (rowsum[rows] * colsum[f.indices])
     vals = np.log(ratio)
     keep = vals > 0
-    p = sp.csr_matrix((vals[keep], (coo.row[keep], coo.col[keep])), shape=f.shape)
+    indptr = np.zeros_like(f.indptr)
+    np.cumsum(np.bincount(rows[keep], minlength=f.shape[0]), out=indptr[1:])
+    p = sp.csr_matrix((vals[keep], f.indices[keep], indptr), shape=f.shape)
     return PpmiMatrix(P=p)
 
 

@@ -193,6 +193,19 @@ def test_eval_checkpoint(tmp_path):
     assert 0.0 <= summary["test_acc"] <= 1.0
 
 
+def test_eval_splits_as_the_checkpoint_was_trained(tmp_path, capsys):
+    data = str(_save_unsplit(tmp_path / "toy"))
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", data, "--out", str(out),
+                "--set", "epochs=4", "--set", "hidden_gl=none", "--set", "walk_gamma=4",
+                "--set", "split_per_class=3", "--set", "split_val=6", "--set", "split_test=6"]) == 0
+    trained = json.loads((out / "summary.json").read_text())
+    capsys.readouterr()
+    assert run(["eval", "--dataset", data, "--checkpoint", str(out / "checkpoint.npz")]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["val_acc"] == trained["best_val_acc"]
+
+
 def test_eval_checkpoint_of_another_feature_width_exit_3(tmp_path, capsys):
     from dataclasses import replace
     from dualgcn.data import builtin_karate, save_dataset
@@ -303,13 +316,18 @@ def test_partition_c1_zero_cut(tmp_path, capsys):
 
 
 def test_dataset_dir_env_fallback(tmp_path, monkeypatch):
-    from dualgcn.data import save_dataset
-
-    bundle = make_sbm_bundle(n=30, k=3, seed=5)
-    save_dataset(bundle, tmp_path / "toy")
+    _save_unsplit(tmp_path / "toy")
     monkeypatch.setenv("GLDGCN_DATA_DIR", str(tmp_path))
+    real_split, drawn = cli.with_split, []
+
+    def recording_split(bundle, spec):
+        drawn.append(real_split(bundle, spec))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "with_split", recording_split)
     out = tmp_path / "run"
     rc = run(["train", "--dataset", "toy", "--out", str(out),
               "--set", "epochs=4", "--set", "hidden_gl=none", "--set", "walk_gamma=4",
               "--set", "split_per_class=3", "--set", "split_val=6", "--set", "split_test=6"])
     assert rc == 0
+    assert len(drawn) == 1 and drawn[0].val_mask.sum() == 6

@@ -18,13 +18,13 @@ from conftest import make_random_graph
 def test_build_triangle_degrees():
     g = build_graph([(0, 1), (1, 2), (0, 2)], n=3)
     assert g.n == 3
-    np.testing.assert_array_equal(g.degrees(), [2, 2, 2])
+    np.testing.assert_array_equal(np.asarray(g.adj.sum(axis=1)).ravel(), [2, 2, 2])
 
 
 def test_build_empty_graph():
     g = build_graph([], n=5)
     assert g.adj.nnz == 0
-    np.testing.assert_array_equal(g.degrees(), np.zeros(5))
+    np.testing.assert_array_equal(np.asarray(g.adj.sum(axis=1)).ravel(), np.zeros(5))
 
 
 def test_build_karate_edge_file(tmp_path, karate):
@@ -59,13 +59,13 @@ def test_self_edge_preserved_not_doubled():
 
 def test_add_self_loops_k3():
     g = add_self_loops(build_graph([(0, 1), (1, 2), (0, 2)], n=3))
-    np.testing.assert_array_equal(g.degrees(), [3, 3, 3])
+    np.testing.assert_array_equal(np.asarray(g.adj.sum(axis=1)).ravel(), [3, 3, 3])
 
 
 def test_add_self_loops_empty():
     g = add_self_loops(build_graph([], n=2))
     np.testing.assert_array_equal(g.adj.toarray(), np.eye(2))
-    np.testing.assert_array_equal(g.degrees(), [1, 1])
+    np.testing.assert_array_equal(np.asarray(g.adj.sum(axis=1)).ravel(), [1, 1])
 
 
 def test_add_self_loops_increments_existing():
@@ -75,7 +75,7 @@ def test_add_self_loops_increments_existing():
 
 def test_degree_sum_after_self_loops(karate):
     g = add_self_loops(karate.graph)
-    assert g.degrees().sum() == pytest.approx(2 * 78 + 34)
+    assert np.asarray(g.adj.sum(axis=1)).ravel().sum() == pytest.approx(2 * 78 + 34)
 
 
 def test_sym_normalize_identity():
@@ -111,6 +111,37 @@ def test_sym_normalize_zero_rows_map_to_zero():
 def test_sym_normalize_rejects_negative():
     with pytest.raises(ValueError):
         sym_normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+
+def _sym_normalize_coo(m):
+    """Reference: scale every stored entry, then let COO -> CSR sum duplicates."""
+    d = np.asarray(m.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        dinv = np.where(d > 0, d, 1.0) ** -0.5
+    dinv[d <= 0] = 0.0
+    coo = m.tocoo()
+    data = coo.data * dinv[coo.row] * dinv[coo.col]
+    return sp.csr_matrix((data, (coo.row, coo.col)), shape=m.shape)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sym_normalize_non_canonical_matches_coo_and_keeps_input(seed):
+    # rows keep their order, columns are unsorted and repeat; row 0 is empty
+    rng = np.random.default_rng(seed)
+    n, nnz = 12, 60
+    rows = np.sort(rng.integers(1, n, nnz))
+    m = sp.csr_matrix((rng.random(nnz), rng.integers(0, n, nnz), np.searchsorted(rows, np.arange(n + 1))),
+                      shape=(n, n))
+    assert not m.has_canonical_format
+    before = (m.data.copy(), m.indices.copy(), m.indptr.copy())
+    out = sym_normalize(m)
+    ref = _sym_normalize_coo(m)
+    assert out.has_canonical_format
+    np.testing.assert_array_equal(out.indptr, ref.indptr)
+    np.testing.assert_array_equal(out.indices, ref.indices)
+    np.testing.assert_array_equal(out.data, ref.data)
+    for kept, arr in zip(before, (m.data, m.indices, m.indptr)):
+        np.testing.assert_array_equal(arr, kept)
 
 
 # the normalized operator propagates as a sparse constant of tape.matmul

@@ -227,3 +227,144 @@ def test_frequency_runtime_scales_linearly_in_gamma():
     t1 = timed(400)
     t2 = timed(800)
     assert t2 <= 2.3 * t1 + 0.01
+
+
+# --- the whole-array kernels against the loop-level semantics they replace ---
+
+def _walks_reference(m, starts, q, rng):
+    """Global right-sided searchsorted over all cumulative weights, clipped to the row."""
+    indptr, indices, data = m.indptr, m.indices, m.data
+    cum = np.cumsum(data) if data.size else np.zeros(0)
+    walks = np.full((starts.size, q + 1), -1, dtype=np.int64)
+    walks[:, 0] = starts
+    cur = starts.astype(np.int64, copy=True)
+    alive = np.ones(starts.size, dtype=bool)
+    for step in range(1, q + 1):
+        idx = np.flatnonzero(alive)
+        c = cur[idx]
+        lo, hi = indptr[c], indptr[c + 1]
+        base = np.zeros(idx.size)
+        total = np.zeros(idx.size)
+        ne = np.flatnonzero(hi > lo)
+        base[ne] = cum[lo[ne]] - data[lo[ne]]
+        total[ne] = cum[hi[ne] - 1] - base[ne]
+        ok = (hi > lo) & (total > 0)
+        alive[idx[~ok]] = False
+        live = idx[ok]
+        if live.size == 0:
+            break
+        target = base[ok] + rng.random(live.size) * total[ok]
+        k = np.clip(np.searchsorted(cum, target, side="right"), lo[ok], hi[ok] - 1)
+        cur[live] = indices[k]
+        walks[live, step] = indices[k]
+    return walks
+
+
+def _dead_end_graph(seed, hub_len, n=80):
+    """Weighted rows with zero-weight entries, empty rows, all-zero rows and
+    one hub row; the last stored entry of every other row has weight >= 0.5."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        length = hub_len if i == 0 else (0 if i % 7 == 1 else int(rng.integers(1, 9)))
+        cols = np.sort(rng.choice(n, size=length, replace=False))
+        w = rng.random(length) + 0.5
+        w[:-1][rng.random(max(length - 1, 0)) < 0.3] = 0.0
+        if i % 7 == 2:
+            w[:] = 0.0
+        rows.append((cols, w))
+    indptr = np.concatenate([[0], np.cumsum([c.size for c, _ in rows])])
+    return sp.csr_matrix((np.concatenate([w for _, w in rows]), np.concatenate([c for c, _ in rows]), indptr),
+                         shape=(n, n))
+
+
+@pytest.mark.parametrize("hub_len", [16, 17, 32, 33, 64, 65])
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_walks_match_global_searchsorted(seed, hub_len):
+    from dualgcn.ppmi import _batch_walks
+
+    m = _dead_end_graph(seed, hub_len)
+    starts = np.repeat(np.arange(m.shape[0]), 40)
+    got = _batch_walks(m, starts, 4, RngStream(seed, ("walk",)))
+    want = _walks_reference(m, starts, 4, RngStream(seed, ("walk",)))
+    np.testing.assert_array_equal(got, want)
+    assert (got[:, 1:] >= 0).any() and (got[:, 1:] < 0).any()
+
+
+@pytest.mark.parametrize("draw", [0.0, 1.0 - 2.0**-53])
+def test_batch_walks_extreme_draws_land_on_row_ends(monkeypatch, draw):
+    # a zero draw must skip the row's leading zero-weight entries; a draw
+    # just below 1 puts the target at or past the row's last cumulative
+    # weight, and the step must still take that row's last entry
+    from dualgcn.ppmi import _batch_walks
+
+    m = _dead_end_graph(5, 33)
+    rng = RngStream(0)
+    monkeypatch.setattr(rng, "random", lambda size: np.full(size, draw))
+    walks = _batch_walks(m, np.arange(m.shape[0]), 3, rng)
+    end = np.full(m.shape[0] + 1, -1)
+    for i in range(m.shape[0]):
+        row = slice(m.indptr[i], m.indptr[i + 1])
+        positive = m.indices[row][m.data[row] > 0]
+        if positive.size:
+            end[i] = positive[0] if draw == 0.0 else positive[-1]
+    stepped = 0
+    for step in range(1, 4):
+        moved = walks[:, step] >= 0
+        np.testing.assert_array_equal(walks[moved, step], end[walks[moved, step - 1]])
+        stepped += int(moved.sum())
+    assert stepped > 0
+
+
+def _pair_counts_oracle(walks, q, w, n):
+    from collections import Counter
+
+    counts = Counter()
+    for row in walks.tolist():
+        for s in range(q):
+            for d in range(1, min(w, q - s) + 1):
+                a, b = row[s], row[s + d]
+                if a >= 0 and b >= 0:
+                    counts[a, b] += 1
+                    counts[b, a] += 1
+    dense = np.zeros((n, n))
+    for (a, b), c in counts.items():
+        dense[a, b] = c
+    return dense
+
+
+@pytest.mark.parametrize("q,w", [(1, 1), (3, 2), (4, 4), (5, 3)])
+def test_pair_counts_match_counter_oracle(q, w):
+    from dualgcn.ppmi import _pair_counts
+
+    rng = np.random.default_rng(q * 10 + w)
+    n = 7
+    walks = rng.integers(0, n, size=(300, q + 1))
+    walks[:, 1] = walks[:, 0]  # repeated nodes: diagonal pairs
+    cut = rng.integers(1, q + 2, size=walks.shape[0])
+    walks[np.arange(q + 1)[None, :] >= cut[:, None]] = -1
+    f = _pair_counts(walks, q, w, n)
+    assert f.has_canonical_format
+    np.testing.assert_array_equal(f.toarray(), _pair_counts_oracle(walks, q, w, n))
+    assert f.diagonal().any()
+
+
+def _ppmi_coo(f):
+    total = float(f.sum())
+    rowsum = np.asarray(f.sum(axis=1)).ravel()
+    colsum = np.asarray(f.sum(axis=0)).ravel()
+    coo = f.tocoo()
+    vals = np.log(coo.data * total / (rowsum[coo.row] * colsum[coo.col]))
+    keep = vals > 0
+    return sp.csr_matrix((vals[keep], (coo.row[keep], coo.col[keep])), shape=f.shape)
+
+
+def test_ppmi_matches_coo_formula():
+    g = make_random_graph(30, 0.15, seed=2)
+    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5, seed=1)).F
+    got = ppmi(FrequencyMatrix(F=f)).P
+    want = _ppmi_coo(f)
+    assert 0 < want.nnz < f.nnz
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
