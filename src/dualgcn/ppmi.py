@@ -144,18 +144,17 @@ def _pair_counts(walks: np.ndarray, q: int, w: int, n: int) -> sp.csr_matrix:
     the upper triangle's entries in CSR order and their counts.
     """
     first, second = np.array([(s, s + d) for s in range(q) for d in range(1, min(w, q - s) + 1)]).T
-    key_t = np.int32 if n * n < 2**31 else np.int64
-    nodes = walks.astype(key_t)
+    nodes = walks.astype(np.int64, copy=False)  # keys reach n * n
     a, b = nodes[:, first], nodes[:, second]
     valid = (a >= 0) & (b >= 0)
     a, b = a[valid], b[valid]
-    keys = np.minimum(a, b) * key_t(n) + np.maximum(a, b)
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
     keys.sort()
     head = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     starts = np.flatnonzero(head)
     counts = np.diff(starts, append=keys.size).astype(np.float64)
-    rows, cols = np.divmod(keys[starts], key_t(n))
+    rows, cols = np.divmod(keys[starts], n)
     indptr = np.searchsorted(rows, np.arange(n + 1))
     up = sp.csr_matrix((counts, cols, indptr), shape=(n, n))
     return up + up.T.tocsr()
@@ -211,8 +210,10 @@ def ppmi(freq: FrequencyMatrix) -> PpmiMatrix:
     Entries with F[i, j] = 0 are exactly zero (no log of zero is taken);
     positive entries are max(ln(p_ij / (p_i* p_*j)), 0).
     """
-    f = freq.F.tocsr(copy=True)
-    f.sum_duplicates()  # the entries are read in canonical CSR order
+    f = freq.F.tocsr()
+    if not f.has_canonical_format:  # the entries are read in canonical CSR order
+        f = f.copy()
+        f.sum_duplicates()
     total = float(f.sum())
     if total <= 0:
         raise ValueError("ppmi: all-zero frequency matrix")

@@ -349,6 +349,26 @@ def test_pair_counts_match_counter_oracle(q, w):
     assert f.diagonal().any()
 
 
+def test_pair_counts_keys_past_int32_range():
+    # n * n > 2**31: a key min * n + max of the high nodes would wrap in 32 bits
+    from collections import Counter
+
+    from dualgcn.ppmi import _pair_counts
+
+    n = 50_000
+    walks = np.array([[n - 1, n - 2, n - 1], [n - 2, n - 1, 3], [7, n - 1, -1]])
+    f = _pair_counts(walks, 2, 2, n)
+    want = Counter()
+    for row in walks.tolist():
+        for s, t in ((0, 1), (0, 2), (1, 2)):
+            if row[s] >= 0 and row[t] >= 0:
+                want[row[s], row[t]] += 1
+                want[row[t], row[s]] += 1
+    coo = f.tocoo()
+    assert f.has_canonical_format
+    assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == dict(want)
+
+
 def _ppmi_coo(f):
     total = float(f.sum())
     rowsum = np.asarray(f.sum(axis=1)).ravel()
@@ -368,3 +388,25 @@ def test_ppmi_matches_coo_formula():
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_ppmi_non_canonical_input_matches_and_is_kept():
+    # the same counts stored with unsorted, repeated columns
+    g = make_random_graph(30, 0.15, seed=2)
+    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5, seed=1)).F
+    coo = f.tocoo()
+    rows = np.concatenate([coo.row, coo.row])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([coo.col, coo.col])[order]
+    halves = np.concatenate([coo.data, coo.data])[order] / 2
+    messy = sp.csr_matrix((halves, cols, np.searchsorted(rows[order], np.arange(f.shape[0] + 1))),
+                          shape=f.shape)
+    assert not messy.has_canonical_format
+    before = (messy.data.copy(), messy.indices.copy(), messy.indptr.copy())
+    got = ppmi(FrequencyMatrix(F=messy)).P
+    want = ppmi(FrequencyMatrix(F=f)).P
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-12)
+    for kept, arr in zip(before, (messy.data, messy.indices, messy.indptr)):
+        np.testing.assert_array_equal(arr, kept)
