@@ -157,16 +157,12 @@ def _heavy_edge_matching(adj: sp.csr_matrix, node_w: np.ndarray, cap: int, rng: 
 
 def _contract(adj: sp.csr_matrix, node_w: np.ndarray, match: np.ndarray):
     n = adj.shape[0]
-    coarse_map = np.full(n, -1, dtype=np.int64)
-    nxt = 0
-    for v in range(n):
-        if coarse_map[v] >= 0:
-            continue
-        coarse_map[v] = nxt
-        m = match[v]
-        if m >= 0:
-            coarse_map[m] = nxt
-        nxt += 1
+    # coarse ids follow the lower end of each pair (or the unmatched node)
+    v = np.arange(n)
+    head = (match < 0) | (v < match)
+    rep = np.where(head, v, match)
+    coarse_map = (np.cumsum(head) - 1)[rep]
+    nxt = int(head.sum())
     coo = adj.tocoo()
     rows = coarse_map[coo.row]
     cols = coarse_map[coo.col]

@@ -4,7 +4,7 @@ Canonical on-disk layout (plain text, one directory per dataset):
 
     features.csv   comma-separated reals, one node per row
     labels.txt     one integer class per line
-    edges.tsv      optional; "i<TAB>j[<TAB>w]", '#' comments allowed
+    edges.tsv      optional; "i j [w]" separated by tabs or spaces, '#' comments allowed
     train.txt / val.txt / test.txt   optional node-id lists
     manifest.txt   optional "n=..., classes=..." assertions
 
@@ -14,8 +14,8 @@ normal case for bag-of-words citation data.
 
 from __future__ import annotations
 
-import itertools
 import os
+import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -37,7 +37,9 @@ __all__ = [
 ]
 
 _SPARSE_DENSITY_CUTOFF = 0.25
-_FEATURE_CHUNK_ROWS = 256
+# features.csv is parsed this many bytes at a time: a few byte-sized masks
+# of one block are the parse's transient, on top of the CSR it builds
+_FEATURE_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -97,36 +99,121 @@ class DatasetBundle:
                     raise DataError("masks overlap")
 
 
-def _load_features(path) -> np.ndarray | sp.csr_matrix:
-    """Parse features.csv _FEATURE_CHUNK_ROWS data rows at a time into CSR
-    blocks, so the text is never held as one dense array; the result is
-    densified when at least _SPARSE_DENSITY_CUTOFF of it is nonzero."""
+def _feature_blocks(path):
+    """Yield features.csv as bytes of whole lines, _FEATURE_BLOCK_BYTES at
+    a time; every block ends in a newline, a missing final one added."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError:
         raise DataError(f"missing features file: {path}")
-    blocks, width, nonzero = [], None, 0
     with fh:
-        while raw := list(itertools.islice(fh, _FEATURE_CHUNK_ROWS)):
-            # blank and comment-only lines would make a chunk of no data
-            lines = [line for line in raw if line.split("#", 1)[0].strip()]
-            if not lines:
+        tail = b""
+        while chunk := fh.read(_FEATURE_BLOCK_BYTES):
+            cut = chunk.rfind(b"\n") + 1
+            if not cut:
+                tail += chunk
                 continue
-            try:
-                chunk = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)
-            except ValueError as exc:
-                raise DataError(f"{path}: {exc}")
-            if width is not None and chunk.shape[1] != width:
-                raise DataError(f"{path}: rows have {width} and {chunk.shape[1]} columns")
-            width = chunk.shape[1]
-            nonzero += np.count_nonzero(chunk)
-            # -0.0 is stored too, so a dense result keeps its sign bit
-            r, c = np.nonzero((chunk != 0) | np.signbit(chunk))
-            blocks.append(sp.csr_matrix((chunk[r, c], (r, c)), shape=chunk.shape))
-    if not blocks:
-        return np.empty((0, 1))
-    x = sp.vstack(blocks, format="csr")
-    if nonzero / (x.shape[0] * width) < _SPARSE_DENSITY_CUTOFF:
+            block, tail = tail + memoryview(chunk)[:cut], chunk[cut:]
+            del chunk  # one copy of the text stays alive while a block is parsed
+            yield block
+        if tail:
+            yield tail + b"\n"
+
+
+def _parse_feature_block(raw: bytes, path):
+    """One block of lines as CSR parts, one row per data line: the entries
+    of each row, their columns and their values, and the row width; None
+    when the block holds no data line.
+
+    A line of one-byte fields (a digit between commas) is decoded straight
+    from the bytes; any other line goes to np.loadtxt, and blank and
+    comment lines make no row.  Entries are stored for nonzero values and
+    for -0.0, so a dense result keeps its sign bit.
+    """
+    if b"\r" in raw:  # universal newlines, as a text-mode read splits them
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    lead = b[starts]
+    zero = np.uint8(ord("0"))
+    # a line's first, second and last bytes rule out most lines that are not
+    # one-byte fields, every real-valued one among them, before a byte-wise pass
+    second = b[np.minimum(starts + 1, len(b) - 1)]
+    fast = ((lengths % 2 == 1) & (lead - zero < 10) & (b[ends - 1] - zero < 10)
+            & ((lengths == 1) | (second == ord(","))))
+    if fast.any():
+        digit = b - zero < 10
+        # a one-byte-field line alternates digit and non-digit from its first
+        # byte (a digit) to its newline (a non-digit); the byte before a line
+        # start is a newline, so the shifted array restarts at each line
+        bad = np.empty_like(digit)
+        bad[0] = not digit[0]
+        np.equal(digit[1:], digit[:-1], out=bad[1:])
+        bad |= ~digit & (b != ord(",")) & (b != ord("\n"))
+        fast &= ~np.logical_or.reduceat(bad, starts)
+    # any other line holds data unless it is blank or a comment; one led by
+    # anything but printable ASCII gets a closer look
+    slow = ~fast & (lead != ord("#")) & (lead != ord("\n"))
+    for k in np.flatnonzero(slow & ((lead <= ord(" ")) | (lead > ord("~")))):
+        slow[k] = raw[starts[k]:ends[k]].decode("utf-8", "replace").lstrip()[:1] not in ("", "#")
+    has_row = fast | slow
+    row_of_line = np.cumsum(has_row) - 1
+    rows, cols, vals, widths = [], [], [], set()
+    if fast.any():
+        widths.update(np.unique((lengths[fast] + 1) // 2).tolist())
+        nonzero = digit & (b != zero)
+        if not fast.all():
+            nonzero &= np.repeat(fast, lengths + 1)
+        pos = np.flatnonzero(nonzero)
+        line = np.searchsorted(ends, pos)
+        rows.append(row_of_line[line])
+        cols.append((pos - starts[line]) // 2)
+        vals.append((b[pos] - zero).astype(np.float64))
+    if slow.any():
+        try:  # a UnicodeDecodeError is a ValueError too
+            text = raw.decode("utf-8").split("\n")
+            chunk = np.loadtxt([text[k] for k in np.flatnonzero(slow)], delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}")
+        widths.add(chunk.shape[1])
+        r, c = np.nonzero(chunk.view(np.int64))  # every value but +0.0 has a set bit
+        rows.append(row_of_line[slow][r])
+        cols.append(c)
+        vals.append(chunk[r, c])
+    if len(widths) > 1:
+        raise DataError(f"{path}: rows have {min(widths)} and {max(widths)} columns")
+    if not widths:
+        return None
+    mixed = len(rows) > 1
+    # int32 columns, as scipy stores them: a row is far narrower than 2**31
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols).astype(np.int32), np.concatenate(vals)
+    if mixed:  # fast and slow rows interleave: sort the entries by row
+        order = np.argsort(rows, kind="stable")
+        cols, vals = cols[order], vals[order]
+    return np.bincount(rows, minlength=int(has_row.sum())), cols, vals, widths.pop()
+
+
+def _load_features(path) -> np.ndarray | sp.csr_matrix:
+    """Parse features.csv one block of lines at a time into CSR, so the text
+    is never held as one dense array; the result is densified when at least
+    _SPARSE_DENSITY_CUTOFF of it is nonzero."""
+    counts, cols, vals, width = [], [], [], None
+    for raw in _feature_blocks(path):
+        block = _parse_feature_block(raw, path)
+        if block is None:
+            continue
+        if width is not None and block[3] != width:
+            raise DataError(f"{path}: rows have {width} and {block[3]} columns")
+        width = block[3]
+        for parts, part in zip((counts, cols, vals), block):
+            parts.append(part)
+    if width is None:
+        raise DataError(f"{path}: no feature rows")
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    x = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(len(indptr) - 1, width))
+    if np.count_nonzero(x.data) / (x.shape[0] * x.shape[1]) < _SPARSE_DENSITY_CUTOFF:
         x.eliminate_zeros()
         return x
     # assigned, not summed into zeros as toarray() does, which turns -0.0 into 0.0
@@ -135,9 +222,21 @@ def _load_features(path) -> np.ndarray | sp.csr_matrix:
     return dense
 
 
+def _load_ints(path) -> np.ndarray:
+    """One integer per line; '#' comments and blank lines are skipped."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is no error here
+            values = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}")
+    if values.ndim != 1:
+        raise DataError(f"{path}: expected one integer per line")
+    return values
+
+
 def _load_ids(path, n: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        ids = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+    ids = _load_ints(path)
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise DataError(f"{path}: node id out of range")
     mask = np.zeros(n, dtype=bool)
@@ -168,7 +267,7 @@ def load_dataset(path, name: str | None = None) -> DatasetBundle:
     if not os.path.isfile(label_path):
         raise DataError(f"missing labels.txt in {path}")
     x = _load_features(feat_path)
-    y = np.loadtxt(label_path, dtype=np.int64, ndmin=1)
+    y = _load_ints(label_path)
     n = x.shape[0]
     if y.shape[0] != n:
         raise DataError(f"labels.txt has {y.shape[0]} rows, features.csv has {n}")
@@ -278,7 +377,7 @@ def builtin_karate(train_seed: int | None = None) -> DatasetBundle:
     with resources.as_file(assets / "karate_edges.tsv") as p:
         edges, _ = read_edge_list(p, n=34)
     with resources.as_file(assets / "karate_labels.txt") as p:
-        y = np.loadtxt(p, dtype=np.int64)
+        y = _load_ints(p)
     graph = build_graph(edges, 34)
     x = np.eye(34)
     train = np.zeros(34, dtype=bool)

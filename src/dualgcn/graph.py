@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import DataError
+
 __all__ = [
     "Graph",
     "build_graph",
@@ -40,44 +42,39 @@ class Graph:
         return (nnz - diag) // 2 + diag
 
 
-def build_graph(edge_list, n: int, is_weighted: bool | None = None) -> Graph:
-    """Build a symmetric Graph from (i, j) or (i, j, w) tuples.
+def build_graph(edges, n: int) -> Graph:
+    """Build a symmetric Graph from an (m, 2) array of (i, j) rows or an
+    (m, 3) array of (i, j, w) rows (a list of such tuples will do).
 
     Duplicate (i, j) entries collapse by summing weights; self-edges are
-    kept as given (not doubled by symmetrization).
+    kept as given (not doubled by symmetrization).  Three columns make the
+    graph weighted.
     """
     n = int(n)
     if n < 0:
         raise ValueError("node count must be non-negative")
-    rows, cols, vals = [], [], []
-    weighted = False
-    for e in edge_list:
-        if len(e) == 2:
-            i, j = e
-            w = 1.0
-        else:
-            i, j, w = e
-            weighted = True
-        i, j, w = int(i), int(j), float(w)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        if w <= 0:
-            raise ValueError(f"edge ({i},{j}) has non-positive weight {w}")
-        rows.append(i)
-        cols.append(j)
-        vals.append(w)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            vals.append(w)
+    edges = np.asarray(edges)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] not in (2, 3):
+        raise ValueError(f"edges must be (m, 2) or (m, 3), got shape {edges.shape}")
+    i, j = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    w = edges[:, 2].astype(np.float64) if edges.shape[1] == 3 else np.ones(len(edges))
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"edge ({i[k]},{j[k]}) out of range for n={n}")
+    bad = np.flatnonzero(~(w > 0))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"edge ({i[k]},{j[k]}) has non-positive weight {w[k]}")
+    off = i != j
     adj = sp.coo_matrix(
-        (np.asarray(vals, dtype=np.float64), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        (np.concatenate([w, w[off]]), (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
         shape=(n, n),
     ).tocsr()
     adj.sum_duplicates()
-    if is_weighted is None:
-        is_weighted = weighted
-    return Graph(n=n, adj=adj, is_weighted=bool(is_weighted))
+    return Graph(n=n, adj=adj, is_weighted=edges.shape[1] == 3)
 
 
 def graph_from_csr(adj: sp.spmatrix, is_weighted: bool = True) -> Graph:
@@ -122,32 +119,101 @@ def sym_normalize(m) -> sp.csr_matrix:
     return out
 
 
-def read_edge_list(path, n: int | None = None):
-    """Parse the tab-separated edge-list text format.
+def _parse_decimal(b: np.ndarray, first: np.ndarray, stop: np.ndarray):
+    """Values of the tokens b[first:stop] read as decimal integers, and a
+    mask of the tokens that are not 1 to 18 ASCII digits."""
+    length = stop - first
+    invalid = length > 18
+    value = np.zeros(len(first), dtype=np.int64)
+    for k in range(min(int(length.max(initial=0)), 18)):
+        live = length > k
+        d = b[np.where(live, first + k, 0)].astype(np.int64) - ord("0")
+        invalid |= live & ((d < 0) | (d > 9))
+        value = np.where(live, value * 10 + d, value)
+    return value, invalid
 
-    One edge per line: "i<TAB>j" or "i<TAB>j<TAB>w" with 0-based decimal
-    indices.  '#'-prefixed comment lines and blank lines are ignored.
-    Returns (edges, n) where n is max index + 1 unless given.
+
+def _parse_reals(b: np.ndarray, first: np.ndarray, stop: np.ndarray):
+    """The tokens b[first:stop] read as float64, and the index of the first
+    one that is not a number (None when every one is)."""
+    width = int((stop - first).max(initial=1))
+    at = first[:, None] + np.arange(width)
+    padded = np.where(at < stop[:, None], b[np.minimum(at, len(b) - 1)], 0).astype(np.uint8)
+    tokens = padded.view(f"S{width}").ravel()
+    try:
+        return tokens.astype(np.float64), None
+    except ValueError:
+        pass
+    # NumPy does not say which token it rejected
+    values = np.empty(len(tokens))
+    for k, token in enumerate(tokens):
+        try:
+            values[k] = float(token)
+        except ValueError:
+            return values, k
+    return values, None
+
+
+def read_edge_list(path, n: int | None = None):
+    """Parse the edge-list text format.
+
+    One edge per line: "i j" or "i j w", fields separated by tabs or
+    spaces, with 0-based decimal node ids and a positive weight.  Lines
+    whose first non-blank character is '#', and blank lines, are skipped.
+    Returns (edges, n): edges is an (m, 2) int64 array, or, when any line
+    has a weight, an (m, 3) float64 array with w = 1 on the two-field
+    lines.  n is max index + 1 unless given; given, ids are checked
+    against it.  A malformed line raises DataError naming the file and
+    its line number.
     """
-    edges = []
-    max_idx = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) == 2:
-                i, j = int(parts[0]), int(parts[1])
-                edges.append((i, j))
-            elif len(parts) == 3:
-                i, j = int(parts[0]), int(parts[1])
-                edges.append((i, j, float(parts[2])))
-            else:
-                raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(parts)}")
-            max_idx = max(max_idx, i, j)
+    with open(path, "rb") as fh:
+        raw = fh.read() + b"\n"
+    if b"\r" in raw:  # universal newlines, as a text-mode read splits them
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    blank = np.isin(b, np.frombuffer(b" \t\n\v\f", dtype=np.uint8))
+    first = np.flatnonzero(~blank & np.concatenate(([True], blank[:-1])))
+    stop = np.flatnonzero(~blank & np.concatenate((blank[1:], [True]))) + 1
+    line = np.searchsorted(ends, first)  # 0-based line of each token
+    lead = np.diff(line, prepend=-1) != 0  # first token of its line
+    keep = ~np.isin(line, line[lead & (b[first] == ord("#"))])  # drop comment lines
+    first, stop, line, lead = first[keep], stop[keep], line[keep], lead[keep]
+
+    def fail(token, message):
+        raise DataError(f"{path}:{line[token] + 1}: {message}")
+
+    def text(token):
+        return b[first[token]:stop[token]].tobytes().decode("utf-8", "replace")
+
+    fields = np.bincount(line, minlength=len(ends))[line]
+    bad = np.flatnonzero((fields != 2) & (fields != 3))
+    if bad.size:
+        fail(bad[0], f"expected 2 or 3 fields, got {fields[bad[0]]}")
+    column = np.arange(len(first)) - np.flatnonzero(lead)[np.cumsum(lead) - 1]
+    id_tokens = np.flatnonzero(column < 2)
+    ids, invalid = _parse_decimal(b, first[id_tokens], stop[id_tokens])
+    if invalid.any():
+        k = id_tokens[np.argmax(invalid)]
+        fail(k, f"node id {text(k)!r} is not a decimal number of at most 18 digits")
     if n is None:
-        n = max_idx + 1
+        n = int(ids.max(initial=-1)) + 1
+    elif ids.size and ids.max() >= n:
+        k = np.argmax(ids >= n)
+        fail(id_tokens[k], f"node id {ids[k]} out of range for n={n}")
+    edges = ids.reshape(-1, 2)
+    w_tokens = np.flatnonzero(column == 2)
+    if w_tokens.size:
+        w, bad = _parse_reals(b, first[w_tokens], stop[w_tokens])
+        if bad is not None:
+            fail(w_tokens[bad], f"weight {text(w_tokens[bad])!r} is not a number")
+        if not (w > 0).all():
+            k = w_tokens[np.argmin(w > 0)]
+            fail(k, f"weight {text(k)!r} is not positive")
+        weighted = np.ones((len(edges), 3))
+        weighted[:, :2] = edges
+        weighted[np.cumsum(lead)[w_tokens] - 1, 2] = w
+        edges = weighted
     return edges, n
 
 

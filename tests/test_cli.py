@@ -174,6 +174,48 @@ def test_train_missing_dataset_exit_3(tmp_path):
     assert rc == 3
 
 
+def _append(name, line):
+    def corrupt(d):
+        with open(d / name, "a", encoding="utf-8") as fh:
+            fh.write(line)
+    return corrupt
+
+
+def _relabel(d):
+    lines = (d / "labels.txt").read_text().splitlines()
+    lines[2] = "z"
+    (d / "labels.txt").write_text("\n".join(lines) + "\n")
+
+
+def _empty_features_and_labels(d):
+    (d / "features.csv").write_text("")
+    (d / "labels.txt").write_text("")
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    (_append("edges.tsv", "1\tq\n"), "edges.tsv:"),
+    (_append("edges.tsv", "0\t30\n"), "edges.tsv:"),  # n = 30
+    (_append("edges.tsv", "0\t1\t-2\n"), "edges.tsv:"),
+    (_relabel, "labels.txt"),
+    (_append("val.txt", "x\n"), "val.txt"),
+    (_empty_features_and_labels, "features.csv"),
+], ids=["edge-token", "edge-range", "edge-weight", "label", "val-id", "empty"])
+def test_train_malformed_dataset_file_exit_3(tmp_path, capsys, corrupt, where):
+    from dualgcn.data import save_dataset
+
+    d = tmp_path / "toy"
+    save_dataset(make_sbm_bundle(n=30, k=3, seed=5), d)
+    corrupt(d)
+    capsys.readouterr()
+    rc = run(["train", "--dataset", str(d), "--out", str(tmp_path / "run")] + FAST_TRAIN)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error:") and where in err
+    if where == "edges.tsv:":
+        lines = (d / "edges.tsv").read_text().count("\n")
+        assert f"edges.tsv:{lines}:" in err  # the appended line
+
+
 def test_train_numeric_failure_exit_4(tmp_path):
     with np.errstate(all="ignore"):
         rc = run(["train", "--dataset", "karate", "--out", str(tmp_path),

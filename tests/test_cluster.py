@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dualgcn.cluster import (
     Partition,
     PartitionConfig,
+    _contract,
     _edge_cut,
     _enforce_balance,
     _refine,
@@ -382,3 +383,41 @@ def test_partition_from_assign_members_match_the_per_cluster_scan(seed):
         expected = np.flatnonzero(assign == t)
         assert np.array_equal(part.members[t], expected)
         assert part.members[t].dtype == expected.dtype
+
+
+def _coarse_map_by_loop(match):
+    """The per-node scan _contract replaced: ids in order of each pair's
+    first node."""
+    coarse_map = np.full(len(match), -1, dtype=np.int64)
+    nxt = 0
+    for v in range(len(match)):
+        if coarse_map[v] >= 0:
+            continue
+        coarse_map[v] = nxt
+        if match[v] >= 0:
+            coarse_map[match[v]] = nxt
+        nxt += 1
+    return coarse_map
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contract_matches_the_per_node_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = [0, 1, 2, 7, 50, 300][seed]
+    match = np.full(n, -1, dtype=np.int64)
+    order = rng.permutation(n)
+    pairs = order[: 2 * int(rng.integers(0, n // 2 + 1))].reshape(-1, 2)  # the rest stay unmatched
+    match[pairs[:, 0]], match[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    adj = _strip_diagonal(make_random_graph(n, 0.1, seed=seed).adj) if n else sp.csr_matrix((0, 0))
+    node_w = rng.integers(1, 5, n).astype(float)
+    coarse_adj, coarse_w, coarse_map = _contract(adj, node_w, match)
+    expected = _coarse_map_by_loop(match)
+    np.testing.assert_array_equal(coarse_map, expected)
+    m = int(expected.max(initial=-1)) + 1
+    np.testing.assert_array_equal(coarse_w, np.bincount(expected, weights=node_w, minlength=m))
+    coo = adj.tocoo()
+    rows, cols = expected[coo.row], expected[coo.col]
+    keep = rows != cols
+    ref = sp.csr_matrix((coo.data[keep], (rows[keep], cols[keep])), shape=(m, m))
+    assert coarse_adj.shape == (m, m)
+    assert (coarse_adj != ref).nnz == 0

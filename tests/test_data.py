@@ -183,43 +183,89 @@ def _write_features(d, rows):
     (d / "labels.txt").write_text("".join(f"{i % 2}\n" for i in range(len(rows))))
 
 
+def _feature_lines(rng, density):
+    """Every line form features.csv allows: reals, one-byte digit fields,
+    both on one line, -0.0 and exponents, padding, CRLF and CR, a trailing
+    comment, blank and comment lines; seven fields each."""
+    dense = np.where(rng.random((10, 7)) < density, rng.normal(size=(10, 7)), 0.0)
+    dense[0, 0] = -0.0 if density > 0.5 else dense[0, 0]
+    lines = [",".join(f"{v:.17g}" for v in row) + "\n" for row in dense]
+    digits = np.where(rng.random((24, 7)) < density, rng.integers(1, 10, (24, 7)), 0)
+    lines += [",".join(map(str, row)) + "\n" for row in digits]
+    lines += [
+        "0,12,3,0.25,0,7,100\n",
+        "-0.0,1e-3,0,2E+5,-0,5e0,0\n",
+        " 1, 0 ,3,0 , 0,1,  0\n",
+        "1,0,0,1,0,0,1 # a comment after data\n",
+        "0,1,0,0,0,0,0\r\n",
+        "0,0,0,2.5,0,0,0\r\n",
+    ]
+    order = rng.permutation(len(lines))
+    lines = [lines[k] for k in order]
+    lines.insert(4, "\n")
+    lines.insert(9, "# a comment line\n")
+    lines.insert(20, "\r\n")
+    lines.insert(15, "0,0,1,0,0,0,0\r")  # a lone CR ends a line too
+    lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
+    return lines
+
+
 @pytest.mark.parametrize("density", [0.9, 0.1])
 def test_chunked_feature_parse_equals_one_shot_parse(tmp_path, monkeypatch, density):
     import warnings
 
     from dualgcn import data
 
-    rng = np.random.default_rng(3)
-    dense = np.where(rng.random((11, 7)) < density, rng.normal(size=(11, 7)), 0.0)
-    dense[0, 0] = -0.0 if density > 0.5 else dense[0, 0]
-    rows = [",".join(f"{v:.17g}" for v in row) + "\n" for row in dense]
-    rows.insert(4, "\n")  # a blank line inside a chunk
-    rows.insert(9, "# a comment line\n")
-    _write_features(tmp_path / "x", rows)
-    one_shot = np.loadtxt(tmp_path / "x" / "features.csv", delimiter=",", ndmin=2)
-    monkeypatch.setattr(data, "_FEATURE_CHUNK_ROWS", 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        x = data._load_features(tmp_path / "x" / "features.csv")
-    if density > 0.5:
-        assert isinstance(x, np.ndarray)
-        assert x.tobytes() == one_shot.tobytes()  # bit-identical, -0.0 included
-    else:
-        assert sp.issparse(x)
-        ref = sp.csr_matrix(one_shot)
-        assert x.shape == ref.shape
-        np.testing.assert_array_equal(x.indptr, ref.indptr)
-        np.testing.assert_array_equal(x.indices, ref.indices)
-        assert x.data.tobytes() == ref.data.tobytes()
+    _write_features(tmp_path / "x", _feature_lines(np.random.default_rng(3), density))
+    path = tmp_path / "x" / "features.csv"
+    one_shot = np.loadtxt(path, delimiter=",", ndmin=2)
+    # the default block, and blocks that end inside lines and fields
+    for block_bytes in (data._FEATURE_BLOCK_BYTES, 7, 64):
+        monkeypatch.setattr(data, "_FEATURE_BLOCK_BYTES", block_bytes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = data._load_features(path)
+        if density > 0.5:
+            assert isinstance(x, np.ndarray)
+            assert x.tobytes() == one_shot.tobytes()  # bit-identical, -0.0 included
+        else:
+            assert sp.issparse(x)
+            ref = sp.csr_matrix(one_shot)
+            assert x.shape == ref.shape
+            np.testing.assert_array_equal(x.indptr, ref.indptr)
+            np.testing.assert_array_equal(x.indices, ref.indices)
+            assert x.data.tobytes() == ref.data.tobytes()
 
 
 @pytest.mark.parametrize("bad_row", [1, 9])
 def test_chunked_feature_parse_rejects_a_ragged_row(tmp_path, monkeypatch, bad_row):
     from dualgcn import data
 
-    rows = ["1,0,2\n"] * 10
-    rows[bad_row] = "1,0\n"  # inside the first chunk, or alone in the last one
-    _write_features(tmp_path / "x", rows)
-    monkeypatch.setattr(data, "_FEATURE_CHUNK_ROWS", 3)
-    with pytest.raises(DataError):
-        load_dataset(tmp_path / "x")
+    monkeypatch.setattr(data, "_FEATURE_BLOCK_BYTES", 13)  # about two rows a block
+    for k, bad in enumerate(["1,0\n", "1,,0\n", "1,x,2\n", "1,0,2,3\n"]):
+        rows = ["1,0,2\n"] * 10
+        rows[bad_row] = bad  # inside the first block, or alone in the last one
+        _write_features(tmp_path / f"x{k}", rows)
+        with pytest.raises(DataError):
+            load_dataset(tmp_path / f"x{k}")
+
+
+def test_feature_parse_memory_is_bounded_by_the_block_not_the_dense_array(tmp_path):
+    import tracemalloc
+
+    from dualgcn import data
+
+    n, p = 6000, 400
+    x = (np.random.default_rng(0).random((n, p)) < 0.02).astype(np.uint8)
+    text = np.full((n, 2 * p), ord(","), dtype=np.uint8)
+    text[:, 0::2] = x + ord("0")
+    text[:, -1] = ord("\n")
+    text.tofile(tmp_path / "features.csv")
+    tracemalloc.start()
+    try:
+        got = data._load_features(tmp_path / "features.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got != sp.csr_matrix(x.astype(np.float64))).nnz == 0
+    assert peak < n * p * 8 / 4

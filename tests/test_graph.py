@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dualgcn import tape
+from dualgcn.errors import DataError
 from dualgcn.graph import (
     add_self_loops,
     build_graph,
@@ -210,9 +211,55 @@ def test_spmm_dense_oracle_small_graphs(seed):
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
+def _edges_by_line(text):
+    """The per-line reader read_edge_list replaced: one tuple per edge."""
+    edges = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t") if "\t" in line else line.split()
+        edges.append((int(parts[0]), int(parts[1])) + ((float(parts[2]),) if len(parts) == 3 else ()))
+    return edges
+
+
+def _adjacency_by_tuple(edges, n):
+    """The per-tuple build_graph loop: both directions of each edge, one
+    entry for a self-loop, duplicates summed."""
+    rows, cols, vals = [], [], []
+    for e in edges:
+        i, j, w = e if len(e) == 3 else (*e, 1.0)
+        rows.append(i)
+        cols.append(j)
+        vals.append(w)
+        if i != j:
+            rows.append(j)
+            cols.append(i)
+            vals.append(w)
+    adj = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    adj.sum_duplicates()
+    return adj
+
+
 def test_edge_list_comments_and_blank_lines(tmp_path):
     path = tmp_path / "edges.tsv"
-    path.write_text("# comment\n\n0\t1\n1\t2\t2.5\n")
-    edges, n = read_edge_list(path)
-    assert n == 3
-    assert edges == [(0, 1), (1, 2, 2.5)]
+    for text, weighted in [
+        ("# comment\n\n0\t1\n1\t2\t2.5\n", True),
+        ("0 1\n  # indented comment\n2   3\n\t\n1\t0\n0\t1\n3 3\n", False),  # duplicates, a self-loop
+        ("4\t0\t0.5\r\n0 4\n4 4 3\n\n0\t4\t1.25\n2 1", True),  # mixed fields, CRLF, no final newline
+    ]:
+        path.write_bytes(text.encode())
+        edges, n = read_edge_list(path)
+        expected = _edges_by_line(text)
+        assert n == max(max(e[:2]) for e in expected) + 1
+        rows = [e if len(e) == 3 else (*e, 1.0) for e in expected] if weighted else expected
+        assert edges.tolist() == [list(e) for e in rows]
+        g = build_graph(edges, n)
+        assert g.is_weighted == weighted
+        ref = _adjacency_by_tuple(expected, n)
+        np.testing.assert_array_equal(g.adj.indptr, ref.indptr)
+        np.testing.assert_array_equal(g.adj.indices, ref.indices)
+        assert g.adj.data.tobytes() == ref.data.tobytes()
+    path.write_text("0 1\n1 2 # only a whole line is a comment\n")
+    with pytest.raises(DataError, match=":2:"):
+        read_edge_list(path)
