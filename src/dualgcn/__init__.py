@@ -22,17 +22,14 @@ from .cluster import (
     edge_cut_report,
     form_batch,
     partition_graph,
-    split_matrices,
 )
 from .ppmi import (
     FrequencyMatrix,
     PpmiMatrix,
     WalkConfig,
-    exact_frequency_matrix,
     frequency_matrix,
     ppmi,
     ppmi_operator,
-    random_walk,
 )
 from .rng import RngStream
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 import time
@@ -51,8 +50,6 @@ from .ppmi import WalkConfig, frequency_matrix, ppmi, save_ppmi_cache
 from .rng import RngStream
 from . import tape
 from .graphlearn import GlConfig
-
-_log = logging.getLogger(__name__)
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -99,7 +96,6 @@ _HINTS = {cls: get_type_hints(cls) for cls in (ModelConfig, WalkConfig, GlConfig
 _KEY_PARSERS = {
     **{key: _TYPE_PARSERS[_HINTS[cls][name]] for key, (cls, name) in _FIELDS.items()},
     "cluster_weighted": _parse_bool,
-    "threads": int,
 }
 
 # unset unless given: a cluster run needs cluster_c, and cluster_seed falls back to seed
@@ -108,7 +104,6 @@ _UNSET = ("cluster_c", "cluster_q", "cluster_seed")
 _DEFAULTS = {
     **{key: getattr(cls, name) for key, (cls, name) in _FIELDS.items() if key not in _UNSET},
     "cluster_weighted": True,
-    "threads": 0,
 }
 
 # dataset-specific defaults, applied on top of the globals above
@@ -186,24 +181,6 @@ def model_config_from(merged: dict) -> ModelConfig:
                         gl=_from_merged(GlConfig, merged))
 
 
-_thread_controller = None
-
-
-def _limit_threads(k: int) -> int:
-    """Cap BLAS parallelism with threadpoolctl; returns the cap applied, 0 if none."""
-    global _thread_controller
-    if not k or k <= 0:
-        return 0
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        # BLAS is loaded by now, so setting *_NUM_THREADS here would do nothing
-        _log.warning("threads=%d not applied: threadpoolctl is not installed", k)
-        return 0
-    _thread_controller = threadpool_limits(limits=k)
-    return k
-
-
 def _write_atomic(path, write) -> None:
     """write(fh) into a temp file beside path, then rename it over path.
 
@@ -240,14 +217,11 @@ def cmd_train(args) -> int:
     overrides = dict(_parse_kv(t) for t in args.set or [])
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
     cluster_overrides = dict(_parse_kv(t) for t in args.cluster or [])
     for k, v in cluster_overrides.items():
         overrides[f"cluster_{k}"] = v
     dataset_name = args.dataset if args.dataset in _PROFILES else os.path.basename(os.path.normpath(args.dataset))
     merged = merge_config(dataset_name, file_cfg, overrides)
-    threads = _limit_threads(merged["threads"])
     bundle = resolve_dataset(args.dataset, args.data_dir)
     bundle = _ensure_masks(bundle, merged)
     cfg = model_config_from(merged)
@@ -287,7 +261,6 @@ def cmd_train(args) -> int:
         "n": bundle.n,
         "classes": bundle.class_count,
         "seed": merged["seed"],
-        "threads": threads,
         "config": _jsonable(merged),
         "cluster_mode": use_cluster,
         "best_val_acc": result.best_val_acc,
@@ -468,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--cluster", nargs="+", metavar="KEY=VALUE",
                          help="cluster-training options, e.g. c=10 q=2")
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--threads", type=int, default=None)
     p_train.add_argument("--out", default=None, help="artifact directory (default: cwd)")
     p_train.set_defaults(func=cmd_train)
 

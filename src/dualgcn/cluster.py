@@ -34,7 +34,6 @@ __all__ = [
     "Partition",
     "Batch",
     "partition_graph",
-    "split_matrices",
     "form_batch",
     "edge_cut_report",
     "cluster_fit",
@@ -88,9 +87,9 @@ class Batch:
 
     cluster_ids: tuple
     nodes: np.ndarray = field(repr=False)
-    graph: Graph | None = field(default=None, repr=False)
-    x: object = field(default=None, repr=False)
-    y: np.ndarray | None = field(default=None, repr=False)
+    graph: Graph = field(repr=False)
+    x: object = field(repr=False)
+    y: np.ndarray = field(repr=False)
 
 
 def _edge_cut(adj: sp.csr_matrix, assign: np.ndarray) -> int:
@@ -371,8 +370,11 @@ def _swap_round(conn, adj, weight_class, assign, c: int, edge_key: np.ndarray) -
     return out
 
 
-def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, cap: int,
-            max_rounds: int = 32):
+# move-and-swap rounds per level at most
+_MAX_ROUNDS = 32
+
+
+def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, cap: int):
     """Size-constrained label propagation with pair-swap rounds.
 
     Move rounds (even ones upward in cluster id, odd ones downward)
@@ -381,7 +383,7 @@ def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, 
     sum of squares falls), so the cut never grows.  Moves keep every
     cluster at or under cap and swaps exchange equal weights.  Refinement
     stops when an upward move, a downward move and a swap all leave the
-    assignment as it is, or after max_rounds move-and-swap rounds.
+    assignment as it is, or after _MAX_ROUNDS move-and-swap rounds.
     """
     n = adj.shape[0]
     if not adj.has_sorted_indices:
@@ -397,7 +399,7 @@ def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, 
 
     best, conn = score(assign), None
     idle = set()  # the round kinds that left the current assignment as it is
-    for step in range(2 * max_rounds):
+    for step in range(2 * _MAX_ROUNDS):
         kind = "swap" if step % 2 else ("up" if step % 4 == 0 else "down")
         if kind in idle:
             continue
@@ -483,37 +485,10 @@ def partition_graph(g: Graph, cfg: PartitionConfig) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# block extraction and batching
+# batching
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClusterSlice:
-    nodes: np.ndarray = field(repr=False)
-    adj: sp.csr_matrix = field(repr=False)
-    x: object = field(repr=False)
-    y: np.ndarray = field(repr=False)
-
-
-def split_matrices(g: Graph, x, y, part: Partition):
-    """Per-cluster (A_tt, X_t, Y_t) blocks plus the off-diagonal remainder.
-
-    The block-diagonal matrix assembled from the A_tt plus the returned
-    delta equals the original adjacency entry for entry.
-    """
-    if part.n != g.n:
-        raise DataError("partition size does not match graph")
-    slices = []
-    for nodes in part.members:
-        sub = g.adj[nodes][:, nodes].tocsr()
-        slices.append(ClusterSlice(nodes=nodes, adj=sub, x=x[nodes], y=np.asarray(y)[nodes]))
-    coo = g.adj.tocoo()
-    cross = part.assign[coo.row] != part.assign[coo.col]
-    delta = sp.csr_matrix((coo.data[cross], (coo.row[cross], coo.col[cross])), shape=g.adj.shape)
-    return slices, delta
-
-
-def form_batch(part: Partition, q: int, rng: RngStream, g: Graph | None = None,
-               x=None, y=None) -> Batch:
+def form_batch(part: Partition, q: int, rng: RngStream, g: Graph, x, y) -> Batch:
     """Sample q distinct clusters uniformly and induce their subgraph.
 
     Edges between the chosen clusters are inside the union and are kept.
@@ -522,18 +497,9 @@ def form_batch(part: Partition, q: int, rng: RngStream, g: Graph | None = None,
         raise ConfigError(f"q={q} exceeds cluster count c={part.c}")
     chosen = np.sort(rng.choice(np.arange(part.c), size=q, replace=False))
     nodes = np.sort(np.concatenate([part.members[t] for t in chosen]))
-    sub_graph = None
-    x_local = None
-    y_local = None
-    if g is not None:
-        sub = g.adj[nodes][:, nodes].tocsr()
-        sub_graph = graph_from_csr(sub, is_weighted=g.is_weighted)
-    if x is not None:
-        x_local = x[nodes]
-    if y is not None:
-        y_local = np.asarray(y)[nodes]
+    sub_graph = graph_from_csr(g.adj[nodes][:, nodes], is_weighted=g.is_weighted)
     return Batch(cluster_ids=tuple(int(t) for t in chosen), nodes=nodes,
-                 graph=sub_graph, x=x_local, y=y_local)
+                 graph=sub_graph, x=x[nodes], y=np.asarray(y)[nodes])
 
 
 def edge_cut_report(part: Partition) -> dict:
@@ -556,11 +522,12 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     """Mini-batch training over sampled cluster unions.
 
     Each epoch draws one batch of q clusters, learns the affinity on the
-    batch subgraph, builds the batch PPMI operator (cached per cluster
-    set between refreshes), and takes one Adam step on the batch loss
-    scaled by |batch| / n.  Batches with no training labels are skipped
-    and counted.  Validation accuracy is scored on the depth-hop ball of
-    the validation nodes (see model._validation_context).
+    batch subgraph, and takes one Adam step on the batch loss scaled by
+    |batch| / n.  The batch's PPMI operator is rebuilt when a refresh is
+    due or the cluster set differs from the one it was built for, so a
+    run with q = c builds on fit's schedule.  Batches with no training
+    labels are skipped and counted.  Validation accuracy is scored on the
+    depth-hop ball of the validation nodes (see model._validation_context).
     """
     if dataset.graph is None:
         raise DataError("cluster training requires a dataset with a graph")

@@ -15,6 +15,7 @@ normal case for bag-of-words citation data.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -23,14 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
-from .graph import Graph, build_graph, read_edge_list, write_edge_list
+from .graph import Graph, build_graph, read_edge_list
 from .rng import RngStream
 
 __all__ = [
     "DatasetBundle",
     "SplitSpec",
     "load_dataset",
-    "save_dataset",
     "make_planetoid_split",
     "builtin_karate",
     "resolve_dataset",
@@ -40,6 +40,8 @@ _SPARSE_DENSITY_CUTOFF = 0.25
 # features.csv is parsed this many bytes at a time: a few byte-sized masks
 # of one block are the parse's transient, on top of the CSR it builds
 _FEATURE_BLOCK_BYTES = 1 << 19
+# np.loadtxt's row index in its messages; an error names the file line instead
+_ROW_INDEX = re.compile(r" at row \d+,")
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,8 @@ class DatasetBundle:
 
 def _feature_blocks(path):
     """Yield features.csv as bytes of whole lines, _FEATURE_BLOCK_BYTES at
-    a time; every block ends in a newline, a missing final one added."""
+    a time; every block ends in a newline, a missing final one added, and
+    CR LF and a lone CR end lines as a text-mode read splits them."""
     try:
         fh = open(path, "rb")
     except OSError:
@@ -115,23 +118,43 @@ def _feature_blocks(path):
                 continue
             block, tail = tail + memoryview(chunk)[:cut], chunk[cut:]
             del chunk  # one copy of the text stays alive while a block is parsed
-            yield block
+            yield _universal_newlines(block)
         if tail:
-            yield tail + b"\n"
+            yield _universal_newlines(tail + b"\n")
 
 
-def _parse_feature_block(raw: bytes, path):
+def _universal_newlines(raw: bytes) -> bytes:
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw
+
+
+def _bad_feature_line(raw: bytes, starts, ends, data_lines, width, path, first_line) -> DataError:
+    """The error for a block that failed to parse as a whole: the first data
+    line np.loadtxt rejects on its own, or whose width differs from the
+    rows before it (width, from earlier blocks, or None), by its file line."""
+    for k in data_lines:
+        try:  # a UnicodeDecodeError is a ValueError too
+            row = np.loadtxt([raw[starts[k]:ends[k]].decode("utf-8")], delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            return DataError(f"{path}:{first_line + k}: {_ROW_INDEX.sub(' at', str(exc))}")
+        if width is not None and row.shape[1] != width:
+            return DataError(f"{path}:{first_line + k}: {row.shape[1]} columns, the rows before have {width}")
+        width = row.shape[1]
+    return DataError(f"{path}: the rows from line {first_line} on do not parse")
+
+
+def _parse_feature_block(raw: bytes, path, first_line: int, width: int | None):
     """One block of lines as CSR parts, one row per data line: the entries
     of each row, their columns and their values, and the row width; None
-    when the block holds no data line.
+    when the block holds no data line.  first_line is the file line the
+    block starts on, and width that of the rows before it (None if none).
 
     A line of one-byte fields (a digit between commas) is decoded straight
     from the bytes; any other line goes to np.loadtxt, and blank and
     comment lines make no row.  Entries are stored for nonzero values and
     for -0.0, so a dense result keeps its sign bit.
     """
-    if b"\r" in raw:  # universal newlines, as a text-mode read splits them
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     b = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -159,6 +182,10 @@ def _parse_feature_block(raw: bytes, path):
     for k in np.flatnonzero(slow & ((lead <= ord(" ")) | (lead > ord("~")))):
         slow[k] = raw[starts[k]:ends[k]].decode("utf-8", "replace").lstrip()[:1] not in ("", "#")
     has_row = fast | slow
+
+    def bad_line():
+        return _bad_feature_line(raw, starts, ends, np.flatnonzero(has_row), width, path, first_line)
+
     row_of_line = np.cumsum(has_row) - 1
     rows, cols, vals, widths = [], [], [], set()
     if fast.any():
@@ -175,17 +202,17 @@ def _parse_feature_block(raw: bytes, path):
         try:  # a UnicodeDecodeError is a ValueError too
             text = raw.decode("utf-8").split("\n")
             chunk = np.loadtxt([text[k] for k in np.flatnonzero(slow)], delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}")
+        except ValueError:
+            raise bad_line() from None
         widths.add(chunk.shape[1])
         r, c = np.nonzero(chunk.view(np.int64))  # every value but +0.0 has a set bit
         rows.append(row_of_line[slow][r])
         cols.append(c)
         vals.append(chunk[r, c])
-    if len(widths) > 1:
-        raise DataError(f"{path}: rows have {min(widths)} and {max(widths)} columns")
     if not widths:
         return None
+    if len(widths | {width} - {None}) > 1:
+        raise bad_line()
     mixed = len(rows) > 1
     # int32 columns, as scipy stores them: a row is far narrower than 2**31
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols).astype(np.int32), np.concatenate(vals)
@@ -200,12 +227,12 @@ def _load_features(path) -> np.ndarray | sp.csr_matrix:
     is never held as one dense array; the result is densified when at least
     _SPARSE_DENSITY_CUTOFF of it is nonzero."""
     counts, cols, vals, width = [], [], [], None
+    line = 1
     for raw in _feature_blocks(path):
-        block = _parse_feature_block(raw, path)
+        block = _parse_feature_block(raw, path, line, width)
+        line += raw.count(b"\n")
         if block is None:
             continue
-        if width is not None and block[3] != width:
-            raise DataError(f"{path}: rows have {width} and {block[3]} columns")
         width = block[3]
         for parts, part in zip((counts, cols, vals), block):
             parts.append(part)
@@ -306,26 +333,6 @@ def load_dataset(path, name: str | None = None) -> DatasetBundle:
     )
     bundle.validate()
     return bundle
-
-
-def save_dataset(bundle: DatasetBundle, path) -> None:
-    """Write a bundle back out in the canonical directory layout."""
-    os.makedirs(path, exist_ok=True)
-    x = bundle.x.toarray() if sp.issparse(bundle.x) else np.asarray(bundle.x)
-    with open(os.path.join(path, "features.csv"), "w", encoding="utf-8") as fh:
-        for row in x:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    with open(os.path.join(path, "labels.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(str(int(v)) for v in bundle.y) + "\n")
-    if bundle.graph is not None:
-        write_edge_list(bundle.graph, os.path.join(path, "edges.tsv"))
-    for part, mask in (("train", bundle.train_mask), ("val", bundle.val_mask), ("test", bundle.test_mask)):
-        if mask is not None:
-            ids = np.flatnonzero(mask)
-            with open(os.path.join(path, f"{part}.txt"), "w", encoding="utf-8") as fh:
-                fh.write("\n".join(str(int(v)) for v in ids) + "\n")
-    with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"n={bundle.n}, classes={bundle.class_count}\n")
 
 
 def make_planetoid_split(bundle: DatasetBundle, spec: SplitSpec):

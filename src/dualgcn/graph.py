@@ -22,7 +22,6 @@ __all__ = [
     "add_self_loops",
     "sym_normalize",
     "read_edge_list",
-    "write_edge_list",
 ]
 
 
@@ -215,14 +214,3 @@ def read_edge_list(path, n: int | None = None):
         weighted[np.cumsum(lead)[w_tokens] - 1, 2] = w
         edges = weighted
     return edges, n
-
-
-def write_edge_list(g: Graph, path) -> None:
-    """Write the upper triangle (plus self-loops) in the edge-list format."""
-    coo = sp.triu(g.adj).tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            if g.is_weighted:
-                fh.write(f"{i}\t{j}\t{w:.17g}\n")
-            else:
-                fh.write(f"{i}\t{j}\n")

@@ -133,16 +133,14 @@ class LearnedGraph:
         return sp.csr_matrix((self.values.value.copy(), s.cols.copy(), s.indptr.copy()), shape=(s.n, s.n))
 
 
-def learn_S_masked(x, g: Graph, gl: GraphLearnerParams, support: SupportStructure | None = None) -> LearnedGraph:
-    """Affinity restricted to the support of g (which must hold self-loops).
+def learn_S_masked(x, gl: GraphLearnerParams, support: SupportStructure) -> LearnedGraph:
+    """Affinity restricted to the support (that of A + I, or the complete graph).
 
     S_ij = A~_ij exp(ReLU(a^T |x_i - x_j|)) / sum_j A~_ij exp(...), so each
     row is a softmax over the node's closed neighborhood.  The score is
     symmetric and 0 on self-pairs, so each unordered pair is scored once
     and spread to both of its entries.
     """
-    if support is None:
-        support = SupportStructure(g)
     xp = x if gl.proj is None else tape.matmul(x, gl.proj)
     pair = tape.relu(tape.edge_scores(xp, gl.a, support.pair_rows, support.pair_cols))
     scores = tape.take_or_zero(pair, support.pair_of)
@@ -150,12 +148,12 @@ def learn_S_masked(x, g: Graph, gl: GraphLearnerParams, support: SupportStructur
     return LearnedGraph(values=values, support=support)
 
 
-def support_distances(x, support: SupportStructure, block: int | None = None) -> np.ndarray:
+def support_distances(x, support: SupportStructure) -> np.ndarray:
     """||x_i - x_j||^2 per support entry (constant wrt parameters).
 
     Taken once per unordered pair and spread to both entries, with 0 on
     self-pairs.  The per-pair dot products are taken over blocks of pairs
-    (tape.entry_block, ~32 MB, by default), so no (npairs, p) array is
+    (tape.entry_block, ~32 MB), so no (npairs, p) array is
     built.  Not the smaller tape.cache_block: indexing rows of a sparse x
     costs ~0.25 ms per block whatever its size.
     """
@@ -163,7 +161,7 @@ def support_distances(x, support: SupportStructure, block: int | None = None) ->
     if not sparse:
         x = np.asarray(x, dtype=np.float64)
     sq = np.asarray(x.multiply(x).sum(axis=1)).ravel() if sparse else (x * x).sum(axis=1)
-    block = block or tape.entry_block(x.shape[1])
+    block = tape.entry_block(x.shape[1])
     rows, cols = support.pair_rows, support.pair_cols
     dots = np.empty(support.npairs)
     for lo in range(0, support.npairs, block):
@@ -174,16 +172,14 @@ def support_distances(x, support: SupportStructure, block: int | None = None) ->
     return np.append(d2, 0.0)[support.pair_of]
 
 
-def gl_loss(x, s: LearnedGraph, a_graph: Graph | None = None, cfg: GlConfig = GlConfig(),
-            dist2: np.ndarray | None = None) -> Tensor:
+def gl_loss(s: LearnedGraph, a_graph: Graph | None, cfg: GlConfig, dist2: np.ndarray) -> Tensor:
     """Graph-learning objective.
 
     sum_ij ||x_i - x_j||^2 S_ij + gamma ||S||_F^2, plus (when a graph is
     given) beta ||S - A~||_F^2 against the binary support of A + I, which
-    is exactly the support S is stored on.
+    is exactly the support S is stored on.  dist2 holds ||x_i - x_j||^2
+    per support entry, as support_distances gives it.
     """
-    if dist2 is None:
-        dist2 = support_distances(x, s.support)
     loss = tape.add(tape.vdot_const(s.values, dist2), tape.scale(tape.sum_sq(s.values), cfg.gamma_reg))
     if a_graph is not None and cfg.beta > 0:
         target = np.ones(s.support.nnz)

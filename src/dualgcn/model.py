@@ -4,7 +4,8 @@ full-batch trainer here and the cluster trainer in ``cluster``.
 
 Branch A propagates through the learned affinity S (or a frozen
 normalized adjacency); branch P propagates through the normalized PPMI
-matrix of S, refreshed on a fixed epoch schedule.  Both branches end in
+matrix of S, rebuilt on a fixed epoch schedule and whenever a cluster
+batch other than the one it was built for trains.  Both branches end in
 a row softmax; the objective is
 
     L = L_ce + lambda1 * L_agree + lambda2 * L_graphlearn
@@ -62,6 +63,9 @@ _log = logging.getLogger(__name__)
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "l0", "lreg", "lgl", "val_acc")
 
+# largest node count of data without a graph, whose S spans all n^2 pairs
+DENSE_LIMIT = 20000
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -78,12 +82,11 @@ class ModelConfig:
     weight_decay: float = 5e-3
     epochs: int = 1000
     seed: int = 0
-    ppmi_refresh: int = 25  # recompute P every R epochs; 0 = once from the initial S
+    ppmi_refresh: int = 25  # recompute P every R epochs (0: at epoch 0 only) and when the batch changes
     walk: WalkConfig = field(default_factory=WalkConfig)
     gl: GlConfig = field(default_factory=GlConfig)
     learn_graph: bool = True  # False freezes S to the normalized adjacency
     stop_threshold: float = 0.0  # stop when max-abs param change falls below; 0 disables
-    dense_limit: int = 20000
     eval_every: int = 1
     init: str = "glorot"  # "he" keeps gradients alive through deep ReLU stacks
 
@@ -290,8 +293,8 @@ class _GraphContext:
             if not cfg.learn_graph:
                 raise ConfigError("learn_graph=False requires a dataset with a graph")
             n = x.shape[0]
-            if n > cfg.dense_limit:
-                raise ConfigError(f"without a graph S spans all n^2 pairs: n={n} > dense_limit={cfg.dense_limit}")
+            if n > DENSE_LIMIT:
+                raise ConfigError(f"without a graph S spans all n^2 pairs: n={n} > {DENSE_LIMIT}")
             _log.warning("no graph: S spans all %d^2 node pairs, ~%.0f MB for S and its support", n, 32e-6 * n * n)
             self.support = SupportStructure.complete(n)
         elif cfg.learn_graph:
@@ -306,22 +309,12 @@ class _GraphContext:
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
         if not cfg.learn_graph:
             return self.frozen_op
-        return learn_S_masked(self.x, None, params.gl, self.support)
+        return learn_S_masked(self.x, params.gl, self.support)
 
     def gl_term(self, s, cfg: ModelConfig):
         if not cfg.learn_graph or cfg.lambda2 <= 0:
             return None
-        return gl_loss(self.x, s, self.graph, cfg.gl, self.dist2)
-
-
-def _needs_ppmi(cfg: ModelConfig) -> bool:
-    return cfg.lambda1 > 0 or cfg.supervise in ("p", "both")
-
-
-def _refresh_due(epoch: int, every: int) -> bool:
-    if epoch == 0:
-        return True
-    return every > 0 and epoch % every == 0
+        return gl_loss(s, self.graph, cfg.gl, self.dist2)
 
 
 def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> sp.csr_matrix:
@@ -400,14 +393,16 @@ class _TrainBatch:
     y: np.ndarray
     train_idx: np.ndarray  # local indices of the labelled nodes
     share: float  # the loss is scaled by this factor
-    ppmi_key: object  # PPMI operators are cached per key between refreshes
+    ppmi_key: object  # a batch whose key differs from the last build's rebuilds P
 
 
 def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphContext | None = None) -> FitResult:
     """The epoch loop behind fit and cluster_fit.
 
-    Per epoch: take the batch next_batch(epoch, rng) gives, refresh the
-    PPMI operators on the configured schedule, take one Adam step on the
+    Per epoch: take the batch next_batch(epoch, rng) gives, build the
+    PPMI operator when a refresh is due or the batch's ppmi_key differs
+    from the one it was built for (its walks draw from rng.child("ppmi",
+    epoch); one operator is alive at a time), take one Adam step on the
     batch loss (graph-learner group at lr1, convolution group at lr2),
     then score the validation set on the context _validation_context
     builds once per fit (full_ctx for data without a graph).  A batch
@@ -425,10 +420,9 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     groups = [(group, init_adam_states(group), lr)
               for group, lr in ((params.gl_parameters(), cfg.lr1), (params.conv_parameters(), cfg.lr2))
               if group]
-    need_p = _needs_ppmi(cfg)
+    need_p = cfg.lambda1 > 0 or cfg.supervise in ("p", "both")
 
-    ppmi_cache: dict = {}
-    refresh_idx = -1
+    p_key = p_op = None  # the one live PPMI operator and the batch key it was built for
     best_val = -1.0
     best_epoch = -1
     best_state = None
@@ -439,9 +433,8 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
 
     for epoch in range(cfg.epochs):
         batch = next_batch(epoch, rng)
-        if need_p and _refresh_due(epoch, cfg.ppmi_refresh):
-            refresh_idx += 1
-            ppmi_cache.clear()
+        if cfg.ppmi_refresh > 0 and epoch % cfg.ppmi_refresh == 0:
+            p_op = None  # a refresh is due: the next trained batch rebuilds
         trains = batch.train_idx.size > 0
         # skipped batches leave parameters untouched and must not stop training
         prev = params.state_dict() if cfg.stop_threshold > 0 and trains else None
@@ -451,12 +444,10 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
         else:
             ctx = batch.ctx
             s = ctx.build_affinity(params, cfg)
-            p_op = None
-            if need_p:
-                p_op = ppmi_cache.get(batch.ppmi_key)
-                if p_op is None:
-                    p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", refresh_idx))
-                    ppmi_cache[batch.ppmi_key] = p_op
+            if need_p and (p_op is None or batch.ppmi_key != p_key):
+                p_op = None  # freed before its successor is built
+                p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch))
+                p_key = batch.ppmi_key
             cache = forward(ctx.x, s, p_op, params, cfg, "train", rng, epoch)
             gl_term = ctx.gl_term(s, cfg)
             loss, comps = total_loss(cache, batch.y, batch.train_idx, gl_term, cfg)

@@ -9,18 +9,20 @@ from .tape import Parameter, backward
 __all__ = ["AdamState", "init_adam_states", "adam_step", "finite_diff_check"]
 
 
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment accumulators for one parameter."""
 
-    __slots__ = ("m", "v", "t", "beta1", "beta2", "eps")
+    __slots__ = ("m", "v", "t")
 
-    def __init__(self, param: Parameter, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, param: Parameter):
         self.m = np.zeros_like(param.value)
         self.v = np.zeros_like(param.value)
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def init_adam_states(params) -> list[AdamState]:
@@ -40,11 +42,11 @@ def adam_step(params, states, lr: float, weight_decay: float = 0.0) -> None:
         if weight_decay:
             g = g + weight_decay * p.value
         st.t += 1
-        st.m = st.beta1 * st.m + (1.0 - st.beta1) * g
-        st.v = st.beta2 * st.v + (1.0 - st.beta2) * (g * g)
-        m_hat = st.m / (1.0 - st.beta1**st.t)
-        v_hat = st.v / (1.0 - st.beta2**st.t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + st.eps)
+        st.m = _BETA1 * st.m + (1.0 - _BETA1) * g
+        st.v = _BETA2 * st.v + (1.0 - _BETA2) * (g * g)
+        m_hat = st.m / (1.0 - _BETA1**st.t)
+        v_hat = st.v / (1.0 - _BETA2**st.t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
         p.zero_grad()
 
 

@@ -1,10 +1,8 @@
 """Random-walk co-occurrence counting and the positive PMI transform.
 
 The frequency matrix counts node pairs that co-occur within a window
-along sampled walks; an exact-expectation oracle computes the same
-quantity from powers of the (substochastic) transition matrix so the
-sampler can be validated.  PPMI entries use the natural log; the base
-only rescales the matrix uniformly and is absorbed by the weights.
+along sampled walks.  PPMI entries use the natural log; the base only
+rescales the matrix uniformly and is absorbed by the weights.
 
 The sampled build works in whole arrays: a walk step bisects each
 walker's row of the cumulative weights, O(walkers * q * log max row
@@ -27,9 +25,7 @@ __all__ = [
     "WalkConfig",
     "FrequencyMatrix",
     "PpmiMatrix",
-    "random_walk",
     "frequency_matrix",
-    "exact_frequency_matrix",
     "ppmi",
     "ppmi_operator",
     "save_ppmi_cache",
@@ -60,26 +56,12 @@ class FrequencyMatrix:
 
     F: sp.csr_matrix = field(repr=False)
 
-    @property
-    def n(self) -> int:
-        return self.F.shape[0]
-
 
 @dataclass(frozen=True)
 class PpmiMatrix:
     """Non-negative PPMI matrix."""
 
     P: sp.csr_matrix = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-
-def _as_csr(m) -> sp.csr_matrix:
-    if sp.issparse(m):
-        return sp.csr_matrix(m, dtype=np.float64)
-    return sp.csr_matrix(np.asarray(m, dtype=np.float64))
 
 
 def _batch_walks(m: sp.csr_matrix, starts: np.ndarray, q: int, rng: RngStream) -> np.ndarray:
@@ -128,15 +110,6 @@ def _batch_walks(m: sp.csr_matrix, starts: np.ndarray, q: int, rng: RngStream) -
     return walks
 
 
-def random_walk(m, start: int, q: int, rng: RngStream) -> list[int]:
-    """One walk of up to q steps from start; truncates at dead ends."""
-    mat = _as_csr(m)
-    if not 0 <= start < mat.shape[0]:
-        raise ValueError(f"start node {start} out of range")
-    row = _batch_walks(mat, np.array([start], dtype=np.int64), q, rng)[0]
-    return [int(v) for v in row if v >= 0]
-
-
 def _pair_counts(walks: np.ndarray, q: int, w: int, n: int) -> sp.csr_matrix:
     """Window co-occurrence counts of the walks, symmetric with a doubled diagonal.
 
@@ -167,41 +140,13 @@ def frequency_matrix(m, cfg: WalkConfig, rng: RngStream | None = None) -> Freque
     F[a, b] and F[b, a].  The walks cost O(n * gamma * q * log max row
     length); counting sorts the O(n * gamma * q * w) window pairs once.
     """
-    mat = _as_csr(m)
+    mat = sp.csr_matrix(m, dtype=np.float64)
     n = mat.shape[0]
     if rng is None:
         rng = RngStream(cfg.seed, ("ppmi",))
     starts = np.repeat(np.arange(n, dtype=np.int64), cfg.gamma_walks)
     walks = _batch_walks(mat, starts, cfg.q, rng)
     return FrequencyMatrix(F=_pair_counts(walks, cfg.q, cfg.w, n))
-
-
-def exact_frequency_matrix(m, q: int, w: int) -> FrequencyMatrix:
-    """Expected co-occurrence counts per walk-per-node (gamma = 1).
-
-    Uses the substochastic transition matrix (rows of dead-end nodes are
-    zero), so truncated walks contribute exactly their realized prefix
-    pairs, mirroring the sampler.  Dense in n; intended as an oracle for
-    small graphs.
-    """
-    if q < 1 or not 1 <= w <= q:
-        raise ValueError("invalid q/w")
-    mat = _as_csr(m).toarray()
-    n = mat.shape[0]
-    rowsum = mat.sum(axis=1)
-    trans = np.divide(mat, rowsum[:, None], out=np.zeros_like(mat), where=rowsum[:, None] > 0)
-    powers = [np.eye(n)]
-    for _ in range(q):
-        powers.append(powers[-1] @ trans)
-    occupancy = [np.ones(n)]
-    for s in range(1, q):
-        occupancy.append(occupancy[-1] @ trans)
-    acc = np.zeros((n, n))
-    for s in range(q):
-        for d in range(1, min(w, q - s) + 1):
-            acc += occupancy[s][:, None] * powers[d]
-    full = acc + acc.T
-    return FrequencyMatrix(F=sp.csr_matrix(full))
 
 
 def ppmi(freq: FrequencyMatrix) -> PpmiMatrix:
@@ -241,6 +186,6 @@ def ppmi_operator(p: PpmiMatrix) -> sp.csr_matrix:
 def save_ppmi_cache(fh, p: PpmiMatrix, cfg: WalkConfig) -> None:
     """Write the cache file to a binary file object."""
     coo = p.P.tocoo()
-    lines = [f"# ppmi n={p.n} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={cfg.seed}\n"]
+    lines = [f"# ppmi n={p.P.shape[0]} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={cfg.seed}\n"]
     lines += [f"{i}\t{j}\t{v:.17g}\n" for i, j, v in zip(coo.row, coo.col, coo.data)]
     fh.write("".join(lines).encode())

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualgcn.data import DatasetBundle, load_dataset
 from dualgcn.graph import Graph, build_graph
@@ -93,6 +94,32 @@ def make_citation_surrogate(n: int = 1354, k: int = 7, p: int = 1433, avg_deg: f
     return with_split(bundle, SplitSpec(20, val, test, seed=0))
 
 
+def cluster_blocks(part, g: Graph, x, y) -> list:
+    """Every cluster's batch as form_batch induces it with q = 1, in cluster order."""
+    from dualgcn.cluster import form_batch
+
+    rng = RngStream(0, ("cluster-blocks",))
+    found = {}
+    draw = 0
+    while len(found) < part.c:
+        batch = form_batch(part, 1, rng.child(draw), g, x, y)
+        found.setdefault(batch.cluster_ids[0], batch)
+        draw += 1
+    return [found[t] for t in range(part.c)]
+
+
+def reassemble(blocks, part, g: Graph) -> sp.csr_matrix:
+    """The cluster blocks placed on the diagonal plus the edges that cross clusters."""
+    coo = g.adj.tocoo()
+    cross = part.assign[coo.row] != part.assign[coo.col]
+    parts = [(coo.row[cross], coo.col[cross], coo.data[cross])]
+    for b in blocks:
+        local = b.graph.adj.tocoo()
+        parts.append((b.nodes[local.row], b.nodes[local.col], local.data))
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+
+
 def dataset_dir(name: str):
     root = os.environ.get("GLDGCN_DATA_DIR")
     if not root:
@@ -114,3 +141,58 @@ def karate():
     from dualgcn.data import builtin_karate
 
     return builtin_karate()
+
+
+def exact_frequency_matrix(m, q: int, w: int) -> np.ndarray:
+    """Expected co-occurrence counts per walk-per-node (gamma = 1), dense.
+
+    The oracle for the walk sampler: it uses the substochastic transition
+    matrix (rows of dead-end nodes are zero), so truncated walks contribute
+    exactly their realized prefix pairs, as sampled walks do.
+    """
+    mat = sp.csr_matrix(m, dtype=np.float64).toarray()
+    n = mat.shape[0]
+    rowsum = mat.sum(axis=1)
+    trans = np.divide(mat, rowsum[:, None], out=np.zeros_like(mat), where=rowsum[:, None] > 0)
+    powers = [np.eye(n)]
+    for _ in range(q):
+        powers.append(powers[-1] @ trans)
+    occupancy = [np.ones(n)]
+    for _ in range(1, q):
+        occupancy.append(occupancy[-1] @ trans)
+    acc = np.zeros((n, n))
+    for s in range(q):
+        for d in range(1, min(w, q - s) + 1):
+            acc += occupancy[s][:, None] * powers[d]
+    return acc + acc.T
+
+
+def write_edge_list(g: Graph, path) -> None:
+    """Write the upper triangle (plus self-loops) in the edges.tsv format."""
+    coo = sp.triu(g.adj).tocoo()
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, j, w in zip(coo.row, coo.col, coo.data):
+            if g.is_weighted:
+                fh.write(f"{i}\t{j}\t{w:.17g}\n")
+            else:
+                fh.write(f"{i}\t{j}\n")
+
+
+def save_dataset(bundle: DatasetBundle, path) -> None:
+    """Write a bundle out in the canonical directory layout."""
+    os.makedirs(path, exist_ok=True)
+    x = bundle.x.toarray() if sp.issparse(bundle.x) else np.asarray(bundle.x)
+    with open(os.path.join(path, "features.csv"), "w", encoding="utf-8") as fh:
+        for row in x:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    with open(os.path.join(path, "labels.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(str(int(v)) for v in bundle.y) + "\n")
+    if bundle.graph is not None:
+        write_edge_list(bundle.graph, os.path.join(path, "edges.tsv"))
+    for part, mask in (("train", bundle.train_mask), ("val", bundle.val_mask), ("test", bundle.test_mask)):
+        if mask is not None:
+            ids = np.flatnonzero(mask)
+            with open(os.path.join(path, f"{part}.txt"), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(str(int(v)) for v in ids) + "\n")
+    with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as fh:
+        fh.write(f"n={bundle.n}, classes={bundle.class_count}\n")

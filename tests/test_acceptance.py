@@ -21,9 +21,9 @@ from dualgcn.cluster import (
 from dualgcn.data import SplitSpec, builtin_karate, with_split
 from dualgcn.graph import build_graph
 from dualgcn.model import ModelConfig, accuracy, fit, predict
-from dualgcn.ppmi import WalkConfig, exact_frequency_matrix, frequency_matrix, ppmi
+from dualgcn.ppmi import WalkConfig, frequency_matrix, ppmi
 from dualgcn.rng import RngStream
-from conftest import load_or_skip, make_random_graph
+from conftest import exact_frequency_matrix, load_or_skip, make_random_graph
 
 pytestmark = pytest.mark.acceptance
 
@@ -148,7 +148,7 @@ def test_criterion_6_ppmi_oracle_equivalence():
     worst = 0.0
     for g in _small_graph_family():
         for q in (1, 2, 3):
-            exact = exact_frequency_matrix(g.adj, q=q, w=q).F.toarray()
+            exact = exact_frequency_matrix(g.adj, q=q, w=q)
             total = exact.sum()
             if total == 0:
                 continue
@@ -198,7 +198,7 @@ def test_criterion_7a_cluster_c1_bit_identical():
 
 
 def test_criterion_7b_block_reconstruction_exact():
-    from dualgcn.cluster import split_matrices
+    from conftest import cluster_blocks, reassemble
 
     rng = RngStream(0, ("accept7",))
     checked = 0
@@ -207,11 +207,8 @@ def test_criterion_7b_block_reconstruction_exact():
         c = int(rng.integers(2, min(8, n) + 1))
         g = make_random_graph(n, 0.15, seed=trial, ensure_ring=bool(trial % 2))
         part = partition_graph(g, PartitionConfig(c=c, seed=trial))
-        slices, delta = split_matrices(g, np.zeros((n, 1)), np.zeros(n, dtype=int), part)
-        rebuilt = sp.lil_matrix((n, n))
-        for sl in slices:
-            rebuilt[np.ix_(sl.nodes, sl.nodes)] = sl.adj.toarray()
-        exact = ((rebuilt.tocsr() + delta) != g.adj).nnz == 0
+        blocks = cluster_blocks(part, g, np.zeros((n, 1)), np.zeros(n, dtype=int))
+        exact = (reassemble(blocks, part, g) != g.adj).nnz == 0
         if not exact:
             _report("7b block-reconstruction", False, f"trial {trial} mismatch")
             assert exact

@@ -1,6 +1,5 @@
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from dualgcn import cli
 from dualgcn.cli import main, merge_config, read_config_file
 from dualgcn.errors import ConfigError
-from conftest import make_sbm_bundle
+from conftest import exact_frequency_matrix, make_sbm_bundle, save_dataset
 
 FAST_TRAIN = ["--set", "epochs=8", "--set", "hidden_gl=4", "--set", "walk_gamma=4",
               "--set", "ppmi_refresh=4"]
@@ -65,7 +64,7 @@ def test_train_karate_smoke(tmp_path):
 
 
 EXPECTED_SUMMARY_KEYS = {
-    "command", "dataset", "n", "classes", "seed", "threads", "config", "cluster_mode",
+    "command", "dataset", "n", "classes", "seed", "config", "cluster_mode",
     "best_val_acc", "best_epoch", "test_acc", "final_train_loss", "epochs_run",
     "skipped_batches", "artifacts", "wall_time_sec",
 }
@@ -131,8 +130,6 @@ def test_train_unknown_key_exit_2(tmp_path):
 def _save_unsplit(path):
     """An SBM dataset directory with no train/val/test.txt."""
     from dataclasses import replace
-    from dualgcn.data import save_dataset
-
     bundle = replace(make_sbm_bundle(n=30, k=3, seed=5), train_mask=None, val_mask=None, test_mask=None)
     save_dataset(bundle, path)
     return path
@@ -157,16 +154,6 @@ def test_readme_documents_every_config_key():
         if line.startswith("| `"):
             documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
     assert documented == set(cli._KEY_PARSERS)
-
-
-def test_thread_cap_not_applied_is_recorded_as_zero(tmp_path, monkeypatch):
-    # without threadpoolctl BLAS is already loaded and the cap cannot take effect
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    out = tmp_path / "run"
-    assert run(["train", "--dataset", "karate", "--threads", "2", "--out", str(out)] + FAST_TRAIN) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["threads"] == 0
-    assert summary["config"]["threads"] == 2
 
 
 def test_train_missing_dataset_exit_3(tmp_path):
@@ -201,8 +188,6 @@ def _empty_features_and_labels(d):
     (_empty_features_and_labels, "features.csv"),
 ], ids=["edge-token", "edge-range", "edge-weight", "label", "val-id", "empty"])
 def test_train_malformed_dataset_file_exit_3(tmp_path, capsys, corrupt, where):
-    from dualgcn.data import save_dataset
-
     d = tmp_path / "toy"
     save_dataset(make_sbm_bundle(n=30, k=3, seed=5), d)
     corrupt(d)
@@ -250,7 +235,7 @@ def test_eval_splits_as_the_checkpoint_was_trained(tmp_path, capsys):
 
 def test_eval_checkpoint_of_another_feature_width_exit_3(tmp_path, capsys):
     from dataclasses import replace
-    from dualgcn.data import builtin_karate, save_dataset
+    from dualgcn.data import builtin_karate
 
     out = tmp_path / "run"
     assert run(["train", "--dataset", "karate", "--out", str(out)] + FAST_TRAIN) == 0
@@ -285,9 +270,9 @@ def test_ppmi_command_deterministic(tmp_path):
 
 
 def test_ppmi_gamma_growth_improves_oracle_distance(tmp_path, karate):
-    from dualgcn.ppmi import WalkConfig, exact_frequency_matrix, frequency_matrix
+    from dualgcn.ppmi import WalkConfig, frequency_matrix
 
-    exact = exact_frequency_matrix(karate.graph.adj, q=3, w=3).F.toarray()
+    exact = exact_frequency_matrix(karate.graph.adj, q=3, w=3)
     exact_dist = exact / exact.sum()
 
     def deviation(gamma, seed):
@@ -302,7 +287,6 @@ def test_ppmi_gamma_growth_improves_oracle_distance(tmp_path, karate):
 
 
 def test_ppmi_empty_graph_exit_3(tmp_path):
-    from dualgcn.data import save_dataset
     from dataclasses import replace
     from dualgcn.graph import build_graph
 

@@ -20,14 +20,13 @@ from dualgcn.cluster import (
     partition_graph,
     random_balanced_partition,
     save_partition_cache,
-    split_matrices,
 )
 from dualgcn.errors import ConfigError
 from dualgcn.graph import add_self_loops, build_graph, sym_normalize
 from dualgcn.model import ModelConfig, accuracy, fit, forward, predict, total_loss
 from dualgcn.ppmi import WalkConfig
 from dualgcn.rng import RngStream
-from conftest import make_random_graph, make_sbm_bundle
+from conftest import cluster_blocks, make_random_graph, make_sbm_bundle, reassemble
 
 
 def _p4():
@@ -118,25 +117,27 @@ def test_partition_beats_random_baseline_on_sbm():
 
 
 def test_split_matrices_single_cluster_identity():
+    # with one cluster, the one-cluster batch is the whole data
     g = make_random_graph(10, 0.4, seed=2)
     x = RngStream(0).random((10, 3))
     y = RngStream(1).integers(0, 2, 10)
     part = partition_graph(g, PartitionConfig(c=1))
-    slices, delta = split_matrices(g, x, y, part)
-    assert delta.nnz == 0
-    assert (slices[0].adj != g.adj).nnz == 0
-    np.testing.assert_array_equal(slices[0].x, x)
+    (batch,) = cluster_blocks(part, g, x, y)
+    np.testing.assert_array_equal(batch.nodes, np.arange(10))
+    assert (batch.graph.adj != g.adj).nnz == 0
+    np.testing.assert_array_equal(batch.x, x)
+    np.testing.assert_array_equal(batch.y, y)
 
 
 def test_split_matrices_p4():
     g = _p4()
     part = partition_from_assign(g, np.array([0, 0, 1, 1]), 2)
     x = np.arange(8.0).reshape(4, 2)
-    slices, delta = split_matrices(g, x, np.arange(4), part)
-    assert slices[0].adj.nnz == 2  # the single edge (0,1), stored twice
-    assert slices[1].adj.nnz == 2
-    assert delta.nnz == 2  # edge (1,2) in both directions
-    assert delta[1, 2] == 1.0 and delta[2, 1] == 1.0
+    blocks = cluster_blocks(part, g, x, np.arange(4))
+    assert [b.graph.adj.nnz for b in blocks] == [2, 2]  # the edges (0,1) and (2,3), stored twice
+    np.testing.assert_array_equal(blocks[1].x, x[2:])
+    # edge (1,2) crosses the clusters and is in no block
+    assert (reassemble(blocks, part, g) != g.adj).nnz == 0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -148,20 +149,20 @@ def test_split_matrices_reconstruction_random(seed):
     x = rng.random((n, 3))
     y = rng.integers(0, 3, n)
     part = partition_graph(g, PartitionConfig(c=c, seed=seed))
-    slices, delta = split_matrices(g, x, y, part)
-    rebuilt = sp.lil_matrix((n, n))
-    for sl in slices:
-        rebuilt[np.ix_(sl.nodes, sl.nodes)] = sl.adj.toarray()
-    rebuilt = rebuilt.tocsr() + delta
+    blocks = cluster_blocks(part, g, x, y)
+    for t, b in enumerate(blocks):
+        np.testing.assert_array_equal(b.nodes, part.members[t])
+        np.testing.assert_array_equal(b.x, x[b.nodes])
+        np.testing.assert_array_equal(b.y, y[b.nodes])
+    rebuilt = reassemble(blocks, part, g)
     assert (rebuilt != g.adj).nnz == 0
-    nnz_blocks = sum(sl.adj.nnz for sl in slices)
-    assert nnz_blocks + delta.nnz == g.adj.nnz
+    assert rebuilt.nnz == g.adj.nnz
 
 
 def test_form_batch_whole_graph_when_q_equals_c():
     g = make_random_graph(9, 0.4, seed=4)
     part = partition_graph(g, PartitionConfig(c=3, q=3, seed=0))
-    batch = form_batch(part, 3, RngStream(5), g)
+    batch = form_batch(part, 3, RngStream(5), g, np.eye(9), np.arange(9))
     np.testing.assert_array_equal(batch.nodes, np.arange(9))
     assert (batch.graph.adj != g.adj).nnz == 0
 
@@ -169,7 +170,7 @@ def test_form_batch_whole_graph_when_q_equals_c():
 def test_form_batch_single_cluster_on_p4():
     g = _p4()
     part = partition_from_assign(g, np.array([0, 0, 1, 1]), 2)
-    batch = form_batch(part, 1, RngStream(0, ("b",)), g)
+    batch = form_batch(part, 1, RngStream(0, ("b",)), g, np.eye(4), np.arange(4))
     assert batch.nodes.size == 2
     assert batch.graph.num_edges == 1
 
@@ -177,7 +178,7 @@ def test_form_batch_single_cluster_on_p4():
 def test_form_batch_includes_cross_cluster_edges():
     g = _p4()
     part = partition_from_assign(g, np.array([0, 0, 1, 1]), 2)
-    batch = form_batch(part, 2, RngStream(1), g)
+    batch = form_batch(part, 2, RngStream(1), g, np.eye(4), np.arange(4))
     # union is the whole path: edge (1,2) between the two clusters stays
     assert batch.graph.adj[1, 2] == 1.0
 
@@ -186,7 +187,7 @@ def test_form_batch_rejects_q_above_c():
     g = _p4()
     part = partition_graph(g, PartitionConfig(c=2))
     with pytest.raises(ConfigError):
-        form_batch(part, 3, RngStream(0))
+        form_batch(part, 3, RngStream(0), g, np.eye(4), np.arange(4))
 
 
 def test_form_batch_uniform_pair_frequencies():
@@ -196,7 +197,7 @@ def test_form_batch_uniform_pair_frequencies():
     draws = 10_000
     counts: dict[tuple, int] = {}
     for i in range(draws):
-        b = form_batch(part, 2, rng.child(i))
+        b = form_batch(part, 2, rng.child(i), g, np.eye(16), np.arange(16))
         counts[b.cluster_ids] = counts.get(b.cluster_ids, 0) + 1
     n_pairs = 6
     expected = draws / n_pairs
@@ -227,17 +228,16 @@ def test_loss_additivity_over_clusters():
     from dualgcn.model import init_params
 
     params = init_params(bundle.p, bundle.class_count, cfg, RngStream(3))
-    slices, _delta = split_matrices(g, bundle.x, bundle.y, part)
     total_blocks = 0.0
     from dualgcn.graph import graph_from_csr
 
-    for sl in slices:
-        train_local = np.flatnonzero(bundle.train_mask[sl.nodes])
+    for b in cluster_blocks(part, g, bundle.x, bundle.y):
+        train_local = np.flatnonzero(bundle.train_mask[b.nodes])
         if train_local.size == 0:
             continue
-        op = sym_normalize(add_self_loops(graph_from_csr(sl.adj)).adj)
-        cache = forward(sl.x, op, None, params, cfg, mode="eval")
-        loss, _ = total_loss(cache, sl.y, train_local, None, cfg)
+        op = sym_normalize(add_self_loops(b.graph).adj)
+        cache = forward(b.x, op, None, params, cfg, mode="eval")
+        loss, _ = total_loss(cache, b.y, train_local, None, cfg)
         total_blocks += loss.item()
     # block-diagonal graph: original adjacency minus the cross edges
     coo = g.adj.tocoo()
@@ -260,6 +260,56 @@ def test_cluster_fit_c1_bit_identical_to_full_batch(karate):
         assert a == b, (a, b)
     for p1, p2 in zip(full.params.all_parameters(), clustered.params.all_parameters()):
         np.testing.assert_array_equal(p1.value, p2.value)
+
+
+def _record_ppmi_builds(monkeypatch):
+    """Wrap model._build_ppmi_operator; each build is recorded as
+    (epochs finished before it, labels of its walk stream)."""
+    from dualgcn import model
+
+    builds, rows = [], []
+    real = model._build_ppmi_operator
+
+    def spy(s, walk, rng):
+        builds.append((len(rows), rng.labels))
+        return real(s, walk, rng)
+
+    monkeypatch.setattr(model, "_build_ppmi_operator", spy)
+    return builds, rows.append
+
+
+def test_cluster_fit_draws_fresh_walks_for_every_ppmi_build(monkeypatch):
+    from dualgcn import cluster
+
+    bundle = make_sbm_bundle(n=80, k=4, seed=2)
+    cfg = ModelConfig(hidden_gcn=4, hidden_gl=4, dropout=0.0, epochs=30, seed=1,
+                      lambda1=0.5, ppmi_refresh=10, walk=WalkConfig(q=2, w=2, gamma_walks=2, seed=0))
+    batches = []
+    real_form_batch = cluster.form_batch
+
+    def record_batch(*args):
+        batch = real_form_batch(*args)
+        batches.append(batch.cluster_ids)
+        return batch
+
+    monkeypatch.setattr(cluster, "form_batch", record_batch)
+    builds, on_epoch = _record_ppmi_builds(monkeypatch)
+    result = cluster_fit(bundle, cfg, PartitionConfig(c=4, q=2, seed=0), on_epoch=on_epoch)
+    assert result.skipped_batches == 0
+    # a build at every refresh and wherever the cluster set changes, and nowhere else
+    expected = [e for e in range(cfg.epochs) if e % 10 == 0 or batches[e] != batches[e - 1]]
+    assert [epoch for epoch, _ in builds] == expected
+    assert len(expected) > 3  # more builds than refresh windows
+    # each build walks on its own stream, keyed by its epoch
+    assert [labels for _, labels in builds] == [("ppmi", e) for e in expected]
+
+
+def test_fit_builds_ppmi_on_the_refresh_schedule_only(monkeypatch, karate):
+    cfg = ModelConfig(hidden_gcn=4, hidden_gl=None, dropout=0.0, epochs=25, seed=1,
+                      lambda1=0.5, ppmi_refresh=10, walk=WalkConfig(q=2, w=2, gamma_walks=2, seed=0))
+    builds, on_epoch = _record_ppmi_builds(monkeypatch)
+    fit(karate, cfg, on_epoch=on_epoch)
+    assert builds == [(0, ("ppmi", 0)), (10, ("ppmi", 10)), (20, ("ppmi", 20))]
 
 
 def test_cluster_fit_close_to_full_batch_on_sbm():

@@ -9,11 +9,10 @@ from dualgcn.data import (
     load_dataset,
     make_planetoid_split,
     resolve_dataset,
-    save_dataset,
     with_split,
 )
 from dualgcn.errors import DataError
-from conftest import make_sbm_bundle
+from conftest import make_sbm_bundle, save_dataset
 
 
 def test_karate_shape(karate):
@@ -248,6 +247,27 @@ def test_chunked_feature_parse_rejects_a_ragged_row(tmp_path, monkeypatch, bad_r
         _write_features(tmp_path / f"x{k}", rows)
         with pytest.raises(DataError):
             load_dataset(tmp_path / f"x{k}")
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 19, 5, 13])
+@pytest.mark.parametrize("lines,where,message", [
+    (["1,0,2", "0.5,0,1", "# a note", "1,,2", "0,1,0"], 4, "could not convert string '' to float64 at column 2"),
+    (["1,0,2", "0.5,0,1", "", "0,1,0", "1,0,0", "1,x,0.5"], 6, "could not convert string 'x' to float64 at column 2"),
+    (["1,0,2", "0.5,0,1", "0,1,0", "0,1"], 4, "2 columns, the rows before have 3"),
+    (["1,0,2", "0.5,0,1", "0,1,0", "0.5,1"], 4, "2 columns, the rows before have 3"),
+    (["0.5,0,1", "1,0,2", "1,0,2,3", "1,0,2"], 3, "4 columns, the rows before have 3"),
+], ids=["empty-field", "bad-token", "narrow-digits", "narrow-reals", "wide-digits"])
+def test_feature_errors_name_the_file_line(tmp_path, monkeypatch, block_bytes, lines, where, message):
+    # the bad line sits in the first block, or in a later one when blocks are small
+    from dualgcn import data
+
+    monkeypatch.setattr(data, "_FEATURE_BLOCK_BYTES", block_bytes)
+    _write_features(tmp_path / "x", [line + "\n" for line in lines])
+    with pytest.raises(DataError) as err:
+        load_dataset(tmp_path / "x")
+    text = str(err.value)
+    assert text.startswith(f"{tmp_path / 'x' / 'features.csv'}:{where}: {message}"), text
+    assert " row " not in text  # numpy's index within the parsed lines is dropped
 
 
 def test_feature_parse_memory_is_bounded_by_the_block_not_the_dense_array(tmp_path):

@@ -10,10 +10,9 @@ from dualgcn.graph import (
     build_graph,
     read_edge_list,
     sym_normalize,
-    write_edge_list,
 )
 from dualgcn.rng import RngStream
-from conftest import make_random_graph
+from conftest import make_random_graph, write_edge_list
 
 
 def test_build_triangle_degrees():

@@ -29,7 +29,17 @@ def _params(a_values, proj=None):
 
 def _learn_complete(x, gl):
     """S over every node pair, as a graphless dataset learns it."""
-    return learn_S_masked(x, None, gl, SupportStructure.complete(x.shape[0]))
+    return learn_S_masked(x, gl, SupportStructure.complete(x.shape[0]))
+
+
+def _learn(x, g, gl):
+    """S on the support of g, which holds self-loops."""
+    return learn_S_masked(x, gl, SupportStructure(g))
+
+
+def _gl_loss(x, s, g, cfg):
+    """gl_loss with the feature distances taken on the support of s."""
+    return gl_loss(s, g, cfg, support_distances(x, s.support))
 
 
 def test_dense_zero_scorer_gives_uniform_rows():
@@ -52,18 +62,21 @@ def test_dense_crafted_scores_proportional():
     np.testing.assert_allclose(row, np.array([1.0, 2.0, 1.0]) / 4.0, rtol=1e-12)
 
 
-def test_dense_limit_enforced():
+def test_dense_limit_enforced(monkeypatch):
     from dataclasses import replace
 
+    from dualgcn import model
+
+    monkeypatch.setattr(model, "DENSE_LIMIT", 10)
     no_graph = replace(make_sbm_bundle(n=12, k=2, per_class_train=2), graph=None)
     with pytest.raises(ConfigError):
-        fit(no_graph, ModelConfig(hidden_gl=None, epochs=1, dense_limit=10))
+        fit(no_graph, ModelConfig(hidden_gl=None, epochs=1))
 
 
 def test_masked_zero_scorer_uniform_over_neighborhood():
     g = add_self_loops(build_graph([(0, 1), (1, 2)], n=3))
     x = RngStream(3).random((3, 2))
-    s = learn_S_masked(x, g, _params(np.zeros(2)))
+    s = _learn(x, g, _params(np.zeros(2)))
     dense = s.matrix().toarray()
     np.testing.assert_allclose(dense[0], [0.5, 0.5, 0.0], atol=1e-15)
     np.testing.assert_allclose(dense[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
@@ -72,7 +85,7 @@ def test_masked_zero_scorer_uniform_over_neighborhood():
 def test_masked_star_center_row():
     star = add_self_loops(build_graph([(0, i) for i in range(1, 5)], n=5))
     x = RngStream(4).random((5, 3))
-    s = learn_S_masked(x, star, _params(np.zeros(3)))
+    s = _learn(x, star, _params(np.zeros(3)))
     center = s.matrix().toarray()[0]
     np.testing.assert_allclose(center, np.full(5, 0.2), atol=1e-15)
 
@@ -90,7 +103,7 @@ def test_masked_rows_stochastic_on_support(seed):
     g = add_self_loops(make_random_graph(8, 0.3, seed))
     x = rng.random((8, 4))
     a = rng.child("a").random(4) - 0.5
-    s = learn_S_masked(x, g, _params(a))
+    s = _learn(x, g, _params(a))
     dense = s.matrix().toarray()
     np.testing.assert_allclose(dense.sum(axis=1), np.ones(8), atol=1e-10)
     assert (dense >= 0).all()
@@ -116,7 +129,7 @@ def test_masked_complete_graph_equals_dense():
     rng = RngStream(7)
     x = rng.random((n, 3))
     a = rng.child("a").random(3) - 0.5
-    masked = learn_S_masked(x, complete, _params(a)).matrix().toarray()
+    masked = _learn(x, complete, _params(a)).matrix().toarray()
     dense = _learn_complete(x, _params(a)).matrix().toarray()
     np.testing.assert_allclose(masked, dense, atol=1e-12)
     # the formula over all pairs: row softmax of ReLU(sum_f a_f |x_if - x_jf|)
@@ -141,7 +154,7 @@ def test_score_monotonicity_in_single_pair():
 def test_gl_loss_identical_features_zero():
     x = np.ones((4, 3))
     s = _learn_complete(x, _params(np.zeros(3)))
-    loss = gl_loss(x, s, None, GlConfig(gamma_reg=0.0, beta=0.0))
+    loss = _gl_loss(x, s, None, GlConfig(gamma_reg=0.0, beta=0.0))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -152,7 +165,7 @@ def test_gl_loss_uniform_three_node_hand_value():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     d2 = np.ones((3, 3)) - np.eye(3)  # unit squared distance between every pair
     s = _learn_complete(x, _params(np.zeros(2)))
-    loss = gl_loss(x, s, None, GlConfig(gamma_reg=gamma, beta=0.0), dist2=d2.ravel())
+    loss = gl_loss(s, None, GlConfig(gamma_reg=gamma, beta=0.0), d2.ravel())
     assert loss.item() == pytest.approx(2.0 + gamma, rel=1e-12)
 
 
@@ -161,14 +174,14 @@ def test_gl_loss_masked_fidelity_term_zero_when_s_matches_binary():
     # gamma zero the minimum of the remaining objective is S = support ones
     g = add_self_loops(build_graph([(0, 1)], n=2))
     x = np.zeros((2, 2))
-    s = learn_S_masked(x, g, _params(np.zeros(2)))
+    s = _learn(x, g, _params(np.zeros(2)))
     cfg = GlConfig(gamma_reg=0.0, beta=1.0)
-    loss = gl_loss(x, s, g, cfg)
+    loss = _gl_loss(x, s, g, cfg)
     # S rows are (0.5, 0.5): ||S - 1||^2 = 4 * 0.25 = 1.0
     assert loss.item() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_support_distances_match_dense_oracle():
+def test_support_distances_match_dense_oracle(monkeypatch):
     g = add_self_loops(make_random_graph(7, 0.4, seed=9))
     x = RngStream(10).random((7, 5))
     sup = SupportStructure(g)
@@ -177,10 +190,12 @@ def test_support_distances_match_dense_oracle():
         i, j = sup.rows[k], sup.cols[k]
         expected = ((x[i] - x[j]) ** 2).sum()
         assert d2[k] == pytest.approx(expected, rel=1e-10, abs=1e-12)
-    # blocking over entries leaves every per-entry sum bit-identical
-    np.testing.assert_array_equal(support_distances(x, sup, block=4), d2)
     xs = sp.csr_matrix(np.where(x > 0.5, x, 0.0))
-    np.testing.assert_array_equal(support_distances(xs, sup, block=4), support_distances(xs, sup))
+    d2s = support_distances(xs, sup)
+    # blocking over entries leaves every per-entry sum bit-identical
+    monkeypatch.setattr(tape, "entry_block", lambda p: 4)
+    np.testing.assert_array_equal(support_distances(x, sup), d2)
+    np.testing.assert_array_equal(support_distances(xs, sup), d2s)
 
 
 def test_gl_gradients_match_finite_differences():
@@ -191,8 +206,8 @@ def test_gl_gradients_match_finite_differences():
     cfg = GlConfig(gamma_reg=0.05, beta=0.2)
 
     def loss_fn():
-        s = learn_S_masked(x, g, gl)
-        return gl_loss(x, s, g, cfg)
+        s = _learn(x, g, gl)
+        return _gl_loss(x, s, g, cfg)
 
     report = finite_diff_check(loss_fn, gl.parameters(), h=1e-5)
     assert all(entry["max_rel_err"] <= 1e-4 for entry in report.values())
@@ -206,7 +221,7 @@ def test_gl_dense_gradients_match_finite_differences():
 
     def loss_fn():
         s = _learn_complete(x, gl)
-        return gl_loss(x, s, None, cfg)
+        return _gl_loss(x, s, None, cfg)
 
     report = finite_diff_check(loss_fn, gl.parameters(), h=1e-5)
     assert all(entry["max_rel_err"] <= 1e-4 for entry in report.values())
@@ -230,7 +245,7 @@ def test_entry_blocking_leaves_loss_and_gradients_unchanged(monkeypatch):
         s = _learn_complete(x, gl)
         h = tape.spmm_values(s.values, s.support.rows, s.support.cols, s.support.indptr, 6,
                              tape.matmul(tape.constant(x), w))
-        loss = tape.add(tape.sum_sq(h), gl_loss(x, s, None, GlConfig()))
+        loss = tape.add(tape.sum_sq(h), _gl_loss(x, s, None, GlConfig()))
         tape.backward(loss)
         return loss.item(), [p.grad.copy() for p in params]
 
@@ -275,7 +290,7 @@ def test_pair_scores_spread_to_every_entry(kind, monkeypatch):
         return real(scores, indptr)
 
     monkeypatch.setattr(tape, "segment_softmax", spy)
-    learn_S_masked(x, None, _params(a), sup)
+    learn_S_masked(x, _params(a), sup)
     scores = seen["scores"]
     expected = np.maximum(np.abs(x[rows] - x[cols]) @ a, 0.0)
     np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0.0)

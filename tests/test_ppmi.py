@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 from dualgcn.graph import build_graph
 from dualgcn.ppmi import (
     FrequencyMatrix,
+    _batch_walks,
     WalkConfig,
-    exact_frequency_matrix,
     frequency_matrix,
     ppmi,
     ppmi_operator,
-    random_walk,
 )
 from dualgcn.rng import RngStream
-from conftest import make_random_graph
+from conftest import exact_frequency_matrix, make_random_graph
 
 
 def test_walk_config_validation():
@@ -31,30 +30,29 @@ def test_walk_config_validation():
 
 def test_random_walk_single_edge_alternates():
     g = build_graph([(0, 1)], n=2)
-    walk = random_walk(g.adj, 0, 3, RngStream(0))
-    assert walk == [0, 1, 0, 1]
+    walks = _batch_walks(g.adj, np.array([0, 1]), 3, RngStream(0))
+    np.testing.assert_array_equal(walks, [[0, 1, 0, 1], [1, 0, 1, 0]])
 
 
 def test_random_walk_self_loop_constant():
     g = build_graph([(0, 0, 1.0)], n=1)
-    walk = random_walk(g.adj, 0, 4, RngStream(1))
-    assert walk == [0, 0, 0, 0, 0]
+    walks = _batch_walks(g.adj, np.zeros(3, dtype=np.int64), 4, RngStream(1))
+    np.testing.assert_array_equal(walks, np.zeros((3, 5)))
 
 
 def test_random_walk_truncates_at_dead_end():
     m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))  # directed into a sink
-    walk = random_walk(m, 0, 5, RngStream(2))
-    assert walk == [0, 1]
+    walks = _batch_walks(m, np.array([0, 1, 0]), 5, RngStream(2))
+    # -1 marks the positions after a walker stops
+    np.testing.assert_array_equal(walks, [[0, 1, -1, -1, -1, -1], [1, -1, -1, -1, -1, -1],
+                                          [0, 1, -1, -1, -1, -1]])
 
 
 def test_random_walk_k3_transition_split():
     g = build_graph([(0, 1), (1, 2), (0, 2)], n=3)
     rng = RngStream(3, ("k3",))
-    counts = {1: 0, 2: 0}
     trials = 100_000
     starts = np.zeros(trials, dtype=np.int64)
-    from dualgcn.ppmi import _batch_walks
-
     walks = _batch_walks(g.adj, starts, 1, rng)
     vals, cnts = np.unique(walks[:, 1], return_counts=True)
     freq = dict(zip(vals.tolist(), cnts.tolist()))
@@ -88,14 +86,14 @@ def test_frequency_symmetric_nonnegative(seed):
 
 def test_exact_two_node_single_edge_offdiagonal():
     g = build_graph([(0, 1)], n=2)
-    f = exact_frequency_matrix(g.adj, q=1, w=1).F.toarray()
+    f = exact_frequency_matrix(g.adj, q=1, w=1)
     assert f[0, 0] == 0 and f[1, 1] == 0
     assert f[0, 1] == 2.0 and f[1, 0] == 2.0
 
 
 def test_exact_identity_transition_diagonal_only():
     m = np.eye(3)
-    f = exact_frequency_matrix(m, q=3, w=2).F.toarray()
+    f = exact_frequency_matrix(m, q=3, w=2)
     assert (f == np.diag(np.diag(f))).all()
     assert (np.diag(f) > 0).all()
 
@@ -128,7 +126,7 @@ def _brute_force_expected_counts(adj: np.ndarray, q: int, w: int) -> np.ndarray:
 def test_exact_matches_brute_force_on_path_graph():
     g = build_graph([(0, 1), (1, 2)], n=3)
     expected = _brute_force_expected_counts(g.adj.toarray(), q=2, w=2)
-    got = exact_frequency_matrix(g.adj, q=2, w=2).F.toarray()
+    got = exact_frequency_matrix(g.adj, q=2, w=2)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -141,13 +139,13 @@ def test_exact_matches_brute_force_random(seed):
     q = int(rng.integers(1, 4))
     w = int(rng.integers(1, q + 1))
     expected = _brute_force_expected_counts(g.adj.toarray(), q=q, w=w)
-    got = exact_frequency_matrix(g.adj, q=q, w=w).F.toarray()
+    got = exact_frequency_matrix(g.adj, q=q, w=w)
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_sampled_frequency_converges_to_exact():
     g = build_graph([(0, 1)], n=2)
-    exact = exact_frequency_matrix(g.adj, q=3, w=3).F.toarray()
+    exact = exact_frequency_matrix(g.adj, q=3, w=3)
     exact_dist = exact / exact.sum()
     cfg = WalkConfig(q=3, w=3, gamma_walks=10_000, seed=5)
     sampled = frequency_matrix(g.adj, cfg).F.toarray()
