@@ -177,7 +177,7 @@ def _from_merged(cls, merged: dict, **fallback):
 
 def model_config_from(merged: dict) -> ModelConfig:
     return _from_merged(ModelConfig, merged,
-                        walk=_from_merged(WalkConfig, merged, seed=merged["seed"]),
+                        walk=_from_merged(WalkConfig, merged),
                         gl=_from_merged(GlConfig, merged))
 
 
@@ -199,10 +199,9 @@ def _write_atomic(path, write) -> None:
         raise
 
 
-def _write_summary(out_dir, summary: dict) -> str:
+def _write_summary(out_dir, summary: dict) -> None:
     path = os.path.join(out_dir, "summary.json")
     _write_atomic(path, lambda fh: fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode()))
-    return path
 
 
 def _ensure_masks(bundle, merged: dict):
@@ -222,6 +221,9 @@ def cmd_train(args) -> int:
         overrides[f"cluster_{k}"] = v
     dataset_name = args.dataset if args.dataset in _PROFILES else os.path.basename(os.path.normpath(args.dataset))
     merged = merge_config(dataset_name, file_cfg, overrides)
+    use_cluster = args.cluster is not None or "cluster_c" in merged
+    if use_cluster and "cluster_c" not in merged:
+        raise ConfigError("cluster training requires c (e.g. --cluster c=10 q=2)")
     bundle = resolve_dataset(args.dataset, args.data_dir)
     bundle = _ensure_masks(bundle, merged)
     cfg = model_config_from(merged)
@@ -237,10 +239,6 @@ def cmd_train(args) -> int:
         history_fh.write(format_history_row(row) + "\n")
         history_fh.flush()
 
-    use_cluster = args.cluster is not None or "cluster_c" in merged
-    if use_cluster and "cluster_c" not in merged:
-        history_fh.close()
-        raise ConfigError("cluster training requires c (e.g. --cluster c=10 q=2)")
     try:
         if use_cluster:
             part_cfg = _from_merged(PartitionConfig, merged, seed=merged["seed"])
@@ -253,7 +251,7 @@ def cmd_train(args) -> int:
 
     pred = predict(result.params, bundle)
     test_acc = accuracy(pred, bundle.y, bundle.test_mask)
-    _write_atomic(checkpoint_path, lambda fh: save_checkpoint(fh, result.params, cfg_echo=_jsonable(merged)))
+    _write_atomic(checkpoint_path, lambda fh: save_checkpoint(fh, result.params, cfg_echo=merged))
     final_loss = result.history[-1]["train_loss"] if result.history else float("nan")
     summary = {
         "command": "train",
@@ -261,7 +259,7 @@ def cmd_train(args) -> int:
         "n": bundle.n,
         "classes": bundle.class_count,
         "seed": merged["seed"],
-        "config": _jsonable(merged),
+        "config": merged,
         "cluster_mode": use_cluster,
         "best_val_acc": result.best_val_acc,
         "best_epoch": result.best_epoch,
@@ -276,10 +274,6 @@ def cmd_train(args) -> int:
     print(f"test_acc={test_acc:.4f} best_val_acc={result.best_val_acc:.4f} "
           f"best_epoch={result.best_epoch} epochs={result.epochs_run}")
     return _EXIT_OK
-
-
-def _jsonable(merged: dict) -> dict:
-    return {k: merged[k] for k in sorted(merged)}
 
 
 def cmd_eval(args) -> int:
@@ -390,14 +384,14 @@ def cmd_ppmi(args) -> int:
     bundle = resolve_dataset(args.dataset, args.data_dir)
     if bundle.graph is None:
         raise DataError("ppmi requires a dataset with a graph")
-    walk = WalkConfig(q=args.q, w=args.w, gamma_walks=args.gamma, seed=args.seed)
-    freq = frequency_matrix(bundle.graph.adj, walk)
+    walk = WalkConfig(q=args.q, w=args.w, gamma_walks=args.gamma)
+    freq = frequency_matrix(bundle.graph.adj, walk, RngStream(args.seed, ("ppmi",)))
     try:
         p = ppmi(freq)
     except ValueError as exc:
         raise DataError(str(exc))
     out_path = args.out or f"{bundle.name}_ppmi.tsv"
-    _write_atomic(out_path, lambda fh: save_ppmi_cache(fh, p, walk))
+    _write_atomic(out_path, lambda fh: save_ppmi_cache(fh, p, walk, args.seed))
     max_entry = float(p.P.data.max()) if p.P.nnz else 0.0
     print(f"nnz={p.P.nnz} max={max_entry:.6g} file={out_path}")
     return _EXIT_OK
@@ -457,12 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--sabotage", default=None, help=argparse.SUPPRESS)  # test hook
     p_grad.set_defaults(func=cmd_gradcheck)
 
-    p_ppmi = sub.add_parser("ppmi", help="compute and cache the PPMI matrix of a dataset graph")
+    p_ppmi = sub.add_parser("ppmi", help="write the PPMI matrix of a dataset graph (training never reads it)")
     add_common(p_ppmi)
     p_ppmi.add_argument("--q", type=int, default=WalkConfig.q)
     p_ppmi.add_argument("--w", type=int, default=WalkConfig.w)
     p_ppmi.add_argument("--gamma", type=int, default=WalkConfig.gamma_walks)
-    p_ppmi.add_argument("--seed", type=int, default=WalkConfig.seed)
+    p_ppmi.add_argument("--seed", type=int, default=ModelConfig.seed)
     p_ppmi.add_argument("--out", default=None)
     p_ppmi.set_defaults(func=cmd_ppmi)
 

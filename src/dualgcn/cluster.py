@@ -497,7 +497,7 @@ def form_batch(part: Partition, q: int, rng: RngStream, g: Graph, x, y) -> Batch
         raise ConfigError(f"q={q} exceeds cluster count c={part.c}")
     chosen = np.sort(rng.choice(np.arange(part.c), size=q, replace=False))
     nodes = np.sort(np.concatenate([part.members[t] for t in chosen]))
-    sub_graph = graph_from_csr(g.adj[nodes][:, nodes], is_weighted=g.is_weighted)
+    sub_graph = graph_from_csr(g.adj[nodes][:, nodes])
     return Batch(cluster_ids=tuple(int(t) for t in chosen), nodes=nodes,
                  graph=sub_graph, x=x[nodes], y=np.asarray(y)[nodes])
 

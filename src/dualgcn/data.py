@@ -14,6 +14,7 @@ normal case for bag-of-words citation data.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import warnings
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
-from .graph import Graph, build_graph, read_edge_list
+from .graph import Graph, _universal_newlines, build_graph, read_edge_list
 from .rng import RngStream
 
 __all__ = [
@@ -105,11 +106,7 @@ def _feature_blocks(path):
     """Yield features.csv as bytes of whole lines, _FEATURE_BLOCK_BYTES at
     a time; every block ends in a newline, a missing final one added, and
     CR LF and a lone CR end lines as a text-mode read splits them."""
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        raise DataError(f"missing features file: {path}")
-    with fh:
+    with open(path, "rb") as fh:
         tail = b""
         while chunk := fh.read(_FEATURE_BLOCK_BYTES):
             cut = chunk.rfind(b"\n") + 1
@@ -123,10 +120,15 @@ def _feature_blocks(path):
             yield _universal_newlines(tail + b"\n")
 
 
-def _universal_newlines(raw: bytes) -> bytes:
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return raw
+def _line_values(line: bytes, path, lineno: int, **loadtxt) -> np.ndarray:
+    """One file line as np.loadtxt reads it alone, with no rows for a blank
+    or comment line; a line it rejects raises DataError naming the line."""
+    try:  # a UnicodeDecodeError is a ValueError too
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a line with no data
+            return np.loadtxt([line.decode("utf-8")], ndmin=2, **loadtxt)
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: {_ROW_INDEX.sub(' at', str(exc))}") from None
 
 
 def _bad_feature_line(raw: bytes, starts, ends, data_lines, width, path, first_line) -> DataError:
@@ -134,10 +136,7 @@ def _bad_feature_line(raw: bytes, starts, ends, data_lines, width, path, first_l
     line np.loadtxt rejects on its own, or whose width differs from the
     rows before it (width, from earlier blocks, or None), by its file line."""
     for k in data_lines:
-        try:  # a UnicodeDecodeError is a ValueError too
-            row = np.loadtxt([raw[starts[k]:ends[k]].decode("utf-8")], delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            return DataError(f"{path}:{first_line + k}: {_ROW_INDEX.sub(' at', str(exc))}")
+        row = _line_values(raw[starts[k]:ends[k]], path, first_line + k, delimiter=",", dtype=np.float64)
         if width is not None and row.shape[1] != width:
             return DataError(f"{path}:{first_line + k}: {row.shape[1]} columns, the rows before have {width}")
         width = row.shape[1]
@@ -249,23 +248,42 @@ def _load_features(path) -> np.ndarray | sp.csr_matrix:
     return dense
 
 
+def _int_lines(path):
+    """Yield (file line, its values) for each line of an integer file that holds data."""
+    with open(path, "rb") as fh:
+        lines = _universal_newlines(fh.read()).split(b"\n")
+    for k, line in enumerate(lines, start=1):
+        values = _line_values(line, path, k, dtype=np.int64)
+        if values.size:
+            yield k, values
+
+
 def _load_ints(path) -> np.ndarray:
-    """One integer per line; '#' comments and blank lines are skipped."""
+    """One integer per line; '#' comments and blank lines are skipped.
+
+    The file is parsed whole; only when that fails are its lines parsed
+    one at a time, so the error names the file line at fault.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty file is no error here
-            values = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}")
-    if values.ndim != 1:
-        raise DataError(f"{path}: expected one integer per line")
-    return values
+            values = np.loadtxt(path, dtype=np.int64, ndmin=2)
+        if values.shape[1] == 1:
+            return values[:, 0]
+    except ValueError:
+        pass
+    for line, values in _int_lines(path):
+        if values.size != 1:
+            raise DataError(f"{path}:{line}: expected one integer per line, got {values.size}")
+    raise DataError(f"{path}: does not parse as one integer per line")
 
 
 def _load_ids(path, n: int) -> np.ndarray:
     ids = _load_ints(path)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise DataError(f"{path}: node id out of range")
+    bad = np.flatnonzero((ids < 0) | (ids >= n))
+    if bad.size:
+        line, _ = next(itertools.islice(_int_lines(path), int(bad[0]), None))
+        raise DataError(f"{path}:{line}: node id {ids[bad[0]]} out of range for n={n}")
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
     return mask
@@ -273,12 +291,15 @@ def _load_ids(path, n: int) -> np.ndarray:
 
 def _parse_manifest(path) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            for token in raw.replace(",", " ").split():
-                if "=" in token:
-                    k, v = token.split("=", 1)
-                    out[k.strip()] = int(v)
+    with open(path, "rb") as fh:
+        lines = _universal_newlines(fh.read()).split(b"\n")
+    for lineno, line in enumerate(lines, start=1):
+        for token in line.replace(b",", b" ").split():
+            if b"=" in token:
+                k, v = token.decode("utf-8", "replace").split("=", 1)
+                if not re.fullmatch(r"[+-]?\d+", v):
+                    raise DataError(f"{path}:{lineno}: {k}={v!r} is not an integer")
+                out[k] = int(v)
     return out
 
 
@@ -303,8 +324,7 @@ def load_dataset(path, name: str | None = None) -> DatasetBundle:
     graph = None
     edge_path = os.path.join(path, "edges.tsv")
     if os.path.isfile(edge_path):
-        edges, _ = read_edge_list(edge_path, n=n)
-        graph = build_graph(edges, n)
+        graph = build_graph(read_edge_list(edge_path, n), n)
 
     manifest_path = os.path.join(path, "manifest.txt")
     if os.path.isfile(manifest_path):
@@ -372,31 +392,24 @@ def with_split(bundle: DatasetBundle, spec: SplitSpec) -> DatasetBundle:
     return out
 
 
-def builtin_karate(train_seed: int | None = None) -> DatasetBundle:
+def builtin_karate() -> DatasetBundle:
     """The 34-node karate social network with 4-class modularity labels.
 
     Features are one-hot node ids (the source network defines none).
-    Train holds one node per class: the lowest-index member by default,
-    or a seeded random member when train_seed is given.  The remaining
-    30 nodes are split 15/15 into val and test.
+    Train holds the lowest-index member of each class; the remaining 30
+    nodes are split 15/15 into val and test.
     """
     assets = resources.files("dualgcn") / "assets"
     with resources.as_file(assets / "karate_edges.tsv") as p:
-        edges, _ = read_edge_list(p, n=34)
+        edges = read_edge_list(p, 34)
     with resources.as_file(assets / "karate_labels.txt") as p:
         y = _load_ints(p)
     graph = build_graph(edges, 34)
     x = np.eye(34)
     train = np.zeros(34, dtype=bool)
     for c in range(4):
-        members = np.flatnonzero(y == c)
-        if train_seed is None:
-            pick = members[0]
-        else:
-            pick = RngStream(train_seed, ("karate-train", c)).choice(members)
-        train[pick] = True
-    rest = np.flatnonzero(~train)
-    order = RngStream(0 if train_seed is None else train_seed, ("karate-split",)).permutation(rest)
+        train[np.flatnonzero(y == c)[0]] = True
+    order = RngStream(0, ("karate-split",)).permutation(np.flatnonzero(~train))
     val = np.zeros(34, dtype=bool)
     test = np.zeros(34, dtype=bool)
     val[order[:15]] = True

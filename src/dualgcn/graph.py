@@ -31,7 +31,6 @@ class Graph:
 
     n: int
     adj: sp.csr_matrix = field(repr=False)
-    is_weighted: bool = False
 
     @property
     def num_edges(self) -> int:
@@ -46,8 +45,8 @@ def build_graph(edges, n: int) -> Graph:
     (m, 3) array of (i, j, w) rows (a list of such tuples will do).
 
     Duplicate (i, j) entries collapse by summing weights; self-edges are
-    kept as given (not doubled by symmetrization).  Three columns make the
-    graph weighted.
+    kept as given (not doubled by symmetrization).  Without a weight
+    column every edge weighs 1.
     """
     n = int(n)
     if n < 0:
@@ -73,21 +72,21 @@ def build_graph(edges, n: int) -> Graph:
         shape=(n, n),
     ).tocsr()
     adj.sum_duplicates()
-    return Graph(n=n, adj=adj, is_weighted=edges.shape[1] == 3)
+    return Graph(n=n, adj=adj)
 
 
-def graph_from_csr(adj: sp.spmatrix, is_weighted: bool = True) -> Graph:
+def graph_from_csr(adj: sp.spmatrix) -> Graph:
     """Wrap an already-symmetric sparse adjacency (no re-symmetrization)."""
     adj = sp.csr_matrix(adj, dtype=np.float64)
     adj.sum_duplicates()
-    return Graph(n=adj.shape[0], adj=adj, is_weighted=is_weighted)
+    return Graph(n=adj.shape[0], adj=adj)
 
 
 def add_self_loops(g: Graph) -> Graph:
     """Return the graph of A + I; existing self-loops are incremented."""
     adj = (g.adj + sp.eye(g.n, format="csr", dtype=np.float64)).tocsr()
     adj.sum_duplicates()
-    return Graph(n=g.n, adj=adj, is_weighted=g.is_weighted)
+    return Graph(n=g.n, adj=adj)
 
 
 def sym_normalize(m) -> sp.csr_matrix:
@@ -96,10 +95,7 @@ def sym_normalize(m) -> sp.csr_matrix:
     Zero-degree rows (and columns) map to zero: 0^{-1/2} * 0 is defined
     as 0 here, so isolated nodes never produce NaN.
     """
-    if sp.issparse(m):
-        mat = sp.csr_matrix(m, dtype=np.float64)
-    else:
-        mat = sp.csr_matrix(np.asarray(m, dtype=np.float64))
+    mat = sp.csr_matrix(m, dtype=np.float64)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("sym_normalize expects a square matrix")
     if mat.nnz and mat.data.min() < 0:
@@ -153,22 +149,25 @@ def _parse_reals(b: np.ndarray, first: np.ndarray, stop: np.ndarray):
     return values, None
 
 
-def read_edge_list(path, n: int | None = None):
-    """Parse the edge-list text format.
+def _universal_newlines(raw: bytes) -> bytes:
+    """raw with CR LF and a lone CR turned into LF, as a text-mode read splits lines."""
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw
+
+
+def read_edge_list(path, n: int) -> np.ndarray:
+    """Parse the edge-list text format of a graph on nodes 0..n-1.
 
     One edge per line: "i j" or "i j w", fields separated by tabs or
-    spaces, with 0-based decimal node ids and a positive weight.  Lines
-    whose first non-blank character is '#', and blank lines, are skipped.
-    Returns (edges, n): edges is an (m, 2) int64 array, or, when any line
-    has a weight, an (m, 3) float64 array with w = 1 on the two-field
-    lines.  n is max index + 1 unless given; given, ids are checked
-    against it.  A malformed line raises DataError naming the file and
-    its line number.
+    spaces, with 0-based decimal node ids below n and a positive weight.
+    Lines whose first non-blank character is '#', and blank lines, are
+    skipped.  Returns an (m, 2) int64 array, or, when any line has a
+    weight, an (m, 3) float64 array with w = 1 on the two-field lines.
+    A malformed line raises DataError naming the file and its line number.
     """
     with open(path, "rb") as fh:
-        raw = fh.read() + b"\n"
-    if b"\r" in raw:  # universal newlines, as a text-mode read splits them
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raw = _universal_newlines(fh.read() + b"\n")
     b = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     blank = np.isin(b, np.frombuffer(b" \t\n\v\f", dtype=np.uint8))
@@ -195,9 +194,7 @@ def read_edge_list(path, n: int | None = None):
     if invalid.any():
         k = id_tokens[np.argmax(invalid)]
         fail(k, f"node id {text(k)!r} is not a decimal number of at most 18 digits")
-    if n is None:
-        n = int(ids.max(initial=-1)) + 1
-    elif ids.size and ids.max() >= n:
+    if ids.size and ids.max() >= n:
         k = np.argmax(ids >= n)
         fail(id_tokens[k], f"node id {ids[k]} out of range for n={n}")
     edges = ids.reshape(-1, 2)
@@ -213,4 +210,4 @@ def read_edge_list(path, n: int | None = None):
         weighted[:, :2] = edges
         weighted[np.cumsum(lead)[w_tokens] - 1, 2] = w
         edges = weighted
-    return edges, n
+    return edges

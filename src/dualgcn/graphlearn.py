@@ -128,7 +128,7 @@ class LearnedGraph:
     support: SupportStructure
 
     def matrix(self) -> sp.csr_matrix:
-        """Detached copy of S as a concrete matrix (for walks, caching)."""
+        """Detached copy of S as a concrete matrix, for the PPMI walks."""
         s = self.support
         return sp.csr_matrix((self.values.value.copy(), s.cols.copy(), s.indptr.copy()), shape=(s.n, s.n))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ctypes
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -279,7 +279,7 @@ class _GraphContext:
     Without a graph the learned affinity lives on the complete graph, and
     graph is left None so the loss has no adjacency-fidelity term.
     frozen_op, when given, replaces the normalized adjacency of graph as
-    the frozen operator.
+    the frozen operator.  dist2 is built by the first gl_term call.
     """
 
     def __init__(self, x, graph: Graph | None, cfg: ModelConfig,
@@ -303,8 +303,6 @@ class _GraphContext:
             self.frozen_op = frozen_op
         else:
             self.frozen_op = sym_normalize(add_self_loops(graph).adj)
-        if self.support is not None and cfg.lambda2 > 0:
-            self.dist2 = support_distances(x, self.support)
 
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
         if not cfg.learn_graph:
@@ -314,6 +312,8 @@ class _GraphContext:
     def gl_term(self, s, cfg: ModelConfig):
         if not cfg.learn_graph or cfg.lambda2 <= 0:
             return None
+        if self.dist2 is None:
+            self.dist2 = support_distances(self.x, self.support)
         return gl_loss(s, self.graph, cfg.gl, self.dist2)
 
 
@@ -355,11 +355,11 @@ def _validation_context(dataset, cfg: ModelConfig, full_ctx: _GraphContext | Non
     for _ in range(cfg.depth):
         ball |= g.adj @ ball.astype(np.float64) > 0
     nodes = np.flatnonzero(ball)
-    sub = graph_from_csr(g.adj[nodes][:, nodes], is_weighted=g.is_weighted)
+    sub = graph_from_csr(g.adj[nodes][:, nodes])
     frozen = None
     if not cfg.learn_graph:
         frozen = sym_normalize(add_self_loops(g).adj)[nodes][:, nodes]
-    ctx = _GraphContext(dataset.x[nodes], sub, replace(cfg, lambda2=0.0), frozen)
+    ctx = _GraphContext(dataset.x[nodes], sub, cfg, frozen)
     return ctx, np.searchsorted(nodes, val_idx)
 
 
@@ -380,7 +380,7 @@ def predict(params: ModelParams, dataset) -> np.ndarray:
     width = params.w_a[0].value.shape[0]
     if width != dataset.p:
         raise DataError(f"parameters expect {width} features per node, dataset has {dataset.p}")
-    cfg = ModelConfig(learn_graph=params.gl is not None, lambda2=0.0)
+    cfg = ModelConfig(learn_graph=params.gl is not None)
     ctx = _GraphContext(dataset.x, dataset.graph, cfg)
     return _eval_predictions(ctx, params, cfg)
 

@@ -34,12 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Walk length q, co-occurrence window w, walks per start node, seed."""
+    """Walk length q, co-occurrence window w, walks per start node."""
 
     q: int = 3
     w: int = 3
     gamma_walks: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.q < 1:
@@ -133,8 +132,9 @@ def _pair_counts(walks: np.ndarray, q: int, w: int, n: int) -> sp.csr_matrix:
     return up + up.T.tocsr()
 
 
-def frequency_matrix(m, cfg: WalkConfig, rng: RngStream | None = None) -> FrequencyMatrix:
-    """Sampled co-occurrence counts: gamma_walks walks of length q per node.
+def frequency_matrix(m, cfg: WalkConfig, rng: RngStream) -> FrequencyMatrix:
+    """Sampled co-occurrence counts: gamma_walks walks of length q per node,
+    drawn from rng.
 
     Every position pair within window distance <= w adds 1 to both
     F[a, b] and F[b, a].  The walks cost O(n * gamma * q * log max row
@@ -142,8 +142,6 @@ def frequency_matrix(m, cfg: WalkConfig, rng: RngStream | None = None) -> Freque
     """
     mat = sp.csr_matrix(m, dtype=np.float64)
     n = mat.shape[0]
-    if rng is None:
-        rng = RngStream(cfg.seed, ("ppmi",))
     starts = np.repeat(np.arange(n, dtype=np.int64), cfg.gamma_walks)
     walks = _batch_walks(mat, starts, cfg.q, rng)
     return FrequencyMatrix(F=_pair_counts(walks, cfg.q, cfg.w, n))
@@ -183,9 +181,9 @@ def ppmi_operator(p: PpmiMatrix) -> sp.csr_matrix:
 # cache file: "# ppmi n=<n> q=<q> w=<w> gamma=<g> seed=<s>" then i<TAB>j<TAB>v
 # ---------------------------------------------------------------------------
 
-def save_ppmi_cache(fh, p: PpmiMatrix, cfg: WalkConfig) -> None:
-    """Write the cache file to a binary file object."""
+def save_ppmi_cache(fh, p: PpmiMatrix, cfg: WalkConfig, seed: int) -> None:
+    """Write the cache file to a binary file object; seed is the walks' seed."""
     coo = p.P.tocoo()
-    lines = [f"# ppmi n={p.P.shape[0]} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={cfg.seed}\n"]
+    lines = [f"# ppmi n={p.P.shape[0]} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={seed}\n"]
     lines += [f"{i}\t{j}\t{v:.17g}\n" for i, j, v in zip(coo.row, coo.col, coo.data)]
     fh.write("".join(lines).encode())

@@ -367,16 +367,15 @@ def cache_block(p: int) -> int:
     return max(1, 2**15 // p)
 
 
-def edge_scores(xp, a: Tensor, rows, cols, block: int | None = None) -> Tensor:
+def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
     """s_k = a . |xp[rows_k] - xp[cols_k]| per (rows_k, cols_k) pair, shape (len(rows),).
 
     xp is a tape value or a constant (dense, or scipy sparse, which is
     densified).  The (len(rows), p) difference is formed over chunks of at
     most cache_block(p) pairs, so the transient memory is one cache-sized
     chunk rather than O(nnz * p); backward recomputes it the same way.
-    Backward scatters the x gradient once per block of ``block`` pairs
-    (entry_block(p), ~32 MB, by default), since each scatter allocates an
-    n x p result.
+    Backward scatters the x gradient once per block of entry_block(p)
+    pairs (~32 MB), since each scatter allocates an n x p result.
     """
     tracked = isinstance(xp, Tensor)
     x = xp.value if tracked else xp
@@ -385,7 +384,7 @@ def edge_scores(xp, a: Tensor, rows, cols, block: int | None = None) -> Tensor:
         # than a karate epoch, and n x p is no larger than one (nnz, p) difference
         x = x.toarray()
     n, p = x.shape
-    block = block or entry_block(p)
+    block = entry_block(p)
     chunk = min(block, cache_block(p))
     nnz = rows.size
 

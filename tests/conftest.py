@@ -143,6 +143,25 @@ def karate():
     return builtin_karate()
 
 
+def karate_with_train_seed(seed: int) -> DatasetBundle:
+    """The builtin karate graph with one seeded random train node per class
+    and a seeded 15/15 val/test split of the other 30 nodes."""
+    from dataclasses import replace
+
+    from dualgcn.data import builtin_karate
+
+    bundle = builtin_karate()
+    train = np.zeros(34, dtype=bool)
+    for c in range(4):
+        train[RngStream(seed, ("karate-train", c)).choice(np.flatnonzero(bundle.y == c))] = True
+    order = RngStream(seed, ("karate-split",)).permutation(np.flatnonzero(~train))
+    val = np.zeros(34, dtype=bool)
+    test = np.zeros(34, dtype=bool)
+    val[order[:15]] = True
+    test[order[15:]] = True
+    return replace(bundle, train_mask=train, val_mask=val, test_mask=test)
+
+
 def exact_frequency_matrix(m, q: int, w: int) -> np.ndarray:
     """Expected co-occurrence counts per walk-per-node (gamma = 1), dense.
 
@@ -168,11 +187,13 @@ def exact_frequency_matrix(m, q: int, w: int) -> np.ndarray:
 
 
 def write_edge_list(g: Graph, path) -> None:
-    """Write the upper triangle (plus self-loops) in the edges.tsv format."""
+    """Write the upper triangle (plus self-loops) in the edges.tsv format,
+    with a weight column unless every weight is 1."""
     coo = sp.triu(g.adj).tocoo()
+    weighted = bool((coo.data != 1.0).any())
     with open(path, "w", encoding="utf-8") as fh:
         for i, j, w in zip(coo.row, coo.col, coo.data):
-            if g.is_weighted:
+            if weighted:
                 fh.write(f"{i}\t{j}\t{w:.17g}\n")
             else:
                 fh.write(f"{i}\t{j}\n")

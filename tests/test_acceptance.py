@@ -23,7 +23,7 @@ from dualgcn.graph import build_graph
 from dualgcn.model import ModelConfig, accuracy, fit, predict
 from dualgcn.ppmi import WalkConfig, frequency_matrix, ppmi
 from dualgcn.rng import RngStream
-from conftest import exact_frequency_matrix, load_or_skip, make_random_graph
+from conftest import exact_frequency_matrix, karate_with_train_seed, load_or_skip, make_random_graph
 
 pytestmark = pytest.mark.acceptance
 
@@ -94,7 +94,7 @@ def test_criterion_3_karate_perfect_classification():
     t0 = time.time()
     corrects = []
     for seed in range(5):
-        bundle = builtin_karate(train_seed=seed)
+        bundle = karate_with_train_seed(seed)
         res = fit(bundle, _profile_config("karate", seed))
         pred = predict(res.params, bundle)
         corrects.append(int((pred == bundle.y).sum()))
@@ -155,13 +155,13 @@ def test_criterion_6_ppmi_oracle_equivalence():
             exact_dist = exact / total
             devs = []
             for seed in (0, 1, 2):
-                cfg = WalkConfig(q=q, w=q, gamma_walks=10_000, seed=seed)
-                f = frequency_matrix(g.adj, cfg).F.toarray()
+                cfg = WalkConfig(q=q, w=q, gamma_walks=10_000)
+                f = frequency_matrix(g.adj, cfg, RngStream(seed, ("ppmi",))).F.toarray()
                 devs.append(np.abs(f / f.sum() - exact_dist).max())
             worst = max(worst, float(np.mean(devs)))
     # property sweep: symmetry, non-negativity, exact-independence zero
     g = make_random_graph(9, 0.4, seed=5)
-    fq = frequency_matrix(g.adj, WalkConfig(q=3, w=3, gamma_walks=50, seed=0))
+    fq = frequency_matrix(g.adj, WalkConfig(q=3, w=3, gamma_walks=50), RngStream(0, ("ppmi",)))
     sym_ok = abs(fq.F - fq.F.T).nnz == 0
     p = ppmi(fq)
     nonneg_ok = bool((p.P.data >= 0).all()) if p.P.nnz else True
@@ -260,7 +260,7 @@ def test_criterion_8b_memory_tracks_batch_not_graph():
         bundle = make_sbm_bundle(n=n, k=4, seed=seed)
         cfg = ModelConfig(hidden_gcn=8, hidden_gl=4, dropout=0.0, epochs=1, seed=0,
                           lambda1=0.01, lambda2=0.01,
-                          walk=WalkConfig(q=2, w=2, gamma_walks=4, seed=0))
+                          walk=WalkConfig(q=2, w=2, gamma_walks=4))
         part = partition_graph(bundle.graph, PartitionConfig(c=c, seed=0))
         params = init_params(bundle.p, bundle.class_count, cfg, RngStream(1))
         batch = form_batch(part, 1, RngStream(2), bundle.graph, bundle.x, bundle.y)

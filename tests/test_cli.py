@@ -49,6 +49,43 @@ def test_citeseer_profile_defaults():
     assert merged["lr2"] == 0.001
 
 
+def test_every_config_field_is_set_by_exactly_one_key():
+    from dataclasses import fields, is_dataclass
+    from typing import get_type_hints
+
+    from dualgcn.cluster import PartitionConfig
+    from dualgcn.data import SplitSpec
+    from dualgcn.graphlearn import GlConfig
+    from dualgcn.model import ModelConfig
+    from dualgcn.ppmi import WalkConfig
+
+    owners = (ModelConfig, WalkConfig, GlConfig, SplitSpec, PartitionConfig)
+    for cls in owners:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if is_dataclass(hints[f.name]):
+                continue  # a nested config: its own fields are checked
+            keys = [key for key, target in cli._FIELDS.items() if target == (cls, f.name)]
+            assert len(keys) == 1, f"{cls.__name__}.{f.name} is set by {keys}"
+
+
+def test_readme_quick_start_commands_parse():
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start\n", 1)[1].split("```", 2)[1]
+    commands = [line for line in block.splitlines() if line.startswith("dualgcn ")]
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert args.command == argv[0]
+
+
 def test_train_karate_smoke(tmp_path):
     out = tmp_path / "run"
     rc = run(["train", "--dataset", "karate", "--seed", "7", "--out", str(out)] + FAST_TRAIN)
@@ -267,17 +304,19 @@ def test_ppmi_command_deterministic(tmp_path):
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert out1.read_text().splitlines()[0] == "# ppmi n=34 q=3 w=3 gamma=10 seed=1"
 
 
 def test_ppmi_gamma_growth_improves_oracle_distance(tmp_path, karate):
     from dualgcn.ppmi import WalkConfig, frequency_matrix
+    from dualgcn.rng import RngStream
 
     exact = exact_frequency_matrix(karate.graph.adj, q=3, w=3)
     exact_dist = exact / exact.sum()
 
     def deviation(gamma, seed):
-        f = frequency_matrix(karate.graph.adj,
-                             WalkConfig(q=3, w=3, gamma_walks=gamma, seed=seed)).F.toarray()
+        f = frequency_matrix(karate.graph.adj, WalkConfig(q=3, w=3, gamma_walks=gamma),
+                             RngStream(seed, ("ppmi",))).F.toarray()
         return np.abs(f / f.sum() - exact_dist).max()
 
     for seed in (0, 1, 2):

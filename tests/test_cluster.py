@@ -224,7 +224,7 @@ def test_loss_additivity_over_clusters():
     part = partition_graph(g, PartitionConfig(c=3, seed=1))
     cfg = ModelConfig(hidden_gcn=4, hidden_gl=None, dropout=0.0, learn_graph=False,
                       lambda1=0.0, lambda2=0.0, epochs=1,
-                      walk=WalkConfig(q=2, w=2, gamma_walks=5, seed=0))
+                      walk=WalkConfig(q=2, w=2, gamma_walks=5))
     from dualgcn.model import init_params
 
     params = init_params(bundle.p, bundle.class_count, cfg, RngStream(3))
@@ -252,7 +252,7 @@ def test_loss_additivity_over_clusters():
 def test_cluster_fit_c1_bit_identical_to_full_batch(karate):
     cfg = ModelConfig(hidden_gcn=8, hidden_gl=6, depth=2, dropout=0.4, epochs=20,
                       seed=6, lambda1=0.01, lambda2=0.01, ppmi_refresh=7,
-                      walk=WalkConfig(q=3, w=2, gamma_walks=8, seed=0))
+                      walk=WalkConfig(q=3, w=2, gamma_walks=8))
     full = fit(karate, cfg)
     clustered = cluster_fit(karate, cfg, PartitionConfig(c=1, q=1, seed=0))
     assert len(full.history) == len(clustered.history)
@@ -283,7 +283,7 @@ def test_cluster_fit_draws_fresh_walks_for_every_ppmi_build(monkeypatch):
 
     bundle = make_sbm_bundle(n=80, k=4, seed=2)
     cfg = ModelConfig(hidden_gcn=4, hidden_gl=4, dropout=0.0, epochs=30, seed=1,
-                      lambda1=0.5, ppmi_refresh=10, walk=WalkConfig(q=2, w=2, gamma_walks=2, seed=0))
+                      lambda1=0.5, ppmi_refresh=10, walk=WalkConfig(q=2, w=2, gamma_walks=2))
     batches = []
     real_form_batch = cluster.form_batch
 
@@ -306,7 +306,7 @@ def test_cluster_fit_draws_fresh_walks_for_every_ppmi_build(monkeypatch):
 
 def test_fit_builds_ppmi_on_the_refresh_schedule_only(monkeypatch, karate):
     cfg = ModelConfig(hidden_gcn=4, hidden_gl=None, dropout=0.0, epochs=25, seed=1,
-                      lambda1=0.5, ppmi_refresh=10, walk=WalkConfig(q=2, w=2, gamma_walks=2, seed=0))
+                      lambda1=0.5, ppmi_refresh=10, walk=WalkConfig(q=2, w=2, gamma_walks=2))
     builds, on_epoch = _record_ppmi_builds(monkeypatch)
     fit(karate, cfg, on_epoch=on_epoch)
     assert builds == [(0, ("ppmi", 0)), (10, ("ppmi", 10)), (20, ("ppmi", 20))]
@@ -316,7 +316,7 @@ def test_cluster_fit_close_to_full_batch_on_sbm():
     bundle = make_sbm_bundle(n=160, k=4, seed=13)
     cfg = ModelConfig(hidden_gcn=16, hidden_gl=6, dropout=0.3, epochs=140, seed=0,
                       lr1=0.01, lr2=0.01, weight_decay=5e-4, ppmi_refresh=30,
-                      walk=WalkConfig(q=3, w=3, gamma_walks=10, seed=0))
+                      walk=WalkConfig(q=3, w=3, gamma_walks=10))
     full = fit(bundle, cfg)
     clustered = cluster_fit(bundle, cfg, PartitionConfig(c=4, q=2, seed=0))
     acc_full = accuracy(predict(full.params, bundle), bundle.y, bundle.test_mask)
@@ -338,7 +338,7 @@ def test_cluster_fit_skips_batches_without_labels():
     bundle = replace(bundle, train_mask=train, val_mask=val, test_mask=test)
     cfg = ModelConfig(hidden_gcn=4, hidden_gl=None, dropout=0.0, epochs=12, seed=0,
                       lambda1=0.0, lambda2=0.0,
-                      walk=WalkConfig(q=2, w=2, gamma_walks=5, seed=0))
+                      walk=WalkConfig(q=2, w=2, gamma_walks=5))
     res = cluster_fit(bundle, cfg, PartitionConfig(c=6, q=1, seed=2))
     assert res.skipped_batches > 0
     assert len(res.history) == 12
@@ -348,7 +348,7 @@ def test_cluster_fit_stop_threshold(karate):
     cfg = ModelConfig(hidden_gcn=4, hidden_gl=None, dropout=0.0, epochs=50,
                       lr1=1e-12, lr2=1e-12, stop_threshold=1e-5,
                       lambda1=0.0, lambda2=0.0,
-                      walk=WalkConfig(q=2, w=2, gamma_walks=4, seed=0))
+                      walk=WalkConfig(q=2, w=2, gamma_walks=4))
     res = cluster_fit(karate, cfg, PartitionConfig(c=2, q=1, seed=0))
     assert res.epochs_run < 50
 

@@ -5,14 +5,13 @@ import scipy.sparse as sp
 from dualgcn.data import (
     DatasetBundle,
     SplitSpec,
-    builtin_karate,
     load_dataset,
     make_planetoid_split,
     resolve_dataset,
     with_split,
 )
 from dualgcn.errors import DataError
-from conftest import make_sbm_bundle, save_dataset
+from conftest import karate_with_train_seed, make_sbm_bundle, save_dataset
 
 
 def test_karate_shape(karate):
@@ -34,12 +33,12 @@ def test_karate_train_mask_one_per_class(karate):
 
 
 def test_karate_seeded_train_mask_differs():
-    a = builtin_karate(train_seed=1)
-    b = builtin_karate(train_seed=2)
+    a = karate_with_train_seed(1)
+    b = karate_with_train_seed(2)
     assert a.train_mask.sum() == b.train_mask.sum() == 4
     assert (a.y[a.train_mask] == np.arange(4)).all()
     assert not np.array_equal(a.train_mask, b.train_mask) or True  # may coincide
-    c = builtin_karate(train_seed=1)
+    c = karate_with_train_seed(1)
     np.testing.assert_array_equal(a.train_mask, c.train_mask)
 
 
@@ -268,6 +267,26 @@ def test_feature_errors_name_the_file_line(tmp_path, monkeypatch, block_bytes, l
     text = str(err.value)
     assert text.startswith(f"{tmp_path / 'x' / 'features.csv'}:{where}: {message}"), text
     assert " row " not in text  # numpy's index within the parsed lines is dropped
+
+
+@pytest.mark.parametrize("name,text,where,message", [
+    ("labels.txt", b"0\n# note\n1\nx\n", 4, "could not convert string 'x' to int64 at column 1"),
+    ("labels.txt", b"0 1 0 1\n", 1, "expected one integer per line, got 4"),
+    ("labels.txt", b"0\r\n1\r\n\r\n0 1\r\n1\r\n", 4, "expected one integer per line, got 2"),
+    ("train.txt", b"0\n\n9\n", 3, "node id 9 out of range for n=4"),
+    ("val.txt", b"1\r# a note\r-1\r", 3, "node id -1 out of range for n=4"),
+    ("test.txt", b"2\n# \xff\n3\n", 2, "'utf-8' codec can't decode byte 0xff"),
+    ("manifest.txt", b"n=4\r\n# \xff\r\nclasses=two\r\n", 3, "classes='two' is not an integer"),
+], ids=["bad-token", "one-line", "crlf-wide", "id-too-large", "cr-negative-id", "not-utf8", "manifest"])
+def test_int_file_errors_name_the_file_line(tmp_path, name, text, where, message):
+    d = tmp_path / "x"
+    _write_features(d, ["1,0\n", "0,1\n", "1,1\n", "0,0\n"])
+    (d / name).write_bytes(text)
+    with pytest.raises(DataError) as err:
+        load_dataset(d)
+    got = str(err.value)
+    assert got.startswith(f"{d / name}:{where}: {message}"), got
+    assert " row " not in got  # numpy's index within the parsed lines is dropped
 
 
 def test_feature_parse_memory_is_bounded_by_the_block_not_the_dense_array(tmp_path):

