@@ -48,7 +48,6 @@ from .model import (
 from .optim import finite_diff_check
 from .ppmi import WalkConfig, frequency_matrix, ppmi, save_ppmi_cache
 from .rng import RngStream
-from . import tape
 from .graphlearn import GlConfig
 
 _EXIT_OK = 0
@@ -353,10 +352,7 @@ def cmd_gradcheck(args) -> int:
         if not group:
             print(f"{name}: no-grad, skipped")
             continue
-        fn = loss_fn
-        if args.sabotage == name:
-            fn = _sabotaged(loss_fn, group[0])
-        report = finite_diff_check(fn, group, h=1e-5, tolerance=1e-4)
+        report = finite_diff_check(loss_fn, group, h=1e-5, tolerance=1e-4)
         worst = max(entry["max_rel_err"] for entry in report.values())
         passed = all(entry["passed"] for entry in report.values())
         skipped = all(entry["status"].startswith("no-grad") for entry in report.values())
@@ -366,18 +362,6 @@ def cmd_gradcheck(args) -> int:
         print(f"{name}: max_rel_err={worst:.3e} {'PASS' if passed else 'FAIL'}")
         all_ok &= passed
     return _EXIT_OK if all_ok else _EXIT_GRADCHECK
-
-
-def _sabotaged(loss_fn, param):
-    """Test hook: leak a parameter into the loss value outside the tape,
-    so finite differences see a slope the analytic gradient lacks."""
-
-    def fn():
-        t = loss_fn()
-        shift = 0.5 * float(param.value.ravel()[0])
-        return tape.Tensor(t.value + shift, (t,), lambda g: (g,))
-
-    return fn
 
 
 def cmd_ppmi(args) -> int:
@@ -448,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--config", default=None)
     p_grad.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_grad.add_argument("--seed", type=int, default=None)
-    p_grad.add_argument("--sabotage", default=None, help=argparse.SUPPRESS)  # test hook
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_ppmi = sub.add_parser("ppmi", help="write the PPMI matrix of a dataset graph (training never reads it)")

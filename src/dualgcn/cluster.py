@@ -111,9 +111,7 @@ def random_balanced_partition(g: Graph, c: int, rng: RngStream) -> Partition:
     """Uniformly shuffled nodes chopped into c nearly-equal clusters."""
     order = rng.permutation(np.arange(g.n))
     assign = np.empty(g.n, dtype=np.int64)
-    size = int(np.ceil(g.n / c))
-    for t in range(c):
-        assign[order[t * size : (t + 1) * size]] = t
+    assign[order] = np.arange(g.n) // int(np.ceil(g.n / c))
     return partition_from_assign(g, assign, c)
 
 
@@ -463,7 +461,7 @@ def partition_graph(g: Graph, cfg: PartitionConfig) -> Partition:
         return partition_from_assign(g, np.arange(n, dtype=np.int64), n)
     cap = max(int(cfg.balance_tolerance * np.ceil(n / c)), int(np.ceil(n / c)))
     rng = RngStream(cfg.seed, ("partition",))
-    adj = _strip_diagonal(g.adj)
+    adj = fine = _strip_diagonal(g.adj)
     node_w = np.ones(n)
     levels = []
     level = 0
@@ -480,7 +478,7 @@ def partition_graph(g: Graph, cfg: PartitionConfig) -> Partition:
     for fine_adj, fine_w, coarse_map in reversed(levels):
         assign = assign[coarse_map]
         assign = _refine(fine_adj, fine_w, assign, c, cap)
-    assign = _enforce_balance(_strip_diagonal(g.adj), np.ones(n), assign, c, cap)
+    assign = _enforce_balance(fine, np.ones(n), assign, c, cap)
     return partition_from_assign(g, assign, c)
 
 

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
-from .graph import Graph, _universal_newlines, build_graph, read_edge_list
+from .graph import _BLOCK_BYTES as _FEATURE_BLOCK_BYTES
+from .graph import Graph, _line_blocks, _universal_newlines, build_graph, read_edge_list
 from .rng import RngStream
 
 __all__ = [
@@ -38,9 +39,6 @@ __all__ = [
 ]
 
 _SPARSE_DENSITY_CUTOFF = 0.25
-# features.csv is parsed this many bytes at a time: a few byte-sized masks
-# of one block are the parse's transient, on top of the CSR it builds
-_FEATURE_BLOCK_BYTES = 1 << 19
 # np.loadtxt's row index in its messages; an error names the file line instead
 _ROW_INDEX = re.compile(r" at row \d+,")
 
@@ -102,27 +100,11 @@ class DatasetBundle:
                     raise DataError("masks overlap")
 
 
-def _feature_blocks(path):
-    """Yield features.csv as bytes of whole lines, _FEATURE_BLOCK_BYTES at
-    a time; every block ends in a newline, a missing final one added, and
-    CR LF and a lone CR end lines as a text-mode read splits them."""
-    with open(path, "rb") as fh:
-        tail = b""
-        while chunk := fh.read(_FEATURE_BLOCK_BYTES):
-            cut = chunk.rfind(b"\n") + 1
-            if not cut:
-                tail += chunk
-                continue
-            block, tail = tail + memoryview(chunk)[:cut], chunk[cut:]
-            del chunk  # one copy of the text stays alive while a block is parsed
-            yield _universal_newlines(block)
-        if tail:
-            yield _universal_newlines(tail + b"\n")
-
-
 def _line_values(line: bytes, path, lineno: int, **loadtxt) -> np.ndarray:
     """One file line as np.loadtxt reads it alone, with no rows for a blank
-    or comment line; a line it rejects raises DataError naming the line."""
+    or comment line; a line it rejects raises DataError naming the line.
+    With delimiter=",", a line of blanks, or of blanks then a '#' comment,
+    does not parse: callers skip those lines first."""
     try:  # a UnicodeDecodeError is a ValueError too
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a line with no data
@@ -131,14 +113,16 @@ def _line_values(line: bytes, path, lineno: int, **loadtxt) -> np.ndarray:
         raise DataError(f"{path}:{lineno}: {_ROW_INDEX.sub(' at', str(exc))}") from None
 
 
-def _bad_feature_line(raw: bytes, starts, ends, data_lines, width, path, first_line) -> DataError:
+def _bad_feature_line(raw: bytes, width, path, first_line) -> DataError:
     """The error for a block that failed to parse as a whole: the first data
     line np.loadtxt rejects on its own, or whose width differs from the
     rows before it (width, from earlier blocks, or None), by its file line."""
-    for k in data_lines:
-        row = _line_values(raw[starts[k]:ends[k]], path, first_line + k, delimiter=",", dtype=np.float64)
+    for lineno, line in enumerate(raw.split(b"\n")[:-1], start=first_line):
+        if line.lstrip()[:1] in (b"", b"#"):
+            continue
+        row = _line_values(line, path, lineno, delimiter=",", dtype=np.float64)
         if width is not None and row.shape[1] != width:
-            return DataError(f"{path}:{first_line + k}: {row.shape[1]} columns, the rows before have {width}")
+            return DataError(f"{path}:{lineno}: {row.shape[1]} columns, the rows before have {width}")
         width = row.shape[1]
     return DataError(f"{path}: the rows from line {first_line} on do not parse")
 
@@ -149,76 +133,49 @@ def _parse_feature_block(raw: bytes, path, first_line: int, width: int | None):
     when the block holds no data line.  first_line is the file line the
     block starts on, and width that of the rows before it (None if none).
 
-    A line of one-byte fields (a digit between commas) is decoded straight
-    from the bytes; any other line goes to np.loadtxt, and blank and
-    comment lines make no row.  Entries are stored for nonzero values and
-    for -0.0, so a dense result keeps its sign bit.
+    A block whose bytes alternate digit and comma-or-newline, every line of
+    bag-of-words text, is decoded straight from the bytes; any other block
+    goes to one np.loadtxt call, its blank and comment lines dropped first.
+    Entries are stored for nonzero values and for -0.0, so a dense result
+    keeps its sign bit.
     """
     b = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = ends - starts
-    lead = b[starts]
-    zero = np.uint8(ord("0"))
-    # a line's first, second and last bytes rule out most lines that are not
-    # one-byte fields, every real-valued one among them, before a byte-wise pass
-    second = b[np.minimum(starts + 1, len(b) - 1)]
-    fast = ((lengths % 2 == 1) & (lead - zero < 10) & (b[ends - 1] - zero < 10)
-            & ((lengths == 1) | (second == ord(","))))
-    if fast.any():
-        digit = b - zero < 10
-        # a one-byte-field line alternates digit and non-digit from its first
-        # byte (a digit) to its newline (a non-digit); the byte before a line
-        # start is a newline, so the shifted array restarts at each line
-        bad = np.empty_like(digit)
-        bad[0] = not digit[0]
-        np.equal(digit[1:], digit[:-1], out=bad[1:])
-        bad |= ~digit & (b != ord(",")) & (b != ord("\n"))
-        fast &= ~np.logical_or.reduceat(bad, starts)
-    # any other line holds data unless it is blank or a comment; one led by
-    # anything but printable ASCII gets a closer look
-    slow = ~fast & (lead != ord("#")) & (lead != ord("\n"))
-    for k in np.flatnonzero(slow & ((lead <= ord(" ")) | (lead > ord("~")))):
-        slow[k] = raw[starts[k]:ends[k]].decode("utf-8", "replace").lstrip()[:1] not in ("", "#")
-    has_row = fast | slow
-
-    def bad_line():
-        return _bad_feature_line(raw, starts, ends, np.flatnonzero(has_row), width, path, first_line)
-
-    row_of_line = np.cumsum(has_row) - 1
-    rows, cols, vals, widths = [], [], [], set()
-    if fast.any():
-        widths.update(np.unique((lengths[fast] + 1) // 2).tolist())
-        nonzero = digit & (b != zero)
-        if not fast.all():
-            nonzero &= np.repeat(fast, lengths + 1)
-        pos = np.flatnonzero(nonzero)
-        line = np.searchsorted(ends, pos)
-        rows.append(row_of_line[line])
-        cols.append((pos - starts[line]) // 2)
-        vals.append((b[pos] - zero).astype(np.float64))
-    if slow.any():
+    # one-digit fields read as one little-endian uint16 each, the digit then
+    # a comma or newline; less 0x0A30 ("0\n"), such a field is its digit's
+    # value when a newline ends it and 0x2200 more when a comma does
+    v = b.view("<u2") - np.uint16(0x0A30) if len(b) % 2 == 0 else None
+    if v is not None and ((v < 10) | (v - np.uint16(0x2200) < 10)).all():
+        last = np.flatnonzero(v < 10)  # each line's last field
+        w = int(last[0]) + 1
+        if (np.diff(last) != w).any():
+            raise _bad_feature_line(raw, width, path, first_line)
+        nz = np.flatnonzero((v & 0xFF) != 0)
+        r, c = np.divmod(nz, w)
+        nrows, vals = len(last), (v[nz] & 0xFF).astype(np.float64)
+    else:
+        ends = np.flatnonzero(b == ord("\n"))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        # each line's first non-blank byte, its newline when it has none
+        first, blanks = starts.copy(), np.frombuffer(b" \t\v\f", dtype=np.uint8)
+        led = np.isin(b[starts], blanks)
+        if led.any():
+            ink = np.flatnonzero(~np.isin(b, blanks) & np.repeat(led, ends - starts + 1))
+            first[led] = ink[np.searchsorted(ink, starts[led])]
+        data = (b[first] != ord("\n")) & (b[first] != ord("#"))
+        if not data.any():
+            return None
         try:  # a UnicodeDecodeError is a ValueError too
-            text = raw.decode("utf-8").split("\n")
-            chunk = np.loadtxt([text[k] for k in np.flatnonzero(slow)], delimiter=",", dtype=np.float64, ndmin=2)
+            text = raw if data.all() else b[np.repeat(data, ends - starts + 1)].tobytes()
+            grid = np.loadtxt(text.decode("utf-8").split("\n")[:-1], delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError:
-            raise bad_line() from None
-        widths.add(chunk.shape[1])
-        r, c = np.nonzero(chunk.view(np.int64))  # every value but +0.0 has a set bit
-        rows.append(row_of_line[slow][r])
-        cols.append(c)
-        vals.append(chunk[r, c])
-    if not widths:
-        return None
-    if len(widths | {width} - {None}) > 1:
-        raise bad_line()
-    mixed = len(rows) > 1
+            raise _bad_feature_line(raw, width, path, first_line) from None
+        nrows, w = grid.shape
+        r, c = np.nonzero(grid.view(np.int64))  # every value but +0.0 has a set bit
+        vals = grid[r, c]
+    if width not in (None, w):
+        raise _bad_feature_line(raw, width, path, first_line)
     # int32 columns, as scipy stores them: a row is far narrower than 2**31
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols).astype(np.int32), np.concatenate(vals)
-    if mixed:  # fast and slow rows interleave: sort the entries by row
-        order = np.argsort(rows, kind="stable")
-        cols, vals = cols[order], vals[order]
-    return np.bincount(rows, minlength=int(has_row.sum())), cols, vals, widths.pop()
+    return np.bincount(r, minlength=nrows), c.astype(np.int32), vals, w
 
 
 def _load_features(path) -> np.ndarray | sp.csr_matrix:
@@ -227,7 +184,7 @@ def _load_features(path) -> np.ndarray | sp.csr_matrix:
     _SPARSE_DENSITY_CUTOFF of it is nonzero."""
     counts, cols, vals, width = [], [], [], None
     line = 1
-    for raw in _feature_blocks(path):
+    for raw in _line_blocks(path, _FEATURE_BLOCK_BYTES):
         block = _parse_feature_block(raw, path, line, width)
         line += raw.count(b"\n")
         if block is None:

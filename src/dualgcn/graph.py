@@ -16,6 +16,10 @@ import scipy.sparse as sp
 
 from .errors import DataError
 
+# dataset text is parsed this many bytes at a time: a few byte-sized masks
+# of one block are the parse's transient, on top of the arrays it builds
+_BLOCK_BYTES = 1 << 19
+
 __all__ = [
     "Graph",
     "build_graph",
@@ -156,18 +160,28 @@ def _universal_newlines(raw: bytes) -> bytes:
     return raw
 
 
-def read_edge_list(path, n: int) -> np.ndarray:
-    """Parse the edge-list text format of a graph on nodes 0..n-1.
-
-    One edge per line: "i j" or "i j w", fields separated by tabs or
-    spaces, with 0-based decimal node ids below n and a positive weight.
-    Lines whose first non-blank character is '#', and blank lines, are
-    skipped.  Returns an (m, 2) int64 array, or, when any line has a
-    weight, an (m, 3) float64 array with w = 1 on the two-field lines.
-    A malformed line raises DataError naming the file and its line number.
-    """
+def _line_blocks(path, block_bytes: int):
+    """Yield a file as bytes of whole lines, block_bytes at a time; every
+    block ends in a newline, a missing final one added, and CR LF and a
+    lone CR end lines as a text-mode read splits them."""
     with open(path, "rb") as fh:
-        raw = _universal_newlines(fh.read() + b"\n")
+        tail = b""
+        while chunk := fh.read(block_bytes):
+            cut = chunk.rfind(b"\n") + 1
+            if not cut:
+                tail += chunk
+                continue
+            block, tail = tail + memoryview(chunk)[:cut], chunk[cut:]
+            del chunk  # one copy of the text stays alive while a block is parsed
+            yield _universal_newlines(block)
+        if tail:
+            yield _universal_newlines(tail + b"\n")
+
+
+def _edge_block(raw: bytes, path, first_line: int, n: int) -> np.ndarray:
+    """One block of edge-list lines as read_edge_list returns them: (m, 2)
+    int64, or (m, 3) float64 when a line has a weight; first_line is the
+    file line the block starts on."""
     b = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     blank = np.isin(b, np.frombuffer(b" \t\n\v\f", dtype=np.uint8))
@@ -179,7 +193,7 @@ def read_edge_list(path, n: int) -> np.ndarray:
     first, stop, line, lead = first[keep], stop[keep], line[keep], lead[keep]
 
     def fail(token, message):
-        raise DataError(f"{path}:{line[token] + 1}: {message}")
+        raise DataError(f"{path}:{first_line + line[token]}: {message}")
 
     def text(token):
         return b[first[token]:stop[token]].tobytes().decode("utf-8", "replace")
@@ -211,3 +225,26 @@ def read_edge_list(path, n: int) -> np.ndarray:
         weighted[np.cumsum(lead)[w_tokens] - 1, 2] = w
         edges = weighted
     return edges
+
+
+def read_edge_list(path, n: int) -> np.ndarray:
+    """Parse the edge-list text format of a graph on nodes 0..n-1.
+
+    One edge per line: "i j" or "i j w", fields separated by tabs or
+    spaces, with 0-based decimal node ids below n and a positive weight.
+    Lines whose first non-blank character is '#', and blank lines, are
+    skipped.  Returns an (m, 2) int64 array, or, when any line has a
+    weight, an (m, 3) float64 array with w = 1 on the two-field lines.
+    A malformed line raises DataError naming the file and its line number.
+    The file is parsed _BLOCK_BYTES of lines at a time, so the transient
+    is one block's tokens, not the whole file's.
+    """
+    blocks, line = [], 1
+    for raw in _line_blocks(path, _BLOCK_BYTES):
+        blocks.append(_edge_block(raw, path, line, n))
+        line += raw.count(b"\n")
+    if not blocks:
+        return np.empty((0, 2), dtype=np.int64)
+    if any(e.shape[1] == 3 for e in blocks):
+        blocks = [e if e.shape[1] == 3 else np.column_stack((e, np.ones(len(e)))) for e in blocks]
+    return np.concatenate(blocks)

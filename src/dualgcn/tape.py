@@ -26,7 +26,6 @@ __all__ = [
     "Tensor",
     "Parameter",
     "backward",
-    "constant",
     "matmul",
     "add",
     "scale",
@@ -88,10 +87,6 @@ class Parameter(Tensor):
 
     def zero_grad(self):
         self.grad = None
-
-
-def constant(value) -> Tensor:
-    return Tensor(np.asarray(value, dtype=np.float64), needs_grad=False)
 
 
 def _accumulate(node: Tensor, g):

@@ -7,6 +7,13 @@ import scipy.sparse as sp
 from dualgcn.data import DatasetBundle, load_dataset
 from dualgcn.graph import Graph, build_graph
 from dualgcn.rng import RngStream
+from dualgcn.tape import Tensor
+
+
+def constant(value) -> Tensor:
+    """An array as a tape value that never receives a gradient, for the
+    ops whose inputs must be Tensors."""
+    return Tensor(np.asarray(value, dtype=np.float64), needs_grad=False)
 
 
 def make_random_graph(n: int, p_edge: float, seed: int, ensure_ring: bool = True) -> Graph:

@@ -116,7 +116,7 @@ def test_partition_beats_random_baseline_on_sbm():
         assert part.edge_cut < np.mean(random_cuts), (part.edge_cut, np.mean(random_cuts))
 
 
-def test_split_matrices_single_cluster_identity():
+def test_cluster_blocks_of_one_cluster_are_the_whole_graph():
     # with one cluster, the one-cluster batch is the whole data
     g = make_random_graph(10, 0.4, seed=2)
     x = RngStream(0).random((10, 3))
@@ -129,7 +129,7 @@ def test_split_matrices_single_cluster_identity():
     np.testing.assert_array_equal(batch.y, y)
 
 
-def test_split_matrices_p4():
+def test_cluster_blocks_drop_the_crossing_edge_of_p4():
     g = _p4()
     part = partition_from_assign(g, np.array([0, 0, 1, 1]), 2)
     x = np.arange(8.0).reshape(4, 2)

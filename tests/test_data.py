@@ -308,3 +308,20 @@ def test_feature_parse_memory_is_bounded_by_the_block_not_the_dense_array(tmp_pa
         tracemalloc.stop()
     assert (got != sp.csr_matrix(x.astype(np.float64))).nnz == 0
     assert peak < n * p * 8 / 4
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 19, 7, 64])
+def test_blank_led_comment_and_blank_lines_are_skipped_in_any_block(tmp_path, monkeypatch, block_bytes):
+    # np.loadtxt with delimiter="," rejects "  # note" and "   ": the loader drops them first
+    from dualgcn import data
+
+    monkeypatch.setattr(data, "_FEATURE_BLOCK_BYTES", block_bytes)
+    rows = ["0,1,0", "1,0,1", "0,0,1", "1,1,0", "0,1,1", "1,0,0"]
+    lines = ["# header", rows[0], "  # note", rows[1], "   ", rows[2], "\t# tab note", rows[3], "", rows[4], rows[5]]
+    _write_features(tmp_path / "x", [line + "\r\n" for line in lines])
+    x = data._load_features(tmp_path / "x" / "features.csv")
+    assert x.tobytes() == np.loadtxt(rows, delimiter=",", ndmin=2).tobytes()
+    lines[-1] = "1,0"
+    _write_features(tmp_path / "y", [line + "\n" for line in lines])
+    with pytest.raises(DataError, match=r"features.csv:11: 2 columns, the rows before have 3"):
+        load_dataset(tmp_path / "y")

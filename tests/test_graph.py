@@ -260,3 +260,50 @@ def test_edge_list_comments_and_blank_lines(tmp_path):
     path.write_text("0 1\n1 2 # only a whole line is a comment\n")
     with pytest.raises(DataError, match=":2:"):
         read_edge_list(path, 3)
+
+
+def _edge_lines(rng):
+    """Unweighted lines, then a weighted one far down the file: blank and
+    comment lines, tabs and spaces, CRLF, and no final newline."""
+    lines = [f"{i}\t{j}" if k % 3 else f"{i} {j}" for k, (i, j) in enumerate(rng.integers(0, 40, (300, 2)))]
+    lines[17] = "  # an indented comment"
+    lines[60] = ""
+    lines[250] = "3 5 2.5"
+    return "\r\n".join(lines)
+
+
+@pytest.mark.parametrize("block_bytes", [5, 13, 64, 1 << 19])
+def test_edge_list_read_in_blocks_equals_the_line_reader(tmp_path, monkeypatch, block_bytes):
+    from dualgcn import graph
+
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    text = _edge_lines(np.random.default_rng(0))
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(text.encode())
+    edges = read_edge_list(path, 40)
+    assert edges.dtype == np.float64  # one weighted line weights the whole file
+    assert edges.tolist() == [list(e) if len(e) == 3 else [*e, 1.0] for e in _edges_by_line(text)]
+    path.write_bytes(text.replace("2.5", "").encode())
+    assert read_edge_list(path, 40).tolist() == [list(e) for e in _edges_by_line(text.replace("2.5", ""))]
+    path.write_bytes(text.replace("2.5", "-1").encode())
+    with pytest.raises(DataError, match=r"edges.tsv:251: weight '-1' is not positive"):
+        read_edge_list(path, 40)
+
+
+def test_edge_list_memory_is_bounded_by_the_block_not_the_file(tmp_path):
+    import tracemalloc
+
+    from dualgcn import graph
+
+    path = tmp_path / "edges.tsv"
+    np.savetxt(path, np.random.default_rng(0).integers(0, 100_000, (300_000, 2)), fmt="%d", delimiter="\t")
+    tracemalloc.start()
+    try:
+        edges = read_edge_list(path, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges.shape == (300_000, 2)
+    # the blocks' arrays and their concatenation, plus one block's tokens;
+    # a whole-file parse of this 3.5 MB text peaks near 70 MB
+    assert peak < 2 * edges.nbytes + 20 * graph._BLOCK_BYTES

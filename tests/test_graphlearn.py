@@ -19,7 +19,7 @@ from dualgcn.model import ModelConfig, fit
 from dualgcn.optim import finite_diff_check
 from dualgcn.rng import RngStream
 from dualgcn.tape import Parameter
-from conftest import make_random_graph, make_sbm_bundle
+from conftest import constant, make_random_graph, make_sbm_bundle
 
 
 def _params(a_values, proj=None):
@@ -142,10 +142,10 @@ def test_score_monotonicity_in_single_pair():
     """Raising one pair's score raises S_ij and lowers S_ik for k != j."""
     scores = np.array([0.3, 0.7, 0.1, 0.4])
     indptr = np.array([0, 4])
-    base = tape.segment_softmax(tape.constant(scores), indptr).value.copy()
+    base = tape.segment_softmax(constant(scores), indptr).value.copy()
     bumped_scores = scores.copy()
     bumped_scores[1] += 0.25
-    bumped = tape.segment_softmax(tape.constant(bumped_scores), indptr).value
+    bumped = tape.segment_softmax(constant(bumped_scores), indptr).value
     assert bumped[1] > base[1]
     for k in (0, 2, 3):
         assert bumped[k] < base[k]
@@ -244,7 +244,7 @@ def test_entry_blocking_leaves_loss_and_gradients_unchanged(monkeypatch):
             p.zero_grad()
         s = _learn_complete(x, gl)
         h = tape.spmm_values(s.values, s.support.rows, s.support.cols, s.support.indptr, 6,
-                             tape.matmul(tape.constant(x), w))
+                             tape.matmul(constant(x), w))
         loss = tape.add(tape.sum_sq(h), _gl_loss(x, s, None, GlConfig()))
         tape.backward(loss)
         return loss.item(), [p.grad.copy() for p in params]

@@ -20,7 +20,7 @@ from dualgcn.model import (
 )
 from dualgcn.ppmi import WalkConfig
 from dualgcn.rng import RngStream
-from conftest import make_random_graph, make_sbm_bundle
+from conftest import constant, make_random_graph, make_sbm_bundle
 
 
 def _identity_op(n):
@@ -117,7 +117,7 @@ def test_forward_outputs_row_stochastic_train_and_eval():
 def test_total_loss_reduces_to_plain_cross_entropy():
     n, k = 6, 3
     rng = RngStream(9)
-    za = tape.row_softmax(tape.constant(rng.random((n, k))))
+    za = tape.row_softmax(constant(rng.random((n, k))))
     cache = ForwardCache(za=za, zp=None)
     labels = rng.integers(0, k, n)
     cfg = _cfg(lambda1=0.0, lambda2=0.0)
@@ -129,7 +129,7 @@ def test_total_loss_reduces_to_plain_cross_entropy():
 
 def test_total_loss_zero_agreement_for_identical_branches():
     n, k = 5, 4
-    z = tape.row_softmax(tape.constant(RngStream(10).random((n, k))))
+    z = tape.row_softmax(constant(RngStream(10).random((n, k))))
     cache = ForwardCache(za=z, zp=z)
     cfg = _cfg(lambda1=0.7)
     loss, comps = total_loss(cache, np.zeros(n, dtype=int), np.arange(n), None, cfg)
@@ -139,9 +139,9 @@ def test_total_loss_zero_agreement_for_identical_branches():
 def test_total_loss_components_sum():
     rng = RngStream(11)
     n, k = 8, 3
-    za = tape.row_softmax(tape.constant(rng.random((n, k))))
-    zp = tape.row_softmax(tape.constant(rng.random((n, k))))
-    gl_term = tape.constant(np.float64(1.234))
+    za = tape.row_softmax(constant(rng.random((n, k))))
+    zp = tape.row_softmax(constant(rng.random((n, k))))
+    gl_term = constant(np.float64(1.234))
     cache = ForwardCache(za=za, zp=zp)
     cfg = _cfg(lambda1=0.3, lambda2=0.2)
     labels = rng.integers(0, k, n)
@@ -152,7 +152,7 @@ def test_total_loss_components_sum():
 
 
 def test_total_loss_empty_mask_errors():
-    z = tape.row_softmax(tape.constant(np.zeros((2, 2))))
+    z = tape.row_softmax(constant(np.zeros((2, 2))))
     cache = ForwardCache(za=z, zp=None)
     with pytest.raises(DataError):
         total_loss(cache, np.zeros(2, dtype=int), np.array([], dtype=int), None, _cfg())
@@ -233,8 +233,8 @@ def test_predict_uniform_rows_tie_break_to_class_zero(karate):
 def test_prediction_invariant_to_constant_logit_shift():
     rng = RngStream(12)
     logits = rng.random((6, 4))
-    base = np.argmax(tape.row_softmax(tape.constant(logits)).value, axis=1)
-    shifted = np.argmax(tape.row_softmax(tape.constant(logits + 123.456)).value, axis=1)
+    base = np.argmax(tape.row_softmax(constant(logits)).value, axis=1)
+    shifted = np.argmax(tape.row_softmax(constant(logits + 123.456)).value, axis=1)
     np.testing.assert_array_equal(base, shifted)
 
 

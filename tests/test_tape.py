@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from dualgcn import tape
 from dualgcn.rng import RngStream
 from dualgcn.tape import Parameter, backward
+from conftest import constant
 
 
 def test_matmul_identity_and_zero():
     b = Parameter(RngStream(0).random((3, 4)))
-    out = tape.matmul(tape.constant(np.eye(3)), b)
+    out = tape.matmul(constant(np.eye(3)), b)
     np.testing.assert_allclose(out.value, b.value)
-    out = tape.matmul(tape.constant(np.zeros((2, 3))), b)
+    out = tape.matmul(constant(np.zeros((2, 3))), b)
     np.testing.assert_array_equal(out.value, np.zeros((2, 4)))
 
 
@@ -25,37 +26,37 @@ def test_matmul_matches_triple_loop_oracle():
         for j in range(2):
             for k in range(4):
                 expected[i, j] += a[i, k] * b[k, j]
-    got = tape.matmul(tape.constant(a), tape.constant(b)).value
+    got = tape.matmul(constant(a), constant(b)).value
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
-        tape.matmul(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))))
+        tape.matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
 
 
 def test_relu_cases():
-    x = tape.constant(np.array([[-1.0, 0.0, 2.0]]))
+    x = constant(np.array([[-1.0, 0.0, 2.0]]))
     np.testing.assert_array_equal(tape.relu(x).value, [[0.0, 0.0, 2.0]])
-    neg = tape.constant(-np.ones((2, 2)))
+    neg = constant(-np.ones((2, 2)))
     np.testing.assert_array_equal(tape.relu(neg).value, np.zeros((2, 2)))
-    pos = tape.constant(np.full((2, 2), 3.0))
+    pos = constant(np.full((2, 2), 3.0))
     np.testing.assert_array_equal(tape.relu(pos).value, np.full((2, 2), 3.0))
 
 
 def test_row_softmax_uniform_rows():
-    out = tape.row_softmax(tape.constant(np.zeros((2, 5)))).value
+    out = tape.row_softmax(constant(np.zeros((2, 5)))).value
     np.testing.assert_allclose(out, np.full((2, 5), 0.2))
 
 
 def test_row_softmax_stabilized_large_inputs():
-    out = tape.row_softmax(tape.constant(np.array([[1000.0, 1000.0]]))).value
+    out = tape.row_softmax(constant(np.array([[1000.0, 1000.0]]))).value
     np.testing.assert_allclose(out, [[0.5, 0.5]])
     assert np.isfinite(out).all()
 
 
 def test_row_softmax_closed_form():
-    out = tape.row_softmax(tape.constant(np.array([[0.0, np.log(3.0)]]))).value
+    out = tape.row_softmax(constant(np.array([[0.0, np.log(3.0)]]))).value
     np.testing.assert_allclose(out, [[0.25, 0.75]], rtol=1e-12)
 
 
@@ -64,22 +65,22 @@ def test_row_softmax_closed_form():
 def test_row_softmax_rows_sum_to_one(seed):
     rng = RngStream(seed, ("softmax",))
     x = (rng.random((4, 6)) - 0.5) * 2000.0
-    out = tape.row_softmax(tape.constant(x)).value
+    out = tape.row_softmax(constant(x)).value
     np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-12)
     # extreme magnitudes may underflow to exactly 0; bounds stay closed
     assert (out >= 0).all() and (out <= 1).all()
-    moderate = tape.row_softmax(tape.constant(rng.random((4, 6)))).value
+    moderate = tape.row_softmax(constant(rng.random((4, 6)))).value
     assert (moderate > 0).all() and (moderate < 1).all()
 
 
 def test_dropout_rate_zero_and_eval_are_identity():
-    x = tape.constant(RngStream(0).random((5, 5)))
+    x = constant(RngStream(0).random((5, 5)))
     assert tape.dropout(x, 0.0, RngStream(1), True) is x
     assert tape.dropout(x, 0.9, RngStream(1), False) is x
 
 
 def test_dropout_rejects_bad_rate():
-    x = tape.constant(np.ones((2, 2)))
+    x = constant(np.ones((2, 2)))
     with pytest.raises(ValueError):
         tape.dropout(x, 1.0, RngStream(0), True)
     with pytest.raises(ValueError):
@@ -87,7 +88,7 @@ def test_dropout_rejects_bad_rate():
 
 
 def test_dropout_law_of_large_numbers():
-    x = tape.constant(np.ones((1000, 1000)))
+    x = constant(np.ones((1000, 1000)))
     out = tape.dropout(x, 0.6, RngStream(7, ("drop",)), True).value
     zero_frac = (out == 0).mean()
     assert abs(zero_frac - 0.6) < 0.01 * 0.6 + 0.005
@@ -97,7 +98,7 @@ def test_dropout_law_of_large_numbers():
 def test_dropout_of_a_constant_stays_a_constant_of_its_kind():
     dense = RngStream(0).random((6, 5)) + 0.5
     out = tape.dropout(dense, 0.5, RngStream(3, ("drop",)), True)
-    as_tensor = tape.dropout(tape.constant(dense), 0.5, RngStream(3, ("drop",)), True)
+    as_tensor = tape.dropout(constant(dense), 0.5, RngStream(3, ("drop",)), True)
     assert isinstance(out, np.ndarray)
     np.testing.assert_array_equal(out, as_tensor.value)  # the same draws
     mat = sp.random(6, 5, density=0.4, format="csr", random_state=1) + sp.eye(6, 5, format="csr")
@@ -132,26 +133,26 @@ def test_masked_cross_entropy_perfect_predictions():
     z = np.full((n, k), 1e-9)
     labels = np.array([0, 1, 2, 0])
     z[np.arange(n), labels] = 1.0 - 2e-9
-    loss = tape.masked_cross_entropy(tape.constant(z), labels, np.arange(n))
+    loss = tape.masked_cross_entropy(constant(z), labels, np.arange(n))
     assert 0.0 <= loss.item() <= n * 1e-7
 
 
 def test_masked_cross_entropy_uniform_rows():
     m, k = 5, 7
     z = np.full((m, k), 1.0 / k)
-    loss = tape.masked_cross_entropy(tape.constant(z), np.zeros(m, dtype=int), np.arange(m))
+    loss = tape.masked_cross_entropy(constant(z), np.zeros(m, dtype=int), np.arange(m))
     assert loss.item() == pytest.approx(m * np.log(k), rel=1e-12)
 
 
 def test_masked_cross_entropy_direct_arithmetic():
     z = np.array([[0.5, 0.5], [0.25, 0.75]])
     labels = np.array([0, 0])
-    loss = tape.masked_cross_entropy(tape.constant(z), labels, np.array([0, 1]))
+    loss = tape.masked_cross_entropy(constant(z), labels, np.array([0, 1]))
     assert loss.item() == pytest.approx(np.log(2) + np.log(4), rel=1e-12)
 
 
 def test_masked_cross_entropy_errors():
-    z = tape.constant(np.full((2, 2), 0.5))
+    z = constant(np.full((2, 2), 0.5))
     with pytest.raises(ValueError):
         tape.masked_cross_entropy(z, np.array([0, 1]), np.array([], dtype=int))
     with pytest.raises(ValueError):
@@ -160,13 +161,13 @@ def test_masked_cross_entropy_errors():
 
 def test_masked_cross_entropy_non_negative_random():
     rng = RngStream(3)
-    z = tape.row_softmax(tape.constant(rng.random((6, 4)))).value
-    loss = tape.masked_cross_entropy(tape.constant(z), rng.integers(0, 4, 6), np.arange(6))
+    z = tape.row_softmax(constant(rng.random((6, 4)))).value
+    loss = tape.masked_cross_entropy(constant(z), rng.integers(0, 4, 6), np.arange(6))
     assert loss.item() >= 0.0
 
 
 def test_branch_agreement_zero_for_identical():
-    z = tape.constant(RngStream(0).random((4, 3)))
+    z = constant(RngStream(0).random((4, 3)))
     assert tape.branch_agreement_loss(z, z).item() == 0.0
 
 
@@ -175,7 +176,7 @@ def test_branch_agreement_single_entry():
     a = np.zeros((n, 3))
     b = np.zeros((n, 3))
     b[2, 1] = 1.0
-    loss = tape.branch_agreement_loss(tape.constant(a), tape.constant(b))
+    loss = tape.branch_agreement_loss(constant(a), constant(b))
     assert loss.item() == pytest.approx(1.0 / n, rel=1e-12)
 
 
@@ -187,18 +188,18 @@ def test_branch_agreement_matches_elementwise_oracle():
         for f in range(3):
             expected += (zp[i, f] - za[i, f]) ** 2
     expected /= 5
-    loss = tape.branch_agreement_loss(tape.constant(zp), tape.constant(za))
+    loss = tape.branch_agreement_loss(constant(zp), constant(za))
     assert loss.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_branch_agreement_shape_mismatch():
     with pytest.raises(ValueError):
-        tape.branch_agreement_loss(tape.constant(np.zeros((2, 2))), tape.constant(np.zeros((3, 2))))
+        tape.branch_agreement_loss(constant(np.zeros((2, 2))), constant(np.zeros((3, 2))))
 
 
 def test_backward_requires_scalar():
     w = Parameter(np.ones((2, 2)))
-    out = tape.matmul(tape.constant(np.eye(2)), w)
+    out = tape.matmul(constant(np.eye(2)), w)
     with pytest.raises(ValueError):
         backward(out)
 
@@ -219,14 +220,14 @@ def test_backward_half_norm_gives_value():
 
 def test_grad_accumulates_over_shared_parameter():
     w = Parameter(np.array([[2.0]]))
-    a = tape.matmul(tape.constant(np.array([[3.0]])), w)
-    b = tape.matmul(tape.constant(np.array([[4.0]])), w)
+    a = tape.matmul(constant(np.array([[3.0]])), w)
+    b = tape.matmul(constant(np.array([[4.0]])), w)
     loss = tape.vdot_const(tape.add(a, b), np.ones((1, 1)))
     backward(loss)
     assert w.grad[0, 0] == pytest.approx(7.0)
 
 
-def test_spmm_const_gradient():
+def test_matmul_sparse_constant_gradient():
     mat = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     h = Parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
     out = tape.matmul(mat, h)
@@ -236,7 +237,7 @@ def test_spmm_const_gradient():
 
 
 def test_segment_softmax_rows_sum_to_one():
-    scores = tape.constant(np.array([0.0, 1.0, 2.0, -1.0, 0.5]))
+    scores = constant(np.array([0.0, 1.0, 2.0, -1.0, 0.5]))
     indptr = np.array([0, 3, 5])
     out = tape.segment_softmax(scores, indptr).value
     assert out[:3].sum() == pytest.approx(1.0, abs=1e-12)
@@ -245,7 +246,7 @@ def test_segment_softmax_rows_sum_to_one():
 
 def test_segment_softmax_rejects_empty_segment():
     with pytest.raises(ValueError):
-        tape.segment_softmax(tape.constant(np.array([1.0])), np.array([0, 0, 1]))
+        tape.segment_softmax(constant(np.array([1.0])), np.array([0, 0, 1]))
 
 
 def test_tape_nbytes_counts_reachable_values():
@@ -377,6 +378,98 @@ def test_take_or_zero_gradients_match_finite_differences():
     assert all(entry["status"] == "checked" and entry["passed"] for entry in report.values()), report
 
 
+def _weighted(out, rng):
+    """A scalar of a tape value: its dot with fixed random weights."""
+    return tape.vdot_const(out, rng.child("weights").random(out.shape) - 0.5)
+
+
+def _param(rng, name, shape, low=-1.0):
+    return Parameter(rng.child(name).uniform(low, 1.0, shape), name=name)
+
+
+def _case_matmul(rng):
+    a, b = _param(rng, "a", (3, 4)), _param(rng, "b", (4, 2))
+    c = sp.csr_matrix(rng.child("c").random((5, 3)) * (rng.child("mask").random((5, 3)) < 0.5))
+    return lambda: _weighted(tape.matmul(c, tape.matmul(a, b)), rng), [a, b]
+
+
+def _case_relu(rng):
+    x = _param(rng, "x", (3, 4))
+    x.value[np.abs(x.value) < 0.1] = 0.5  # keep every entry off the kink
+    return lambda: _weighted(tape.relu(x), rng), [x]
+
+
+def _case_dropout(rng):
+    x = _param(rng, "x", (4, 5))
+    return lambda: _weighted(tape.dropout(x, 0.4, RngStream(5, ("drop",)), True), rng), [x]
+
+
+def _case_masked_cross_entropy(rng):
+    z = _param(rng, "z", (5, 3), low=0.2)
+    labels = np.array([0, 2, 1, 1, 0])
+    return lambda: tape.masked_cross_entropy(z, labels, np.array([0, 1, 3])), [z]
+
+
+def _case_edge_scores(rng):
+    xp, a = _param(rng, "xp", (5, 3)), _param(rng, "a", 3)
+    rows, cols = np.array([0, 1, 1, 2, 4, 3, 0]), np.array([1, 0, 2, 4, 3, 1, 4])
+    return lambda: _weighted(tape.edge_scores(xp, a, rows, cols), rng), [xp, a]
+
+
+def _case_spmm_values(rng):
+    pattern = sp.csr_matrix(np.array([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 1.0]]))
+    rows = np.repeat(np.arange(4), np.diff(pattern.indptr))
+    t, h = _param(rng, "t", pattern.nnz), _param(rng, "h", (4, 2))
+    return lambda: _weighted(tape.spmm_values(t, rows, pattern.indices, pattern.indptr, 4, h), rng), [t, h]
+
+
+def _two_params(op):
+    def case(rng):
+        a, b = _param(rng, "a", (3, 4)), _param(rng, "b", (3, 4))
+        return lambda: _weighted(op(a, b), rng), [a, b]
+    return case
+
+
+def _one_param(op, shape=(3, 4), scalar=False):
+    def case(rng):
+        x = _param(rng, "x", shape)
+        return (lambda: op(x) if scalar else _weighted(op(x), rng)), [x]
+    return case
+
+
+_C = RngStream(31, ("const",)).random((3, 4))
+# one small loss per differentiable op in tape.__all__: name -> rng -> (loss_fn, params)
+_OP_CASES = {
+    "matmul": _case_matmul,
+    "add": _two_params(tape.add),
+    "scale": _one_param(lambda x: tape.scale(x, -1.7)),
+    "relu": _case_relu,
+    "row_softmax": _one_param(tape.row_softmax),
+    "dropout": _case_dropout,
+    "masked_cross_entropy": _case_masked_cross_entropy,
+    "branch_agreement_loss": _two_params(tape.branch_agreement_loss),
+    "vdot_const": _one_param(lambda x: tape.vdot_const(x, _C), scalar=True),
+    "sum_sq": _one_param(tape.sum_sq, scalar=True),
+    "sum_sq_diff": _one_param(lambda x: tape.sum_sq_diff(x, _C), scalar=True),
+    "edge_scores": _case_edge_scores,
+    # repeats, and 4 == len(x) reads the zero slot
+    "take_or_zero": _one_param(lambda x: tape.take_or_zero(x, np.array([2, 0, 4, 2, 3, 4])), shape=4),
+    "segment_softmax": _one_param(lambda x: tape.segment_softmax(x, np.array([0, 3, 4, 9])), shape=9),
+    "spmm_values": _case_spmm_values,
+}
+_NOT_OPS = {"Tensor", "Parameter", "backward", "tape_nbytes", "no_grad", "entry_block", "cache_block"}
+
+
+def test_every_op_gradient_matches_finite_differences():
+    from dualgcn.optim import finite_diff_check
+
+    assert set(tape.__all__) - _NOT_OPS == set(_OP_CASES), "every differentiable op needs a case"
+    for name, case in _OP_CASES.items():
+        loss_fn, params = case(RngStream(30, ("op", name)))
+        report = finite_diff_check(loss_fn, params, h=1e-6)
+        assert all(e["status"] == "checked" and e["passed"] for e in report.values()), (name, report)
+
+
 def test_all_lists_every_public_function():
     import inspect
 
@@ -413,9 +506,9 @@ def test_no_grad_restores_recording_after_an_exception():
         with tape.no_grad():
             with tape.no_grad():
                 pass
-            assert not tape.matmul(tape.constant(np.eye(2)), w).needs_grad
+            assert not tape.matmul(constant(np.eye(2)), w).needs_grad
             raise RuntimeError("inside no_grad")
-    out = tape.matmul(tape.constant(np.eye(2)), w)
+    out = tape.matmul(constant(np.eye(2)), w)
     assert out.needs_grad and out._parents
     # parameters made inside no_grad stay trainable leaves
     with tape.no_grad():
