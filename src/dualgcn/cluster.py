@@ -92,11 +92,13 @@ class Batch:
     y: np.ndarray = field(repr=False)
 
 
+def _crossing(adj: sp.csr_matrix, assign: np.ndarray) -> np.ndarray:
+    """Mask of adj's stored entries, in storage order, that join two clusters."""
+    return np.repeat(assign, np.diff(adj.indptr)) != assign[adj.indices]
+
+
 def _edge_cut(adj: sp.csr_matrix, assign: np.ndarray) -> int:
-    coo = adj.tocoo()
-    off = coo.row != coo.col
-    cross = assign[coo.row[off]] != assign[coo.col[off]]
-    return int(cross.sum()) // 2
+    return int(_crossing(adj, assign).sum()) // 2
 
 
 def partition_from_assign(g: Graph, assign: np.ndarray, c: int) -> Partition:
@@ -298,7 +300,7 @@ def _move_round(conn, node_w, assign, c: int, cap: int, upward: bool) -> np.ndar
     return out
 
 
-def _swap_round(conn, adj, weight_class, assign, c: int, edge_key: np.ndarray) -> np.ndarray:
+def _swap_round(conn, adj, weight_class, assign, c: int) -> np.ndarray:
     """One balance-preserving swap round; returns the new assignment.
 
     Candidates are every (node, other cluster) entry of the connectivity.
@@ -307,7 +309,6 @@ def _swap_round(conn, adj, weight_class, assign, c: int, edge_key: np.ndarray) -
     pair (u, v) is worth g_u + g_v - 2 w_uv.  Positive pairs are taken
     best first, each node in at most one.
     """
-    n = adj.shape[0]
     rows, cols, vals, own = conn
     gain = vals - own[rows]
     if gain.size == 0 or gain.max() <= 0:
@@ -339,11 +340,11 @@ def _swap_round(conn, adj, weight_class, assign, c: int, edge_key: np.ndarray) -
         first.append(down[ok])
         partner.append(h[ok] + n_down[h[ok]] + rank[ok] + shift)
     first, partner = np.concatenate(first), np.concatenate(partner)
+    if first.size == 0:
+        return assign
     u, v = rows[first], rows[partner]
-    key = u * n + v
-    pos = np.minimum(np.searchsorted(edge_key, key), edge_key.size - 1)
-    w_uv = np.where(edge_key[pos] == key, adj.data[pos], 0.0)
-    pair_gain = gain[first] + gain[partner] - 2.0 * w_uv
+    # scipy finds each pair inside u's row; a pair with no edge reads 0
+    pair_gain = gain[first] + gain[partner] - 2.0 * np.asarray(adj[u, v]).ravel()
     good = pair_gain > 0
     u, v, pair_gain = u[good], v[good], pair_gain[good]
     order = np.lexsort((v, u, -pair_gain))
@@ -352,10 +353,10 @@ def _swap_round(conn, adj, weight_class, assign, c: int, edge_key: np.ndarray) -
     # pair is taken when it is the best one left at both of its nodes
     taken = np.zeros(u.size, dtype=bool)
     alive = np.ones(u.size, dtype=bool)
-    used = np.zeros(n, dtype=bool)
+    used = np.zeros(assign.size, dtype=bool)
     while alive.any():
         idx = np.flatnonzero(alive)
-        best = np.full(n, u.size)
+        best = np.full(assign.size, u.size)
         np.minimum.at(best, u[idx], idx)
         np.minimum.at(best, v[idx], idx)
         win = idx[(best[u[idx]] == idx) & (best[v[idx]] == idx)]
@@ -383,16 +384,10 @@ def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, 
     stops when an upward move, a downward move and a swap all leave the
     assignment as it is, or after _MAX_ROUNDS move-and-swap rounds.
     """
-    n = adj.shape[0]
-    if not adj.has_sorted_indices:
-        adj = adj.sorted_indices()
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
-    dst = adj.indices.astype(np.int64)
-    edge_key = src * n + dst  # ascending: w_uv lookups search it
     weight_class = np.unique(node_w, return_inverse=True)[1]
 
     def score(a):
-        cut = adj.data[a[src] != a[dst]].sum()
+        cut = adj.data[_crossing(adj, a)].sum()
         return cut, (np.bincount(a, weights=node_w, minlength=c) ** 2).sum()
 
     best, conn = score(assign), None
@@ -404,7 +399,7 @@ def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, 
         if conn is None:
             conn = _connectivity(adj, assign, c)
         if kind == "swap":
-            trial = _swap_round(conn, adj, weight_class, assign, c, edge_key)
+            trial = _swap_round(conn, adj, weight_class, assign, c)
         else:
             trial = _move_round(conn, node_w, assign, c, cap, upward=kind == "up")
         got = score(trial) if trial is not assign else best

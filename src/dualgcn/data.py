@@ -251,6 +251,8 @@ def _parse_manifest(path) -> dict:
     with open(path, "rb") as fh:
         lines = _universal_newlines(fh.read()).split(b"\n")
     for lineno, line in enumerate(lines, start=1):
+        if line.lstrip().startswith(b"#"):
+            continue
         for token in line.replace(b",", b" ").split():
             if b"=" in token:
                 k, v = token.decode("utf-8", "replace").split("=", 1)

@@ -167,7 +167,8 @@ def _line_blocks(path, block_bytes: int):
     with open(path, "rb") as fh:
         tail = b""
         while chunk := fh.read(block_bytes):
-            cut = chunk.rfind(b"\n") + 1
+            # a chunk's final CR may be the first half of a CR LF
+            cut = (chunk.rfind(b"\n") + 1) or (chunk.rfind(b"\r", 0, len(chunk) - 1) + 1)
             if not cut:
                 tail += chunk
                 continue
@@ -192,34 +193,36 @@ def _edge_block(raw: bytes, path, first_line: int, n: int) -> np.ndarray:
     keep = ~np.isin(line, line[lead & (b[first] == ord("#"))])  # drop comment lines
     first, stop, line, lead = first[keep], stop[keep], line[keep], lead[keep]
 
-    def fail(token, message):
-        raise DataError(f"{path}:{first_line + line[token]}: {message}")
-
     def text(token):
         return b[first[token]:stop[token]].tobytes().decode("utf-8", "replace")
 
+    fails = []  # each check's first bad token: the lowest line is named
     fields = np.bincount(line, minlength=len(ends))[line]
     bad = np.flatnonzero((fields != 2) & (fields != 3))
     if bad.size:
-        fail(bad[0], f"expected 2 or 3 fields, got {fields[bad[0]]}")
+        fails.append((bad[0], f"expected 2 or 3 fields, got {fields[bad[0]]}"))
     column = np.arange(len(first)) - np.flatnonzero(lead)[np.cumsum(lead) - 1]
     id_tokens = np.flatnonzero(column < 2)
     ids, invalid = _parse_decimal(b, first[id_tokens], stop[id_tokens])
     if invalid.any():
         k = id_tokens[np.argmax(invalid)]
-        fail(k, f"node id {text(k)!r} is not a decimal number of at most 18 digits")
-    if ids.size and ids.max() >= n:
-        k = np.argmax(ids >= n)
-        fail(id_tokens[k], f"node id {ids[k]} out of range for n={n}")
-    edges = ids.reshape(-1, 2)
+        fails.append((k, f"node id {text(k)!r} is not a decimal number of at most 18 digits"))
+    out = (ids >= n) & ~invalid
+    if out.any():
+        k = np.argmax(out)
+        fails.append((id_tokens[k], f"node id {ids[k]} out of range for n={n}"))
     w_tokens = np.flatnonzero(column == 2)
+    w, bad = _parse_reals(b, first[w_tokens], stop[w_tokens])
+    if bad is not None:
+        fails.append((w_tokens[bad], f"weight {text(w_tokens[bad])!r} is not a number"))
+    if not (w[:bad] > 0).all():
+        k = w_tokens[np.argmin(w[:bad] > 0)]
+        fails.append((k, f"weight {text(k)!r} is not positive"))
+    if fails:
+        token, message = min(fails, key=lambda fail: line[fail[0]])
+        raise DataError(f"{path}:{first_line + line[token]}: {message}")
+    edges = ids.reshape(-1, 2)
     if w_tokens.size:
-        w, bad = _parse_reals(b, first[w_tokens], stop[w_tokens])
-        if bad is not None:
-            fail(w_tokens[bad], f"weight {text(w_tokens[bad])!r} is not a number")
-        if not (w > 0).all():
-            k = w_tokens[np.argmin(w > 0)]
-            fail(k, f"weight {text(k)!r} is not positive")
         weighted = np.ones((len(edges), 3))
         weighted[:, :2] = edges
         weighted[np.cumsum(lead)[w_tokens] - 1, 2] = w

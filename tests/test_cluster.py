@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from dualgcn.cluster import (
     Partition,
     PartitionConfig,
+    _connectivity,
     _contract,
     _edge_cut,
     _enforce_balance,
     _refine,
     _strip_diagonal,
+    _swap_round,
     cluster_fit,
     edge_cut_report,
     form_batch,
@@ -405,6 +407,56 @@ def test_refine_properties_on_random_graphs(n, c, tol, seed):
     assert sizes.min() >= 1
     after = adj.data[out[adj.tocoo().row] != out[adj.tocoo().col]].sum()
     assert after <= before
+
+
+def _random_weighted(rng, n, density, loops=False):
+    upper = np.triu(rng.random((n, n)) < density, 0 if loops else 1)
+    rows, cols = np.nonzero(upper)
+    w = rng.integers(1, 4, rows.size).astype(float)
+    off = rows != cols
+    return sp.csr_matrix((np.r_[w, w[off]], (np.r_[rows, cols[off]], np.r_[cols, rows[off]])), shape=(n, n))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_cut_matches_a_coo_count(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    adj = _random_weighted(rng, n, rng.uniform(0.05, 0.5), loops=True)
+    assign = rng.integers(0, int(rng.integers(1, 6)), n)
+    coo = adj.tocoo()
+    off = coo.row != coo.col
+    assert adj.diagonal().any()  # self-loops, which never cross
+    assert _edge_cut(adj, assign) == int((assign[coo.row[off]] != assign[coo.col[off]]).sum()) // 2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_refine_ignores_the_column_order_within_rows(seed):
+    rng = np.random.default_rng(seed)
+    n, c = 60, 4
+    adj = _random_weighted(rng, n, 0.1)
+    shuffled = adj.copy()
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    order = np.lexsort((rng.random(adj.nnz), rows))  # a permutation inside each row
+    shuffled.indices, shuffled.data = adj.indices[order], adj.data[order]
+    shuffled.has_sorted_indices = False
+    assert (shuffled != adj).nnz == 0
+    node_w = rng.integers(1, 3, n).astype(float)
+    start = rng.permutation(np.arange(n) % c)
+    cap = int(np.ceil(node_w.sum() / c))  # tight: swaps carry the refinement
+    out = _refine(adj, node_w, start.copy(), c, cap)
+    np.testing.assert_array_equal(_refine(shuffled, node_w, start.copy(), c, cap), out)
+    assert _edge_cut(adj, out) < _edge_cut(adj, start)
+
+
+def test_swap_round_without_an_opposite_partner_returns_its_input():
+    # node 0 gains by joining cluster 1, whose members gain by joining
+    # cluster 0, but they weigh 2 and node 0 weighs 1: no pair swaps
+    adj = build_graph([(0, 1), (0, 2)], 3).adj
+    assign = np.array([0, 1, 1])
+    weight_class = np.array([0, 1, 1])
+    conn = _connectivity(adj, assign, 2)
+    assert (conn[2] - conn[3][conn[0]] > 0).any()
+    assert _swap_round(conn, adj, weight_class, assign, 2) is assign
 
 
 def test_enforce_balance_empties_an_over_cap_cluster_to_the_cap():

@@ -277,7 +277,9 @@ def test_feature_errors_name_the_file_line(tmp_path, monkeypatch, block_bytes, l
     ("val.txt", b"1\r# a note\r-1\r", 3, "node id -1 out of range for n=4"),
     ("test.txt", b"2\n# \xff\n3\n", 2, "'utf-8' codec can't decode byte 0xff"),
     ("manifest.txt", b"n=4\r\n# \xff\r\nclasses=two\r\n", 3, "classes='two' is not an integer"),
-], ids=["bad-token", "one-line", "crlf-wide", "id-too-large", "cr-negative-id", "not-utf8", "manifest"])
+    ("manifest.txt", b"# made by gen.py, x=abc\n  # n=x\nn=4\nclasses=two\n", 4, "classes='two' is not an integer"),
+], ids=["bad-token", "one-line", "crlf-wide", "id-too-large", "cr-negative-id", "not-utf8", "manifest",
+        "manifest-comment"])
 def test_int_file_errors_name_the_file_line(tmp_path, name, text, where, message):
     d = tmp_path / "x"
     _write_features(d, ["1,0\n", "0,1\n", "1,1\n", "0,0\n"])

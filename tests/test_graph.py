@@ -307,3 +307,59 @@ def test_edge_list_memory_is_bounded_by_the_block_not_the_file(tmp_path):
     # the blocks' arrays and their concatenation, plus one block's tokens;
     # a whole-file parse of this 3.5 MB text peaks near 70 MB
     assert peak < 2 * edges.nbytes + 20 * graph._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("block_bytes", [5, 13, 64, 1 << 19])
+def test_lone_cr_lines_read_as_lf_lines(tmp_path, monkeypatch, block_bytes):
+    from dualgcn import graph
+
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    text = _edge_lines(np.random.default_rng(1)).replace("\r\n", "\n")
+    path = tmp_path / "edges.tsv"
+    for weight in ("", "2.5"):
+        got = []
+        for ending in ("\n", "\r"):
+            path.write_bytes(text.replace("2.5", weight).replace("\n", ending).encode())
+            got.append(read_edge_list(path, 40).tolist())
+        assert got[0] == got[1]
+    for ending in ("\n", "\r"):
+        path.write_bytes(text.replace("2.5", "-1").replace("\n", ending).encode())
+        with pytest.raises(DataError, match=r"edges.tsv:251: weight '-1' is not positive"):
+            read_edge_list(path, 40)
+
+
+def test_lone_cr_memory_is_bounded_by_the_block_not_the_file(tmp_path):
+    import tracemalloc
+
+    lf = tmp_path / "lf.tsv"
+    np.savetxt(lf, np.random.default_rng(0).integers(0, 100_000, (300_000, 2)), fmt="%d", delimiter="\t")
+    cr = tmp_path / "cr.tsv"
+    cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+    peaks, results = [], []
+    for path in (lf, cr):
+        tracemalloc.start()
+        try:
+            results.append(read_edge_list(path, 100_000))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0].tobytes() == results[1].tobytes()
+    # a CR file parsed as one block peaks near 70 MB, against ~14 MB
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("block_bytes", [5, 13, 64, 1 << 19])
+@pytest.mark.parametrize("text,where,message", [
+    (b"x\t1\r\n0\t1\r\n0\t1\t2\t3\r\n0\t1\r\n0\t1\r\n", 1, "node id 'x' is not a decimal number"),
+    (b"0\t1\r\n0\t1\t-1\r\n0\t9\r\n0\t1\t2\t3\r\n", 2, "weight '-1' is not positive"),
+    (b"0 1\n0 7\n0 1 y\n", 2, "node id 7 out of range for n=5"),
+    (b"0 1 z\n0 x\n", 1, "weight 'z' is not a number"),
+], ids=["id-before-fields", "weight-before-range", "range-before-weight", "weight-before-id"])
+def test_edge_list_error_names_the_first_bad_line(tmp_path, monkeypatch, block_bytes, text, where, message):
+    from dualgcn import graph
+
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(text)
+    with pytest.raises(DataError, match=f"edges.tsv:{where}: {message}"):
+        read_edge_list(path, 5)

@@ -182,6 +182,30 @@ def test_fit_best_val_snapshot(karate):
     assert accuracy(pred, karate.y, val_idx) == pytest.approx(res.best_val_acc)
 
 
+@pytest.mark.parametrize("epochs,validated", [(7, (0, 3, 6)), (8, (0, 3, 6, 7))], ids=["7-epochs", "8-epochs"])
+def test_fit_validates_every_eval_every_epochs_and_at_the_last(monkeypatch, karate, epochs, validated):
+    evals = []
+    scorer = model._eval_predictions
+
+    def counted(*args):
+        evals.append(len(evals))
+        return scorer(*args)
+
+    monkeypatch.setattr(model, "_eval_predictions", counted)
+    res = fit(karate, _cfg(hidden_gl=8, dropout=0.4, epochs=epochs, seed=3, eval_every=3))
+    monkeypatch.undo()
+    assert len(evals) == len(validated)
+    vals = [row["val_acc"] for row in res.history]
+    assert len(vals) == epochs
+    # between validations a row repeats the last score
+    for epoch in set(range(1, epochs)) - set(validated):
+        assert vals[epoch] == vals[epoch - 1]
+    assert res.best_epoch in validated
+    assert res.best_val_acc == max(vals[e] for e in validated)
+    val_idx = np.flatnonzero(karate.val_mask)
+    assert accuracy(predict(res.params, karate), karate.y, val_idx) == pytest.approx(res.best_val_acc)
+
+
 def test_fit_nonfinite_loss_aborts(karate):
     # after one step the weights are ~1e160, so layer products overflow
     cfg = _cfg(lr1=1e160, lr2=1e160, epochs=10, dropout=0.0, hidden_gl=4)
