@@ -520,7 +520,9 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     due or the cluster set differs from the one it was built for, so a
     run with q = c builds on fit's schedule.  Batches with no training
     labels are skipped and counted.  Validation accuracy is scored on the
-    depth-hop ball of the validation nodes (see model._validation_context).
+    depth-hop ball of the validation nodes (see model._validation_context),
+    built once per run; only cluster_fit builds it, as fit validates on
+    its whole-graph training context.
     """
     if dataset.graph is None:
         raise DataError("cluster training requires a dataset with a graph")

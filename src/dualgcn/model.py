@@ -10,9 +10,11 @@ a row softmax; the objective is
 
     L = L_ce + lambda1 * L_agree + lambda2 * L_graphlearn
 
-with supervision attached to branch A by default.  Validation is scored
-on the subgraph induced by the depth-hop ball around the validation
-nodes, which fixes their outputs exactly; predict scores every node.
+with supervision attached to branch A by default.  fit scores validation
+on its training context, and the next step trains on the S that
+validation built; cluster_fit scores it on the subgraph induced by the
+depth-hop ball around the validation nodes, which fixes their outputs
+exactly.  predict scores every node.
 """
 
 from __future__ import annotations
@@ -326,9 +328,11 @@ def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> sp.csr_matrix:
         raise DataError(f"PPMI construction failed: {exc}") from exc
 
 
-def _eval_predictions(ctx: _GraphContext, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
+def _eval_predictions(ctx: _GraphContext, params: ModelParams, cfg: ModelConfig, s=None) -> np.ndarray:
+    """Branch A's class per node of ctx; s, when given, is ctx's S for params."""
     with tape.no_grad():
-        s = ctx.build_affinity(params, cfg)
+        if s is None:
+            s = ctx.build_affinity(params, cfg)
         cache = forward(ctx.x, s, None, params, cfg, mode="eval")
     return np.argmax(cache.za.value, axis=1)
 
@@ -336,20 +340,22 @@ def _eval_predictions(ctx: _GraphContext, params: ModelParams, cfg: ModelConfig)
 def _validation_context(dataset, cfg: ModelConfig, full_ctx: _GraphContext | None = None):
     """The context validation is scored on, and the validation nodes' rows in it.
 
-    With a graph this is the subgraph induced by the cfg.depth-hop ball
-    around the validation nodes.  It is exact: a depth-layer output reads
-    only nodes within depth hops, and every node within depth - 1 hops
-    keeps its whole closed neighbourhood in the ball, so its softmax row of
-    S is complete.  The frozen operator is the full graph's, sliced, since
-    its boundary nodes need their full-graph degrees.  Without a graph
-    there is no ball, and full_ctx, the whole data's context, is returned.
+    full_ctx, the whole data's context, is returned whenever it is given:
+    fit passes its training context, so a fit holds one support.  Without
+    it (cluster_fit) this is the subgraph induced by the cfg.depth-hop
+    ball around the validation nodes.  The ball is exact: a depth-layer
+    output reads only nodes within depth hops, and every node within
+    depth - 1 hops keeps its whole closed neighbourhood in the ball, so
+    its softmax row of S is complete.  The frozen operator is the full
+    graph's, sliced, since its boundary nodes need their full-graph
+    degrees.
     """
     val_idx = np.flatnonzero(dataset.val_mask)
     if val_idx.size == 0:
         raise DataError("empty validation mask")
-    g = dataset.graph
-    if g is None:
+    if full_ctx is not None:
         return full_ctx, val_idx
+    g = dataset.graph
     ball = np.zeros(g.n, dtype=bool)
     ball[val_idx] = True
     for _ in range(cfg.depth):
@@ -405,9 +411,12 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     epoch); one operator is alive at a time), take one Adam step on the
     batch loss (graph-learner group at lr1, convolution group at lr2),
     then score the validation set on the context _validation_context
-    builds once per fit (full_ctx for data without a graph).  A batch
-    without train labels is skipped and counted.  Aborts on a non-finite
-    loss or parameter; returns the best-validation parameter snapshot.
+    gives once per fit (full_ctx when given, else the ball).  When that
+    context is the one just trained and another step follows, validation
+    builds S tape-tracked and the next step trains on it, as S depends
+    only on the parameters.  A batch without train labels is skipped and
+    counted.  Aborts on a non-finite loss or parameter; returns the
+    best-validation parameter snapshot.
 
     forward, total_loss, adam_step, _eval_predictions, _build_ppmi_operator
     and tape.backward are looked up on their modules at each call, never
@@ -423,6 +432,7 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     need_p = cfg.lambda1 > 0 or cfg.supervise in ("p", "both")
 
     p_key = p_op = None  # the one live PPMI operator and the batch key it was built for
+    s_next = None  # eval_ctx's S, built by validation for the next step
     best_val = -1.0
     best_epoch = -1
     best_state = None
@@ -443,7 +453,8 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
             comps = dict.fromkeys(("total", "l0", "lreg", "lgl"), float("nan"))
         else:
             ctx = batch.ctx
-            s = ctx.build_affinity(params, cfg)
+            s = s_next if s_next is not None and ctx is eval_ctx else ctx.build_affinity(params, cfg)
+            s_next = None  # the step below changes the parameters it was built from
             if need_p and (p_op is None or batch.ppmi_key != p_key):
                 p_op = None  # freed before its successor is built
                 p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch))
@@ -459,13 +470,16 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
             tape.backward(loss)
             for group, states, lr in groups:
                 adam_step(group, states, lr, cfg.weight_decay)
+            del s, cache, gl_term, loss  # free the step's tape: backward left a .grad on every node
             for p in params.all_parameters():
                 if not np.isfinite(p.value).all():
                     raise NumericError(f"non-finite parameter {p.name} after the update at epoch {epoch}")
         epochs_run = epoch + 1
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            pred = _eval_predictions(eval_ctx, params, cfg)
+            if epoch < cfg.epochs - 1 and batch.ctx is eval_ctx:
+                s_next = eval_ctx.build_affinity(params, cfg)
+            pred = _eval_predictions(eval_ctx, params, cfg, s_next)
             last_val = float((pred[val_pos] == val_y).mean())
             # ties go to the later epoch: more training at equal validation
             if last_val >= best_val:
@@ -521,9 +535,10 @@ def _release_freed_heap() -> None:
 def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
     """Full-batch training: the one-batch case of the epoch loop.
 
-    Every epoch trains on the whole graph with an unscaled loss.  Data
-    without a graph is also validated on this context, so its O(n^2)
-    complete support is built once.
+    Every epoch trains on the whole graph with an unscaled loss, and
+    validation is scored on this same context, so a fit builds one
+    support (for data without a graph, the O(n^2) complete one) and one
+    S per epoch.
     """
     if not dataset.has_masks():
         raise DataError("dataset has no train/val/test masks; apply a split first")

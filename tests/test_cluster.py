@@ -143,7 +143,7 @@ def test_cluster_blocks_drop_the_crossing_edge_of_p4():
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_split_matrices_reconstruction_random(seed):
+def test_cluster_blocks_reassemble_random_partitions(seed):
     rng = RngStream(seed, ("rec",))
     n = int(rng.integers(8, 64))
     c = int(rng.integers(2, min(6, n)))

@@ -518,6 +518,65 @@ def test_graphless_fit_builds_the_complete_support_once(monkeypatch):
     assert accuracy(predict(res.params, bundle), bundle.y, val_idx) == pytest.approx(res.best_val_acc)
 
 
+def test_graph_fit_builds_one_context_and_one_affinity_per_epoch(monkeypatch):
+    contexts, builds = [], []
+    init, build = _GraphContext.__init__, _GraphContext.build_affinity
+
+    def counted_init(self, *args, **kwargs):
+        contexts.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_build(self, *args):
+        builds.append(1)
+        return build(self, *args)
+
+    monkeypatch.setattr(_GraphContext, "__init__", counted_init)
+    monkeypatch.setattr(_GraphContext, "build_affinity", counted_build)
+    epochs = 5
+    fit(make_sbm_bundle(n=40, k=3, seed=16), _cfg(epochs=epochs, hidden_gl=3, lambda1=0.1, lambda2=0.01))
+    # validation is scored on the training context, and each step after the
+    # first trains on the S that validation built
+    assert len(contexts) == 1
+    assert len(builds) == epochs + 1
+
+
+def test_fit_losses_do_not_depend_on_how_often_validation_runs():
+    bundle = make_sbm_bundle(n=40, k=3, seed=16)
+    epochs = 6
+    base = dict(epochs=epochs, hidden_gl=3, lambda1=0.1, lambda2=0.01, ppmi_refresh=2, dropout=0.3, seed=4)
+    every_epoch, once = (fit(bundle, _cfg(eval_every=every, **base)).history for every in (1, epochs))
+    assert all(row["lreg"] > 0 for row in once)  # the PPMI branch, built from S, trains
+    for col in ("train_loss", "l0", "lreg", "lgl"):
+        assert [row[col] for row in every_epoch] == [row[col] for row in once]
+
+
+def test_step_tape_is_freed_before_validation(monkeypatch):
+    import weakref
+
+    from dualgcn.cluster import PartitionConfig, cluster_fit
+
+    trained, alive = [], []
+    fwd, scorer = model.forward, model._eval_predictions
+
+    def tracked_forward(*args, **kwargs):
+        cache = fwd(*args, **kwargs)
+        if len(args) > 5 and args[5] == "train":
+            trained.append(weakref.ref(cache.za.value))
+        return cache
+
+    def checked(*args):
+        alive.append(trained[-1]() is not None)
+        return scorer(*args)
+
+    monkeypatch.setattr(model, "forward", tracked_forward)
+    monkeypatch.setattr(model, "_eval_predictions", checked)
+    bundle = make_sbm_bundle(n=40, k=3, seed=16)
+    cfg = _cfg(epochs=3, hidden_gl=3, lambda1=0.1, lambda2=0.01)
+    fit(bundle, cfg)
+    cluster_fit(bundle, cfg, PartitionConfig(c=4, q=2, seed=0))
+    assert alive == [False] * 6
+
+
 @pytest.mark.parametrize("learn_graph", [True, False])
 def test_best_val_acc_matches_full_graph_predictions(learn_graph):
     from dualgcn.cluster import PartitionConfig, cluster_fit
