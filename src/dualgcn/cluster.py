@@ -1,14 +1,16 @@
 """Graph partitioning and cluster-batched training.
 
 The partitioner is a multilevel scheme standing in for a full METIS:
-heavy-edge matching coarsens the graph, greedy growing seeds a balanced
-partition on the coarsest level, and each uncoarsening step is refined by
-size-constrained label propagation (Meyerhenke, Sanders & Schulz, SEA
-2014) in rounds of whole-array work.  Every round reads each node's
-connectivity to every cluster from one sparse product, adj @ onehot(assign),
-and either moves nodes to better clusters with room under the balance cap
-(upward in cluster id on even rounds, downward on odd ones) or swaps
-equal-weight node pairs between two clusters; a round that would raise the
+heavy-edge matching coarsens the graph, by a greedy matcher that takes
+rounds of locally dominant edges (each the heaviest left at both ends);
+greedy growing seeds a balanced partition on the coarsest level, and each
+uncoarsening step is refined by size-constrained label propagation
+(Meyerhenke, Sanders & Schulz, SEA 2014) in rounds of whole-array work.
+Every round reads each node's connectivity to every cluster from one
+sparse product, adj @ onehot(assign), and either moves nodes to better
+clusters with room under the balance cap (upward in cluster id on even
+rounds, downward on odd ones) or swaps equal-weight node pairs between
+two clusters, paired by the same matcher; a round that would raise the
 cut is dropped.  Training then samples q clusters per step, trains on
 their induced subgraph (cross-cluster edges between chosen clusters stay
 in), and scales the loss by the batch's node share.
@@ -127,30 +129,41 @@ def _strip_diagonal(adj: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=adj.shape)
 
 
+def _greedy_pairs(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the pairs (u[i], v[i]), listed best first, that sequential
+    greedy matching over nodes 0..n-1 takes, found in rounds of locally
+    dominant pairs: a pair is taken when it is the best one left at both of
+    its nodes (Birn, Osipov, Sanders, Schulz & Sitchinava, Euro-Par 2013).
+    """
+    taken = np.zeros(u.size, dtype=bool)
+    alive = np.ones(u.size, dtype=bool)
+    used = np.zeros(n, dtype=bool)
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        best = np.full(n, u.size)
+        np.minimum.at(best, u[idx], idx)
+        np.minimum.at(best, v[idx], idx)
+        win = idx[(best[u[idx]] == idx) & (best[v[idx]] == idx)]
+        taken[win] = True
+        used[u[win]] = used[v[win]] = True
+        alive &= ~(used[u] | used[v])
+    return taken
+
+
 def _heavy_edge_matching(adj: sp.csr_matrix, node_w: np.ndarray, cap: int, rng: RngStream):
-    """Greedy matching preferring heavy edges; respects the weight cap."""
+    """Maximal matching under the weight cap, heaviest edges first; equal
+    weights go to the lower sum of a random key drawn for each end."""
     n = adj.shape[0]
-    order = rng.permutation(np.arange(n))
+    u = np.repeat(np.arange(n), np.diff(adj.indptr))
+    v = adj.indices
+    ok = (u < v) & (node_w[u] + node_w[v] <= cap)
+    u, v, w = u[ok], v[ok], adj.data[ok]
+    key = rng.random(n)
+    order = np.lexsort((key[u] + key[v], -w))
+    u, v = u[order], v[order]
+    taken = _greedy_pairs(u, v, n)
     match = np.full(n, -1, dtype=np.int64)
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    for v in order:
-        if match[v] >= 0:
-            continue
-        best = -1
-        best_w = 0.0
-        for k in range(indptr[v], indptr[v + 1]):
-            u = indices[k]
-            if u == v or match[u] >= 0:
-                continue
-            if node_w[v] + node_w[u] > cap:
-                continue
-            w = data[k]
-            if w > best_w or (w == best_w and (best == -1 or u < best)):
-                best = u
-                best_w = w
-        if best >= 0:
-            match[v] = best
-            match[best] = v
+    match[u[taken]], match[v[taken]] = v[taken], u[taken]
     return match
 
 
@@ -307,7 +320,7 @@ def _swap_round(conn, adj, weight_class, assign, c: int) -> np.ndarray:
     Within each cluster pair and node weight, each s->t mover is paired
     with the t->s movers of its own gain rank and the ranks next to it; a
     pair (u, v) is worth g_u + g_v - 2 w_uv.  Positive pairs are taken
-    best first, each node in at most one.
+    best first by the coarsening's greedy matcher, each node in at most one.
     """
     rows, cols, vals, own = conn
     gain = vals - own[rows]
@@ -349,20 +362,7 @@ def _swap_round(conn, adj, weight_class, assign, c: int) -> np.ndarray:
     u, v, pair_gain = u[good], v[good], pair_gain[good]
     order = np.lexsort((v, u, -pair_gain))
     u, v = u[order], v[order]
-    # best-first greedy matching as rounds of locally dominant pairs: a
-    # pair is taken when it is the best one left at both of its nodes
-    taken = np.zeros(u.size, dtype=bool)
-    alive = np.ones(u.size, dtype=bool)
-    used = np.zeros(assign.size, dtype=bool)
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        best = np.full(assign.size, u.size)
-        np.minimum.at(best, u[idx], idx)
-        np.minimum.at(best, v[idx], idx)
-        win = idx[(best[u[idx]] == idx) & (best[v[idx]] == idx)]
-        taken[win] = True
-        used[u[win]] = used[v[win]] = True
-        alive &= ~(used[u] | used[v])
+    taken = _greedy_pairs(u, v, assign.size)
     u, v = u[taken], v[taken]
     out = assign.copy()
     out[u], out[v] = assign[v], assign[u]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import json
 import logging
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,10 @@ class ModelConfig:
             raise ConfigError("lambda1 and lambda2 must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
+        if self.lr1 <= 0 or self.lr2 <= 0:
+            raise ConfigError(f"lr1 and lr2 must be positive, got {self.lr1} and {self.lr2}")
+        if self.weight_decay < 0 or self.ppmi_refresh < 0 or self.stop_threshold < 0:
+            raise ConfigError("weight_decay, ppmi_refresh and stop_threshold must be non-negative")
         if self.supervise not in ("a", "p", "both"):
             raise ConfigError(f"supervise must be a|p|both, got {self.supervise}")
         if self.epochs < 1:
@@ -573,21 +578,27 @@ def save_checkpoint(path, params: ModelParams, cfg_echo: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
+    """Read a save_checkpoint file; DataError names a path that holds none."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(str(archive["meta"]))
+            state = {k[len("param/"):]: archive[k] for k in archive.files if k.startswith("param/")}
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"unsupported checkpoint format: {meta.get('format')}")
-        state = {k[len("param/"):]: archive[k] for k in archive.files if k.startswith("param/")}
-    layers = meta["layers"]
-    w_a = [Parameter(state[f"W.{layer}"], name=f"W.{layer}") for layer in range(layers)]
-    if meta["share_weights"]:
-        w_p = list(w_a)
-    else:
-        w_p = [Parameter(state[f"WP.{layer}"], name=f"WP.{layer}") for layer in range(layers)]
-    gl = None
-    if meta["has_gl"]:
-        proj = Parameter(state["gl.proj"], name="gl.proj") if meta["has_proj"] else None
-        gl = GraphLearnerParams(a=Parameter(state["gl.a"], name="gl.a"), proj=proj)
+        layers = meta["layers"]
+        w_a = [Parameter(state[f"W.{layer}"], name=f"W.{layer}") for layer in range(layers)]
+        if meta["share_weights"]:
+            w_p = list(w_a)
+        else:
+            w_p = [Parameter(state[f"WP.{layer}"], name=f"WP.{layer}") for layer in range(layers)]
+        gl = None
+        if meta["has_gl"]:
+            proj = Parameter(state["gl.proj"], name="gl.proj") if meta["has_proj"] else None
+            gl = GraphLearnerParams(a=Parameter(state["gl.a"], name="gl.a"), proj=proj)
+    # a .npy file loads as an array (TypeError on `with`); JSON meta that is
+    # not an object has no .get (AttributeError); DataError is a ValueError
+    except (OSError, ValueError, zipfile.BadZipFile, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: not a readable checkpoint: {exc}") from exc
     params = ModelParams(gl=gl, w_a=w_a, w_p=w_p, share_weights=meta["share_weights"])
     return params, meta
 

@@ -173,7 +173,9 @@ def _save_unsplit(path):
     return path
 
 
-@pytest.mark.parametrize("setting", ["walk_w=9", "epochs=abc", "dropout=x", "split_per_class=0", "split_val=-1"])
+@pytest.mark.parametrize("setting", ["walk_w=9", "epochs=abc", "dropout=x", "split_per_class=0", "split_val=-1",
+                                     "lr1=0", "lr2=-0.01", "weight_decay=-1", "ppmi_refresh=-3",
+                                     "stop_threshold=-1"])
 def test_train_bad_config_value_exit_2(tmp_path, capsys, setting):
     # the split keys are read only when the dataset ships no split
     dataset = str(_save_unsplit(tmp_path / "toy")) if setting.startswith("split_") else "karate"
@@ -284,6 +286,35 @@ def test_eval_checkpoint_of_another_feature_width_exit_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "data error" in err and "34" in err and "5" in err
+
+
+def _write_bad_checkpoint(path, case):
+    """Write what case names at path; "missing" writes nothing."""
+    from dualgcn.model import CHECKPOINT_FORMAT
+
+    meta = {"format": CHECKPOINT_FORMAT, "share_weights": True, "layers": 2, "has_gl": False,
+            "has_proj": False, "cfg": {}}
+    if case == "not_npz":
+        path.write_text("not an archive\n")
+    elif case == "no_meta":
+        np.savez(path, **{"param/W.0": np.zeros((34, 16))})
+    elif case == "no_param":  # meta names W.0 and W.1; only W.0 is stored
+        np.savez(path, meta=json.dumps(meta), **{"param/W.0": np.zeros((34, 16))})
+    elif case == "list_meta":
+        np.savez(path, meta=json.dumps([meta]))
+    elif case == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("case", ["missing", "not_npz", "no_meta", "no_param", "list_meta", "npy"])
+def test_eval_unreadable_checkpoint_exit_3(tmp_path, capsys, case):
+    path = tmp_path / "checkpoint.npz"
+    _write_bad_checkpoint(path, case)
+    rc = run(["eval", "--dataset", "karate", "--checkpoint", str(path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err
 
 
 def _leak_first_parameter(monkeypatch, prefix):

@@ -12,6 +12,8 @@ from dualgcn.cluster import (
     _contract,
     _edge_cut,
     _enforce_balance,
+    _greedy_pairs,
+    _heavy_edge_matching,
     _refine,
     _strip_diagonal,
     _swap_round,
@@ -523,3 +525,46 @@ def test_contract_matches_the_per_node_loop(seed):
     ref = sp.csr_matrix((coo.data[keep], (rows[keep], cols[keep])), shape=(m, m))
     assert coarse_adj.shape == (m, m)
     assert (coarse_adj != ref).nnz == 0
+
+
+def _greedy_pairs_by_loop(u, v, n):
+    """Sequential greedy matching: take each pair unless a node is used."""
+    used = np.zeros(n, dtype=bool)
+    taken = np.zeros(len(u), dtype=bool)
+    for i, (a, b) in enumerate(zip(u, v)):
+        if not (used[a] or used[b]):
+            taken[i] = used[a] = used[b] = True
+    return taken
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))))
+def test_greedy_pairs_equals_the_sequential_loop(case):
+    n, pairs = case  # pairs may repeat, share nodes or be empty
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    np.testing.assert_array_equal(_greedy_pairs(u, v, n), _greedy_pairs_by_loop(u, v, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.floats(0.05, 0.5), st.integers(2, 6), st.integers(0, 10_000))
+def test_heavy_edge_matching_is_a_maximal_matching_under_the_cap(n, density, cap, seed):
+    rng = np.random.default_rng(seed)
+    adj = _random_weighted(rng, n, density, loops=True)  # self-loops never pair
+    node_w = rng.integers(1, 4, n).astype(float)
+    match = _heavy_edge_matching(adj, node_w, cap, RngStream(seed, ("match",)))
+    np.testing.assert_array_equal(match, _heavy_edge_matching(adj, node_w, cap, RngStream(seed, ("match",))))
+    v = np.flatnonzero(match >= 0)
+    assert (match[match[v]] == v).all()
+    assert (match[v] != v).all()
+    assert (node_w[v] + node_w[match[v]] <= cap).all()
+    coo = adj.tocoo()
+    eligible = (coo.row != coo.col) & (node_w[coo.row] + node_w[coo.col] <= cap)
+    assert not (eligible & (match[coo.row] < 0) & (match[coo.col] < 0)).any()
+
+
+def test_partition_seed_breaks_weight_ties():
+    g = make_random_graph(120, 0.03, seed=2)  # unit weights: every edge ties at the finest level
+    first = partition_graph(g, PartitionConfig(c=4, seed=0)).assign
+    assert not np.array_equal(first, partition_graph(g, PartitionConfig(c=4, seed=1)).assign)
