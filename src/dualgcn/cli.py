@@ -180,18 +180,19 @@ def model_config_from(merged: dict) -> ModelConfig:
                         gl=_from_merged(GlConfig, merged))
 
 
-def _write_atomic(path, write) -> None:
-    """write(fh) into a temp file beside path, then rename it over path.
+def _write_atomic(path, write):
+    """write(fh) into a temp file beside path, rename it over path and return what write returned.
 
     A failed write leaves any earlier file at path intact.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            write(fh)
+            out = write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        return out
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -231,22 +232,19 @@ def cmd_train(args) -> int:
     history_path = os.path.join(out_dir, "history.csv")
     checkpoint_path = os.path.join(out_dir, "checkpoint.npz")
 
-    history_fh = open(history_path, "w", encoding="utf-8")
-    history_fh.write(",".join(HISTORY_COLUMNS) + "\n")
+    def fit_streaming(fh):
+        fh.write((",".join(HISTORY_COLUMNS) + "\n").encode())
 
-    def on_epoch(row):
-        history_fh.write(format_history_row(row) + "\n")
-        history_fh.flush()
+        def on_epoch(row):
+            fh.write((format_history_row(row) + "\n").encode())
+            fh.flush()
 
-    try:
         if use_cluster:
             part_cfg = _from_merged(PartitionConfig, merged, seed=merged["seed"])
-            result = cluster_fit(bundle, cfg, part_cfg,
-                                 weighted_loss=merged["cluster_weighted"], on_epoch=on_epoch)
-        else:
-            result = fit(bundle, cfg, on_epoch=on_epoch)
-    finally:
-        history_fh.close()
+            return cluster_fit(bundle, cfg, part_cfg, weighted_loss=merged["cluster_weighted"], on_epoch=on_epoch)
+        return fit(bundle, cfg, on_epoch=on_epoch)
+
+    result = _write_atomic(history_path, fit_streaming)
 
     pred = predict(result.params, bundle)
     test_acc = accuracy(pred, bundle.y, bundle.test_mask)

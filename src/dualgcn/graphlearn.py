@@ -80,6 +80,7 @@ class SupportStructure:
     and vanish on self-pairs, so they are computed once per unordered pair:
     pair_rows/pair_cols hold the entries with row < col in CSR order, and
     pair_of maps every entry to its pair's index (self-pairs to npairs).
+    All keep the adjacency's CSR index dtype (12 B per entry for int32); indptr gives row ids.
     """
 
     def __init__(self, g: Graph):
@@ -88,21 +89,22 @@ class SupportStructure:
             raise ValueError("support graph must carry self-loops on every node")
         self.n = g.n
         self.indptr = adj.indptr.copy()
-        self.cols = adj.indices.astype(np.int64, copy=True)
-        self.rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        upper = self.rows < self.cols
-        lower = (self.rows > self.cols).nonzero()[0]
-        self.pair_rows = self.rows[upper]
+        self.cols = adj.indices.copy()
+        rows = np.repeat(np.arange(self.n, dtype=self.cols.dtype), np.diff(self.indptr))
+        upper = rows < self.cols
+        lower = (rows > self.cols).nonzero()[0]
+        self.pair_rows = rows[upper]
         self.pair_cols = self.cols[upper]
-        # the k-th smallest mirrored lower key is the k-th smallest pair key
-        keys = self.pair_rows * self.n + self.pair_cols
-        mirror = self.cols[lower] * self.n + self.rows[lower]
-        by_key = keys.argsort(kind="stable")
-        by_mirror = mirror.argsort(kind="stable")
+        # the k-th smallest mirrored key is the k-th smallest pair key; int64, as n^2 > 2^31 past n = 46,341
+        keys = self.pair_rows.astype(np.int64) * self.n + self.pair_cols
+        mirror = self.cols[lower].astype(np.int64) * self.n + rows[lower]
+        del rows
+        by_key, by_mirror = keys.argsort(kind="stable"), mirror.argsort(kind="stable")
         if mirror.size != keys.size or (keys[by_key] != mirror[by_mirror]).any():
             raise ValueError("support pattern must be symmetric")
-        self.pair_of = np.full(self.nnz, keys.size, dtype=np.int64)
-        self.pair_of[upper] = np.arange(keys.size)
+        del keys, mirror
+        self.pair_of = np.full(self.nnz, self.npairs, dtype=self.cols.dtype)
+        self.pair_of[upper] = np.arange(self.npairs)
         self.pair_of[lower[by_mirror]] = by_key
 
     @classmethod
@@ -182,6 +184,5 @@ def gl_loss(s: LearnedGraph, a_graph: Graph | None, cfg: GlConfig, dist2: np.nda
     """
     loss = tape.add(tape.vdot_const(s.values, dist2), tape.scale(tape.sum_sq(s.values), cfg.gamma_reg))
     if a_graph is not None and cfg.beta > 0:
-        target = np.ones(s.support.nnz)
-        loss = tape.add(loss, tape.scale(tape.sum_sq_diff(s.values, target), cfg.beta))
+        loss = tape.add(loss, tape.scale(tape.sum_sq_diff(s.values, 1.0), cfg.beta))
     return loss

@@ -339,7 +339,7 @@ def sum_sq_diff(t: Tensor, c) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# masked-sparse ops: values live on a fixed CSR support (rows, cols, indptr)
+# masked-sparse ops: values live on a fixed CSR support (cols, indptr)
 # ---------------------------------------------------------------------------
 
 def entry_block(p: int) -> int:
@@ -433,7 +433,6 @@ def take_or_zero(t: Tensor, idx) -> Tensor:
 
 def segment_softmax(scores: Tensor, indptr) -> Tensor:
     """Softmax within each CSR row segment of a flat score vector."""
-    indptr = np.asarray(indptr, dtype=np.int64)
     counts = np.diff(indptr)
     if (counts == 0).any():
         raise ValueError("segment_softmax: empty row segment")
@@ -451,10 +450,11 @@ def segment_softmax(scores: Tensor, indptr) -> Tensor:
     return Tensor(out, (scores,), vjp)
 
 
-def spmm_values(t_vals: Tensor, rows, cols, indptr, n: int, h: Tensor) -> Tensor:
+def spmm_values(t_vals: Tensor, cols, indptr, n: int, h: Tensor) -> Tensor:
     """CSR matrix with tape-tracked values times a dense tape value.
 
-    Backward takes the per-entry dots g_i . h_j over chunks of
+    cols and indptr are used as they are; backward derives the row ids from
+    indptr, then takes the per-entry dots g_i . h_j over chunks of
     cache_block(width) entries: each chunk's gathered rows live only until
     its dots are summed, so a cache-sized chunk is all the memory they need.
     """
@@ -464,6 +464,7 @@ def spmm_values(t_vals: Tensor, rows, cols, indptr, n: int, h: Tensor) -> Tensor
     def vjp(g):
         gt = None
         if t_vals.needs_grad:
+            rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
             gt = np.empty(rows.size)
             chunk = cache_block(g.shape[1])
             for lo in range(0, rows.size, chunk):

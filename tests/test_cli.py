@@ -160,6 +160,19 @@ def test_failed_artifact_write_keeps_the_earlier_artifact(tmp_path, monkeypatch)
     assert sorted(os.listdir(out)) == ["checkpoint.npz", "history.csv", "summary.json"]
 
 
+def test_failed_train_keeps_the_earlier_run(tmp_path):
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "karate", "--set", "epochs=20", "--out", str(out)]) == 0
+    names = ("checkpoint.npz", "history.csv", "summary.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    assert len(before["history.csv"].splitlines()) == 21
+    # diverges at epoch 1: exit 4 after one history row
+    with np.errstate(all="ignore"):
+        assert run(["train", "--dataset", "karate", "--set", "lr2=1e308", "--out", str(out)]) == 4
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert not list(out.glob("*.tmp"))
+
+
 def test_train_unknown_key_exit_2(tmp_path):
     rc = run(["train", "--dataset", "karate", "--set", "bogus=1", "--out", str(tmp_path)])
     assert rc == 2

@@ -37,6 +37,11 @@ def _learn(x, g, gl):
     return learn_S_masked(x, gl, SupportStructure(g))
 
 
+def _rows(sup):
+    """The row id of every support entry, from its indptr."""
+    return np.repeat(np.arange(sup.n), np.diff(sup.indptr))
+
+
 def _gl_loss(x, s, g, cfg):
     """gl_loss with the feature distances taken on the support of s."""
     return gl_loss(s, g, cfg, support_distances(x, s.support))
@@ -187,7 +192,7 @@ def test_support_distances_match_dense_oracle(monkeypatch):
     sup = SupportStructure(g)
     d2 = support_distances(x, sup)
     for k in range(sup.nnz):
-        i, j = sup.rows[k], sup.cols[k]
+        i, j = _rows(sup)[k], sup.cols[k]
         expected = ((x[i] - x[j]) ** 2).sum()
         assert d2[k] == pytest.approx(expected, rel=1e-10, abs=1e-12)
     xs = sp.csr_matrix(np.where(x > 0.5, x, 0.0))
@@ -243,7 +248,7 @@ def test_entry_blocking_leaves_loss_and_gradients_unchanged(monkeypatch):
         for p in params:
             p.zero_grad()
         s = _learn_complete(x, gl)
-        h = tape.spmm_values(s.values, s.support.rows, s.support.cols, s.support.indptr, 6,
+        h = tape.spmm_values(s.values, s.support.cols, s.support.indptr, 6,
                              tape.matmul(constant(x), w))
         loss = tape.add(tape.sum_sq(h), _gl_loss(x, s, None, GlConfig()))
         tape.backward(loss)
@@ -270,7 +275,7 @@ def _pair_supports():
 @pytest.mark.parametrize("kind", ["graph", "unsorted", "complete"])
 def test_pair_scores_spread_to_every_entry(kind, monkeypatch):
     sup = _pair_supports()[kind]
-    rows, cols = sup.rows, sup.cols
+    rows, cols = _rows(sup), sup.cols
     assert (sup.pair_rows < sup.pair_cols).all()
     off = rows != cols
     assert sup.npairs * 2 == off.sum()
@@ -314,14 +319,55 @@ def test_support_rejects_asymmetric_pattern():
 
 
 @pytest.mark.parametrize("kind", ["graph", "unsorted", "complete"])
+def test_support_holds_at_most_12_bytes_per_entry(kind):
+    sup = _pair_supports()[kind]
+    arrays = [v for v in vars(sup).values() if isinstance(v, np.ndarray)]
+    assert not hasattr(sup, "rows")
+    assert sum(a.nbytes for a in arrays) <= 12 * sup.nnz + 4 * (sup.n + 1)
+    # the adjacency's indices are int32, so no support array is int64
+    assert sup.cols.dtype == np.int32
+    assert all(a.dtype != np.int64 for a in arrays)
+
+
+def _ring_support(n, extra=()):
+    """A ring that steps by 3 over n nodes (n not a multiple of 3), with self-loops and one-way extras."""
+    ring = np.arange(n)
+    step = (ring + 3) % n
+    rows = np.concatenate([ring, ring, step] + [np.array([r]) for r, _ in extra])
+    cols = np.concatenate([ring, step, ring] + [np.array([c]) for _, c in extra])
+    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    return SupportStructure(Graph(n=n, adj=adj))
+
+
+def test_support_pairs_past_2_31_keys():
+    n = 50_000
+    sup = _ring_support(n)
+    rows, cols = _rows(sup), sup.cols
+    assert sup.nnz == 3 * n
+    assert (rows * n + cols).max() >= 2**31
+    off = rows != cols
+    np.testing.assert_array_equal(sup.pair_rows[sup.pair_of[off]], np.minimum(rows, cols)[off])
+    np.testing.assert_array_equal(sup.pair_cols[sup.pair_of[off]], np.maximum(rows, cols)[off])
+    # nodes 0 and n - 1 are not neighbours on this ring
+    with pytest.raises(ValueError, match="symmetric"):
+        _ring_support(n, extra=[(0, n - 1)])
+    # past n = 65,536 the one-way pairs (0, 20,000) and (61,356, 67,296) have
+    # keys 2^32 apart, which 32-bit keys would take for mirrors of each other
+    n = 70_000
+    assert 61_356 * n + 67_296 - 20_000 == 2**32
+    with pytest.raises(ValueError, match="symmetric"):
+        _ring_support(n, extra=[(0, 20_000), (67_296, 61_356)])
+
+
+@pytest.mark.parametrize("kind", ["graph", "unsorted", "complete"])
 def test_pair_distances_match_per_entry_formula(kind):
     sup = _pair_supports()[kind]
     x = RngStream(16, (kind,)).random((sup.n, 5))
     xs = sp.csr_matrix(np.where(x > 0.5, x, 0.0))
     for feats, dense in ((x, x), (xs, xs.toarray())):
         d2 = support_distances(feats, sup)
-        expected = ((dense[sup.rows] - dense[sup.cols]) ** 2).sum(axis=1)
+        expected = ((dense[_rows(sup)] - dense[sup.cols]) ** 2).sum(axis=1)
         np.testing.assert_allclose(d2, expected, rtol=1e-10, atol=1e-12)
-        assert (d2[sup.rows == sup.cols] == 0.0).all()
+        assert (d2[_rows(sup) == sup.cols] == 0.0).all()
         square = sp.csr_matrix((d2, sup.cols, sup.indptr), shape=(sup.n, sup.n)).toarray()
         np.testing.assert_array_equal(square, square.T)

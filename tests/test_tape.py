@@ -321,7 +321,6 @@ def test_spmm_values_cache_chunks_leave_gradients_unchanged(monkeypatch):
     dense = rng.child("pattern").random((n, n)) < 0.5
     np.fill_diagonal(dense, True)
     pattern = sp.csr_matrix(dense.astype(np.float64))
-    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
     t_vals = Parameter(rng.child("t").random(pattern.nnz), name="t")
     h = Parameter(rng.child("h").random((n, width)), name="h")
     weights = rng.child("w").random((n, width)) - 0.5
@@ -329,7 +328,7 @@ def test_spmm_values_cache_chunks_leave_gradients_unchanged(monkeypatch):
     def grads():
         t_vals.zero_grad()
         h.zero_grad()
-        out = tape.spmm_values(t_vals, rows, pattern.indices, pattern.indptr, n, h)
+        out = tape.spmm_values(t_vals, pattern.indices, pattern.indptr, n, h)
         backward(tape.vdot_const(out, weights))
         return t_vals.grad.copy(), h.grad.copy()
 
@@ -418,9 +417,8 @@ def _case_edge_scores(rng):
 
 def _case_spmm_values(rng):
     pattern = sp.csr_matrix(np.array([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 1.0]]))
-    rows = np.repeat(np.arange(4), np.diff(pattern.indptr))
     t, h = _param(rng, "t", pattern.nnz), _param(rng, "h", (4, 2))
-    return lambda: _weighted(tape.spmm_values(t, rows, pattern.indices, pattern.indptr, 4, h), rng), [t, h]
+    return lambda: _weighted(tape.spmm_values(t, pattern.indices, pattern.indptr, 4, h), rng), [t, h]
 
 
 def _two_params(op):
