@@ -258,6 +258,7 @@ def cmd_train(args) -> int:
         "seed": merged["seed"],
         "config": merged,
         "cluster_mode": use_cluster,
+        "feature_dtype": result.params.w_a[0].value.dtype.name,  # the precision the fit trained in
         "best_val_acc": result.best_val_acc,
         "best_epoch": result.best_epoch,
         "test_acc": test_acc,

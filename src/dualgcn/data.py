@@ -9,7 +9,10 @@ Canonical on-disk layout (plain text, one directory per dataset):
     manifest.txt   optional "n=..., classes=..." assertions
 
 Features are stored sparse when they are mostly zeros, which is the
-normal case for bag-of-words citation data.
+normal case for bag-of-words citation data.  They are float32 when every
+value in the file is exact in float32, as 0/1 bag-of-words always is, and
+float64 otherwise; the tape keeps that dtype, so such data trains in
+float32.  The builtin karate dataset stays float64.
 """
 
 from __future__ import annotations
@@ -181,7 +184,8 @@ def _parse_feature_block(raw: bytes, path, first_line: int, width: int | None):
 def _load_features(path) -> np.ndarray | sp.csr_matrix:
     """Parse features.csv one block of lines at a time into CSR, so the text
     is never held as one dense array; the result is densified when at least
-    _SPARSE_DENSITY_CUTOFF of it is nonzero."""
+    _SPARSE_DENSITY_CUTOFF of it is nonzero.  It is float32 when every value
+    survives the cast to float32 unchanged (-0.0 too), else float64."""
     counts, cols, vals, width = [], [], [], None
     line = 1
     for raw in _line_blocks(path, _FEATURE_BLOCK_BYTES):
@@ -195,12 +199,18 @@ def _load_features(path) -> np.ndarray | sp.csr_matrix:
     if width is None:
         raise DataError(f"{path}: no feature rows")
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    x = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(len(indptr) - 1, width))
+    vals = np.concatenate(vals)
+    with np.errstate(over="ignore"):  # a value past float32's range reads inf, which differs
+        narrow = vals.astype(np.float32)
+    if (narrow == vals).all():
+        vals = narrow
+    del narrow
+    x = sp.csr_matrix((vals, np.concatenate(cols), indptr), shape=(len(indptr) - 1, width))
     if np.count_nonzero(x.data) / (x.shape[0] * x.shape[1]) < _SPARSE_DENSITY_CUTOFF:
         x.eliminate_zeros()
         return x
     # assigned, not summed into zeros as toarray() does, which turns -0.0 into 0.0
-    dense = np.zeros(x.shape)
+    dense = np.zeros(x.shape, dtype=x.dtype)
     dense[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr)), x.indices] = x.data
     return dense
 

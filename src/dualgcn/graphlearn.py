@@ -160,18 +160,19 @@ def support_distances(x, support: SupportStructure) -> np.ndarray:
     costs ~0.25 ms per block whatever its size.
     """
     sparse = sp.issparse(x)
+    dtype = tape._value_dtype(x.dtype)
     if not sparse:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=dtype)
     sq = np.asarray(x.multiply(x).sum(axis=1)).ravel() if sparse else (x * x).sum(axis=1)
     block = tape.entry_block(x.shape[1])
     rows, cols = support.pair_rows, support.pair_cols
-    dots = np.empty(support.npairs)
+    dots = np.empty(support.npairs, dtype=dtype)
     for lo in range(0, support.npairs, block):
         r, c = rows[lo:lo + block], cols[lo:lo + block]
         prod = x[r].multiply(x[c]) if sparse else x[r] * x[c]
         dots[lo:lo + block] = np.asarray(prod.sum(axis=1)).ravel()
     d2 = np.maximum(sq[rows] + sq[cols] - 2.0 * dots, 0.0)
-    return np.append(d2, 0.0)[support.pair_of]
+    return np.append(d2, np.zeros(1, dtype))[support.pair_of]
 
 
 def gl_loss(s: LearnedGraph, a_graph: Graph | None, cfg: GlConfig, dist2: np.ndarray) -> Tensor:

@@ -286,7 +286,8 @@ class _GraphContext:
     Without a graph the learned affinity lives on the complete graph, and
     graph is left None so the loss has no adjacency-fidelity term.
     frozen_op, when given, replaces the normalized adjacency of graph as
-    the frozen operator.  dist2 is built by the first gl_term call.
+    the frozen operator, which is cast to the tape's dtype for x.  dist2 is
+    built by the first gl_term call.
     """
 
     def __init__(self, x, graph: Graph | None, cfg: ModelConfig,
@@ -307,10 +308,11 @@ class _GraphContext:
             self.support = SupportStructure.complete(n)
         elif cfg.learn_graph:
             self.support = SupportStructure(add_self_loops(graph))
-        elif frozen_op is not None:
-            self.frozen_op = frozen_op
         else:
-            self.frozen_op = sym_normalize(add_self_loops(graph).adj)
+            if frozen_op is None:
+                frozen_op = sym_normalize(add_self_loops(graph).adj)
+            # a float64 operator times float32 activations would upcast the branch
+            self.frozen_op = frozen_op.astype(tape._value_dtype(x.dtype), copy=False)
 
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
         if not cfg.learn_graph:
@@ -326,10 +328,12 @@ class _GraphContext:
 
 
 def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> sp.csr_matrix:
+    """The normalized PPMI operator of the affinity s, in s's dtype; the
+    counts and PMI are taken in float64."""
     trans = s.matrix() if isinstance(s, LearnedGraph) else s
     try:
         freq = frequency_matrix(trans, walk, rng)
-        return ppmi_operator(ppmi(freq))
+        return ppmi_operator(ppmi(freq)).astype(trans.dtype, copy=False)
     except ValueError as exc:
         raise DataError(f"PPMI construction failed: {exc}") from exc
 
@@ -430,6 +434,10 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     """
     rng = RngStream(cfg.seed)
     params = init_params(dataset.p, dataset.class_count, cfg, rng)
+    # drawn in float64, so the features' dtype leaves the random numbers unchanged
+    dtype = tape._value_dtype(dataset.x.dtype)
+    for p in params.all_parameters():
+        p.value = p.value.astype(dtype, copy=False)
     eval_ctx, val_pos = _validation_context(dataset, cfg, full_ctx)
     val_y = np.asarray(dataset.y)[np.flatnonzero(dataset.val_mask)]
     groups = [(group, init_adam_states(group), lr)

@@ -7,9 +7,12 @@ central finite differences (see optim.finite_diff_check).
 
 Conventions
 -----------
-* Values are float64 numpy arrays.  Constants enter as plain arrays (or
-  scipy sparse matrices: the fixed propagation operators, sparse
-  features) and never receive gradients.
+* Values are float32 or float64 numpy arrays, and every op keeps its
+  inputs' dtype: float32 inputs give float32 values, buffers and grads.
+  Any other dtype (ints, float16, longdouble) is cast to float64 on entry
+  (see _value_dtype).  Loss scalars are float64 either way.  Constants
+  enter as plain arrays (or scipy sparse matrices: the fixed propagation
+  operators, sparse features) and never receive gradients.
 * A forward pass builds a DAG of Tensor nodes; ``backward(loss)``
   accumulates d loss / d leaf into every reachable Parameter's ``grad``.
   Under ``no_grad()`` nothing is recorded: each op returns a bare value.
@@ -52,6 +55,12 @@ LOG_CLAMP = 1e-12  # floor for ln arguments; keeps early-training losses finite
 _recording = True  # False inside no_grad()
 
 
+def _value_dtype(dtype) -> np.dtype:
+    """The dtype the tape computes in for inputs of this dtype: float32 stays
+    float32, and everything else is float64."""
+    return np.dtype(np.float32) if dtype == np.float32 else np.dtype(np.float64)
+
+
 class Tensor:
     """A node of the recorded computation graph."""
 
@@ -82,7 +91,8 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, value, name: str = ""):
-        super().__init__(np.array(value, dtype=np.float64, copy=True), needs_grad=True)
+        value = np.asarray(value)
+        super().__init__(np.array(value, dtype=_value_dtype(value.dtype), copy=True), needs_grad=True)
         self.name = name
 
     def zero_grad(self):
@@ -91,7 +101,7 @@ class Parameter(Tensor):
 
 def _accumulate(node: Tensor, g):
     if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64, copy=True)
+        node.grad = np.array(g, dtype=node.value.dtype, copy=True)
     else:
         node.grad += g
 
@@ -164,10 +174,14 @@ def tape_nbytes(root: Tensor) -> int:
 # ---------------------------------------------------------------------------
 
 def _value(v):
-    """The array behind a tape value; a constant as it is, an ndarray cast to float64."""
+    """The array behind a tape value; a sparse constant as it is, any other
+    cast to its _value_dtype."""
     if isinstance(v, Tensor):
         return v.value
-    return v if sp.issparse(v) else np.asarray(v, dtype=np.float64)
+    if sp.issparse(v):
+        return v
+    v = np.asarray(v)
+    return v.astype(_value_dtype(v.dtype), copy=False)
 
 
 def matmul(a, b) -> Tensor:
@@ -309,7 +323,7 @@ def branch_agreement_loss(zp: Tensor, za: Tensor) -> Tensor:
 
 def vdot_const(t: Tensor, c) -> Tensor:
     """<t, c> for a constant c of the same shape."""
-    c = np.asarray(c, dtype=np.float64)
+    c = np.asarray(c, dtype=t.value.dtype)  # a float64 c would upcast t's gradient
     out = float((t.value * c).sum())
 
     def vjp(g):
@@ -328,7 +342,7 @@ def sum_sq(t: Tensor) -> Tensor:
 
 
 def sum_sq_diff(t: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=np.float64)
+    c = np.asarray(c, dtype=t.value.dtype)
     diff = t.value - c
     out = float((diff * diff).sum())
 
@@ -343,7 +357,8 @@ def sum_sq_diff(t: Tensor, c) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def entry_block(p: int) -> int:
-    """Support entries per block so one block's (block, p) float64 array is ~32 MB.
+    """Support entries per block so one block's (block, p) float64 array is ~32 MB
+    (~16 MB in float32: the count does not depend on the dtype).
 
     For arrays that must outlive a cache_block chunk: edge_scores' backward
     scatter and support_distances' sparse row indexing cost a fixed amount
@@ -353,7 +368,8 @@ def entry_block(p: int) -> int:
 
 
 def cache_block(p: int) -> int:
-    """Support entries per chunk so one chunk's (chunk, p) float64 array is ~256 KB.
+    """Support entries per chunk so one chunk's (chunk, p) float64 array is ~256 KB
+    (~128 KB in float32: the count does not depend on the dtype).
 
     A chunk stays in L2 cache while it is gathered, subtracted, taken
     absolute and reduced; a 32 MB block streams through memory at each of
@@ -382,8 +398,9 @@ def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
     block = entry_block(p)
     chunk = min(block, cache_block(p))
     nnz = rows.size
+    dtype = np.result_type(x.dtype, a.value.dtype)
 
-    out = np.empty(nnz)
+    out = np.empty(nnz, dtype=dtype)
     for lo in range(0, nnz, chunk):
         d = x[rows[lo:lo + chunk]]
         d -= x[cols[lo:lo + chunk]]
@@ -394,7 +411,7 @@ def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
         ga = np.zeros_like(a.value) if a.needs_grad else None
         for lo in range(0, nnz, block):
             hi = min(lo + block, nnz)
-            gs = np.empty((hi - lo, p)) if gx is not None else None
+            gs = np.empty((hi - lo, p), dtype=dtype) if gx is not None else None
             for clo in range(lo, hi, chunk):
                 chi = min(clo + chunk, hi)
                 d = x[rows[clo:chi]]
@@ -407,7 +424,7 @@ def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
                     ga += np.abs(d, out=d).T @ g[clo:chi]
             if gx is not None:
                 # scatter through one-hot (n x block) selectors; np.add.at is ~10x slower
-                ones = np.ones(hi - lo)
+                ones = np.ones(hi - lo, dtype=dtype)  # a float64 selector would upcast gs
                 ptr = np.arange(hi - lo + 1)
                 gx += sp.csc_matrix((ones, rows[lo:hi], ptr), shape=(n, hi - lo)) @ gs
                 gx -= sp.csc_matrix((ones, cols[lo:hi], ptr), shape=(n, hi - lo)) @ gs
@@ -423,10 +440,12 @@ def take_or_zero(t: Tensor, idx) -> Tensor:
     read its value and self-pairs read the extra zero slot.
     """
     m = t.value.size
-    out = np.append(t.value, 0.0)[idx]
+    dtype = t.value.dtype
+    out = np.append(t.value, np.zeros(1, dtype))[idx]
 
     def vjp(g):
-        return (np.bincount(idx, weights=g, minlength=m + 1)[:m],)
+        # bincount sums its weights in float64
+        return (np.bincount(idx, weights=g, minlength=m + 1)[:m].astype(dtype, copy=False),)
 
     return Tensor(out, (t,), vjp)
 
@@ -465,7 +484,7 @@ def spmm_values(t_vals: Tensor, cols, indptr, n: int, h: Tensor) -> Tensor:
         gt = None
         if t_vals.needs_grad:
             rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
-            gt = np.empty(rows.size)
+            gt = np.empty(rows.size, dtype=g.dtype)
             chunk = cache_block(g.shape[1])
             for lo in range(0, rows.size, chunk):
                 prod = g[rows[lo:lo + chunk]]

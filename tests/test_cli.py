@@ -102,7 +102,7 @@ def test_train_karate_smoke(tmp_path):
 
 
 EXPECTED_SUMMARY_KEYS = {
-    "command", "dataset", "n", "classes", "seed", "config", "cluster_mode",
+    "command", "dataset", "n", "classes", "seed", "config", "cluster_mode", "feature_dtype",
     "best_val_acc", "best_epoch", "test_acc", "final_train_loss", "epochs_run",
     "skipped_batches", "artifacts", "wall_time_sec",
 }
@@ -284,6 +284,29 @@ def test_eval_splits_as_the_checkpoint_was_trained(tmp_path, capsys):
     assert run(["eval", "--dataset", data, "--checkpoint", str(out / "checkpoint.npz")]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["val_acc"] == trained["best_val_acc"]
+
+
+def test_checkpoints_evaluate_across_feature_dtypes(tmp_path, capsys):
+    from dualgcn.data import builtin_karate
+
+    save_dataset(builtin_karate(), tmp_path / "karate")  # its one-hot features load as float32
+    on_disk = str(tmp_path / "karate")
+    runs = {}
+    for dataset in ("karate", on_disk):
+        out = tmp_path / f"run{len(runs)}"
+        assert run(["train", "--dataset", dataset, "--out", str(out)] + FAST_TRAIN) == 0
+        runs[dataset] = (out, json.loads((out / "summary.json").read_text()))
+    assert runs["karate"][1]["feature_dtype"] == "float64"
+    assert runs[on_disk][1]["feature_dtype"] == "float32"
+    with np.load(runs[on_disk][0] / "checkpoint.npz") as ckpt:
+        assert {ckpt[k].dtype for k in ckpt.files if k.startswith("param/")} == {np.dtype(np.float32)}
+    for checkpoint_of, dataset in (("karate", on_disk), (on_disk, "karate")):
+        capsys.readouterr()
+        out, trained = runs[checkpoint_of]
+        assert run(["eval", "--dataset", dataset, "--checkpoint", str(out / "checkpoint.npz")]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        if checkpoint_of == "karate":  # float64 parameters take every product in float64
+            assert report["test_acc"] == trained["test_acc"]
 
 
 def test_eval_checkpoint_of_another_feature_width_exit_3(tmp_path, capsys):

@@ -322,8 +322,38 @@ def test_blank_led_comment_and_blank_lines_are_skipped_in_any_block(tmp_path, mo
     lines = ["# header", rows[0], "  # note", rows[1], "   ", rows[2], "\t# tab note", rows[3], "", rows[4], rows[5]]
     _write_features(tmp_path / "x", [line + "\r\n" for line in lines])
     x = data._load_features(tmp_path / "x" / "features.csv")
-    assert x.tobytes() == np.loadtxt(rows, delimiter=",", ndmin=2).tobytes()
+    assert x.tobytes() == np.loadtxt(rows, delimiter=",", ndmin=2).astype(np.float32).tobytes()
     lines[-1] = "1,0"
     _write_features(tmp_path / "y", [line + "\n" for line in lines])
     with pytest.raises(DataError, match=r"features.csv:11: 2 columns, the rows before have 3"):
         load_dataset(tmp_path / "y")
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("odd,dtype", [
+    (None, np.float32),
+    ("-0.0", np.float32),
+    ("16777216", np.float32),  # 2**24, the last integer every smaller one of is exact
+    ("0.1", np.float64),
+    ("16777217", np.float64),  # 2**24 + 1 rounds in float32
+    ("1e40", np.float64),  # past float32's range
+])
+def test_features_are_float32_only_when_every_value_is_exact_in_float32(tmp_path, dense, odd, dtype):
+    from dualgcn import data
+
+    grid = np.diag(np.arange(1.0, 9.0))  # one small integer per row: the sparse branch
+    if dense:
+        grid += 1.0
+    lines = [[f"{v:g}" for v in row] for row in grid]
+    if odd is not None:
+        lines[3][5] = odd
+    _write_features(tmp_path / "x", [",".join(row) + "\n" for row in lines])
+    ref = np.loadtxt([",".join(row) for row in lines], delimiter=",", ndmin=2)
+    x = data._load_features(tmp_path / "x" / "features.csv")
+    assert x.dtype == dtype
+    assert sp.issparse(x) != dense
+    if dense:
+        assert x.tobytes() == ref.astype(dtype).tobytes()  # -0.0 keeps its sign bit
+        assert x.astype(np.float64).tobytes() == ref.tobytes()
+    else:
+        np.testing.assert_array_equal(x.toarray(), ref)  # a stored -0.0 is dropped with the zeros

@@ -2,6 +2,8 @@
 planetoid-style split) on synthetic data, exercising the exact code paths the
 dataset-gated acceptance criteria use."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,9 +59,19 @@ def test_deep_cluster_stack_runs(surrogate):
     assert np.isfinite([row["train_loss"] for row in res.history if not np.isnan(row["train_loss"])]).all()
 
 
-def test_deep_cluster_recipe_learns(surrogate):
+def _deep_cluster_recipe_accuracy(data):
     # ten layers with he init and eased dropout must stay near the shallow model
     cfg = _cora_profile(epochs=700, depth=10, dropout=0.3, init="he")
-    res = cluster_fit(surrogate, cfg, PartitionConfig(c=8, q=1, seed=0))
-    acc = accuracy(predict(res.params, surrogate), surrogate.y, surrogate.test_mask)
+    res = cluster_fit(data, cfg, PartitionConfig(c=8, q=1, seed=0))
+    return accuracy(predict(res.params, data), data.y, data.test_mask)
+
+
+def test_deep_cluster_recipe_learns(surrogate):
+    acc = _deep_cluster_recipe_accuracy(surrogate)
+    assert acc >= 0.75, acc
+
+
+def test_deep_cluster_recipe_learns_in_float32(surrogate):
+    # 0/1 features as the loader returns them: the whole fit runs in float32
+    acc = _deep_cluster_recipe_accuracy(replace(surrogate, x=surrogate.x.astype(np.float32)))
     assert acc >= 0.75, acc

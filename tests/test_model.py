@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dualgcn import model, tape
+from dualgcn.data import load_dataset
 from dualgcn.errors import ConfigError, DataError, NumericError
 from dualgcn.graph import add_self_loops, sym_normalize
 from dualgcn.model import (
@@ -20,7 +21,7 @@ from dualgcn.model import (
 )
 from dualgcn.ppmi import WalkConfig
 from dualgcn.rng import RngStream
-from conftest import constant, make_random_graph, make_sbm_bundle
+from conftest import constant, make_random_graph, make_sbm_bundle, save_dataset
 
 
 def _identity_op(n):
@@ -612,3 +613,113 @@ def test_fits_release_freed_heap_once_after_their_contexts_are_gone(monkeypatch)
     # without glibc there is nothing to call
     monkeypatch.setattr(model, "_MALLOC_TRIM", None)
     fit(bundle, cfg)
+
+
+def _float32_bundle(path, dense: bool):
+    """An SBM dataset with small-integer features, written out and loaded
+    back: its features load as float32."""
+    from dataclasses import replace
+
+    bundle = make_sbm_bundle(n=40, k=3, seed=16, noise=0.0)
+    save_dataset(replace(bundle, x=bundle.x + 1.0) if dense else bundle, path)
+    loaded = load_dataset(path)
+    assert loaded.x.dtype == np.float32 and sp.issparse(loaded.x) != dense
+    return loaded
+
+
+def _tape_nodes(root):
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("trainer,learn_graph,dense,hidden_gl", [
+    ("fit", True, False, 3),
+    ("fit", False, True, 3),
+    ("cluster_fit", True, True, None),
+    ("cluster_fit", False, False, 3),
+])
+def test_float32_features_train_in_float32_throughout(tmp_path, monkeypatch, trainer, learn_graph, dense, hidden_gl):
+    from dualgcn.cluster import PartitionConfig, cluster_fit
+
+    f32 = np.dtype(np.float32)
+    bundle = _float32_bundle(tmp_path / "sbm", dense)
+    seen = {"tape": 0, "adam": 0, "ppmi": 0, "affinity": 0}
+    backward, adam_step, build_p, build_s = tape.backward, model.adam_step, model._build_ppmi_operator, \
+        _GraphContext.build_affinity
+
+    def float32_grads(vjp):
+        def checked(g):
+            grads = vjp(g)
+            assert all(x is None or np.ndim(x) == 0 or x.dtype == f32 for x in grads)
+            return grads
+        return checked
+
+    def checked_backward(loss):
+        nodes = _tape_nodes(loss)
+        assert {node.value.dtype for node in nodes if node.value.ndim} == {f32}  # loss scalars aside
+        for node in nodes:
+            if node._vjp is not None:
+                node._vjp = float32_grads(node._vjp)
+        backward(loss)
+        for p in model_params:
+            assert p.grad is None or p.grad.dtype == f32, p.name
+        seen["tape"] += 1
+
+    def checked_adam(group, states, lr, weight_decay):
+        adam_step(group, states, lr, weight_decay)
+        assert {a.dtype for st in states for a in (st.m, st.v)} | {p.value.dtype for p in group} == {f32}
+        model_params.update(group)
+        seen["adam"] += 1
+
+    def checked_p(*args):
+        op = build_p(*args)
+        assert op.dtype == f32
+        seen["ppmi"] += 1
+        return op
+
+    def checked_s(self, params, cfg):
+        s = build_s(self, params, cfg)
+        assert (s.values.value.dtype if learn_graph else s.dtype) == f32
+        seen["affinity"] += 1
+        return s
+
+    model_params = set()
+    monkeypatch.setattr(tape, "backward", checked_backward)
+    monkeypatch.setattr(model, "adam_step", checked_adam)
+    monkeypatch.setattr(model, "_build_ppmi_operator", checked_p)
+    monkeypatch.setattr(_GraphContext, "build_affinity", checked_s)
+    cfg = _cfg(epochs=4, hidden_gl=hidden_gl, learn_graph=learn_graph, lambda1=0.1, lambda2=0.01, dropout=0.3)
+    if trainer == "fit":
+        res = fit(bundle, cfg)
+    else:
+        res = cluster_fit(bundle, cfg, PartitionConfig(c=4, q=2, seed=0))
+    assert min(seen.values()) > 0, seen
+    assert {p.value.dtype for p in res.params.all_parameters()} == {f32}
+    assert predict(res.params, bundle).shape == (bundle.n,)
+
+
+def test_checkpoints_load_across_feature_dtypes(tmp_path):
+    from dataclasses import replace
+
+    b32 = _float32_bundle(tmp_path / "sbm", dense=False)
+    b64 = replace(b32, x=b32.x.astype(np.float64))
+    cfg = _cfg(epochs=3, hidden_gl=3, lambda1=0.1, lambda2=0.01, seed=2)
+    loaded = {}
+    for bundle in (b32, b64):
+        res = fit(bundle, cfg)
+        path = tmp_path / f"{bundle.x.dtype}.npz"
+        save_checkpoint(path, res.params)
+        params, _ = load_checkpoint(path)
+        assert {p.value.dtype for p in params.all_parameters()} == {bundle.x.dtype}
+        np.testing.assert_array_equal(predict(params, bundle), predict(res.params, bundle))
+        loaded[bundle.x.dtype] = params
+    # float64 parameters lift every product to float64, and the features are exact in both
+    params64 = loaded[np.dtype(np.float64)]
+    np.testing.assert_array_equal(predict(params64, b32), predict(params64, b64))
+    assert predict(loaded[np.dtype(np.float32)], b64).shape == (b64.n,)
