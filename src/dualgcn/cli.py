@@ -386,7 +386,9 @@ def cmd_partition(args) -> int:
         raise DataError("partition requires a dataset with a graph")
     part_cfg = PartitionConfig(c=args.c, q=1, seed=args.seed,
                                balance_tolerance=args.balance)
+    t0 = time.perf_counter()
     part = partition_graph(bundle.graph, part_cfg)
+    partition_s = time.perf_counter() - t0
     report = edge_cut_report(part)
     baseline_rng = RngStream(args.seed, ("partition-baseline",))
     cuts = [random_balanced_partition(bundle.graph, args.c, baseline_rng.child(i)).edge_cut
@@ -395,6 +397,7 @@ def cmd_partition(args) -> int:
     report["n"] = bundle.n
     report["c"] = args.c
     report["seed"] = args.seed
+    report["partition_s"] = partition_s
     out_path = args.out or f"{bundle.name}_partition.txt"
     _write_atomic(out_path, lambda fh: save_partition_cache(fh, part, args.seed))
     report["file"] = out_path

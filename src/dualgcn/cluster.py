@@ -6,14 +6,18 @@ rounds of locally dominant edges (each the heaviest left at both ends);
 greedy growing seeds a balanced partition on the coarsest level, and each
 uncoarsening step is refined by size-constrained label propagation
 (Meyerhenke, Sanders & Schulz, SEA 2014) in rounds of whole-array work.
-Every round reads each node's connectivity to every cluster from one
-sparse product, adj @ onehot(assign), and either moves nodes to better
-clusters with room under the balance cap (upward in cluster id on even
-rounds, downward on odd ones) or swaps equal-weight node pairs between
-two clusters, paired by the same matcher; a round that would raise the
-cut is dropped.  Training then samples q clusters per step, trains on
-their induced subgraph (cross-cluster edges between chosen clusters stay
-in), and scales the loss by the batch's node share.
+Every round reads each node's connectivity to every cluster and either
+moves nodes to better clusters with room under the balance cap (upward
+in cluster id on even rounds, downward on odd ones) or swaps equal-weight
+node pairs between two clusters, paired by the same matcher; a round that
+would raise the cut is dropped.  A level builds its connectivity once, by
+the sparse product adj @ onehot(assign), and keeps it and the cut current
+from the moved nodes' rows; like KaMinPar (Gottesbueren et al., ESA 2021)
+it runs only the rounds that still pay, stopping after a kept round that
+lowers the cut by less than _STOP_FRACTION of it.  Training then samples
+q clusters per step, trains on their induced subgraph (cross-cluster
+edges between chosen clusters stay in), and scales the loss by the
+batch's node share.
 """
 
 from __future__ import annotations
@@ -124,9 +128,17 @@ def random_balanced_partition(g: Graph, c: int, rng: RngStream) -> Partition:
 # ---------------------------------------------------------------------------
 
 def _strip_diagonal(adj: sp.csr_matrix) -> sp.csr_matrix:
-    coo = adj.tocoo()
-    keep = coo.row != coo.col
-    return sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=adj.shape)
+    """adj without its diagonal, masked in CSR order."""
+    n = adj.shape[0]
+    # row ids in the index dtype: the largest transient is one index array
+    loop = adj.indices == np.repeat(np.arange(n, dtype=adj.indices.dtype), np.diff(adj.indptr))
+    dropped = np.zeros(n + 1, dtype=adj.indptr.dtype)
+    np.cumsum(np.bincount(adj.indices[loop], minlength=n), out=dropped[1:])
+    keep = ~loop
+    out = sp.csr_matrix((adj.data[keep], adj.indices[keep], adj.indptr - dropped), shape=adj.shape)
+    if not adj.has_canonical_format:
+        out.sum_duplicates()
+    return out
 
 
 def _greedy_pairs(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -136,17 +148,18 @@ def _greedy_pairs(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     its nodes (Birn, Osipov, Sanders, Schulz & Sitchinava, Euro-Par 2013).
     """
     taken = np.zeros(u.size, dtype=bool)
-    alive = np.ones(u.size, dtype=bool)
     used = np.zeros(n, dtype=bool)
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        best = np.full(n, u.size)
-        np.minimum.at(best, u[idx], idx)
-        np.minimum.at(best, v[idx], idx)
-        win = idx[(best[u[idx]] == idx) & (best[v[idx]] == idx)]
-        taken[win] = True
-        used[u[win]] = used[v[win]] = True
-        alive &= ~(used[u] | used[v])
+    best = np.full(n, u.size)
+    idx = np.arange(u.size)  # the live pairs: each round keeps only these
+    while idx.size:
+        a, b = u[idx], v[idx]
+        best[a] = best[b] = u.size
+        np.minimum.at(best, a, idx)
+        np.minimum.at(best, b, idx)
+        win = (best[a] == idx) & (best[b] == idx)
+        taken[idx[win]] = True
+        used[a[win]] = used[b[win]] = True
+        idx = idx[~(used[a] | used[b])]
     return taken
 
 
@@ -243,23 +256,80 @@ def _greedy_grow(adj: sp.csr_matrix, node_w: np.ndarray, c: int, cap: int, total
     return assign
 
 
-def _connectivity(adj: sp.csr_matrix, assign: np.ndarray, c: int):
+def _connectivity(adj: sp.csr_matrix, assign: np.ndarray, c: int, rows=None):
     """Every node's edge weight into every cluster, as one sparse product.
 
     Returns the entries of ``adj @ onehot(assign)`` (n x c, kept sparse)
-    that point into another cluster as ``(node, cluster, weight)`` arrays,
-    plus each node's weight into its own cluster.
+    that point into another cluster as ``(node, cluster, weight)`` arrays
+    in node order, plus each node's weight into its own cluster.  Given
+    ``rows`` (ascending node ids), the same for ``adj[rows]`` only, with
+    one ``own`` entry per row.
     """
     n = adj.shape[0]
     onehot = sp.csr_matrix((np.ones(n), assign, np.arange(n + 1)), shape=(n, c))
-    conn = adj @ onehot
-    rows = np.repeat(np.arange(n), np.diff(conn.indptr))
+    conn = (adj if rows is None else adj[rows]) @ onehot
+    local = np.repeat(np.arange(conn.shape[0]), np.diff(conn.indptr))
+    node = local if rows is None else rows[local]
     cols = conn.indices.astype(np.int64)
-    mine = cols == assign[rows]
-    own = np.zeros(n)
-    own[rows[mine]] = conn.data[mine]
+    mine = cols == assign[node]
+    own = np.zeros(conn.shape[0])
+    own[local[mine]] = conn.data[mine]
     other = ~mine
-    return rows[other], cols[other], conn.data[other], own
+    return node[other], cols[other], conn.data[other], own
+
+
+def _row_entries(indptr: np.ndarray, nodes: np.ndarray):
+    """Positions of the stored entries of the given rows, row after row,
+    and the row each belongs to."""
+    start = indptr[nodes]
+    lens = indptr[nodes + 1] - start
+    pos = np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    return pos, np.repeat(nodes, lens)
+
+
+def _trial_cut(adj: sp.csr_matrix, cut: float, assign: np.ndarray, trial: np.ndarray,
+               moved: np.ndarray) -> float:
+    """The weighted cut of trial, from assign's cut and the moved nodes' rows.
+
+    An edge between two moved nodes is in both rows; only its entry in
+    the lower row counts.
+    """
+    pos, v = _row_entries(adj.indptr, moved)
+    u = adj.indices[pos]
+    is_moved = np.zeros(assign.size, dtype=bool)
+    is_moved[moved] = True
+    once = ~is_moved[u] | (v < u)
+    w, v, u = adj.data[pos[once]], v[once], u[once]
+    return cut + w[trial[v] != trial[u]].sum() - w[assign[v] != assign[u]].sum()
+
+
+def _update_connectivity(adj: sp.csr_matrix, conn, assign: np.ndarray, moved: np.ndarray, c: int):
+    """conn after the moved nodes took their clusters in assign.
+
+    Only the rows of the moved nodes and their neighbours change: those
+    are rebuilt and spliced back in node order.  Within a row the order
+    may differ from a fresh _connectivity; no round reads it.
+    """
+    rows, cols, vals, own = conn
+    pos = _row_entries(adj.indptr, moved)[0]
+    touched = np.zeros(assign.size, dtype=bool)
+    touched[moved] = touched[adj.indices[pos]] = True
+    redo = np.flatnonzero(touched)
+    new_rows, new_cols, new_vals, new_own = _connectivity(adj, assign, c, redo)
+    own = own.copy()
+    own[redo] = new_own
+    kept = ~touched[rows]
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    # each rebuilt entry lands after the kept rows below its node
+    at = np.searchsorted(rows, new_rows) + np.arange(new_rows.size)
+    fresh = np.zeros(rows.size + new_rows.size, dtype=bool)
+    fresh[at] = True
+    out = []
+    for old, new in ((rows, new_rows), (cols, new_cols), (vals, new_vals)):
+        merged = np.empty(fresh.size, dtype=old.dtype)
+        merged[fresh], merged[~fresh] = new, old
+        out.append(merged)
+    return (*out, own)
 
 
 def _group_starts(keys: np.ndarray) -> np.ndarray:
@@ -371,6 +441,9 @@ def _swap_round(conn, adj, weight_class, assign, c: int) -> np.ndarray:
 
 # move-and-swap rounds per level at most
 _MAX_ROUNDS = 32
+# a level stops after a kept round that lowers its cut by less than this
+# share of it (never while an integer-weighted cut is under 10,000)
+_STOP_FRACTION = 1e-4
 
 
 def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, cap: int):
@@ -380,31 +453,40 @@ def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, 
     alternate with swap rounds.  A round is kept only if it lowers the
     (weighted) cut, or keeps it and evens out the cluster weights (their
     sum of squares falls), so the cut never grows.  Moves keep every
-    cluster at or under cap and swaps exchange equal weights.  Refinement
-    stops when an upward move, a downward move and a swap all leave the
-    assignment as it is, or after _MAX_ROUNDS move-and-swap rounds.
+    cluster at or under cap and swaps exchange equal weights.  The
+    connectivity, cluster weights and cut are kept current from the moved
+    nodes alone: a trial is scored from their rows, and a kept round
+    rebuilds only their connectivity rows and their neighbours'.
+    Refinement stops after a kept round that lowers the cut by less than
+    _STOP_FRACTION of it, when an upward move, a downward move and a swap
+    all leave the assignment as it is, or after _MAX_ROUNDS move-and-swap
+    rounds.
     """
     weight_class = np.unique(node_w, return_inverse=True)[1]
-
-    def score(a):
-        cut = adj.data[_crossing(adj, a)].sum()
-        return cut, (np.bincount(a, weights=node_w, minlength=c) ** 2).sum()
-
-    best, conn = score(assign), None
+    conn = _connectivity(adj, assign, c)
+    weights = np.bincount(assign, weights=node_w, minlength=c)
+    best = conn[2].sum() / 2, (weights ** 2).sum()
     idle = set()  # the round kinds that left the current assignment as it is
     for step in range(2 * _MAX_ROUNDS):
         kind = "swap" if step % 2 else ("up" if step % 4 == 0 else "down")
         if kind in idle:
             continue
-        if conn is None:
-            conn = _connectivity(adj, assign, c)
         if kind == "swap":
             trial = _swap_round(conn, adj, weight_class, assign, c)
         else:
             trial = _move_round(conn, node_w, assign, c, cap, upward=kind == "up")
-        got = score(trial) if trial is not assign else best
+        moved = np.flatnonzero(trial != assign)
+        got = best
+        if moved.size:
+            w = node_w[moved]
+            trial_w = weights + np.bincount(trial[moved], w, c) - np.bincount(assign[moved], w, c)
+            got = _trial_cut(adj, best[0], assign, trial, moved), (trial_w ** 2).sum()
         if got < best:
-            assign, best, conn = trial, got, None
+            small = 0 < best[0] - got[0] < _STOP_FRACTION * best[0]
+            assign, best, weights = trial, got, trial_w
+            if small:
+                break
+            conn = _update_connectivity(adj, conn, assign, moved, c)
             idle.clear()
         else:
             idle.add(kind)

@@ -101,6 +101,66 @@ def make_citation_surrogate(n: int = 1354, k: int = 7, p: int = 1433, avg_deg: f
     return with_split(bundle, SplitSpec(20, val, test, seed=0))
 
 
+def citation_graph(seed: int, n: int, k: int, avg_deg: float = 4.0) -> Graph:
+    """The graph of the benchmark's citation-shaped surrogate (the edges
+    of perfbench/gen.py's citation at the same seed), drawn whole-array:
+    each edge joins two nodes of one class with probability 0.8, else two
+    uniform nodes; self-pairs and repeats are dropped."""
+    rng = np.random.default_rng([seed, 1])
+    y = rng.integers(0, k, n)
+    by_class = np.argsort(y, kind="stable")
+    class_start = np.searchsorted(y[by_class], np.arange(k))
+    class_size = np.bincount(y, minlength=k)
+    m = int(n * avg_deg / 2)
+    i = rng.integers(0, n, int(m * 1.3) + 64)
+    same = rng.random(i.size) < 0.8
+    pick = rng.random(i.size)
+    j_same = by_class[class_start[y[i]] + (pick * class_size[y[i]]).astype(np.int64)]
+    j = np.where(same, j_same, (pick * n).astype(np.int64))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    keys = (lo * n + hi)[lo != hi]
+    _, first = np.unique(keys, return_index=True)
+    keys = keys[np.sort(first)][:m]
+    return build_graph(np.stack([keys // n, keys % n], axis=1), n)
+
+
+def refine_by_rebuild(adj, node_w, assign, c: int, cap: int):
+    """The refinement of cluster._refine with nothing kept between rounds:
+    every trial is scored by a pass over all of adj, every kept round
+    rebuilds the whole connectivity, and only idle round kinds or
+    _MAX_ROUNDS stop a level.  The oracle for cluster._refine, which must
+    return the same assignment whenever its stop rule cannot fire."""
+    from dualgcn.cluster import _MAX_ROUNDS, _connectivity, _crossing, _move_round, _swap_round
+
+    weight_class = np.unique(node_w, return_inverse=True)[1]
+
+    def score(a):
+        cut = adj.data[_crossing(adj, a)].sum()
+        return cut, (np.bincount(a, weights=node_w, minlength=c) ** 2).sum()
+
+    best, conn = score(assign), None
+    idle = set()
+    for step in range(2 * _MAX_ROUNDS):
+        kind = "swap" if step % 2 else ("up" if step % 4 == 0 else "down")
+        if kind in idle:
+            continue
+        if conn is None:
+            conn = _connectivity(adj, assign, c)
+        if kind == "swap":
+            trial = _swap_round(conn, adj, weight_class, assign, c)
+        else:
+            trial = _move_round(conn, node_w, assign, c, cap, upward=kind == "up")
+        got = score(trial) if trial is not assign else best
+        if got < best:
+            assign, best, conn = trial, got, None
+            idle.clear()
+        else:
+            idle.add(kind)
+            if len(idle) == 3:
+                break
+    return assign
+
+
 def cluster_blocks(part, g: Graph, x, y) -> list:
     """Every cluster's batch as form_batch induces it with q = 1, in cluster order."""
     from dualgcn.cluster import form_batch

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dualgcn import cluster
 from dualgcn.cluster import (
     Partition,
     PartitionConfig,
@@ -17,6 +18,7 @@ from dualgcn.cluster import (
     _refine,
     _strip_diagonal,
     _swap_round,
+    _trial_cut,
     cluster_fit,
     edge_cut_report,
     form_batch,
@@ -30,7 +32,14 @@ from dualgcn.graph import add_self_loops, build_graph, sym_normalize
 from dualgcn.model import ModelConfig, accuracy, fit, forward, predict, total_loss
 from dualgcn.ppmi import WalkConfig
 from dualgcn.rng import RngStream
-from conftest import cluster_blocks, make_random_graph, make_sbm_bundle, reassemble
+from conftest import (
+    citation_graph,
+    cluster_blocks,
+    make_random_graph,
+    make_sbm_bundle,
+    reassemble,
+    refine_by_rebuild,
+)
 
 
 def _p4():
@@ -411,6 +420,96 @@ def test_refine_properties_on_random_graphs(n, c, tol, seed):
     assert after <= before
 
 
+def _recount(adj, assign):
+    coo = adj.tocoo()
+    return coo.data[assign[coo.row] != assign[coo.col]].sum() / 2
+
+
+def _assert_fresh(conn, adj, assign, c):
+    """conn equals a fresh _connectivity of assign, up to the column order
+    within each row."""
+    fresh = _connectivity(adj, assign, c)
+    mine, theirs = np.lexsort((conn[1], conn[0])), np.lexsort((fresh[1], fresh[0]))
+    for got, want in zip(conn[:3], fresh[:3]):
+        np.testing.assert_array_equal(got[mine], want[theirs])
+    np.testing.assert_array_equal(conn[3], fresh[3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 80), st.integers(2, 8), st.floats(0.05, 0.4), st.floats(1.0, 1.3), st.integers(0, 10_000))
+def test_refine_keeps_connectivity_and_cut_current(n, c, density, tol, seed):
+    c = min(c, n)
+    rng = np.random.default_rng(seed)
+    adj = _random_weighted(rng, n, density)
+    node_w = rng.integers(1, 4, n).astype(float)
+    cap = max(int(tol * np.ceil(node_w.sum() / c)), int(node_w.max()))
+    start = rng.permutation(np.arange(n) % c)
+    seen = {"rounds": 0, "trials": 0}
+
+    def checked_round(real, at):  # at: where assign is in real's arguments
+        def run(*args, **kwargs):
+            _assert_fresh(args[0], adj, args[at], c)
+            seen["rounds"] += 1
+            return real(*args, **kwargs)
+        return run
+
+    def checked_cut(adj_, cut, assign, trial, moved):
+        assert cut == _recount(adj, assign)
+        np.testing.assert_array_equal(moved, np.flatnonzero(trial != assign))
+        got = _trial_cut(adj_, cut, assign, trial, moved)
+        assert got == _recount(adj, trial)
+        seen["trials"] += 1
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "_move_round", checked_round(cluster._move_round, 2))
+        mp.setattr(cluster, "_swap_round", checked_round(cluster._swap_round, 3))
+        mp.setattr(cluster, "_trial_cut", checked_cut)
+        out = _refine(adj, node_w, start.copy(), c, cap)
+    assert seen["rounds"] >= 3
+    # integer weights on a graph this small: the stop rule cannot fire
+    assert adj.data.sum() / 2 < 10_000
+    np.testing.assert_array_equal(out, refine_by_rebuild(adj, node_w, start.copy(), c, cap))
+
+
+_ORACLE_CASES = [("cora", seed, c) for seed in range(3) for c in (5, 10, 20)] + [
+    ("sbm", 200, 4), ("sbm", 240, 8), ("sbm", 300, 3)]
+
+
+@pytest.mark.parametrize("kind,seed,c", _ORACLE_CASES)
+def test_partition_matches_the_rebuilding_refinement(monkeypatch, kind, seed, c):
+    if kind == "cora":
+        g = citation_graph(seed, 2708, 7)  # the benchmark's cora-shaped graph
+    else:
+        g = make_sbm_bundle(n=seed, seed=seed).graph
+    # every level's cut is at most the total weight: under 10,000, no
+    # integer gain is below the stop fraction of it
+    assert g.adj.data.sum() / 2 < 10_000
+    part = partition_graph(g, PartitionConfig(c=c, seed=seed))
+    monkeypatch.setattr(cluster, "_refine", refine_by_rebuild)
+    ref = partition_graph(g, PartitionConfig(c=c, seed=seed))
+    np.testing.assert_array_equal(part.assign, ref.assign)
+
+
+def test_refine_stops_a_level_after_a_round_that_barely_pays(monkeypatch):
+    # clusters {0..3} and {4..7}; the heavy edge 0-4 dominates a cut of
+    # 20,006 that no move can lower (0 and 4 are tied to both sides).  The
+    # first (upward) round moves only node 3 and gains 1, under 1e-4 of
+    # the cut, so the level stops there; without the rule, later rounds
+    # lower the cut further.
+    heavy = 20_000
+    edges = [(0, 1, heavy), (0, 4, heavy), (4, 5, heavy), (1, 2, 5), (2, 3, 1),
+             (3, 6, 1), (3, 7, 1), (5, 6, 1), (5, 7, 3), (1, 6, 2), (2, 6, 2)]
+    adj = build_graph(edges, 8).adj
+    start = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    out = _refine(adj, np.ones(8), start.copy(), c=2, cap=6)
+    np.testing.assert_array_equal(out, [0, 0, 0, 1, 1, 1, 1, 1])
+    assert _recount(adj, start) == heavy + 6
+    assert 0 < _recount(adj, start) - _recount(adj, out) < cluster._STOP_FRACTION * _recount(adj, start)
+    monkeypatch.setattr(cluster, "_STOP_FRACTION", 0.0)
+    assert _recount(adj, _refine(adj, np.ones(8), start.copy(), c=2, cap=6)) < _recount(adj, out)
+
+
 def _random_weighted(rng, n, density, loops=False):
     upper = np.triu(rng.random((n, n)) < density, 0 if loops else 1)
     rows, cols = np.nonzero(upper)
@@ -487,6 +586,23 @@ def test_partition_from_assign_members_match_the_per_cluster_scan(seed):
         expected = np.flatnonzero(assign == t)
         assert np.array_equal(part.members[t], expected)
         assert part.members[t].dtype == expected.dtype
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_strip_diagonal_matches_the_coo_round_trip(seed):
+    rng = np.random.default_rng(seed)
+    n = [0, 1, 5, 30, 60, 120][seed]
+    adj = _random_weighted(rng, n, 0.2, loops=True) if n else sp.csr_matrix((0, 0))
+    if seed % 2:  # columns out of order inside each row
+        order = np.lexsort((rng.random(adj.nnz), np.repeat(np.arange(n), np.diff(adj.indptr))))
+        adj = sp.csr_matrix((adj.data[order], adj.indices[order], adj.indptr), shape=adj.shape)
+        adj.has_sorted_indices = False
+    coo = adj.tocoo()
+    keep = coo.row != coo.col
+    ref = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=adj.shape)
+    out = _strip_diagonal(adj)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
 
 
 def _coarse_map_by_loop(match):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dualgcn import tape
 from dualgcn.errors import DataError
 from dualgcn.graph import (
+    Graph,
     add_self_loops,
     build_graph,
     read_edge_list,
@@ -70,6 +71,30 @@ def test_add_self_loops_empty():
 def test_add_self_loops_increments_existing():
     g = add_self_loops(build_graph([(0, 0, 1.0)], n=1))
     assert g.adj[0, 0] == pytest.approx(2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 25), st.floats(0.0, 0.6), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 10_000))
+def test_add_self_loops_is_a_plus_i_in_canonical_csr(n, density, loop_share, shuffle, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    upper |= np.diag(rng.random(n) < loop_share)  # some existing loops; empty rows stay isolated
+    rows, cols = np.nonzero(upper)
+    w = rng.integers(1, 4, rows.size).astype(float)
+    off = rows != cols
+    adj = sp.csr_matrix((np.r_[w, w[off]], (np.r_[rows, cols[off]], np.r_[cols, rows[off]])), shape=(n, n))
+    dense = adj.toarray()
+    if shuffle:  # the same matrix with its columns out of order inside each row
+        order = np.lexsort((rng.random(adj.nnz), np.repeat(np.arange(n), np.diff(adj.indptr))))
+        adj = sp.csr_matrix((adj.data[order], adj.indices[order], adj.indptr), shape=(n, n))
+        adj.has_sorted_indices = False
+    out = add_self_loops(Graph(n=n, adj=adj)).adj
+    assert out.data.dtype == np.float64
+    np.testing.assert_array_equal(out.toarray(), dense + np.eye(n))
+    assert out.nnz == np.count_nonzero(dense + np.eye(n))
+    # canonical: columns strictly ascending inside every row
+    out_rows = np.repeat(np.arange(n), np.diff(out.indptr))
+    assert ((out_rows[1:] != out_rows[:-1]) | (out.indices[1:] > out.indices[:-1])).all()
 
 
 def test_degree_sum_after_self_loops(karate):
