@@ -24,7 +24,6 @@ from .cluster import (
     partition_graph,
 )
 from .ppmi import (
-    FrequencyMatrix,
     PpmiMatrix,
     WalkConfig,
     frequency_matrix,

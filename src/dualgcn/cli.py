@@ -1,4 +1,4 @@
-"""Batch command line: train, eval, gradcheck, ppmi, partition.
+"""Batch command line: train, eval, gradcheck, partition.
 
 Config precedence is built-in defaults < per-dataset profile < config
 file < command-line flags; unknown keys are hard errors and the fully
@@ -46,7 +46,7 @@ from .model import (
     _build_ppmi_operator,
 )
 from .optim import finite_diff_check
-from .ppmi import WalkConfig, frequency_matrix, ppmi, save_ppmi_cache
+from .ppmi import WalkConfig
 from .rng import RngStream
 from .graphlearn import GlConfig
 
@@ -227,6 +227,10 @@ def cmd_train(args) -> int:
     bundle = resolve_dataset(args.dataset, args.data_dir)
     bundle = _ensure_masks(bundle, merged)
     cfg = model_config_from(merged)
+    if use_cluster:
+        part_cfg = _from_merged(PartitionConfig, merged, seed=merged["seed"])
+        # echo the settings that took effect, q's default and seed's fallback included
+        merged["cluster_q"], merged["cluster_seed"] = part_cfg.q, part_cfg.seed
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     history_path = os.path.join(out_dir, "history.csv")
@@ -240,7 +244,6 @@ def cmd_train(args) -> int:
             fh.flush()
 
         if use_cluster:
-            part_cfg = _from_merged(PartitionConfig, merged, seed=merged["seed"])
             return cluster_fit(bundle, cfg, part_cfg, weighted_loss=merged["cluster_weighted"], on_epoch=on_epoch)
         return fit(bundle, cfg, on_epoch=on_epoch)
 
@@ -363,23 +366,6 @@ def cmd_gradcheck(args) -> int:
     return _EXIT_OK if all_ok else _EXIT_GRADCHECK
 
 
-def cmd_ppmi(args) -> int:
-    bundle = resolve_dataset(args.dataset, args.data_dir)
-    if bundle.graph is None:
-        raise DataError("ppmi requires a dataset with a graph")
-    walk = WalkConfig(q=args.q, w=args.w, gamma_walks=args.gamma)
-    freq = frequency_matrix(bundle.graph.adj, walk, RngStream(args.seed, ("ppmi",)))
-    try:
-        p = ppmi(freq)
-    except ValueError as exc:
-        raise DataError(str(exc))
-    out_path = args.out or f"{bundle.name}_ppmi.tsv"
-    _write_atomic(out_path, lambda fh: save_ppmi_cache(fh, p, walk, args.seed))
-    max_entry = float(p.P.data.max()) if p.P.nnz else 0.0
-    print(f"nnz={p.P.nnz} max={max_entry:.6g} file={out_path}")
-    return _EXIT_OK
-
-
 def cmd_partition(args) -> int:
     bundle = resolve_dataset(args.dataset, args.data_dir)
     if bundle.graph is None:
@@ -435,15 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_grad.add_argument("--seed", type=int, default=None)
     p_grad.set_defaults(func=cmd_gradcheck)
-
-    p_ppmi = sub.add_parser("ppmi", help="write the PPMI matrix of a dataset graph (training never reads it)")
-    add_common(p_ppmi)
-    p_ppmi.add_argument("--q", type=int, default=WalkConfig.q)
-    p_ppmi.add_argument("--w", type=int, default=WalkConfig.w)
-    p_ppmi.add_argument("--gamma", type=int, default=WalkConfig.gamma_walks)
-    p_ppmi.add_argument("--seed", type=int, default=ModelConfig.seed)
-    p_ppmi.add_argument("--out", default=None)
-    p_ppmi.set_defaults(func=cmd_ppmi)
 
     p_part = sub.add_parser("partition", help="partition a dataset graph and report the cut")
     add_common(p_part)

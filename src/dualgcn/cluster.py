@@ -180,6 +180,12 @@ def _heavy_edge_matching(adj: sp.csr_matrix, node_w: np.ndarray, cap: int, rng: 
     return match
 
 
+def _onehot(assign: np.ndarray, c: int) -> sp.csr_matrix:
+    """The n x c indicator matrix of assign, one unit entry per row."""
+    n = assign.size
+    return sp.csr_matrix((np.ones(n), assign, np.arange(n + 1)), shape=(n, c))
+
+
 def _contract(adj: sp.csr_matrix, node_w: np.ndarray, match: np.ndarray):
     n = adj.shape[0]
     # coarse ids follow the lower end of each pair (or the unmatched node)
@@ -188,12 +194,9 @@ def _contract(adj: sp.csr_matrix, node_w: np.ndarray, match: np.ndarray):
     rep = np.where(head, v, match)
     coarse_map = (np.cumsum(head) - 1)[rep]
     nxt = int(head.sum())
-    coo = adj.tocoo()
-    rows = coarse_map[coo.row]
-    cols = coarse_map[coo.col]
-    keep = rows != cols
-    coarse_adj = sp.csr_matrix((coo.data[keep], (rows[keep], cols[keep])), shape=(nxt, nxt))
-    coarse_adj.sum_duplicates()
+    onehot = _onehot(coarse_map, nxt)
+    # coarse edge weights; each pair's own edge lands on the dropped diagonal
+    coarse_adj = _strip_diagonal(onehot.T.tocsr() @ adj @ onehot)
     coarse_w = np.bincount(coarse_map, weights=node_w, minlength=nxt)
     return coarse_adj, coarse_w, coarse_map
 
@@ -265,9 +268,7 @@ def _connectivity(adj: sp.csr_matrix, assign: np.ndarray, c: int, rows=None):
     ``rows`` (ascending node ids), the same for ``adj[rows]`` only, with
     one ``own`` entry per row.
     """
-    n = adj.shape[0]
-    onehot = sp.csr_matrix((np.ones(n), assign, np.arange(n + 1)), shape=(n, c))
-    conn = (adj if rows is None else adj[rows]) @ onehot
+    conn = (adj if rows is None else adj[rows]) @ _onehot(assign, c)
     local = np.repeat(np.arange(conn.shape[0]), np.diff(conn.indptr))
     node = local if rows is None else rows[local]
     cols = conn.indices.astype(np.int64)

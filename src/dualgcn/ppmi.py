@@ -8,6 +8,9 @@ The sampled build works in whole arrays: a walk step bisects each
 walker's row of the cumulative weights, O(walkers * q * log max row
 length) in all, and counting is one sort of the window pairs' keys.
 Every matrix stays in CSR order, so no COO round-trip re-sorts it.
+
+Training is the only producer of PPMI: it builds the operator of the
+learned affinity S at each refresh (``model._build_ppmi_operator``).
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ from .rng import RngStream
 
 __all__ = [
     "WalkConfig",
-    "FrequencyMatrix",
     "PpmiMatrix",
     "frequency_matrix",
     "ppmi",
     "ppmi_operator",
-    "save_ppmi_cache",
 ]
 
 
@@ -47,13 +48,6 @@ class WalkConfig:
             raise ConfigError(f"window w must be in [1, q], got w={self.w}, q={self.q}")
         if self.gamma_walks < 1:
             raise ConfigError(f"gamma_walks must be >= 1, got {self.gamma_walks}")
-
-
-@dataclass(frozen=True)
-class FrequencyMatrix:
-    """Symmetric non-negative pair-count matrix (sparse)."""
-
-    F: sp.csr_matrix = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -132,9 +126,9 @@ def _pair_counts(walks: np.ndarray, q: int, w: int, n: int) -> sp.csr_matrix:
     return up + up.T.tocsr()
 
 
-def frequency_matrix(m, cfg: WalkConfig, rng: RngStream) -> FrequencyMatrix:
+def frequency_matrix(m, cfg: WalkConfig, rng: RngStream) -> sp.csr_matrix:
     """Sampled co-occurrence counts: gamma_walks walks of length q per node,
-    drawn from rng.
+    drawn from rng, as a symmetric canonical CSR matrix.
 
     Every position pair within window distance <= w adds 1 to both
     F[a, b] and F[b, a].  The walks cost O(n * gamma * q * log max row
@@ -144,16 +138,16 @@ def frequency_matrix(m, cfg: WalkConfig, rng: RngStream) -> FrequencyMatrix:
     n = mat.shape[0]
     starts = np.repeat(np.arange(n, dtype=np.int64), cfg.gamma_walks)
     walks = _batch_walks(mat, starts, cfg.q, rng)
-    return FrequencyMatrix(F=_pair_counts(walks, cfg.q, cfg.w, n))
+    return _pair_counts(walks, cfg.q, cfg.w, n)
 
 
-def ppmi(freq: FrequencyMatrix) -> PpmiMatrix:
-    """Positive pointwise mutual information of the co-occurrence counts.
+def ppmi(freq: sp.spmatrix) -> PpmiMatrix:
+    """Positive pointwise mutual information of the sparse co-occurrence counts.
 
     Entries with F[i, j] = 0 are exactly zero (no log of zero is taken);
     positive entries are max(ln(p_ij / (p_i* p_*j)), 0).
     """
-    f = freq.F.tocsr()
+    f = freq.tocsr()
     if not f.has_canonical_format:  # the entries are read in canonical CSR order
         f = f.copy()
         f.sum_duplicates()
@@ -175,15 +169,3 @@ def ppmi(freq: FrequencyMatrix) -> PpmiMatrix:
 def ppmi_operator(p: PpmiMatrix) -> sp.csr_matrix:
     """Symmetric normalization of the PPMI matrix."""
     return sym_normalize(p.P)
-
-
-# ---------------------------------------------------------------------------
-# cache file: "# ppmi n=<n> q=<q> w=<w> gamma=<g> seed=<s>" then i<TAB>j<TAB>v
-# ---------------------------------------------------------------------------
-
-def save_ppmi_cache(fh, p: PpmiMatrix, cfg: WalkConfig, seed: int) -> None:
-    """Write the cache file to a binary file object; seed is the walks' seed."""
-    coo = p.P.tocoo()
-    lines = [f"# ppmi n={p.P.shape[0]} q={cfg.q} w={cfg.w} gamma={cfg.gamma_walks} seed={seed}\n"]
-    lines += [f"{i}\t{j}\t{v:.17g}\n" for i, j, v in zip(coo.row, coo.col, coo.data)]
-    fh.write("".join(lines).encode())

@@ -161,6 +161,27 @@ def refine_by_rebuild(adj, node_w, assign, c: int, cap: int):
     return assign
 
 
+def contract_by_coo(adj, node_w, match):
+    """The contraction of cluster._contract through a COO round trip: every
+    fine entry mapped to its coarse ends, loops dropped, duplicates summed.
+    The oracle for cluster._contract, which builds the same coarse graph
+    as a sparse product."""
+    n = adj.shape[0]
+    v = np.arange(n)
+    head = (match < 0) | (v < match)
+    rep = np.where(head, v, match)
+    coarse_map = (np.cumsum(head) - 1)[rep]
+    nxt = int(head.sum())
+    coo = adj.tocoo()
+    rows = coarse_map[coo.row]
+    cols = coarse_map[coo.col]
+    keep = rows != cols
+    coarse_adj = sp.csr_matrix((coo.data[keep], (rows[keep], cols[keep])), shape=(nxt, nxt))
+    coarse_adj.sum_duplicates()
+    coarse_w = np.bincount(coarse_map, weights=node_w, minlength=nxt)
+    return coarse_adj, coarse_w, coarse_map
+
+
 def cluster_blocks(part, g: Graph, x, y) -> list:
     """Every cluster's batch as form_batch induces it with q = 1, in cluster order."""
     from dualgcn.cluster import form_batch

@@ -156,19 +156,17 @@ def test_criterion_6_ppmi_oracle_equivalence():
             devs = []
             for seed in (0, 1, 2):
                 cfg = WalkConfig(q=q, w=q, gamma_walks=10_000)
-                f = frequency_matrix(g.adj, cfg, RngStream(seed, ("ppmi",))).F.toarray()
+                f = frequency_matrix(g.adj, cfg, RngStream(seed, ("ppmi",))).toarray()
                 devs.append(np.abs(f / f.sum() - exact_dist).max())
             worst = max(worst, float(np.mean(devs)))
     # property sweep: symmetry, non-negativity, exact-independence zero
     g = make_random_graph(9, 0.4, seed=5)
     fq = frequency_matrix(g.adj, WalkConfig(q=3, w=3, gamma_walks=50), RngStream(0, ("ppmi",)))
-    sym_ok = abs(fq.F - fq.F.T).nnz == 0
+    sym_ok = abs(fq - fq.T).nnz == 0
     p = ppmi(fq)
     nonneg_ok = bool((p.P.data >= 0).all()) if p.P.nnz else True
     u = np.array([1.0, 2.0, 4.0, 8.0])
-    from dualgcn.ppmi import FrequencyMatrix
-
-    indep = ppmi(FrequencyMatrix(F=sp.csr_matrix(np.outer(u, u))))
+    indep = ppmi(sp.csr_matrix(np.outer(u, u)))
     indep_ok = indep.P.nnz == 0
     ok = worst <= 0.05 and sym_ok and nonneg_ok and indep_ok
     _report("6 ppmi-oracle", ok,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -87,6 +88,17 @@ def test_readme_quick_start_commands_parse():
         assert args.command == argv[0]
 
 
+def test_readme_quick_start_shows_every_subcommand():
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start\n", 1)[1].split("```", 2)[1]
+    shown = {shlex.split(line)[1] for line in block.splitlines() if line.startswith("dualgcn ")}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = set(sub.choices) - shown
+    assert not missing, f"subcommands with no README quick-start line: {sorted(missing)}"
+
+
 def test_train_karate_smoke(tmp_path):
     out = tmp_path / "run"
     rc = run(["train", "--dataset", "karate", "--seed", "7", "--out", str(out)] + FAST_TRAIN)
@@ -139,6 +151,23 @@ def test_train_cluster_routing(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cluster_mode"] is True
     assert summary["config"]["cluster_c"] == 2
+
+
+@pytest.mark.parametrize("cluster,effective", [
+    (["c=4"], {"cluster_q": 1, "cluster_seed": 3}),  # q's default, seed's fallback
+    (["c=4", "q=2", "seed=9"], {"cluster_q": 2, "cluster_seed": 9}),
+])
+def test_cluster_run_records_the_settings_that_took_effect(tmp_path, cluster, effective):
+    from dualgcn.model import load_checkpoint
+
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "karate", "--seed", "3", "--cluster", *cluster,
+                "--out", str(out)] + FAST_TRAIN) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    want = {"cluster_c": 4, "cluster_balance": 1.1, "cluster_weighted": True, **effective}
+    assert {k: v for k, v in config.items() if k.startswith("cluster_")} == want
+    _, meta = load_checkpoint(str(out / "checkpoint.npz"))
+    assert {k: v for k, v in meta["cfg"].items() if k.startswith("cluster_")} == want
 
 
 def test_failed_artifact_write_keeps_the_earlier_artifact(tmp_path, monkeypatch):
@@ -387,16 +416,6 @@ def test_gradcheck_lambda2_zero_skips_learner(capsys):
     assert "graph-learner: no-grad, skipped" in out
 
 
-def test_ppmi_command_deterministic(tmp_path):
-    out1 = tmp_path / "p1.tsv"
-    out2 = tmp_path / "p2.tsv"
-    args = ["ppmi", "--dataset", "karate", "--q", "3", "--w", "3", "--gamma", "10", "--seed", "1"]
-    assert run(args + ["--out", str(out1)]) == 0
-    assert run(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_text().splitlines()[0] == "# ppmi n=34 q=3 w=3 gamma=10 seed=1"
-
-
 def test_ppmi_gamma_growth_improves_oracle_distance(tmp_path, karate):
     from dualgcn.ppmi import WalkConfig, frequency_matrix
     from dualgcn.rng import RngStream
@@ -406,24 +425,13 @@ def test_ppmi_gamma_growth_improves_oracle_distance(tmp_path, karate):
 
     def deviation(gamma, seed):
         f = frequency_matrix(karate.graph.adj, WalkConfig(q=3, w=3, gamma_walks=gamma),
-                             RngStream(seed, ("ppmi",))).F.toarray()
+                             RngStream(seed, ("ppmi",))).toarray()
         return np.abs(f / f.sum() - exact_dist).max()
 
     for seed in (0, 1, 2):
         lo = deviation(20, seed)
         hi = deviation(200, seed)
         assert hi <= lo, (seed, lo, hi)
-
-
-def test_ppmi_empty_graph_exit_3(tmp_path):
-    from dataclasses import replace
-    from dualgcn.graph import build_graph
-
-    bundle = make_sbm_bundle(n=10, k=2, seed=0)
-    empty = replace(bundle, graph=build_graph([], 10))
-    save_dataset(empty, tmp_path / "empty")
-    rc = run(["ppmi", "--dataset", str(tmp_path / "empty"), "--out", str(tmp_path / "p.tsv")])
-    assert rc == 3
 
 
 def test_partition_command(tmp_path, capsys):
@@ -440,7 +448,6 @@ def test_partition_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,writer", [
     (["partition", "--dataset", "karate", "--c", "4"], "save_partition_cache"),
-    (["ppmi", "--dataset", "karate", "--gamma", "4"], "save_ppmi_cache"),
 ])
 def test_failed_cache_write_keeps_the_earlier_file(tmp_path, monkeypatch, command, writer):
     out = tmp_path / "cache.txt"

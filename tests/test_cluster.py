@@ -35,6 +35,7 @@ from dualgcn.rng import RngStream
 from conftest import (
     citation_graph,
     cluster_blocks,
+    contract_by_coo,
     make_random_graph,
     make_sbm_bundle,
     reassemble,
@@ -641,6 +642,25 @@ def test_contract_matches_the_per_node_loop(seed):
     ref = sp.csr_matrix((coo.data[keep], (rows[keep], cols[keep])), shape=(m, m))
     assert coarse_adj.shape == (m, m)
     assert (coarse_adj != ref).nnz == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([np.int32, np.int64]))
+def test_contract_equals_the_coo_round_trip(seed, index_dtype):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    adj = _strip_diagonal(_random_weighted(rng, n, rng.uniform(0.02, 0.5)))
+    adj.indptr, adj.indices = adj.indptr.astype(index_dtype), adj.indices.astype(index_dtype)
+    match = np.full(n, -1, dtype=np.int64)
+    pairs = rng.permutation(n)[: 2 * int(rng.integers(0, n // 2 + 1))].reshape(-1, 2)
+    match[pairs[:, 0]], match[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]  # the rest stay unmatched
+    node_w = rng.integers(1, 5, n).astype(float)
+    got, want = _contract(adj, node_w, match), contract_by_coo(adj, node_w, match)
+    assert got[0].shape == want[0].shape and got[0].has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got[0], name), getattr(want[0], name))
+    np.testing.assert_array_equal(got[1], want[1])
+    np.testing.assert_array_equal(got[2], want[2])
 
 
 def _greedy_pairs_by_loop(u, v, n):

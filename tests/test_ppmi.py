@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dualgcn.graph import build_graph
 from dualgcn.ppmi import (
-    FrequencyMatrix,
     _batch_walks,
     WalkConfig,
     frequency_matrix,
@@ -65,13 +64,13 @@ def test_frequency_single_self_loop_node():
     # F[0,0] twice, giving 4
     g = build_graph([(0, 0, 1.0)], n=1)
     freq = frequency_matrix(g.adj, WalkConfig(q=2, w=1, gamma_walks=1), RngStream(0, ("ppmi",)))
-    assert freq.F[0, 0] == 4.0
+    assert freq[0, 0] == 4.0
 
 
 def test_frequency_empty_graph_is_zero():
     g = build_graph([], n=4)
     freq = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5), RngStream(0, ("ppmi",)))
-    assert freq.F.nnz == 0
+    assert freq.nnz == 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -79,9 +78,24 @@ def test_frequency_empty_graph_is_zero():
 def test_frequency_symmetric_nonnegative(seed):
     g = make_random_graph(int(RngStream(seed).integers(2, 10)), 0.4, seed)
     cfg = WalkConfig(q=3, w=2, gamma_walks=4)
-    f = frequency_matrix(g.adj, cfg, RngStream(seed, ("ppmi",))).F
+    f = frequency_matrix(g.adj, cfg, RngStream(seed, ("ppmi",)))
     assert (f.data >= 0).all()
     assert abs(f - f.T).nnz == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 400))
+def test_frequency_matrix_is_canonical_csr(seed):
+    rng = RngStream(seed)
+    n = int(rng.integers(1, 12))
+    g = make_random_graph(n, 0.4, seed, ensure_ring=bool(seed % 2))
+    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=3), RngStream(seed, ("ppmi",)))
+    assert isinstance(f, sp.csr_matrix) and f.shape == (n, n)
+    # columns strictly ascending inside each row: sorted, with no repeats
+    rows = np.repeat(np.arange(n), np.diff(f.indptr))
+    same_row = rows[1:] == rows[:-1]
+    assert (np.diff(f.indices)[same_row] > 0).all()
+    assert f.has_canonical_format
 
 
 def test_exact_two_node_single_edge_offdiagonal():
@@ -148,20 +162,20 @@ def test_sampled_frequency_converges_to_exact():
     exact = exact_frequency_matrix(g.adj, q=3, w=3)
     exact_dist = exact / exact.sum()
     cfg = WalkConfig(q=3, w=3, gamma_walks=10_000)
-    sampled = frequency_matrix(g.adj, cfg, RngStream(5, ("ppmi",))).F.toarray()
+    sampled = frequency_matrix(g.adj, cfg, RngStream(5, ("ppmi",))).toarray()
     sampled_dist = sampled / sampled.sum()
     assert np.abs(sampled_dist - exact_dist).max() <= 0.05
 
 
 def test_ppmi_rank_one_independence_is_zero():
     u = np.array([1.0, 2.0, 4.0])
-    f = FrequencyMatrix(F=sp.csr_matrix(np.outer(u, u)))
+    f = sp.csr_matrix(np.outer(u, u))
     p = ppmi(f)
     assert p.P.nnz == 0
 
 
 def test_ppmi_identity_two_by_two():
-    f = FrequencyMatrix(F=sp.csr_matrix(np.eye(2)))
+    f = sp.csr_matrix(np.eye(2))
     p = ppmi(f)
     assert p.P[0, 0] == pytest.approx(np.log(2), rel=1e-12)
     assert p.P[1, 1] == pytest.approx(np.log(2), rel=1e-12)
@@ -173,18 +187,18 @@ def test_ppmi_zero_where_f_zero_and_nonnegative(karate):
     f = frequency_matrix(karate.graph.adj, cfg, RngStream(0, ("ppmi",)))
     p = ppmi(f)
     assert (p.P.data >= 0).all()
-    f_dense = f.F.toarray()
+    f_dense = f.toarray()
     p_dense = p.P.toarray()
     assert (p_dense[f_dense == 0] == 0).all()
 
 
 def test_ppmi_rejects_all_zero():
     with pytest.raises(ValueError):
-        ppmi(FrequencyMatrix(F=sp.csr_matrix((3, 3))))
+        ppmi(sp.csr_matrix((3, 3)))
 
 
 def test_ppmi_operator_diagonal():
-    p = ppmi(FrequencyMatrix(F=sp.csr_matrix(np.eye(2))))
+    p = ppmi(sp.csr_matrix(np.eye(2)))
     op = ppmi_operator(p)
     np.testing.assert_allclose(op.toarray(), np.eye(2))
 
@@ -379,8 +393,8 @@ def _ppmi_coo(f):
 
 def test_ppmi_matches_coo_formula():
     g = make_random_graph(30, 0.15, seed=2)
-    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5), RngStream(1, ("ppmi",))).F
-    got = ppmi(FrequencyMatrix(F=f)).P
+    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5), RngStream(1, ("ppmi",)))
+    got = ppmi(f).P
     want = _ppmi_coo(f)
     assert 0 < want.nnz < f.nnz
     np.testing.assert_array_equal(got.indptr, want.indptr)
@@ -391,7 +405,7 @@ def test_ppmi_matches_coo_formula():
 def test_ppmi_non_canonical_input_matches_and_is_kept():
     # the same counts stored with unsorted, repeated columns
     g = make_random_graph(30, 0.15, seed=2)
-    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5), RngStream(1, ("ppmi",))).F
+    f = frequency_matrix(g.adj, WalkConfig(q=3, w=2, gamma_walks=5), RngStream(1, ("ppmi",)))
     coo = f.tocoo()
     rows = np.concatenate([coo.row, coo.row])
     order = np.argsort(rows, kind="stable")
@@ -401,8 +415,8 @@ def test_ppmi_non_canonical_input_matches_and_is_kept():
                           shape=f.shape)
     assert not messy.has_canonical_format
     before = (messy.data.copy(), messy.indices.copy(), messy.indptr.copy())
-    got = ppmi(FrequencyMatrix(F=messy)).P
-    want = ppmi(FrequencyMatrix(F=f)).P
+    got = ppmi(messy).P
+    want = ppmi(f).P
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_allclose(got.data, want.data, rtol=1e-12)
