@@ -10,14 +10,14 @@ Every round reads each node's connectivity to every cluster and either
 moves nodes to better clusters with room under the balance cap (upward
 in cluster id on even rounds, downward on odd ones) or swaps equal-weight
 node pairs between two clusters, paired by the same matcher; a round that
-would raise the cut is dropped.  A level builds its connectivity once, by
-the sparse product adj @ onehot(assign), and keeps it and the cut current
-from the moved nodes' rows; like KaMinPar (Gottesbueren et al., ESA 2021)
-it runs only the rounds that still pay, stopping after a kept round that
-lowers the cut by less than _STOP_FRACTION of it.  Training then samples
-q clusters per step, trains on their induced subgraph (cross-cluster
-edges between chosen clusters stay in), and scales the loss by the
-batch's node share.
+would raise the cut is dropped.  A round's cut is scored from the moved
+nodes' rows, and each kept round rebuilds the connectivity by the sparse
+product adj @ onehot(assign); like KaMinPar (Gottesbueren et al., ESA
+2021) a level runs only the rounds that still pay, stopping after a kept
+round that lowers the cut by less than _STOP_FRACTION of it.  Training
+then samples q clusters per step, trains on their induced subgraph
+(cross-cluster edges between chosen clusters stay in), and scales the
+loss by the batch's node share.
 """
 
 from __future__ import annotations
@@ -116,10 +116,11 @@ def partition_from_assign(g: Graph, assign: np.ndarray, c: int) -> Partition:
 
 
 def random_balanced_partition(g: Graph, c: int, rng: RngStream) -> Partition:
-    """Uniformly shuffled nodes chopped into c nearly-equal clusters."""
+    """Uniformly shuffled nodes chopped into c clusters of floor(n/c) or
+    ceil(n/c) nodes each."""
     order = rng.permutation(np.arange(g.n))
     assign = np.empty(g.n, dtype=np.int64)
-    assign[order] = np.arange(g.n) // int(np.ceil(g.n / c))
+    assign[order] = np.arange(g.n) * c // g.n
     return partition_from_assign(g, assign, c)
 
 
@@ -259,22 +260,19 @@ def _greedy_grow(adj: sp.csr_matrix, node_w: np.ndarray, c: int, cap: int, total
     return assign
 
 
-def _connectivity(adj: sp.csr_matrix, assign: np.ndarray, c: int, rows=None):
+def _connectivity(adj: sp.csr_matrix, assign: np.ndarray, c: int):
     """Every node's edge weight into every cluster, as one sparse product.
 
     Returns the entries of ``adj @ onehot(assign)`` (n x c, kept sparse)
     that point into another cluster as ``(node, cluster, weight)`` arrays
-    in node order, plus each node's weight into its own cluster.  Given
-    ``rows`` (ascending node ids), the same for ``adj[rows]`` only, with
-    one ``own`` entry per row.
+    in node order, plus each node's weight into its own cluster.
     """
-    conn = (adj if rows is None else adj[rows]) @ _onehot(assign, c)
-    local = np.repeat(np.arange(conn.shape[0]), np.diff(conn.indptr))
-    node = local if rows is None else rows[local]
+    conn = adj @ _onehot(assign, c)
+    node = np.repeat(np.arange(conn.shape[0]), np.diff(conn.indptr))
     cols = conn.indices.astype(np.int64)
     mine = cols == assign[node]
     own = np.zeros(conn.shape[0])
-    own[local[mine]] = conn.data[mine]
+    own[node[mine]] = conn.data[mine]
     other = ~mine
     return node[other], cols[other], conn.data[other], own
 
@@ -302,35 +300,6 @@ def _trial_cut(adj: sp.csr_matrix, cut: float, assign: np.ndarray, trial: np.nda
     once = ~is_moved[u] | (v < u)
     w, v, u = adj.data[pos[once]], v[once], u[once]
     return cut + w[trial[v] != trial[u]].sum() - w[assign[v] != assign[u]].sum()
-
-
-def _update_connectivity(adj: sp.csr_matrix, conn, assign: np.ndarray, moved: np.ndarray, c: int):
-    """conn after the moved nodes took their clusters in assign.
-
-    Only the rows of the moved nodes and their neighbours change: those
-    are rebuilt and spliced back in node order.  Within a row the order
-    may differ from a fresh _connectivity; no round reads it.
-    """
-    rows, cols, vals, own = conn
-    pos = _row_entries(adj.indptr, moved)[0]
-    touched = np.zeros(assign.size, dtype=bool)
-    touched[moved] = touched[adj.indices[pos]] = True
-    redo = np.flatnonzero(touched)
-    new_rows, new_cols, new_vals, new_own = _connectivity(adj, assign, c, redo)
-    own = own.copy()
-    own[redo] = new_own
-    kept = ~touched[rows]
-    rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    # each rebuilt entry lands after the kept rows below its node
-    at = np.searchsorted(rows, new_rows) + np.arange(new_rows.size)
-    fresh = np.zeros(rows.size + new_rows.size, dtype=bool)
-    fresh[at] = True
-    out = []
-    for old, new in ((rows, new_rows), (cols, new_cols), (vals, new_vals)):
-        merged = np.empty(fresh.size, dtype=old.dtype)
-        merged[fresh], merged[~fresh] = new, old
-        out.append(merged)
-    return (*out, own)
 
 
 def _group_starts(keys: np.ndarray) -> np.ndarray:
@@ -454,19 +423,16 @@ def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, 
     alternate with swap rounds.  A round is kept only if it lowers the
     (weighted) cut, or keeps it and evens out the cluster weights (their
     sum of squares falls), so the cut never grows.  Moves keep every
-    cluster at or under cap and swaps exchange equal weights.  The
-    connectivity, cluster weights and cut are kept current from the moved
-    nodes alone: a trial is scored from their rows, and a kept round
-    rebuilds only their connectivity rows and their neighbours'.
-    Refinement stops after a kept round that lowers the cut by less than
-    _STOP_FRACTION of it, when an upward move, a downward move and a swap
-    all leave the assignment as it is, or after _MAX_ROUNDS move-and-swap
-    rounds.
+    cluster at or under cap and swaps exchange equal weights.  A trial's
+    cut is scored from the moved nodes' rows alone, and a kept round
+    rebuilds the connectivity by one sparse product.  Refinement stops
+    after a kept round that lowers the cut by less than _STOP_FRACTION of
+    it, when an upward move, a downward move and a swap all leave the
+    assignment as it is, or after _MAX_ROUNDS move-and-swap rounds.
     """
     weight_class = np.unique(node_w, return_inverse=True)[1]
     conn = _connectivity(adj, assign, c)
-    weights = np.bincount(assign, weights=node_w, minlength=c)
-    best = conn[2].sum() / 2, (weights ** 2).sum()
+    best = conn[2].sum() / 2, (np.bincount(assign, weights=node_w, minlength=c) ** 2).sum()
     idle = set()  # the round kinds that left the current assignment as it is
     for step in range(2 * _MAX_ROUNDS):
         kind = "swap" if step % 2 else ("up" if step % 4 == 0 else "down")
@@ -479,15 +445,15 @@ def _refine(adj: sp.csr_matrix, node_w: np.ndarray, assign: np.ndarray, c: int, 
         moved = np.flatnonzero(trial != assign)
         got = best
         if moved.size:
-            w = node_w[moved]
-            trial_w = weights + np.bincount(trial[moved], w, c) - np.bincount(assign[moved], w, c)
-            got = _trial_cut(adj, best[0], assign, trial, moved), (trial_w ** 2).sum()
+            # node weights are integer sums, so this sum of squares is exact
+            got = (_trial_cut(adj, best[0], assign, trial, moved),
+                   (np.bincount(trial, weights=node_w, minlength=c) ** 2).sum())
         if got < best:
             small = 0 < best[0] - got[0] < _STOP_FRACTION * best[0]
-            assign, best, weights = trial, got, trial_w
+            assign, best = trial, got
             if small:
                 break
-            conn = _update_connectivity(adj, conn, assign, moved, c)
+            conn = _connectivity(adj, assign, c)
             idle.clear()
         else:
             idle.add(kind)

@@ -586,6 +586,36 @@ def save_checkpoint(path, params: ModelParams, cfg_echo: dict | None = None) -> 
     np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
 
 
+def _check_chain(w_a: list, w_p: list, gl) -> None:
+    """DataError naming the first parameter whose shape breaks the chain
+    X @ W.0 @ W.1 ..., the WP.l twins or the graph learner's X @ proj @ a."""
+    if not w_a:
+        raise DataError("no layer weights")
+    for group in (w_a, w_p):
+        for layer, w in enumerate(group):
+            if w.value.ndim != 2:
+                raise DataError(f"{w.name} is {w.value.ndim}-D, not a matrix")
+            prev = group[layer - 1]
+            if layer and w.value.shape[0] != prev.value.shape[1]:
+                raise DataError(f"{w.name} has shape {w.value.shape}; {prev.name} gives "
+                                f"{prev.value.shape[1]} columns")
+    for a, p in zip(w_a, w_p):
+        if p.value.shape != a.value.shape:
+            raise DataError(f"{p.name} has shape {p.value.shape}, {a.name} {a.value.shape}")
+    if gl is None:
+        return
+    width = w_a[0].value.shape[0]
+    why = f"{w_a[0].name} has {width} rows"
+    if gl.proj is not None:
+        proj = gl.proj.value
+        if proj.ndim != 2 or proj.shape[0] != width:
+            raise DataError(f"gl.proj has shape {proj.shape}; {why}")
+        width = proj.shape[1]
+        why = f"gl.proj has {width} columns"
+    if gl.a.value.ndim != 1 or gl.a.value.size != width:
+        raise DataError(f"gl.a has shape {gl.a.value.shape}; {why}")
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a save_checkpoint file; DataError names a path that holds none."""
     try:
@@ -604,6 +634,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if meta["has_gl"]:
             proj = Parameter(state["gl.proj"], name="gl.proj") if meta["has_proj"] else None
             gl = GraphLearnerParams(a=Parameter(state["gl.a"], name="gl.a"), proj=proj)
+        _check_chain(w_a, w_p, gl)
     # a .npy file loads as an array (TypeError on `with`); JSON meta that is
     # not an object has no .get (AttributeError); DataError is a ValueError
     except (OSError, ValueError, zipfile.BadZipFile, KeyError, TypeError, AttributeError) as exc:

@@ -382,6 +382,36 @@ def test_eval_unreadable_checkpoint_exit_3(tmp_path, capsys, case):
     assert "data error" in err and str(path) in err
 
 
+@pytest.mark.parametrize("name,value", [("W.1", np.zeros((5, 4))), ("gl.a", np.zeros(3)),
+                                        ("gl.proj", np.zeros((34, 3)))])
+def test_eval_checkpoint_whose_shapes_do_not_chain_exit_3(tmp_path, capsys, name, value):
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "karate", "--out", str(out)] + FAST_TRAIN) == 0
+    with np.load(out / "checkpoint.npz") as ckpt:
+        arrays = {k: ckpt[k] for k in ckpt.files}
+    assert arrays[f"param/{name}"].shape != value.shape
+    arrays[f"param/{name}"] = value
+    path = tmp_path / "checkpoint.npz"
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    rc = run(["eval", "--dataset", "karate", "--checkpoint", str(path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err and name in err
+
+
+def test_eval_checkpoint_without_layers_exit_3(tmp_path, capsys):
+    from dualgcn.model import CHECKPOINT_FORMAT
+
+    path = tmp_path / "checkpoint.npz"
+    meta = {"format": CHECKPOINT_FORMAT, "share_weights": True, "layers": 0, "has_gl": False,
+            "has_proj": False, "cfg": {}}
+    np.savez(path, meta=json.dumps(meta))
+    assert run(["eval", "--dataset", "karate", "--checkpoint", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err
+
+
 def _leak_first_parameter(monkeypatch, prefix):
     """Make gradcheck's loss read the first parameter of the group whose
     names start with prefix outside the tape, so finite differences see a

@@ -130,6 +130,16 @@ def test_partition_beats_random_baseline_on_sbm():
         assert part.edge_cut < np.mean(random_cuts), (part.edge_cut, np.mean(random_cuts))
 
 
+@pytest.mark.parametrize("n,c", [(9, 4), (10, 6), (34, 20), (2708, 10), (5, 5)])
+def test_random_balanced_partition_fills_every_cluster(n, c):
+    g = build_graph([(i, (i + 1) % n) for i in range(n)], n=n)
+    part = random_balanced_partition(g, c, RngStream(0, ("baseline",)))
+    sizes = part.sizes()
+    assert sizes.size == c
+    assert sizes.min() == n // c
+    assert sizes.max() == -(-n // c)
+
+
 def test_cluster_blocks_of_one_cluster_are_the_whole_graph():
     # with one cluster, the one-cluster batch is the whole data
     g = make_random_graph(10, 0.4, seed=2)
@@ -509,6 +519,17 @@ def test_refine_stops_a_level_after_a_round_that_barely_pays(monkeypatch):
     assert 0 < _recount(adj, start) - _recount(adj, out) < cluster._STOP_FRACTION * _recount(adj, start)
     monkeypatch.setattr(cluster, "_STOP_FRACTION", 0.0)
     assert _recount(adj, _refine(adj, np.ones(8), start.copy(), c=2, cap=6)) < _recount(adj, out)
+
+
+def test_partition_keeps_its_cut_where_the_stop_rule_can_fire():
+    g = citation_graph(0, 19717, 3)  # the benchmark's pubmed-shaped graph
+    # cuts above 10,000, where an integer gain can fall under the stop fraction
+    assert g.adj.data.sum() / 2 > 10_000
+    part = partition_graph(g, PartitionConfig(c=50, seed=0))
+    sizes = part.sizes()
+    assert part.edge_cut <= 17_730  # 17,555 when the stop rule came in, +1%
+    assert sizes.max() <= int(1.1 * np.ceil(g.n / 50))
+    assert sizes.min() > 0
 
 
 def _random_weighted(rng, n, density, loops=False):
