@@ -81,6 +81,7 @@ class SupportStructure:
     pair_rows/pair_cols hold the entries with row < col in CSR order, and
     pair_of maps every entry to its pair's index (self-pairs to npairs).
     All keep the adjacency's CSR index dtype (12 B per entry for int32); indptr gives row ids.
+    pattern, over indptr and cols, is what S's products run through.
     """
 
     def __init__(self, g: Graph):
@@ -106,6 +107,7 @@ class SupportStructure:
         self.pair_of = np.full(self.nnz, self.npairs, dtype=self.cols.dtype)
         self.pair_of[upper] = np.arange(self.npairs)
         self.pair_of[lower[by_mirror]] = by_key
+        self.pattern = tape.Pattern(self.indptr, self.cols, (self.n, self.n))
 
     @classmethod
     def complete(cls, n: int) -> "SupportStructure":

@@ -187,32 +187,67 @@ class ForwardCache:
     zp: Tensor | None
 
 
+class _SparseConst:
+    """A constant sparse matrix and the tape.Pattern its products reuse.
+
+    The features, the frozen operator and the PPMI operator each take this
+    form once, from the owner that keeps them for as long as they live, so
+    their scipy wrappers are built once and not at every product.
+    """
+
+    __slots__ = ("mat", "values", "pattern")
+
+    def __init__(self, m):
+        self.mat = m.tocsr()
+        self.values = self.mat.data
+        self.pattern = tape.Pattern.of(self.mat)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.mat.dtype
+
+
+def _operand(m):
+    """m as forward multiplies it: a scipy matrix becomes a _SparseConst
+    whose pattern lives for this call; anything else is kept as it is."""
+    return _SparseConst(m) if sp.issparse(m) else m
+
+
 def _propagate(s, u: Tensor) -> Tensor:
+    """s @ u through s's pattern: s is a LearnedGraph or a _SparseConst."""
     if isinstance(s, LearnedGraph):
         # the paper propagates through D_s^{-1/2} S D_s^{-1/2}; S is a row
         # softmax, so D_s = I and S is used as it is
-        sup = s.support
-        return tape.spmm_values(s.values, sup.cols, sup.indptr, sup.n, u)
-    return tape.matmul(s, u)
+        return tape.spmm_values(s.values, s.support.pattern, u)
+    return tape.spmm_values(s.values, s.pattern, u)
 
 
 def _branch(x, s, weights, tag: str, cfg: ModelConfig, rng, training: bool, epoch: int) -> Tensor:
+    """One branch's softmax output: each layer drops its input, multiplies
+    by its weight and propagates through s.  Sparse features (a
+    _SparseConst) are dropped as their stored values and multiplied on
+    their own pattern."""
     h = x
     last = len(weights) - 1
     for layer, w in enumerate(weights):
         drop_rng = rng.child("dropout", epoch, tag, layer) if training else None
-        h = tape.dropout(h, cfg.dropout, drop_rng, training)
-        v = _propagate(s, tape.matmul(h, w))
+        if isinstance(h, _SparseConst):
+            u = tape.spmm_values(tape.dropout(h.values, cfg.dropout, drop_rng, training), h.pattern, w)
+        else:
+            u = tape.matmul(tape.dropout(h, cfg.dropout, drop_rng, training), w)
+        v = _propagate(s, u)
         h = tape.relu(v) if layer < last else v
     return tape.row_softmax(h)
 
 
-def forward(x, s, p_op: sp.csr_matrix | None, params: ModelParams, cfg: ModelConfig,
+def forward(x, s, p_op, params: ModelParams, cfg: ModelConfig,
             mode: str = "train", rng: RngStream | None = None, epoch: int = 0) -> ForwardCache:
     """Run both branches; p_op None skips the PPMI branch entirely.
 
     s is either a LearnedGraph (tape-tracked affinity) or a fixed sparse
-    propagation matrix.  ReLU sits between layers, none after the last;
+    propagation matrix.  A sparse x, s or p_op comes as a _SparseConst,
+    whose pattern its owner keeps, or as a scipy matrix, whose pattern is
+    built for this call.  ReLU sits between layers, none after the last;
     dropout is applied to every layer input in training mode.
     """
     if mode not in ("train", "eval"):
@@ -220,7 +255,8 @@ def forward(x, s, p_op: sp.csr_matrix | None, params: ModelParams, cfg: ModelCon
     training = mode == "train"
     if training and rng is None:
         raise ConfigError("training forward needs an RngStream for dropout")
-    if not (isinstance(s, LearnedGraph) or sp.issparse(s)):
+    x, s, p_op = _operand(x), _operand(s), _operand(p_op)
+    if not isinstance(s, (LearnedGraph, _SparseConst)):
         raise ConfigError(f"unsupported affinity object: {type(s)!r}")
     za = _branch(x, s, params.w_a, "a", cfg, rng, training, epoch)
     zp = None
@@ -286,13 +322,16 @@ class _GraphContext:
     Without a graph the learned affinity lives on the complete graph, and
     graph is left None so the loss has no adjacency-fidelity term.
     frozen_op, when given, replaces the normalized adjacency of graph as
-    the frozen operator, which is cast to the tape's dtype for x.  dist2 is
-    built by the first gl_term call.
+    the frozen operator, which is cast to the tape's dtype for x.  x_in is
+    x as forward takes it: sparse features, like the frozen operator, are
+    held as a _SparseConst, so both patterns live as long as the context.
+    dist2 is built by the first gl_term call.
     """
 
     def __init__(self, x, graph: Graph | None, cfg: ModelConfig,
                  frozen_op: sp.csr_matrix | None = None):
         self.x = x
+        self.x_in = _operand(x)
         self.graph = graph
         self.support = None
         self.frozen_op = None
@@ -312,7 +351,7 @@ class _GraphContext:
             if frozen_op is None:
                 frozen_op = sym_normalize(add_self_loops(graph).adj)
             # a float64 operator times float32 activations would upcast the branch
-            self.frozen_op = frozen_op.astype(tape._value_dtype(x.dtype), copy=False)
+            self.frozen_op = _SparseConst(frozen_op.astype(tape._value_dtype(x.dtype), copy=False))
 
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
         if not cfg.learn_graph:
@@ -328,9 +367,9 @@ class _GraphContext:
 
 
 def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> sp.csr_matrix:
-    """The normalized PPMI operator of the affinity s, in s's dtype; the
-    counts and PMI are taken in float64."""
-    trans = s.matrix() if isinstance(s, LearnedGraph) else s
+    """The normalized PPMI operator of the affinity s (a LearnedGraph or a
+    _SparseConst), in s's dtype; the counts and PMI are taken in float64."""
+    trans = s.matrix() if isinstance(s, LearnedGraph) else s.mat
     try:
         freq = frequency_matrix(trans, walk, rng)
         return ppmi_operator(ppmi(freq)).astype(trans.dtype, copy=False)
@@ -343,7 +382,7 @@ def _eval_predictions(ctx: _GraphContext, params: ModelParams, cfg: ModelConfig,
     with tape.no_grad():
         if s is None:
             s = ctx.build_affinity(params, cfg)
-        cache = forward(ctx.x, s, None, params, cfg, mode="eval")
+        cache = forward(ctx.x_in, s, None, params, cfg, mode="eval")
     return np.argmax(cache.za.value, axis=1)
 
 
@@ -471,9 +510,9 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
             s_next = None  # the step below changes the parameters it was built from
             if need_p and (p_op is None or batch.ppmi_key != p_key):
                 p_op = None  # freed before its successor is built
-                p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch))
+                p_op = _SparseConst(_build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch)))
                 p_key = batch.ppmi_key
-            cache = forward(ctx.x, s, p_op, params, cfg, "train", rng, epoch)
+            cache = forward(ctx.x_in, s, p_op, params, cfg, "train", rng, epoch)
             gl_term = ctx.gl_term(s, cfg)
             loss, comps = total_loss(cache, batch.y, batch.train_idx, gl_term, cfg)
             if batch.share != 1.0:

@@ -11,8 +11,10 @@ Conventions
   inputs' dtype: float32 inputs give float32 values, buffers and grads.
   Any other dtype (ints, float16, longdouble) is cast to float64 on entry
   (see _value_dtype).  Loss scalars are float64 either way.  Constants
-  enter as plain arrays (or scipy sparse matrices: the fixed propagation
-  operators, sparse features) and never receive gradients.
+  enter as plain arrays and never receive gradients.  A sparse constant
+  (a fixed propagation operator, sparse features) enters spmm_values as
+  its 1-D values array on a Pattern that its owner builds once and keeps;
+  matmul also takes a scipy matrix, whose Pattern it builds for that call.
 * A forward pass builds a DAG of Tensor nodes; ``backward(loss)``
   accumulates d loss / d leaf into every reachable Parameter's ``grad``.
   Under ``no_grad()`` nothing is recorded: each op returns a bare value.
@@ -28,6 +30,7 @@ import scipy.sparse as sp
 __all__ = [
     "Tensor",
     "Parameter",
+    "Pattern",
     "backward",
     "matmul",
     "add",
@@ -174,18 +177,25 @@ def tape_nbytes(root: Tensor) -> int:
 # ---------------------------------------------------------------------------
 
 def _value(v):
-    """The array behind a tape value; a sparse constant as it is, any other
-    cast to its _value_dtype."""
+    """The array behind a tape value; a constant cast to its _value_dtype."""
     if isinstance(v, Tensor):
         return v.value
-    if sp.issparse(v):
-        return v
     v = np.asarray(v)
     return v.astype(_value_dtype(v.dtype), copy=False)
 
 
 def matmul(a, b) -> Tensor:
-    """a @ b; either operand may be a constant (ndarray or scipy sparse)."""
+    """a @ b; either operand may be a constant (ndarray or scipy sparse).
+
+    A scipy operand is multiplied as its stored values on a Pattern built
+    for this call: on the left through spmm_values, on the right as
+    (b.T @ a.T).T, which is how scipy multiplies it.
+    """
+    if sp.issparse(a):
+        a = a.tocsr()
+        return spmm_values(a.data, Pattern.of(a), b)
+    if sp.issparse(b):
+        return _matmul_sparse_right(a, b.tocsr())
     av, bv = _value(a), _value(b)
     if av.shape[-1] != bv.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {av.shape} @ {bv.shape}")
@@ -201,6 +211,19 @@ def matmul(a, b) -> Tensor:
         return grads
 
     return Tensor(np.asarray(out), parents, vjp)
+
+
+def _matmul_sparse_right(a, b: sp.csr_matrix) -> Tensor:
+    av = _value(a)
+    if av.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {av.shape} @ {b.shape}")
+    pattern = Pattern.of(b)
+    out = pattern.t_product(b.data, av.T).T
+
+    def vjp(g):
+        return (pattern.product(b.data, g.T).T,)
+
+    return Tensor(out, (a,) if isinstance(a, Tensor) else (), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -248,19 +271,15 @@ def row_softmax(x: Tensor) -> Tensor:
 def dropout(x, rate: float, rng, training: bool):
     """Inverted dropout; eval mode (or rate 0) is the identity.
 
-    A constant (ndarray or scipy sparse) comes back as a constant of its
-    kind; a sparse one draws for, and drops, only its stored entries.
+    A constant array comes back as a constant array: sparse features are
+    dropped as their stored values, one draw per entry, and keep their
+    Pattern.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     scale_ = 1.0 / (1.0 - rate)
-    if sp.issparse(x):
-        keep = rng.random(x.data.shape) >= rate
-        out = x.copy()
-        out.data = np.where(keep, out.data * scale_, 0.0)
-        return out
     v = _value(x)
     keep = rng.random(v.shape) >= rate
     out = np.where(keep, v * scale_, 0.0)
@@ -423,11 +442,12 @@ def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
                 if ga is not None:
                     ga += np.abs(d, out=d).T @ g[clo:chi]
             if gx is not None:
-                # scatter through one-hot (n x block) selectors; np.add.at is ~10x slower
+                # scatter through the transposes of one-hot (block x n) selectors;
+                # np.add.at is ~10x slower
                 ones = np.ones(hi - lo, dtype=dtype)  # a float64 selector would upcast gs
                 ptr = np.arange(hi - lo + 1)
-                gx += sp.csc_matrix((ones, rows[lo:hi], ptr), shape=(n, hi - lo)) @ gs
-                gx -= sp.csc_matrix((ones, cols[lo:hi], ptr), shape=(n, hi - lo)) @ gs
+                gx += Pattern(ptr, rows[lo:hi], (hi - lo, n)).t_product(ones, gs)
+                gx -= Pattern(ptr, cols[lo:hi], (hi - lo, n)).t_product(ones, gs)
         return (gx, ga) if tracked else (ga,)
 
     return Tensor(out, (xp, a) if tracked else (a,), vjp)
@@ -469,28 +489,79 @@ def segment_softmax(scores: Tensor, indptr) -> Tensor:
     return Tensor(out, (scores,), vjp)
 
 
-def spmm_values(t_vals: Tensor, cols, indptr, n: int, h: Tensor) -> Tensor:
-    """CSR matrix with tape-tracked values times a dense tape value.
+class Pattern:
+    """A fixed CSR pattern whose products take their values at each call.
 
-    cols and indptr are used as they are; backward derives the row ids from
+    Holds indptr, indices and shape, and two scipy wrappers over those same
+    arrays, each built on its first use: a CSR one for m @ h, and a CSC one
+    for m.T @ g, which is the matrix m.T builds.  A product assigns the
+    values to the wrapper's data and multiplies, so the kernels and their
+    results are scipy's own while no scipy matrix is built per product.  A
+    pass that runs no backward never builds the CSC wrapper.
+    """
+
+    __slots__ = ("indptr", "indices", "shape", "_csr", "_csc")
+
+    def __init__(self, indptr, indices, shape):
+        self.indptr = indptr
+        self.indices = indices
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._csr = self._csc = None
+
+    @classmethod
+    def of(cls, m: sp.csr_matrix) -> "Pattern":
+        """The pattern of a CSR matrix, sharing its index arrays."""
+        return cls(m.indptr, m.indices, m.shape)
+
+    def product(self, values, h):
+        """m @ h for the matrix m with these values."""
+        if self._csr is None:
+            self._csr = sp.csr_matrix((values, self.indices, self.indptr), shape=self.shape)
+        self._csr.data = values
+        return self._csr @ h
+
+    def t_product(self, values, g):
+        """m.T @ g for the matrix m with these values."""
+        if self._csc is None:
+            self._csc = sp.csc_matrix((values, self.indices, self.indptr), shape=self.shape[::-1])
+        self._csc.data = values
+        return self._csc @ g
+
+
+def spmm_values(values, pattern: Pattern, h) -> Tensor:
+    """m @ h for the matrix m with these values on pattern.
+
+    values is a tape value (the learned S) or a constant 1-D array; h is a
+    tape value or a constant.  Backward takes h's gradient as m.T @ g
+    through the pattern; the values' gradient derives the row ids from
     indptr, then takes the per-entry dots g_i . h_j over chunks of
     cache_block(width) entries: each chunk's gathered rows live only until
     its dots are summed, so a cache-sized chunk is all the memory they need.
     """
-    mat = sp.csr_matrix((t_vals.value, cols, indptr), shape=(n, n))
-    out = mat @ h.value
+    tracked = isinstance(values, Tensor)
+    v = values.value if tracked else values
+    hv = _value(h)
+    if pattern.shape[1] != hv.shape[0]:
+        raise ValueError(f"sparse product dimension mismatch: {pattern.shape} @ {hv.shape}")
+    out = pattern.product(v, hv)
+    parents = tuple(t for t in (values, h) if isinstance(t, Tensor))
 
     def vjp(g):
-        gt = None
-        if t_vals.needs_grad:
-            rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
-            gt = np.empty(rows.size, dtype=g.dtype)
-            chunk = cache_block(g.shape[1])
-            for lo in range(0, rows.size, chunk):
-                prod = g[rows[lo:lo + chunk]]
-                prod *= h.value[cols[lo:lo + chunk]]
-                gt[lo:lo + chunk] = prod.sum(axis=1)
-        gh = mat.T @ g if h.needs_grad else None
-        return gt, gh
+        grads = []
+        if tracked:
+            gt = None
+            if values.needs_grad:
+                indptr, cols = pattern.indptr, pattern.indices
+                rows = np.repeat(np.arange(pattern.shape[0], dtype=cols.dtype), np.diff(indptr))
+                gt = np.empty(rows.size, dtype=g.dtype)
+                chunk = cache_block(g.shape[1])
+                for lo in range(0, rows.size, chunk):
+                    prod = g[rows[lo:lo + chunk]]
+                    prod *= hv[cols[lo:lo + chunk]]
+                    gt[lo:lo + chunk] = prod.sum(axis=1)
+            grads.append(gt)
+        if isinstance(h, Tensor):
+            grads.append(pattern.t_product(v, g) if h.needs_grad else None)
+        return grads
 
-    return Tensor(np.asarray(out), (t_vals, h), vjp)
+    return Tensor(np.asarray(out), parents, vjp)

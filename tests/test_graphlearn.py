@@ -248,8 +248,7 @@ def test_entry_blocking_leaves_loss_and_gradients_unchanged(monkeypatch):
         for p in params:
             p.zero_grad()
         s = _learn_complete(x, gl)
-        h = tape.spmm_values(s.values, s.support.cols, s.support.indptr, 6,
-                             tape.matmul(constant(x), w))
+        h = tape.spmm_values(s.values, s.support.pattern, tape.matmul(constant(x), w))
         loss = tape.add(tape.sum_sq(h), _gl_loss(x, s, None, GlConfig()))
         tape.backward(loss)
         return loss.item(), [p.grad.copy() for p in params]

@@ -723,3 +723,29 @@ def test_checkpoints_load_across_feature_dtypes(tmp_path):
     params64 = loaded[np.dtype(np.float64)]
     np.testing.assert_array_equal(predict(params64, b32), predict(params64, b64))
     assert predict(loaded[np.dtype(np.float32)], b64).shape == (b64.n,)
+
+
+def test_karate_epochs_build_no_scipy_matrix(monkeypatch, karate):
+    """Past the first epoch every sparse product reuses its pattern's wrappers,
+    and predict, which runs no backward, builds no transposed (CSC) one."""
+    from dataclasses import replace
+
+    from dualgcn.cli import merge_config, model_config_from
+
+    built = {"csr": 0, "csc": 0}
+    for kind, cls in (("csr", sp.csr_matrix), ("csc", sp.csc_matrix)):
+        def counted(self, *args, _init=cls.__init__, _kind=kind, **kwargs):
+            built[_kind] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    # loaded from files, karate's one-hot features are a float32 CSR
+    bundle = replace(karate, x=sp.csr_matrix(karate.x, dtype=np.float32))
+    cfg = model_config_from(merge_config("karate", {}, {"epochs": "20", "ppmi_refresh": "0"}))
+    per_epoch = []
+    res = fit(bundle, cfg, on_epoch=lambda row: per_epoch.append(dict(built)))
+    assert len(per_epoch) == 20
+    assert all(later == per_epoch[0] for later in per_epoch[1:]), per_epoch
+    before = dict(built)
+    predict(res.params, bundle)
+    assert built["csc"] == before["csc"]
+    assert built["csr"] - before["csr"] <= 5

@@ -102,11 +102,10 @@ def test_dropout_of_a_constant_stays_a_constant_of_its_kind():
     assert isinstance(out, np.ndarray)
     np.testing.assert_array_equal(out, as_tensor.value)  # the same draws
     mat = sp.random(6, 5, density=0.4, format="csr", random_state=1) + sp.eye(6, 5, format="csr")
-    out = tape.dropout(mat, 0.5, RngStream(3, ("drop",)), True)
-    assert sp.issparse(out)
+    out = tape.dropout(mat.data, 0.5, RngStream(3, ("drop",)), True)  # sparse features drop their values
+    assert isinstance(out, np.ndarray)
     keep = RngStream(3, ("drop",)).random(mat.nnz) >= 0.5  # one draw per stored entry
-    np.testing.assert_array_equal(out.indices, mat.indices)
-    np.testing.assert_array_equal(out.data, np.where(keep, mat.data * 2.0, 0.0))
+    np.testing.assert_array_equal(out, np.where(keep, mat.data * 2.0, 0.0))
 
 
 def test_matmul_takes_dense_and_sparse_constants_on_either_side():
@@ -328,7 +327,7 @@ def test_spmm_values_cache_chunks_leave_gradients_unchanged(monkeypatch):
     def grads():
         t_vals.zero_grad()
         h.zero_grad()
-        out = tape.spmm_values(t_vals, pattern.indices, pattern.indptr, n, h)
+        out = tape.spmm_values(t_vals, tape.Pattern.of(pattern), h)
         backward(tape.vdot_const(out, weights))
         return t_vals.grad.copy(), h.grad.copy()
 
@@ -337,6 +336,30 @@ def test_spmm_values_cache_chunks_leave_gradients_unchanged(monkeypatch):
     chunked = grads()
     for w, c in zip(whole, chunked):
         np.testing.assert_allclose(c, w, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pattern_products_equal_scipy_exactly(dtype):
+    rng = RngStream(28, ("pattern",))
+    n, p, width = 7, 5, 3
+    # rows 0 and 4 are empty, and rows 1, 2, 5 and 6 list their columns out of order
+    indptr = np.array([0, 0, 3, 6, 8, 8, 10, 12])
+    indices = np.array([4, 0, 2, 3, 1, 0, 2, 4, 1, 0, 4, 3])
+    a, b = (rng.child(name).random(indices.size).astype(dtype) for name in ("a", "b"))
+    h = rng.child("h").random((p, width)).astype(dtype)
+    g = rng.child("g").random((n, width)).astype(dtype)
+    pattern = tape.Pattern(indptr, indices, (n, p))
+
+    def scipy_matrix(v):
+        return sp.csr_matrix((v, indices, indptr), shape=(n, p))
+
+    # two value arrays on one pattern, in a training step's order: both
+    # branches' forward products, then both backward products
+    got = [pattern.product(a, h), pattern.product(b, h), pattern.t_product(a, g), pattern.t_product(b, g)]
+    want = [scipy_matrix(a) @ h, scipy_matrix(b) @ h, scipy_matrix(a).T @ g, scipy_matrix(b).T @ g]
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype == dtype
+        assert np.array_equal(x, y)
 
 
 def test_edge_scores_forward_memory_is_one_cache_chunk():
@@ -418,7 +441,7 @@ def _case_edge_scores(rng):
 def _case_spmm_values(rng):
     pattern = sp.csr_matrix(np.array([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 1.0]]))
     t, h = _param(rng, "t", pattern.nnz), _param(rng, "h", (4, 2))
-    return lambda: _weighted(tape.spmm_values(t, pattern.indices, pattern.indptr, 4, h), rng), [t, h]
+    return lambda: _weighted(tape.spmm_values(t, tape.Pattern.of(pattern), h), rng), [t, h]
 
 
 def _two_params(op):
@@ -455,7 +478,7 @@ _OP_CASES = {
     "segment_softmax": _one_param(lambda x: tape.segment_softmax(x, np.array([0, 3, 4, 9])), shape=9),
     "spmm_values": _case_spmm_values,
 }
-_NOT_OPS = {"Tensor", "Parameter", "backward", "tape_nbytes", "no_grad", "entry_block", "cache_block"}
+_NOT_OPS = {"Tensor", "Parameter", "Pattern", "backward", "tape_nbytes", "no_grad", "entry_block", "cache_block"}
 
 
 def test_every_op_gradient_matches_finite_differences():
