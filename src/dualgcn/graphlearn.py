@@ -131,6 +131,10 @@ class LearnedGraph:
     values: Tensor = field(repr=False)
     support: SupportStructure
 
+    @property
+    def pattern(self) -> tape.Pattern:
+        return self.support.pattern
+
     def matrix(self) -> sp.csr_matrix:
         """Detached copy of S as a concrete matrix, for the PPMI walks."""
         s = self.support
@@ -143,7 +147,8 @@ def learn_S_masked(x, gl: GraphLearnerParams, support: SupportStructure) -> Lear
     S_ij = A~_ij exp(ReLU(a^T |x_i - x_j|)) / sum_j A~_ij exp(...), so each
     row is a softmax over the node's closed neighborhood.  The score is
     symmetric and 0 on self-pairs, so each unordered pair is scored once
-    and spread to both of its entries.
+    and spread to both of its entries.  x is dense, or a tape.SparseConst
+    when gl projects it.
     """
     xp = x if gl.proj is None else tape.matmul(x, gl.proj)
     pair = tape.relu(tape.edge_scores(xp, gl.a, support.pair_rows, support.pair_cols))

@@ -187,55 +187,17 @@ class ForwardCache:
     zp: Tensor | None
 
 
-class _SparseConst:
-    """A constant sparse matrix and the tape.Pattern its products reuse.
-
-    The features, the frozen operator and the PPMI operator each take this
-    form once, from the owner that keeps them for as long as they live, so
-    their scipy wrappers are built once and not at every product.
-    """
-
-    __slots__ = ("mat", "values", "pattern")
-
-    def __init__(self, m):
-        self.mat = m.tocsr()
-        self.values = self.mat.data
-        self.pattern = tape.Pattern.of(self.mat)
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.mat.dtype
-
-
-def _operand(m):
-    """m as forward multiplies it: a scipy matrix becomes a _SparseConst
-    whose pattern lives for this call; anything else is kept as it is."""
-    return _SparseConst(m) if sp.issparse(m) else m
-
-
-def _propagate(s, u: Tensor) -> Tensor:
-    """s @ u through s's pattern: s is a LearnedGraph or a _SparseConst."""
-    if isinstance(s, LearnedGraph):
-        # the paper propagates through D_s^{-1/2} S D_s^{-1/2}; S is a row
-        # softmax, so D_s = I and S is used as it is
-        return tape.spmm_values(s.values, s.support.pattern, u)
-    return tape.spmm_values(s.values, s.pattern, u)
-
-
 def _branch(x, s, weights, tag: str, cfg: ModelConfig, rng, training: bool, epoch: int) -> Tensor:
     """One branch's softmax output: each layer drops its input, multiplies
-    by its weight and propagates through s.  Sparse features (a
-    _SparseConst) are dropped as their stored values and multiplied on
-    their own pattern."""
+    by its weight and propagates through s's values on its pattern."""
     h = x
     last = len(weights) - 1
     for layer, w in enumerate(weights):
         drop_rng = rng.child("dropout", epoch, tag, layer) if training else None
-        if isinstance(h, _SparseConst):
-            u = tape.spmm_values(tape.dropout(h.values, cfg.dropout, drop_rng, training), h.pattern, w)
-        else:
-            u = tape.matmul(tape.dropout(h, cfg.dropout, drop_rng, training), w)
-        v = _propagate(s, u)
+        u = tape.matmul(tape.dropout(h, cfg.dropout, drop_rng, training), w)
+        # the paper propagates through D_s^{-1/2} S D_s^{-1/2}; a learned S is a
+        # row softmax, so D_s = I and S is used as it is
+        v = tape.spmm_values(s.values, s.pattern, u)
         h = tape.relu(v) if layer < last else v
     return tape.row_softmax(h)
 
@@ -245,7 +207,7 @@ def forward(x, s, p_op, params: ModelParams, cfg: ModelConfig,
     """Run both branches; p_op None skips the PPMI branch entirely.
 
     s is either a LearnedGraph (tape-tracked affinity) or a fixed sparse
-    propagation matrix.  A sparse x, s or p_op comes as a _SparseConst,
+    propagation matrix.  A sparse x, s or p_op comes as a tape.SparseConst,
     whose pattern its owner keeps, or as a scipy matrix, whose pattern is
     built for this call.  ReLU sits between layers, none after the last;
     dropout is applied to every layer input in training mode.
@@ -255,8 +217,8 @@ def forward(x, s, p_op, params: ModelParams, cfg: ModelConfig,
     training = mode == "train"
     if training and rng is None:
         raise ConfigError("training forward needs an RngStream for dropout")
-    x, s, p_op = _operand(x), _operand(s), _operand(p_op)
-    if not isinstance(s, (LearnedGraph, _SparseConst)):
+    x, s, p_op = (tape.SparseConst.of(m) if sp.issparse(m) else m for m in (x, s, p_op))
+    if not isinstance(s, (LearnedGraph, tape.SparseConst)):
         raise ConfigError(f"unsupported affinity object: {type(s)!r}")
     za = _branch(x, s, params.w_a, "a", cfg, rng, training, epoch)
     zp = None
@@ -324,14 +286,18 @@ class _GraphContext:
     frozen_op, when given, replaces the normalized adjacency of graph as
     the frozen operator, which is cast to the tape's dtype for x.  x_in is
     x as forward takes it: sparse features, like the frozen operator, are
-    held as a _SparseConst, so both patterns live as long as the context.
-    dist2 is built by the first gl_term call.
+    held as a tape.SparseConst, so both patterns live as long as the
+    context.  x_gl is x as the graph learner's scorer takes it: x_in, or,
+    when cfg has no projection, sparse features made dense once here, as
+    the scorer indexes their rows.  dist2 is built by the first gl_term call.
     """
 
     def __init__(self, x, graph: Graph | None, cfg: ModelConfig,
                  frozen_op: sp.csr_matrix | None = None):
         self.x = x
-        self.x_in = _operand(x)
+        self.x_in = tape.SparseConst.of(x) if sp.issparse(x) else x
+        unprojected = sp.issparse(x) and cfg.learn_graph and cfg.hidden_gl is None
+        self.x_gl = x.toarray() if unprojected else self.x_in
         self.graph = graph
         self.support = None
         self.frozen_op = None
@@ -351,12 +317,12 @@ class _GraphContext:
             if frozen_op is None:
                 frozen_op = sym_normalize(add_self_loops(graph).adj)
             # a float64 operator times float32 activations would upcast the branch
-            self.frozen_op = _SparseConst(frozen_op.astype(tape._value_dtype(x.dtype), copy=False))
+            self.frozen_op = tape.SparseConst.of(frozen_op.astype(tape._value_dtype(x.dtype), copy=False))
 
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
         if not cfg.learn_graph:
             return self.frozen_op
-        return learn_S_masked(self.x, params.gl, self.support)
+        return learn_S_masked(self.x_gl, params.gl, self.support)
 
     def gl_term(self, s, cfg: ModelConfig):
         if not cfg.learn_graph or cfg.lambda2 <= 0:
@@ -366,13 +332,13 @@ class _GraphContext:
         return gl_loss(s, self.graph, cfg.gl, self.dist2)
 
 
-def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> sp.csr_matrix:
+def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> tape.SparseConst:
     """The normalized PPMI operator of the affinity s (a LearnedGraph or a
-    _SparseConst), in s's dtype; the counts and PMI are taken in float64."""
-    trans = s.matrix() if isinstance(s, LearnedGraph) else s.mat
+    tape.SparseConst), in s's dtype; the counts and PMI are taken in float64."""
+    trans = s.matrix()
     try:
         freq = frequency_matrix(trans, walk, rng)
-        return ppmi_operator(ppmi(freq)).astype(trans.dtype, copy=False)
+        return tape.SparseConst.of(ppmi_operator(ppmi(freq)).astype(trans.dtype, copy=False))
     except ValueError as exc:
         raise DataError(f"PPMI construction failed: {exc}") from exc
 
@@ -435,7 +401,11 @@ def predict(params: ModelParams, dataset) -> np.ndarray:
     width = params.w_a[0].value.shape[0]
     if width != dataset.p:
         raise DataError(f"parameters expect {width} features per node, dataset has {dataset.p}")
-    cfg = ModelConfig(learn_graph=params.gl is not None)
+    gl = params.gl
+    if gl is None and dataset.graph is None:
+        raise DataError("parameters without a graph learner need a dataset with a graph")
+    proj = gl.proj if gl is not None else None
+    cfg = ModelConfig(learn_graph=gl is not None, hidden_gl=None if proj is None else proj.value.shape[1])
     ctx = _GraphContext(dataset.x, dataset.graph, cfg)
     return _eval_predictions(ctx, params, cfg)
 
@@ -510,7 +480,7 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
             s_next = None  # the step below changes the parameters it was built from
             if need_p and (p_op is None or batch.ppmi_key != p_key):
                 p_op = None  # freed before its successor is built
-                p_op = _SparseConst(_build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch)))
+                p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch))
                 p_key = batch.ppmi_key
             cache = forward(ctx.x_in, s, p_op, params, cfg, "train", rng, epoch)
             gl_term = ctx.gl_term(s, cfg)

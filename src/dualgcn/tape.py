@@ -12,9 +12,9 @@ Conventions
   Any other dtype (ints, float16, longdouble) is cast to float64 on entry
   (see _value_dtype).  Loss scalars are float64 either way.  Constants
   enter as plain arrays and never receive gradients.  A sparse constant
-  (a fixed propagation operator, sparse features) enters spmm_values as
-  its 1-D values array on a Pattern that its owner builds once and keeps;
-  matmul also takes a scipy matrix, whose Pattern it builds for that call.
+  (a fixed propagation operator, sparse features) enters as a
+  SparseConst: its 1-D values array on a Pattern that its owner builds
+  once and keeps.  No op takes a scipy matrix.
 * A forward pass builds a DAG of Tensor nodes; ``backward(loss)``
   accumulates d loss / d leaf into every reachable Parameter's ``grad``.
   Under ``no_grad()`` nothing is recorded: each op returns a bare value.
@@ -31,6 +31,7 @@ __all__ = [
     "Tensor",
     "Parameter",
     "Pattern",
+    "SparseConst",
     "backward",
     "matmul",
     "add",
@@ -185,17 +186,10 @@ def _value(v):
 
 
 def matmul(a, b) -> Tensor:
-    """a @ b; either operand may be a constant (ndarray or scipy sparse).
-
-    A scipy operand is multiplied as its stored values on a Pattern built
-    for this call: on the left through spmm_values, on the right as
-    (b.T @ a.T).T, which is how scipy multiplies it.
-    """
-    if sp.issparse(a):
-        a = a.tocsr()
-        return spmm_values(a.data, Pattern.of(a), b)
-    if sp.issparse(b):
-        return _matmul_sparse_right(a, b.tocsr())
+    """a @ b; either operand may be a dense constant, and a may be a
+    SparseConst, which is multiplied through spmm_values."""
+    if isinstance(a, SparseConst):
+        return spmm_values(a.values, a.pattern, b)
     av, bv = _value(a), _value(b)
     if av.shape[-1] != bv.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {av.shape} @ {bv.shape}")
@@ -211,19 +205,6 @@ def matmul(a, b) -> Tensor:
         return grads
 
     return Tensor(np.asarray(out), parents, vjp)
-
-
-def _matmul_sparse_right(a, b: sp.csr_matrix) -> Tensor:
-    av = _value(a)
-    if av.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {av.shape} @ {b.shape}")
-    pattern = Pattern.of(b)
-    out = pattern.t_product(b.data, av.T).T
-
-    def vjp(g):
-        return (pattern.product(b.data, g.T).T,)
-
-    return Tensor(out, (a,) if isinstance(a, Tensor) else (), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -271,18 +252,20 @@ def row_softmax(x: Tensor) -> Tensor:
 def dropout(x, rate: float, rng, training: bool):
     """Inverted dropout; eval mode (or rate 0) is the identity.
 
-    A constant array comes back as a constant array: sparse features are
-    dropped as their stored values, one draw per entry, and keep their
-    Pattern.
+    A constant comes back as a constant: a SparseConst is dropped as its
+    stored values, one draw per entry, on the same Pattern.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
+    sparse = isinstance(x, SparseConst)
     scale_ = 1.0 / (1.0 - rate)
-    v = _value(x)
+    v = _value(x.values if sparse else x)
     keep = rng.random(v.shape) >= rate
     out = np.where(keep, v * scale_, 0.0)
+    if sparse:
+        return SparseConst(out, x.pattern)
     if not isinstance(x, Tensor):
         return out
 
@@ -400,19 +383,15 @@ def cache_block(p: int) -> int:
 def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
     """s_k = a . |xp[rows_k] - xp[cols_k]| per (rows_k, cols_k) pair, shape (len(rows),).
 
-    xp is a tape value or a constant (dense, or scipy sparse, which is
-    densified).  The (len(rows), p) difference is formed over chunks of at
-    most cache_block(p) pairs, so the transient memory is one cache-sized
-    chunk rather than O(nnz * p); backward recomputes it the same way.
+    xp is a tape value or a dense constant.  The (len(rows), p) difference
+    is formed over chunks of at most cache_block(p) pairs, so the transient
+    memory is one cache-sized chunk rather than O(nnz * p); backward
+    recomputes it the same way.
     Backward scatters the x gradient once per block of entry_block(p)
     pairs (~32 MB), since each scatter allocates an n x p result.
     """
     tracked = isinstance(xp, Tensor)
     x = xp.value if tracked else xp
-    if sp.issparse(x):
-        # once per call: indexing a sparse matrix costs ~0.25 ms per block, more
-        # than a karate epoch, and n x p is no larger than one (nnz, p) difference
-        x = x.toarray()
     n, p = x.shape
     block = entry_block(p)
     chunk = min(block, cache_block(p))
@@ -526,6 +505,32 @@ class Pattern:
             self._csc = sp.csc_matrix((values, self.indices, self.indptr), shape=self.shape[::-1])
         self._csc.data = values
         return self._csc @ g
+
+
+class SparseConst:
+    """A constant sparse matrix: its 1-D values on a Pattern.
+
+    The features, the frozen operator and the PPMI operator each take this
+    form once, from the owner that keeps them for as long as they live, so
+    their patterns' scipy wrappers are built once and not at every product.
+    """
+
+    __slots__ = ("values", "pattern")
+
+    def __init__(self, values, pattern: Pattern):
+        self.values = values
+        self.pattern = pattern
+
+    @classmethod
+    def of(cls, m) -> "SparseConst":
+        """A scipy matrix's values on its CSR pattern, sharing its arrays."""
+        m = m.tocsr()
+        return cls(m.data, Pattern.of(m))
+
+    def matrix(self) -> sp.csr_matrix:
+        """The matrix as scipy holds it, over the same arrays."""
+        p = self.pattern
+        return sp.csr_matrix((self.values, p.indices, p.indptr), shape=p.shape)
 
 
 def spmm_values(values, pattern: Pattern, h) -> Tensor:

@@ -207,6 +207,15 @@ def test_train_unknown_key_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_train_cluster_settings_without_c_exit_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = run(["train", "--dataset", "karate", "--set", "cluster_q=2", "--set", "cluster_seed=5",
+              "--out", str(out)] + FAST_TRAIN)
+    assert rc == 2
+    assert "cluster training requires c" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def _save_unsplit(path):
     """An SBM dataset directory with no train/val/test.txt."""
     from dataclasses import replace
@@ -351,6 +360,20 @@ def test_eval_checkpoint_of_another_feature_width_exit_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "data error" in err and "34" in err and "5" in err
+
+
+def test_eval_checkpoint_without_graph_learner_on_graphless_data_exit_3(tmp_path, capsys):
+    from dataclasses import replace
+    from dualgcn.data import builtin_karate
+
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "karate", "--set", "learn_graph=false", "--out", str(out)] + FAST_TRAIN) == 0
+    save_dataset(replace(builtin_karate(), graph=None), tmp_path / "graphless")
+    capsys.readouterr()
+    rc = run(["eval", "--dataset", str(tmp_path / "graphless"), "--checkpoint", str(out / "checkpoint.npz")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "graph" in err
 
 
 def _write_bad_checkpoint(path, case):

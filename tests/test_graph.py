@@ -171,7 +171,7 @@ def test_sym_normalize_non_canonical_matches_coo_and_keeps_input(seed):
 # the normalized operator propagates as a sparse constant of tape.matmul
 
 def _propagate(op, h):
-    return tape.matmul(op, h).value
+    return tape.matmul(tape.SparseConst.of(op), h).value
 
 
 def test_spmm_identity_and_zero():

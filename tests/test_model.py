@@ -679,13 +679,13 @@ def test_float32_features_train_in_float32_throughout(tmp_path, monkeypatch, tra
 
     def checked_p(*args):
         op = build_p(*args)
-        assert op.dtype == f32
+        assert op.values.dtype == f32
         seen["ppmi"] += 1
         return op
 
     def checked_s(self, params, cfg):
         s = build_s(self, params, cfg)
-        assert (s.values.value.dtype if learn_graph else s.dtype) == f32
+        assert (s.values.value.dtype if learn_graph else s.values.dtype) == f32
         seen["affinity"] += 1
         return s
 
@@ -726,26 +726,69 @@ def test_checkpoints_load_across_feature_dtypes(tmp_path):
 
 
 def test_karate_epochs_build_no_scipy_matrix(monkeypatch, karate):
-    """Past the first epoch every sparse product reuses its pattern's wrappers,
-    and predict, which runs no backward, builds no transposed (CSC) one."""
+    """Past the first epoch every sparse product reuses its pattern's wrappers:
+    an epoch builds no CSR matrix, and no CSC one beyond the edge scorer's
+    two one-hot selectors per entry block, which only a projection's
+    gradient (the cora profile) needs.  Unprojected features (the karate
+    profile) are made dense once per context, not per epoch.  predict,
+    which runs no backward, builds no transposed (CSC) matrix."""
     from dataclasses import replace
 
     from dualgcn.cli import merge_config, model_config_from
 
-    built = {"csr": 0, "csc": 0}
+    built = {"csr": 0, "csc": 0, "toarray": 0}
     for kind, cls in (("csr", sp.csr_matrix), ("csc", sp.csc_matrix)):
         def counted(self, *args, _init=cls.__init__, _kind=kind, **kwargs):
             built[_kind] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
+
+    def counted_toarray(self, *args, _toarray=sp.csr_matrix.toarray, **kwargs):
+        built["toarray"] += 1
+        return _toarray(self, *args, **kwargs)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", counted_toarray)
     # loaded from files, karate's one-hot features are a float32 CSR
     bundle = replace(karate, x=sp.csr_matrix(karate.x, dtype=np.float32))
-    cfg = model_config_from(merge_config("karate", {}, {"epochs": "20", "ppmi_refresh": "0"}))
-    per_epoch = []
-    res = fit(bundle, cfg, on_epoch=lambda row: per_epoch.append(dict(built)))
-    assert len(per_epoch) == 20
-    assert all(later == per_epoch[0] for later in per_epoch[1:]), per_epoch
-    before = dict(built)
-    predict(res.params, bundle)
-    assert built["csc"] == before["csc"]
-    assert built["csr"] - before["csr"] <= 5
+    for profile, csc_per_epoch in (("karate", 0), ("cora", 2)):
+        cfg = model_config_from(merge_config(profile, {}, {"epochs": "20", "ppmi_refresh": "0"}))
+        per_epoch = []
+        res = fit(bundle, cfg, on_epoch=lambda row: per_epoch.append(dict(built)))
+        assert len(per_epoch) == 20
+        steps = [{k: later[k] - earlier[k] for k in built} for earlier, later in zip(per_epoch, per_epoch[1:])]
+        assert steps == [{"csr": 0, "csc": csc_per_epoch, "toarray": 0}] * 19, (profile, steps)
+        before = dict(built)
+        predict(res.params, bundle)
+        assert built["csc"] == before["csc"]
+        assert built["csr"] - before["csr"] <= 5
+
+
+def test_unprojected_sparse_features_score_as_their_dense_copy_made_once(monkeypatch):
+    """Without a projection the scorer reads the features' rows: the context
+    densifies CSR features once, and S and gl.a's gradient from them equal
+    those from the same features given dense, bit for bit."""
+    rng = RngStream(61, ("unprojected",))
+    g = make_random_graph(9, 0.4, seed=61)
+    x = rng.child("x").random((9, 5))
+    x[x < 0.5] = 0.0
+    cfg = _cfg(hidden_gl=None, lambda2=0.01)
+    params = init_params(5, 3, cfg, rng.child("init"))
+    params.gl.a.value[...] = np.abs(params.gl.a.value) + 0.05  # above the ReLU hinge
+    calls = []
+
+    def counted_toarray(self, *args, _toarray=sp.csr_matrix.toarray, **kwargs):
+        calls.append(self.shape)
+        return _toarray(self, *args, **kwargs)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", counted_toarray)
+    got = []
+    for feats in (sp.csr_matrix(x), x):
+        ctx = _GraphContext(feats, g, cfg)
+        for _ in range(3):
+            params.gl.a.zero_grad()
+            s = ctx.build_affinity(params, cfg)
+            tape.backward(tape.vdot_const(s.values, rng.child("w").random(s.values.value.size)))
+        got.append((s.values.value, params.gl.a.grad))
+    assert calls == [(9, 5)]
+    (s_sparse, ga_sparse), (s_dense, ga_dense) = got
+    assert np.abs(ga_dense).max() > 0
+    np.testing.assert_array_equal(s_sparse, s_dense)
+    np.testing.assert_array_equal(ga_sparse, ga_dense)

@@ -82,7 +82,7 @@ def test_finite_diff_linear_loss_is_exact():
 
 def test_finite_diff_two_layer_gcn_on_k3():
     g = add_self_loops(build_graph([(0, 1), (1, 2), (0, 2)], n=3))
-    op = sym_normalize(g.adj)
+    op = tape.SparseConst.of(sym_normalize(g.adj))
     x = RngStream(2).random((3, 4))
     labels = np.array([0, 1, 0])
     w0 = Parameter(RngStream(3).random((4, 4)) - 0.5, name="w0")

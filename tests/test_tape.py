@@ -102,10 +102,11 @@ def test_dropout_of_a_constant_stays_a_constant_of_its_kind():
     assert isinstance(out, np.ndarray)
     np.testing.assert_array_equal(out, as_tensor.value)  # the same draws
     mat = sp.random(6, 5, density=0.4, format="csr", random_state=1) + sp.eye(6, 5, format="csr")
-    out = tape.dropout(mat.data, 0.5, RngStream(3, ("drop",)), True)  # sparse features drop their values
-    assert isinstance(out, np.ndarray)
+    const = tape.SparseConst.of(mat)
+    out = tape.dropout(const, 0.5, RngStream(3, ("drop",)), True)  # sparse features drop their values
+    assert isinstance(out, tape.SparseConst) and out.pattern is const.pattern
     keep = RngStream(3, ("drop",)).random(mat.nnz) >= 0.5  # one draw per stored entry
-    np.testing.assert_array_equal(out, np.where(keep, mat.data * 2.0, 0.0))
+    np.testing.assert_array_equal(out.values, np.where(keep, mat.data * 2.0, 0.0))
 
 
 def test_matmul_takes_dense_and_sparse_constants_on_either_side():
@@ -113,18 +114,19 @@ def test_matmul_takes_dense_and_sparse_constants_on_either_side():
     w = Parameter(rng.random((4, 3)), name="w")
     x = rng.random((5, 4))
     g = rng.random((5, 3))
-    for const in (x, sp.csr_matrix(x)):
+    for const in (x, tape.SparseConst.of(sp.csr_matrix(x))):
         w.zero_grad()
         out = tape.matmul(const, w)
         np.testing.assert_allclose(out.value, x @ w.value, rtol=1e-14)
         backward(tape.vdot_const(out, g))
         np.testing.assert_allclose(w.grad, x.T @ g, rtol=1e-14)
+    # a sparse constant enters only on the left; on the right a constant is dense
     h = Parameter(rng.random((5, 4)), name="h")
-    out = tape.matmul(h, sp.csr_matrix(w.value))
+    out = tape.matmul(h, w.value)
     backward(tape.vdot_const(out, g))
     np.testing.assert_allclose(h.grad, g @ w.value.T, rtol=1e-14)
     with pytest.raises(ValueError):
-        tape.matmul(sp.csr_matrix(x), Parameter(np.ones((3, 2))))
+        tape.matmul(tape.SparseConst.of(sp.csr_matrix(x)), Parameter(np.ones((3, 2))))
 
 
 def test_masked_cross_entropy_perfect_predictions():
@@ -229,7 +231,7 @@ def test_grad_accumulates_over_shared_parameter():
 def test_matmul_sparse_constant_gradient():
     mat = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     h = Parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = tape.matmul(mat, h)
+    out = tape.matmul(tape.SparseConst.of(mat), h)
     loss = tape.vdot_const(out, np.array([[1.0, 0.0], [0.0, 1.0]]))
     backward(loss)
     np.testing.assert_allclose(h.grad, mat.T @ np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -254,7 +256,7 @@ def test_tape_nbytes_counts_reachable_values():
     assert tape.tape_nbytes(out) == 2 * 10 * 10 * 8
 
 
-@pytest.mark.parametrize("kind", ["tape", "dense", "sparse"])
+@pytest.mark.parametrize("kind", ["tape", "dense"])
 def test_edge_scores_blocked_gradients_match_finite_differences(kind, monkeypatch):
     from dualgcn.optim import finite_diff_check
 
@@ -267,7 +269,7 @@ def test_edge_scores_blocked_gradients_match_finite_differences(kind, monkeypatc
     x[x < 0.3] = 0.0
     a = Parameter(rng.child("a").random(p) - 0.5, name="a")
     weights = rng.child("w").random(nnz) - 0.5
-    xp = {"tape": Parameter(x, name="xp"), "dense": x, "sparse": sp.csr_matrix(x)}[kind]
+    xp = {"tape": Parameter(x, name="xp"), "dense": x}[kind]
 
     expected = np.abs(x[rows] - x[cols]) @ a.value
     np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
@@ -282,7 +284,7 @@ def test_edge_scores_blocked_gradients_match_finite_differences(kind, monkeypatc
     assert all(entry["status"] == "checked" and entry["passed"] for entry in report.values()), report
 
 
-@pytest.mark.parametrize("kind", ["tape", "dense", "sparse"])
+@pytest.mark.parametrize("kind", ["tape", "dense"])
 @pytest.mark.parametrize("block", [5, None])
 def test_edge_scores_cache_chunks_match_oracle_and_finite_differences(kind, block, monkeypatch):
     from dualgcn.optim import finite_diff_check
@@ -296,7 +298,7 @@ def test_edge_scores_cache_chunks_match_oracle_and_finite_differences(kind, bloc
     x[x < 0.3] = 0.0
     a = Parameter(rng.child("a").random(p) - 0.5, name="a")
     weights = rng.child("w").random(nnz) - 0.5
-    xp = {"tape": Parameter(x, name="xp"), "dense": x, "sparse": sp.csr_matrix(x)}[kind]
+    xp = {"tape": Parameter(x, name="xp"), "dense": x}[kind]
     # chunks of 3 do not divide blocks of 5; block=None keeps entry_block's
     # default, one block of all 29 in chunks of 3
     monkeypatch.setattr(tape, "cache_block", lambda p: 3)
@@ -411,7 +413,7 @@ def _param(rng, name, shape, low=-1.0):
 
 def _case_matmul(rng):
     a, b = _param(rng, "a", (3, 4)), _param(rng, "b", (4, 2))
-    c = sp.csr_matrix(rng.child("c").random((5, 3)) * (rng.child("mask").random((5, 3)) < 0.5))
+    c = tape.SparseConst.of(sp.csr_matrix(rng.child("c").random((5, 3)) * (rng.child("mask").random((5, 3)) < 0.5)))
     return lambda: _weighted(tape.matmul(c, tape.matmul(a, b)), rng), [a, b]
 
 
@@ -478,7 +480,7 @@ _OP_CASES = {
     "segment_softmax": _one_param(lambda x: tape.segment_softmax(x, np.array([0, 3, 4, 9])), shape=9),
     "spmm_values": _case_spmm_values,
 }
-_NOT_OPS = {"Tensor", "Parameter", "Pattern", "backward", "tape_nbytes", "no_grad", "entry_block", "cache_block"}
+_NOT_OPS = {"Tensor", "Parameter", "Pattern", "SparseConst", "backward", "tape_nbytes", "no_grad", "entry_block", "cache_block"}
 
 
 def test_every_op_gradient_matches_finite_differences():
