@@ -82,6 +82,9 @@ class SupportStructure:
     pair_of maps every entry to its pair's index (self-pairs to npairs).
     All keep the adjacency's CSR index dtype (12 B per entry for int32); indptr gives row ids.
     pattern, over indptr and cols, is what S's products run through.
+    pairs holds pair_rows/pair_cols for the edge scorer, whose first
+    backward builds its scatter patterns there (12 B per pair for int32),
+    so they live as long as the support and eval never builds them.
     """
 
     def __init__(self, g: Graph):
@@ -108,6 +111,7 @@ class SupportStructure:
         self.pair_of[upper] = np.arange(self.npairs)
         self.pair_of[lower[by_mirror]] = by_key
         self.pattern = tape.Pattern(self.indptr, self.cols, (self.n, self.n))
+        self.pairs = tape.Pairs(self.pair_rows, self.pair_cols)
 
     @classmethod
     def complete(cls, n: int) -> "SupportStructure":
@@ -151,7 +155,7 @@ def learn_S_masked(x, gl: GraphLearnerParams, support: SupportStructure) -> Lear
     when gl projects it.
     """
     xp = x if gl.proj is None else tape.matmul(x, gl.proj)
-    pair = tape.relu(tape.edge_scores(xp, gl.a, support.pair_rows, support.pair_cols))
+    pair = tape.relu(tape.edge_scores(xp, gl.a, support.pairs))
     scores = tape.take_or_zero(pair, support.pair_of)
     values = tape.segment_softmax(scores, support.indptr)
     return LearnedGraph(values=values, support=support)

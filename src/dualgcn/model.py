@@ -491,9 +491,9 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
             if not np.isfinite(comps["total"]):
                 raise NumericError(f"non-finite loss at epoch {epoch}: {comps}")
             tape.backward(loss)
+            del s, cache, gl_term, loss  # free the step's tape before Adam allocates
             for group, states, lr in groups:
                 adam_step(group, states, lr, cfg.weight_decay)
-            del s, cache, gl_term, loss  # free the step's tape: backward left a .grad on every node
             for p in params.all_parameters():
                 if not np.isfinite(p.value).all():
                     raise NumericError(f"non-finite parameter {p.name} after the update at epoch {epoch}")

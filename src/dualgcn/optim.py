@@ -1,4 +1,8 @@
-"""Adam with L2 weight decay, plus the finite-difference gradient check."""
+"""Adam with L2 weight decay, plus the finite-difference gradient check.
+
+Adam updates its moments and the parameters in place; the gradient check
+builds a fresh tape for every backward, as backward consumes the one it runs.
+"""
 
 from __future__ import annotations
 
@@ -33,20 +37,36 @@ def adam_step(params, states, lr: float, weight_decay: float = 0.0) -> None:
     """One Adam update over a parameter group; grads are zeroed after.
 
     The L2 term weight_decay * value is added to the gradient before the
-    moment updates.
+    moment updates.  m, v and the value are updated in place, through two
+    scratch arrays of the parameter's shape allocated here and freed with
+    the call; each step takes the same operations in the same order as
+    the out-of-place formula, so the results are bit-identical to it.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     for p, st in zip(params, states):
-        g = p.grad if p.grad is not None else np.zeros_like(p.value)
+        a, b = np.empty_like(p.value), np.empty_like(p.value)
+        g = p.grad
+        if g is None:
+            a.fill(0)
+            g = a
         if weight_decay:
-            g = g + weight_decay * p.value
+            np.multiply(p.value, weight_decay, out=b)
+            g = np.add(g, b, out=a)
         st.t += 1
-        st.m = _BETA1 * st.m + (1.0 - _BETA1) * g
-        st.v = _BETA2 * st.v + (1.0 - _BETA2) * (g * g)
-        m_hat = st.m / (1.0 - _BETA1**st.t)
-        v_hat = st.v / (1.0 - _BETA2**st.t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        st.m *= _BETA1
+        st.m += np.multiply(g, 1.0 - _BETA1, out=b)
+        st.v *= _BETA2
+        np.multiply(g, g, out=b)
+        b *= 1.0 - _BETA2
+        st.v += b
+        m_hat = np.divide(st.m, 1.0 - _BETA1**st.t, out=a)
+        denom = np.divide(st.v, 1.0 - _BETA2**st.t, out=b)
+        np.sqrt(denom, out=denom)
+        denom += _EPS
+        m_hat *= lr
+        m_hat /= denom
+        p.value -= m_hat
         p.zero_grad()
 
 

@@ -16,7 +16,10 @@ Conventions
   SparseConst: its 1-D values array on a Pattern that its owner builds
   once and keeps.  No op takes a scipy matrix.
 * A forward pass builds a DAG of Tensor nodes; ``backward(loss)``
-  accumulates d loss / d leaf into every reachable Parameter's ``grad``.
+  accumulates d loss / d leaf into every reachable Parameter's ``grad``
+  and consumes the tape: each interior node drops its grad, its VJP
+  closure and its parents once the VJP has run, and a second backward
+  through it raises.
   Under ``no_grad()`` nothing is recorded: each op returns a bare value.
 """
 
@@ -48,6 +51,7 @@ __all__ = [
     "no_grad",
     "entry_block",
     "cache_block",
+    "Pairs",
     "edge_scores",
     "take_or_zero",
     "segment_softmax",
@@ -110,8 +114,22 @@ def _accumulate(node: Tensor, g):
         node.grad += g
 
 
+def _consumed(g):
+    """The VJP a node keeps once backward has run it."""
+    raise ValueError("backward through a consumed tape: build the loss again")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse pass from a scalar loss; accumulates into Parameter.grad."""
+    """Reverse pass from a scalar loss; accumulates into Parameter.grad.
+
+    The pass consumes the tape: once a node's VJP has run, the node drops
+    its grad, its VJP closure (with the arrays the closure kept) and its
+    links to its parents, so a gradient lives only until its parents have
+    taken it, and a value no caller holds is freed once every node that
+    reads it has run.  Leaves keep their grads.  A later backward that
+    reaches any node of a consumed tape raises ValueError before it
+    changes a grad.
+    """
     if loss.value.size != 1:
         raise ValueError("backward expects a scalar loss")
     # topological order by depth-first post-order
@@ -125,20 +143,26 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _consumed:
+            _consumed(None)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen and p.needs_grad:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
-        if node._vjp is None or node.grad is None:
-            continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.needs_grad:
-                continue
-            _accumulate(parent, g)
+    while order:
+        node = order.pop()
+        vjp, g = node._vjp, node.grad
+        if vjp is None:
+            continue  # a leaf keeps its grad
+        parents = node._parents
+        node.grad, node._vjp, node._parents = None, _consumed, ()
+        if g is not None:
+            for parent, pg in zip(parents, vjp(g)):
+                if pg is not None and parent.needs_grad:
+                    _accumulate(parent, pg)
+            pg = None  # the last gradient handed on is freed before the next VJP runs
 
 
 @contextmanager
@@ -380,16 +404,52 @@ def cache_block(p: int) -> int:
     return max(1, 2**15 // p)
 
 
-def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
-    """s_k = a . |xp[rows_k] - xp[cols_k]| per (rows_k, cols_k) pair, shape (len(rows),).
+class Pairs:
+    """The node pairs (rows_k, cols_k) that edge_scores scores, and the
+    patterns its backward scatters through.
+
+    The patterns are built by the first backward that needs x's gradient
+    and kept for as long as this object lives: one per block of
+    entry_block(p) pairs, of shape (block, n), whose row k holds the
+    pair's two nodes.  With the values (+g_k, -g_k), its transposed
+    product sends pair k's row to rows_k and, negated, to cols_k.  A pass
+    that runs no backward never builds them.
+    """
+
+    __slots__ = ("rows", "cols", "_scatter")
+
+    def __init__(self, rows, cols):
+        self.rows = rows
+        self.cols = cols
+        self._scatter = None  # (block, n, one Pattern per block) once built
+
+    def scatter_patterns(self, block: int, n: int) -> list:
+        """The pattern of each block of block pairs over n nodes, in order."""
+        if self._scatter is None or self._scatter[:2] != (block, n):
+            nodes = np.stack([self.rows, self.cols], axis=1).ravel()  # pair k's nodes at 2k and 2k + 1
+            npairs = self.rows.size
+            ptr = np.arange(0, 2 * min(block, npairs) + 1, 2, dtype=nodes.dtype)
+            patterns = []
+            for lo in range(0, npairs, block):
+                size = min(block, npairs - lo)
+                patterns.append(Pattern(ptr[:size + 1], nodes[2 * lo:2 * (lo + size)], (size, n)))
+            self._scatter = (block, n, patterns)
+        return self._scatter[2]
+
+
+def edge_scores(xp, a: Tensor, pairs: Pairs) -> Tensor:
+    """s_k = a . |xp[rows_k] - xp[cols_k]| per pair of pairs, shape (len(rows),).
 
     xp is a tape value or a dense constant.  The (len(rows), p) difference
     is formed over chunks of at most cache_block(p) pairs, so the transient
     memory is one cache-sized chunk rather than O(nnz * p); backward
     recomputes it the same way.
-    Backward scatters the x gradient once per block of entry_block(p)
-    pairs (~32 MB), since each scatter allocates an n x p result.
+    Backward writes sign(difference) into one (block, p) buffer per block
+    of entry_block(p) pairs (~32 MB) and scatters it once through pairs'
+    pattern for the block, with the values +-g; a multiplies the summed
+    (n, p) result once.  Each scatter allocates an n x p result.
     """
+    rows, cols = pairs.rows, pairs.cols
     tracked = isinstance(xp, Tensor)
     x = xp.value if tracked else xp
     n, p = x.shape
@@ -405,28 +465,33 @@ def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
         out[lo:lo + chunk] = np.abs(d, out=d) @ a.value
 
     def vjp(g):
-        gx = np.zeros_like(x) if tracked and xp.needs_grad else None
+        patterns = pairs.scatter_patterns(block, n) if tracked and xp.needs_grad else None
+        gx = None
         ga = np.zeros_like(a.value) if a.needs_grad else None
         for lo in range(0, nnz, block):
             hi = min(lo + block, nnz)
-            gs = np.empty((hi - lo, p), dtype=dtype) if gx is not None else None
+            signs = np.empty((hi - lo, p), dtype=dtype) if patterns is not None else None
             for clo in range(lo, hi, chunk):
                 chi = min(clo + chunk, hi)
                 d = x[rows[clo:chi]]
                 d -= x[cols[clo:chi]]
-                if gs is not None:
-                    part = np.sign(d, out=gs[clo - lo:chi - lo])
-                    part *= a.value
-                    part *= g[clo:chi, None]
+                if signs is not None:
+                    np.sign(d, out=signs[clo - lo:chi - lo])
                 if ga is not None:
                     ga += np.abs(d, out=d).T @ g[clo:chi]
-            if gx is not None:
-                # scatter through the transposes of one-hot (block x n) selectors;
-                # np.add.at is ~10x slower
-                ones = np.ones(hi - lo, dtype=dtype)  # a float64 selector would upcast gs
-                ptr = np.arange(hi - lo + 1)
-                gx += Pattern(ptr, rows[lo:hi], (hi - lo, n)).t_product(ones, gs)
-                gx -= Pattern(ptr, cols[lo:hi], (hi - lo, n)).t_product(ones, gs)
+            if patterns is not None:
+                # one product per block; np.add.at is ~10x slower
+                weights = np.empty(2 * (hi - lo), dtype=dtype)
+                weights[0::2] = g[lo:hi]
+                np.negative(g[lo:hi], out=weights[1::2])
+                part = patterns[lo // block].t_product(weights, signs)
+                if gx is None:
+                    gx = part
+                else:
+                    gx += part
+        if patterns is not None:
+            gx = np.zeros_like(x, dtype=dtype) if gx is None else gx
+            gx *= a.value
         return (gx, ga) if tracked else (ga,)
 
     return Tensor(out, (xp, a) if tracked else (a,), vjp)
@@ -476,7 +541,9 @@ class Pattern:
     for m.T @ g, which is the matrix m.T builds.  A product assigns the
     values to the wrapper's data and multiplies, so the kernels and their
     results are scipy's own while no scipy matrix is built per product.  A
-    pass that runs no backward never builds the CSC wrapper.
+    pass that runs no backward never builds the CSC wrapper.  The wrapper
+    lets go of the values once the product is taken, so a pattern keeps
+    no tape value alive past the step that made it.
     """
 
     __slots__ = ("indptr", "indices", "shape", "_csr", "_csc")
@@ -496,15 +563,24 @@ class Pattern:
         """m @ h for the matrix m with these values."""
         if self._csr is None:
             self._csr = sp.csr_matrix((values, self.indices, self.indptr), shape=self.shape)
-        self._csr.data = values
-        return self._csr @ h
+        return _product(self._csr, values, h)
 
     def t_product(self, values, g):
         """m.T @ g for the matrix m with these values."""
         if self._csc is None:
             self._csc = sp.csc_matrix((values, self.indices, self.indptr), shape=self.shape[::-1])
-        self._csc.data = values
-        return self._csc @ g
+        return _product(self._csc, values, g)
+
+
+_NO_VALUES = np.empty(0)
+
+
+def _product(wrapper, values, h):
+    """wrapper @ h with values as the wrapper's data, which it drops after."""
+    wrapper.data = values
+    out = wrapper @ h
+    wrapper.data = _NO_VALUES
+    return out
 
 
 class SparseConst:

@@ -638,6 +638,34 @@ def _tape_nodes(root):
     return nodes
 
 
+def test_train_frees_the_step_before_adam(monkeypatch):
+    """backward leaves no grad on an interior node of the step's tape, and no
+    array of that tape is alive when _train enters adam_step: the tape is
+    deleted before the update allocates."""
+    import weakref
+
+    bundle = make_sbm_bundle(n=60, k=3, seed=29)
+    cfg = _cfg(hidden_gl=3, lambda2=0.01, dropout=0.3, epochs=4)
+    backward, adam_step = tape.backward, model.adam_step
+    step = {"refs": [], "adam": 0}
+
+    def checked_backward(loss):
+        interior = [node for node in _tape_nodes(loss) if node._vjp is not None]
+        backward(loss)
+        assert all(node.grad is None for node in interior)
+        step["refs"] = [weakref.ref(node.value) for node in interior]
+
+    def checked_adam(group, states, lr, weight_decay):
+        assert step["refs"] and all(ref() is None for ref in step["refs"])
+        adam_step(group, states, lr, weight_decay)
+        step["adam"] += 1
+
+    monkeypatch.setattr(tape, "backward", checked_backward)
+    monkeypatch.setattr(model, "adam_step", checked_adam)
+    fit(bundle, cfg)
+    assert step["adam"] == 2 * cfg.epochs
+
+
 @pytest.mark.parametrize("trainer,learn_graph,dense,hidden_gl", [
     ("fit", True, False, 3),
     ("fit", False, True, 3),
@@ -727,11 +755,11 @@ def test_checkpoints_load_across_feature_dtypes(tmp_path):
 
 def test_karate_epochs_build_no_scipy_matrix(monkeypatch, karate):
     """Past the first epoch every sparse product reuses its pattern's wrappers:
-    an epoch builds no CSR matrix, and no CSC one beyond the edge scorer's
-    two one-hot selectors per entry block, which only a projection's
-    gradient (the cora profile) needs.  Unprojected features (the karate
-    profile) are made dense once per context, not per epoch.  predict,
-    which runs no backward, builds no transposed (CSC) matrix."""
+    an epoch builds no CSR and no CSC matrix, the edge scorer's scatter
+    included, which runs through patterns its support's Pairs built at the
+    first backward.  Unprojected features (the karate profile) are made
+    dense once per context, not per epoch.  predict, which runs no
+    backward, builds no transposed (CSC) matrix."""
     from dataclasses import replace
 
     from dualgcn.cli import merge_config, model_config_from
@@ -749,7 +777,7 @@ def test_karate_epochs_build_no_scipy_matrix(monkeypatch, karate):
     monkeypatch.setattr(sp.csr_matrix, "toarray", counted_toarray)
     # loaded from files, karate's one-hot features are a float32 CSR
     bundle = replace(karate, x=sp.csr_matrix(karate.x, dtype=np.float32))
-    for profile, csc_per_epoch in (("karate", 0), ("cora", 2)):
+    for profile, csc_per_epoch in (("karate", 0), ("cora", 0)):
         cfg = model_config_from(merge_config(profile, {}, {"epochs": "20", "ppmi_refresh": "0"}))
         per_epoch = []
         res = fit(bundle, cfg, on_epoch=lambda row: per_epoch.append(dict(built)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualgcn import tape
+from dualgcn import optim, tape
 from dualgcn.graph import add_self_loops, build_graph, sym_normalize
 from dualgcn.optim import AdamState, adam_step, finite_diff_check, init_adam_states
 from dualgcn.rng import RngStream
@@ -66,6 +66,44 @@ def test_step_counter_increases():
         p.grad = np.ones(1)
         adam_step([p], [st], lr=0.01)
         assert st.t == t
+
+
+def _adam_formula(value, m, v, grad, t, lr, weight_decay):
+    """One Adam step as the out-of-place formula computes it: the oracle
+    for adam_step's in-place update."""
+    g = grad if grad is not None else np.zeros_like(value)
+    if weight_decay:
+        g = g + weight_decay * value
+    m = optim._BETA1 * m + (1.0 - optim._BETA1) * g
+    v = optim._BETA2 * v + (1.0 - optim._BETA2) * (g * g)
+    m_hat = m / (1.0 - optim._BETA1**t)
+    v_hat = v / (1.0 - optim._BETA2**t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + optim._EPS), m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_in_place_step_equals_the_formula_bit_for_bit(dtype, weight_decay):
+    rng = RngStream(40, ("adam-formula",))
+    params = [Parameter(rng.child("w", k).random(shape).astype(dtype) - 0.5, name=f"w{k}")
+              for k, shape in enumerate([(4, 3), (5,)])]
+    states = init_adam_states(params)
+    expected = [(p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value)) for p in params]
+    for t in range(1, 6):
+        grads = [None if (t + k) % 3 == 0 else (rng.child("g", t, k).random(p.value.shape) - 0.5).astype(dtype)
+                 for k, p in enumerate(params)]
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        adam_step(params, states, lr=0.01, weight_decay=weight_decay)
+        expected = [_adam_formula(*e, g, t, 0.01, weight_decay) for e, g in zip(expected, grads)]
+        for p, st, (value, m, v) in zip(params, states, expected):
+            assert p.value.dtype == st.m.dtype == st.v.dtype == dtype
+            assert np.array_equal(p.value, value) and np.array_equal(st.m, m) and np.array_equal(st.v, v)
+    assert any(g is None for g in grads)
+
+
+def test_adam_state_holds_only_the_moments_and_step():
+    assert AdamState.__slots__ == ("m", "v", "t")
 
 
 def test_finite_diff_linear_loss_is_exact():

@@ -272,12 +272,12 @@ def test_edge_scores_blocked_gradients_match_finite_differences(kind, monkeypatc
     xp = {"tape": Parameter(x, name="xp"), "dense": x}[kind]
 
     expected = np.abs(x[rows] - x[cols]) @ a.value
-    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
+    np.testing.assert_allclose(tape.edge_scores(xp, a, tape.Pairs(rows, cols)).value, expected, rtol=1e-12)
     monkeypatch.setattr(tape, "entry_block", lambda p: 5)  # backward scatters 23 pairs in blocks of 5
-    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
+    np.testing.assert_allclose(tape.edge_scores(xp, a, tape.Pairs(rows, cols)).value, expected, rtol=1e-12)
 
     def loss_fn():
-        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols), weights)
+        return tape.vdot_const(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), weights)
 
     params = [a, xp] if kind == "tape" else [a]
     report = finite_diff_check(loss_fn, params, h=1e-6)
@@ -306,14 +306,73 @@ def test_edge_scores_cache_chunks_match_oracle_and_finite_differences(kind, bloc
         monkeypatch.setattr(tape, "entry_block", lambda p: block)
 
     expected = np.abs(x[rows] - x[cols]) @ a.value
-    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
+    np.testing.assert_allclose(tape.edge_scores(xp, a, tape.Pairs(rows, cols)).value, expected, rtol=1e-12)
 
     def loss_fn():
-        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols), weights)
+        return tape.vdot_const(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), weights)
 
     params = [a, xp] if kind == "tape" else [a]
     report = finite_diff_check(loss_fn, params, h=1e-6)
     assert all(entry["status"] == "checked" and entry["passed"] for entry in report.values()), report
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("block,chunk", [(None, None), (5, 3)])
+def test_edge_scores_scatter_matches_two_selector_oracle(dtype, rtol, block, chunk, monkeypatch):
+    """Backward scatters sign(d) once per block through its Pairs' patterns,
+    with +-g as the values, and multiplies by a once: gx and ga equal the
+    two-selector scatter's to rounding.  Self-pairs, a repeated pair and a
+    pair of identical feature rows have sign 0 or count twice; (5, 3)
+    spans seven blocks whose chunks do not divide them."""
+    from conftest import edge_scores_grads_by_selectors
+
+    rng = RngStream(27, ("edge-oracle",))
+    n, p, nnz = 8, 6, 31
+    rows = rng.child("rows").integers(0, n, nnz)
+    cols = rng.child("cols").integers(0, n, nnz)
+    rows[:n] = cols[:n] = np.arange(n)
+    rows[n:n + 3], cols[n:n + 3] = [1, 1, 4], [4, 4, 1]
+    rows[n + 3], cols[n + 3] = 2, 5
+    x = rng.child("x").random((n, p))
+    x[x < 0.3] = 0.0
+    x[5] = x[2]
+    x = x.astype(dtype)
+    a = Parameter((rng.child("a").random(p) - 0.5).astype(dtype), name="a")
+    xp = Parameter(x, name="xp")
+    g = (rng.child("g").random(nnz) - 0.5).astype(dtype)
+    if block is not None:
+        monkeypatch.setattr(tape, "entry_block", lambda p: block)
+        monkeypatch.setattr(tape, "cache_block", lambda p: chunk)
+
+    backward(tape.vdot_const(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), g))
+    gx, ga = edge_scores_grads_by_selectors(x, a.value, rows, cols, g)
+    assert xp.grad.dtype == a.grad.dtype == dtype
+    np.testing.assert_allclose(xp.grad, gx, rtol=rtol)
+    np.testing.assert_allclose(a.grad, ga, rtol=rtol)
+
+
+def test_backward_consumes_the_tape():
+    """backward drops every interior node's grad and VJP once it has run and
+    leaves the Parameters' grads; a second backward that reaches the
+    consumed tape raises before it changes a grad, and a rebuilt tape works."""
+    w = Parameter(RngStream(28).random((3, 2)) - 0.5, name="w")
+
+    def loss_fn():
+        return tape.sum_sq(tape.relu(tape.matmul(constant(np.eye(3)), w)))
+
+    loss = loss_fn()
+    h = loss._parents[0]
+    backward(loss)
+    expected = 2.0 * np.maximum(w.value, 0.0)
+    np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
+    assert loss.grad is None and h.grad is None
+    for again in (loss, tape.sum_sq(h)):
+        with pytest.raises(ValueError, match="consumed"):
+            backward(again)
+    np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
+    w.zero_grad()
+    backward(loss_fn())
+    np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
 
 
 def test_spmm_values_cache_chunks_leave_gradients_unchanged(monkeypatch):
@@ -375,7 +434,7 @@ def test_edge_scores_forward_memory_is_one_cache_chunk():
     a = Parameter(rng.child("a").random(p) - 0.5, name="a")
     tracemalloc.start()
     try:
-        tape.edge_scores(x, a, rows, cols)
+        tape.edge_scores(x, a, tape.Pairs(rows, cols))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -437,7 +496,7 @@ def _case_masked_cross_entropy(rng):
 def _case_edge_scores(rng):
     xp, a = _param(rng, "xp", (5, 3)), _param(rng, "a", 3)
     rows, cols = np.array([0, 1, 1, 2, 4, 3, 0]), np.array([1, 0, 2, 4, 3, 1, 4])
-    return lambda: _weighted(tape.edge_scores(xp, a, rows, cols), rng), [xp, a]
+    return lambda: _weighted(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), rng), [xp, a]
 
 
 def _case_spmm_values(rng):
@@ -480,7 +539,7 @@ _OP_CASES = {
     "segment_softmax": _one_param(lambda x: tape.segment_softmax(x, np.array([0, 3, 4, 9])), shape=9),
     "spmm_values": _case_spmm_values,
 }
-_NOT_OPS = {"Tensor", "Parameter", "Pattern", "SparseConst", "backward", "tape_nbytes", "no_grad", "entry_block", "cache_block"}
+_NOT_OPS = {"Tensor", "Parameter", "Pattern", "SparseConst", "Pairs", "backward", "tape_nbytes", "no_grad", "entry_block", "cache_block"}
 
 
 def test_every_op_gradient_matches_finite_differences():
