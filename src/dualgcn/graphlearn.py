@@ -83,8 +83,8 @@ class SupportStructure:
     All keep the adjacency's CSR index dtype (12 B per entry for int32); indptr gives row ids.
     pattern, over indptr and cols, is what S's products run through.
     pairs holds pair_rows/pair_cols for the edge scorer, whose first
-    backward builds its scatter patterns there (12 B per pair for int32),
-    so they live as long as the support and eval never builds them.
+    backward builds their interleaved node array there (8 B per pair for
+    int32), so it lives as long as the support and eval never builds it.
     """
 
     def __init__(self, g: Graph):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import json
 import logging
+import os
 import zipfile
 from dataclasses import dataclass, field
 
@@ -278,6 +279,15 @@ class FitResult:
     skipped_batches: int = 0
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return have if have > 0 else None
+
+
 class _GraphContext:
     """Prebuilt per-graph structures shared by train and eval passes.
 
@@ -309,7 +319,12 @@ class _GraphContext:
             if n > DENSE_LIMIT:
                 raise ConfigError(f"without a graph S spans all n^2 pairs: n={n} > {DENSE_LIMIT}")
             # held per pair under tracemalloc at n=1,500: 12 B in complete(n), 8 each in S's values and dist2
-            _log.warning("no graph: S spans all %d^2 node pairs, ~%.0f MB for S and its support", n, 28e-6 * n * n)
+            need = 28 * n * n
+            have = _physical_memory()
+            if have is not None and need > have:
+                raise ConfigError(f"without a graph S and its support need ~{need / 1e9:.1f} GB at n={n}, "
+                                  f"more than this machine's {have / 1e9:.1f} GB of memory")
+            _log.warning("no graph: S spans all %d^2 node pairs, ~%.0f MB for S and its support", n, need / 1e6)
             self.support = SupportStructure.complete(n)
         elif cfg.learn_graph:
             self.support = SupportStructure(add_self_loops(graph))
@@ -440,7 +455,9 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     forward, total_loss, adam_step, _eval_predictions, _build_ppmi_operator
     and tape.backward are looked up on their modules at each call, never
     bound to locals, so wrappers installed on the modules see every call.
+    glibc's heap thresholds are pinned first (_pin_heap_thresholds).
     """
+    _pin_heap_thresholds()
     rng = RngStream(cfg.seed)
     params = init_params(dataset.p, dataset.class_count, cfg, rng)
     # drawn in float64, so the features' dtype leaves the random numbers unchanged
@@ -532,11 +549,40 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
 
 
 try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _LIBC = ctypes.CDLL(None)
+    _MALLOC_TRIM, _MALLOPT = _LIBC.malloc_trim, _LIBC.mallopt
     _MALLOC_TRIM.argtypes = [ctypes.c_size_t]  # pad: bytes left untrimmed at the heap top
     _MALLOC_TRIM.restype = ctypes.c_int
+    _MALLOPT.argtypes = [ctypes.c_int, ctypes.c_int]  # (param, value)
+    _MALLOPT.restype = ctypes.c_int
 except (AttributeError, OSError, TypeError):  # a C library other than glibc
-    _MALLOC_TRIM = None
+    _MALLOC_TRIM = _MALLOPT = None
+
+# glibc's malloc.h parameter numbers, and the values the epoch loop pins
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2**20  # the most glibc's own rule ever raises it to
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD  # what glibc's rule pairs with it
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the epoch loop (a no-op elsewhere).
+
+    By default glibc serves each block above its mmap threshold with a
+    fresh mapping and raises the threshold (and the trim threshold, to
+    twice it) to the size of the largest such block freed so far, up to
+    32 MiB.  So where a step's arrays land, and how many pages each epoch
+    faults in again, depends on the largest array any step happened to
+    free: on the cora-shaped benchmark, a backward without its 14 MB
+    buffer left the thresholds low, and each epoch faulted ~1,450 pages
+    in again.  Pinned at glibc's own ceiling, blocks below 32 MiB come
+    from the heap, which keeps up to 64 MiB free at its top for the next
+    step.  Setting one threshold alone turns glibc's rule off for both, so
+    both are set.  _release_freed_heap hands the free pages back after
+    the loop.
+    """
+    if _MALLOPT is not None:
+        _MALLOPT(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        _MALLOPT(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _release_freed_heap() -> None:

@@ -63,7 +63,8 @@ def _batch_walks(m: sp.csr_matrix, starts: np.ndarray, q: int, rng: RngStream) -
     Transition i -> j is drawn with probability m_ij / sum_j m_ij; a
     walker at a node with zero out-weight truncates (recorded, not fatal).
     Each step bisects the walker's own row of the cumulative weights, so a
-    step costs O(log max row length) per walker.
+    step costs O(log max row length) per walker.  The walks are in m's
+    index dtype (int32 here, 4 B per slot).
     """
     indptr, indices, data = m.indptr, m.indices, m.data
     n = m.shape[0]
@@ -78,10 +79,10 @@ def _batch_walks(m: sp.csr_matrix, starts: np.ndarray, q: int, rng: RngStream) -
     total_n[ne] = cum[hi_n[ne] - 1] - base_n[ne]
     can_step = nonempty & (total_n > 0)
     rounds = int((hi_n - lo_n).max(initial=0)).bit_length()
-    walks = np.full((starts.size, q + 1), -1, dtype=np.int64)
+    walks = np.full((starts.size, q + 1), -1, dtype=indices.dtype)
     walks[:, 0] = starts
     live = np.arange(starts.size)
-    cur = starts.astype(np.int64, copy=True)
+    cur = walks[:, 0].copy()
     for step in range(1, q + 1):
         ok = can_step[cur]
         live, cur = live[ok], cur[ok]
@@ -106,21 +107,36 @@ def _batch_walks(m: sp.csr_matrix, starts: np.ndarray, q: int, rng: RngStream) -
 def _pair_counts(walks: np.ndarray, q: int, w: int, n: int) -> sp.csr_matrix:
     """Window co-occurrence counts of the walks, symmetric with a doubled diagonal.
 
-    Each pair is keyed once as min * n + max; one sort of the keys gives
-    the upper triangle's entries in CSR order and their counts.
+    Each pair is keyed once as min * n + max in int64 (keys reach n * n),
+    written column pair by column pair into one preallocated array: 8 B
+    per window pair, and a column's keys are its only other transient.
+    One sort of the keys gives the upper triangle's entries in CSR order
+    and their counts.  Only when a walker truncated are a column pair's
+    slots masked to the ones whose two nodes are both set.
     """
-    first, second = np.array([(s, s + d) for s in range(q) for d in range(1, min(w, q - s) + 1)]).T
-    nodes = walks.astype(np.int64, copy=False)  # keys reach n * n
-    a, b = nodes[:, first], nodes[:, second]
-    valid = (a >= 0) & (b >= 0)
-    a, b = a[valid], b[valid]
-    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    col_pairs = [(s, s + d) for s in range(q) for d in range(1, min(w, q - s) + 1)]
+    truncated = walks.min(initial=0) < 0
+    keys = np.empty(len(col_pairs) * walks.shape[0], dtype=np.int64)
+    end = 0
+    for s, t in col_pairs:
+        a, b = walks[:, s], walks[:, t]
+        if truncated:
+            valid = (a >= 0) & (b >= 0)
+            a, b = a[valid], b[valid]
+        k = slice(end, end + a.size)
+        np.minimum(a, b, out=keys[k])
+        keys[k] *= n
+        keys[k] += np.maximum(a, b)
+        end += a.size
+    keys = keys[:end]
     keys.sort()
     head = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     starts = np.flatnonzero(head)
+    del head
     counts = np.diff(starts, append=keys.size).astype(np.float64)
     rows, cols = np.divmod(keys[starts], n)
+    del keys, starts
     indptr = np.searchsorted(rows, np.arange(n + 1))
     up = sp.csr_matrix((counts, cols, indptr), shape=(n, n))
     return up + up.T.tocsr()
@@ -136,7 +152,7 @@ def frequency_matrix(m, cfg: WalkConfig, rng: RngStream) -> sp.csr_matrix:
     """
     mat = sp.csr_matrix(m, dtype=np.float64)
     n = mat.shape[0]
-    starts = np.repeat(np.arange(n, dtype=np.int64), cfg.gamma_walks)
+    starts = np.repeat(np.arange(n, dtype=mat.indices.dtype), cfg.gamma_walks)
     walks = _batch_walks(mat, starts, cfg.q, rng)
     return _pair_counts(walks, cfg.q, cfg.w, n)
 
@@ -156,7 +172,7 @@ def ppmi(freq: sp.spmatrix) -> PpmiMatrix:
         raise ValueError("ppmi: all-zero frequency matrix")
     rowsum = np.asarray(f.sum(axis=1)).ravel()
     colsum = np.asarray(f.sum(axis=0)).ravel()
-    rows = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))
+    rows = np.repeat(np.arange(f.shape[0], dtype=f.indices.dtype), np.diff(f.indptr))
     ratio = f.data * total / (rowsum[rows] * colsum[f.indices])
     vals = np.log(ratio)
     keep = vals > 0

@@ -15,6 +15,16 @@ Conventions
   (a fixed propagation operator, sparse features) enters as a
   SparseConst: its 1-D values array on a Pattern that its owner builds
   once and keeps.  No op takes a scipy matrix.
+* Sparse products call scipy's csr_matvecs/csc_matvecs kernels on a
+  Pattern's arrays, the ones scipy's own products run, so they match
+  scipy bit for bit.  The kernels add into a caller-owned output when one
+  is given, so a backward can scatter chunk by chunk into one
+  accumulator: backward scratch is cache-sized chunks plus the
+  gradients themselves.
+* Gradients are not copied.  A node's first gradient of its dtype and
+  shape becomes its grad as it is, so one array may be the grad of two
+  nodes; later gradients are added out of place, and no VJP writes its
+  incoming g.
 * A forward pass builds a DAG of Tensor nodes; ``backward(loss)``
   accumulates d loss / d leaf into every reachable Parameter's ``grad``
   and consumes the tape: each interior node drops its grad, its VJP
@@ -29,6 +39,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "Tensor",
@@ -108,10 +119,19 @@ class Parameter(Tensor):
 
 
 def _accumulate(node: Tensor, g):
+    """Add g into node.grad, which may share its array with another node's.
+
+    A first gradient of the node's dtype and shape is kept as it is, with
+    no copy: a VJP may hand one array to two parents (add does), and no
+    VJP writes its incoming g.  So a later gradient is added out of place,
+    into a new array; numpy picks the loop from the operands, so a float64
+    g rounds into a float32 grad exactly as ``grad += g`` would.
+    """
     if node.grad is None:
-        node.grad = np.array(g, dtype=node.value.dtype, copy=True)
+        keep = isinstance(g, np.ndarray) and g.dtype == node.value.dtype and g.shape == node.value.shape
+        node.grad = g if keep else np.array(g, dtype=node.value.dtype, copy=True)
     else:
-        node.grad += g
+        node.grad = np.add(node.grad, g, out=np.empty_like(node.grad))
 
 
 def _consumed(g):
@@ -386,9 +406,10 @@ def entry_block(p: int) -> int:
     """Support entries per block so one block's (block, p) float64 array is ~32 MB
     (~16 MB in float32: the count does not depend on the dtype).
 
-    For arrays that must outlive a cache_block chunk: edge_scores' backward
-    scatter and support_distances' sparse row indexing cost a fixed amount
-    per block, which small blocks would multiply.
+    For work that must span more than a cache_block chunk: edge_scores'
+    backward sums each block's scatter in its own (n, p) accumulator, which
+    fixes its rounding, and support_distances' sparse row indexing costs a
+    fixed amount per block, which small blocks would multiply.
     """
     return max(1, 2**22 // p)
 
@@ -405,36 +426,29 @@ def cache_block(p: int) -> int:
 
 
 class Pairs:
-    """The node pairs (rows_k, cols_k) that edge_scores scores, and the
-    patterns its backward scatters through.
+    """The node pairs (rows_k, cols_k) that edge_scores scores.
 
-    The patterns are built by the first backward that needs x's gradient
-    and kept for as long as this object lives: one per block of
-    entry_block(p) pairs, of shape (block, n), whose row k holds the
-    pair's two nodes.  With the values (+g_k, -g_k), its transposed
-    product sends pair k's row to rows_k and, negated, to cols_k.  A pass
-    that runs no backward never builds them.
+    nodes() interleaves them, pair k's two nodes at 2k and 2k + 1: the
+    indices of the (pairs, n) pattern whose row k holds pair k's nodes.
+    With the values (+g_k, -g_k), its transposed product sends pair k's
+    row to rows_k and, negated, to cols_k, which is how edge_scores'
+    backward scatters.  The first backward that needs x's gradient builds
+    it (8 B per pair for int32 nodes), and it lives as long as this
+    object, so a pass that runs no backward never builds it.
     """
 
-    __slots__ = ("rows", "cols", "_scatter")
+    __slots__ = ("rows", "cols", "_nodes")
 
     def __init__(self, rows, cols):
         self.rows = rows
         self.cols = cols
-        self._scatter = None  # (block, n, one Pattern per block) once built
+        self._nodes = None
 
-    def scatter_patterns(self, block: int, n: int) -> list:
-        """The pattern of each block of block pairs over n nodes, in order."""
-        if self._scatter is None or self._scatter[:2] != (block, n):
-            nodes = np.stack([self.rows, self.cols], axis=1).ravel()  # pair k's nodes at 2k and 2k + 1
-            npairs = self.rows.size
-            ptr = np.arange(0, 2 * min(block, npairs) + 1, 2, dtype=nodes.dtype)
-            patterns = []
-            for lo in range(0, npairs, block):
-                size = min(block, npairs - lo)
-                patterns.append(Pattern(ptr[:size + 1], nodes[2 * lo:2 * (lo + size)], (size, n)))
-            self._scatter = (block, n, patterns)
-        return self._scatter[2]
+    def nodes(self):
+        """rows and cols interleaved, pair k's nodes at 2k and 2k + 1."""
+        if self._nodes is None:
+            self._nodes = np.stack([self.rows, self.cols], axis=1).ravel()
+        return self._nodes
 
 
 def edge_scores(xp, a: Tensor, pairs: Pairs) -> Tensor:
@@ -444,10 +458,13 @@ def edge_scores(xp, a: Tensor, pairs: Pairs) -> Tensor:
     is formed over chunks of at most cache_block(p) pairs, so the transient
     memory is one cache-sized chunk rather than O(nnz * p); backward
     recomputes it the same way.
-    Backward writes sign(difference) into one (block, p) buffer per block
-    of entry_block(p) pairs (~32 MB) and scatters it once through pairs'
-    pattern for the block, with the values +-g; a multiplies the summed
-    (n, p) result once.  Each scatter allocates an n x p result.
+    Backward takes sign(difference) of each chunk in a chunk-sized buffer
+    and scatters it at once, with the values +-g, through the chunk's
+    slice of pairs.nodes() into its block's (n, p) accumulator; a
+    multiplies the summed result once.  Backward holds one accumulator
+    per block of entry_block(p) pairs (~32 MB of differences) and the sum
+    of the blocks before it: the per-block partial sums keep the rounding
+    independent of the chunk size.
     """
     rows, cols = pairs.rows, pairs.cols
     tracked = isinstance(xp, Tensor)
@@ -465,31 +482,37 @@ def edge_scores(xp, a: Tensor, pairs: Pairs) -> Tensor:
         out[lo:lo + chunk] = np.abs(d, out=d) @ a.value
 
     def vjp(g):
-        patterns = pairs.scatter_patterns(block, n) if tracked and xp.needs_grad else None
+        scatter = tracked and xp.needs_grad
         gx = None
         ga = np.zeros_like(a.value) if a.needs_grad else None
+        if scatter:
+            nodes = pairs.nodes()
+            ptr = np.arange(0, 2 * min(chunk, nnz) + 1, 2, dtype=nodes.dtype)
+            weights = np.empty(2 * nnz, dtype=dtype)  # pair k's +g_k and -g_k at 2k and 2k + 1
+            weights[0::2] = g
+            np.negative(g, out=weights[1::2])
+            signs = np.empty((min(chunk, nnz), p), dtype=dtype)
         for lo in range(0, nnz, block):
             hi = min(lo + block, nnz)
-            signs = np.empty((hi - lo, p), dtype=dtype) if patterns is not None else None
+            part = np.zeros((n, p), dtype=dtype) if scatter else None
             for clo in range(lo, hi, chunk):
                 chi = min(clo + chunk, hi)
                 d = x[rows[clo:chi]]
                 d -= x[cols[clo:chi]]
-                if signs is not None:
-                    np.sign(d, out=signs[clo - lo:chi - lo])
+                if scatter:
+                    size = chi - clo
+                    np.sign(d, out=signs[:size])
+                    # one product per chunk; np.add.at is ~10x slower
+                    Pattern(ptr[:size + 1], nodes[2 * clo:2 * chi], (size, n)).t_product(
+                        weights[2 * clo:2 * chi], signs[:size], out=part)
                 if ga is not None:
                     ga += np.abs(d, out=d).T @ g[clo:chi]
-            if patterns is not None:
-                # one product per block; np.add.at is ~10x slower
-                weights = np.empty(2 * (hi - lo), dtype=dtype)
-                weights[0::2] = g[lo:hi]
-                np.negative(g[lo:hi], out=weights[1::2])
-                part = patterns[lo // block].t_product(weights, signs)
+            if part is not None:
                 if gx is None:
                     gx = part
                 else:
                     gx += part
-        if patterns is not None:
+        if scatter:
             gx = np.zeros_like(x, dtype=dtype) if gx is None else gx
             gx *= a.value
         return (gx, ga) if tracked else (ga,)
@@ -536,59 +559,58 @@ def segment_softmax(scores: Tensor, indptr) -> Tensor:
 class Pattern:
     """A fixed CSR pattern whose products take their values at each call.
 
-    Holds indptr, indices and shape, and two scipy wrappers over those same
-    arrays, each built on its first use: a CSR one for m @ h, and a CSC one
-    for m.T @ g, which is the matrix m.T builds.  A product assigns the
-    values to the wrapper's data and multiplies, so the kernels and their
-    results are scipy's own while no scipy matrix is built per product.  A
-    pass that runs no backward never builds the CSC wrapper.  The wrapper
-    lets go of the values once the product is taken, so a pattern keeps
-    no tape value alive past the step that made it.
+    Holds indptr, indices and shape, and no values, so it keeps no tape
+    value alive past the call that used it.  product runs scipy's
+    csr_matvecs and t_product its csc_matvecs on these arrays: the
+    kernels that scipy's own m @ h and m.T @ g run (m.T is the CSC matrix
+    over m's arrays), so the results are scipy's bit for bit and no scipy
+    matrix is built.  Both kernels add into their output: without out a
+    product lands in new zeros of the operands' common dtype, as scipy's
+    does; a caller that passes out owns it and gets the product added,
+    term by term in storage order, to what it holds.
     """
 
-    __slots__ = ("indptr", "indices", "shape", "_csr", "_csc")
+    __slots__ = ("indptr", "indices", "shape")
 
     def __init__(self, indptr, indices, shape):
         self.indptr = indptr
         self.indices = indices
         self.shape = (int(shape[0]), int(shape[1]))
-        self._csr = self._csc = None
 
     @classmethod
     def of(cls, m: sp.csr_matrix) -> "Pattern":
         """The pattern of a CSR matrix, sharing its index arrays."""
         return cls(m.indptr, m.indices, m.shape)
 
-    def product(self, values, h):
-        """m @ h for the matrix m with these values."""
-        if self._csr is None:
-            self._csr = sp.csr_matrix((values, self.indices, self.indptr), shape=self.shape)
-        return _product(self._csr, values, h)
+    def product(self, values, h, out=None):
+        """m @ h for the matrix m with these values, added into out if given."""
+        return self._matvecs(_sparsetools.csr_matvecs, self.shape, values, h, out)
 
-    def t_product(self, values, g):
-        """m.T @ g for the matrix m with these values."""
-        if self._csc is None:
-            self._csc = sp.csc_matrix((values, self.indices, self.indptr), shape=self.shape[::-1])
-        return _product(self._csc, values, g)
+    def t_product(self, values, g, out=None):
+        """m.T @ g for the matrix m with these values, added into out if given."""
+        return self._matvecs(_sparsetools.csc_matvecs, self.shape[::-1], values, g, out)
 
-
-_NO_VALUES = np.empty(0)
-
-
-def _product(wrapper, values, h):
-    """wrapper @ h with values as the wrapper's data, which it drops after."""
-    wrapper.data = values
-    out = wrapper @ h
-    wrapper.data = _NO_VALUES
-    return out
+    def _matvecs(self, kernel, shape, values, h, out):
+        # the kernels index raw memory: every shape is checked before the call
+        rows, cols = shape
+        if h.ndim != 2 or h.shape[0] != cols:
+            raise ValueError(f"sparse product dimension mismatch: {shape} @ {h.shape}")
+        if values.shape != self.indices.shape:
+            raise ValueError(f"{values.shape} values for a pattern of {self.indices.size} entries")
+        if out is None:
+            out = np.zeros((rows, h.shape[1]), dtype=np.result_type(values.dtype, h.dtype))
+        elif out.shape != (rows, h.shape[1]) or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous {(rows, h.shape[1])} array, got {out.shape}")
+        kernel(rows, cols, h.shape[1], self.indptr, self.indices, values, h.ravel(), out.ravel())
+        return out
 
 
 class SparseConst:
     """A constant sparse matrix: its 1-D values on a Pattern.
 
     The features, the frozen operator and the PPMI operator each take this
-    form once, from the owner that keeps them for as long as they live, so
-    their patterns' scipy wrappers are built once and not at every product.
+    form once, from the owner that keeps them for as long as they live, and
+    each product runs on the pattern's arrays: no scipy matrix is built.
     """
 
     __slots__ = ("values", "pattern")
@@ -622,8 +644,6 @@ def spmm_values(values, pattern: Pattern, h) -> Tensor:
     tracked = isinstance(values, Tensor)
     v = values.value if tracked else values
     hv = _value(h)
-    if pattern.shape[1] != hv.shape[0]:
-        raise ValueError(f"sparse product dimension mismatch: {pattern.shape} @ {hv.shape}")
     out = pattern.product(v, hv)
     parents = tuple(t for t in (values, h) if isinstance(t, Tensor))
 
@@ -645,4 +665,4 @@ def spmm_values(values, pattern: Pattern, h) -> Tensor:
             grads.append(pattern.t_product(v, g) if h.needs_grad else None)
         return grads
 
-    return Tensor(np.asarray(out), parents, vjp)
+    return Tensor(out, parents, vjp)

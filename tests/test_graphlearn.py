@@ -78,6 +78,31 @@ def test_dense_limit_enforced(monkeypatch):
         fit(no_graph, ModelConfig(hidden_gl=None, epochs=1))
 
 
+def test_graphless_data_beyond_physical_memory_is_refused(monkeypatch):
+    # S and its support take ~28 B per pair: 28 * 12^2 = 4,032 B at n=12
+    from dataclasses import replace
+
+    from dualgcn import model
+
+    no_graph = replace(make_sbm_bundle(n=12, k=2, per_class_train=2), graph=None)
+    cfg = ModelConfig(hidden_gl=None, epochs=1)
+    monkeypatch.setattr(model, "_physical_memory", lambda: 4031)
+    with pytest.raises(ConfigError, match="more than this machine"):
+        fit(no_graph, cfg)
+    for have in (4032, None):  # enough memory, or a system that does not say
+        monkeypatch.setattr(model, "_physical_memory", lambda: have)
+        assert len(fit(no_graph, cfg).history) == 1
+
+
+def test_physical_memory_probe_reads_the_os_or_gives_none(monkeypatch):
+    from dualgcn import model
+
+    have = model._physical_memory()
+    assert have is None or have > 0
+    monkeypatch.delattr(model.os, "sysconf")
+    assert model._physical_memory() is None
+
+
 def test_masked_zero_scorer_uniform_over_neighborhood():
     g = add_self_loops(build_graph([(0, 1), (1, 2)], n=3))
     x = RngStream(3).random((3, 2))

@@ -615,6 +615,27 @@ def test_fits_release_freed_heap_once_after_their_contexts_are_gone(monkeypatch)
     fit(bundle, cfg)
 
 
+def test_fits_pin_both_heap_thresholds_before_their_first_epoch(monkeypatch):
+    from dualgcn.cluster import PartitionConfig, cluster_fit
+
+    calls, epochs = [], []
+
+    def mallopt(param, value):
+        calls.append((param, value, len(epochs)))  # with the epochs run so far
+        return 1
+
+    monkeypatch.setattr(model, "_MALLOPT", mallopt)
+    bundle = make_sbm_bundle(n=40, k=3, seed=16)
+    cfg = _cfg(epochs=2, hidden_gl=3)
+    fit(bundle, cfg, on_epoch=epochs.append)
+    cluster_fit(bundle, cfg, PartitionConfig(c=4, q=2, seed=0), on_epoch=epochs.append)
+    # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+    assert calls == [(-3, 32 * 2**20, 0), (-1, 64 * 2**20, 0), (-3, 32 * 2**20, 2), (-1, 64 * 2**20, 2)]
+    # without glibc there is nothing to call
+    monkeypatch.setattr(model, "_MALLOPT", None)
+    assert len(fit(bundle, cfg).history) == 2
+
+
 def _float32_bundle(path, dense: bool):
     """An SBM dataset with small-integer features, written out and loaded
     back: its features load as float32."""
@@ -754,12 +775,13 @@ def test_checkpoints_load_across_feature_dtypes(tmp_path):
 
 
 def test_karate_epochs_build_no_scipy_matrix(monkeypatch, karate):
-    """Past the first epoch every sparse product reuses its pattern's wrappers:
-    an epoch builds no CSR and no CSC matrix, the edge scorer's scatter
-    included, which runs through patterns its support's Pairs built at the
-    first backward.  Unprojected features (the karate profile) are made
-    dense once per context, not per epoch.  predict, which runs no
-    backward, builds no transposed (CSC) matrix."""
+    """Every sparse product runs scipy's kernels on its pattern's arrays:
+    past the first epoch an epoch builds no CSR and no CSC matrix, the
+    edge scorer's scatter included, which runs through the interleaved
+    nodes its support's Pairs built at the first backward.  Unprojected
+    features (the karate profile) are made dense once per context, not
+    per epoch.  predict, which runs no backward, builds no transposed
+    (CSC) matrix."""
     from dataclasses import replace
 
     from dualgcn.cli import merge_config, model_config_from

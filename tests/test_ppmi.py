@@ -381,6 +381,32 @@ def test_pair_counts_keys_past_int32_range():
     assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == dict(want)
 
 
+@pytest.mark.parametrize("truncated", [False, True])
+def test_pair_counts_peak_bytes_per_window_pair(truncated):
+    # walks on a ring, whose window pairs repeat (~6% are distinct), as
+    # walks on a sparse graph's do; the int64 keys alone take 8 B per pair
+    import tracemalloc
+
+    from dualgcn.ppmi import _pair_counts
+
+    n, gamma, q, w = 5000, 10, 3, 3
+    steps = np.random.default_rng(31).choice([-1, 1], size=(n * gamma, q))
+    walks = np.empty((n * gamma, q + 1), dtype=np.int32)
+    walks[:, 0] = np.repeat(np.arange(n), gamma)
+    walks[:, 1:] = (walks[:, :1] + np.cumsum(steps, axis=1)) % n
+    if truncated:
+        walks[::7, -1] = -1
+    window_pairs = 6 * walks.shape[0]
+    tracemalloc.start()
+    try:
+        _pair_counts(walks, q, w, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # ~38 B per pair with whole-array int64 copies of both columns
+    assert peak < 16 * window_pairs, peak / window_pairs
+
+
 def _ppmi_coo(f):
     total = float(f.sum())
     rowsum = np.asarray(f.sum(axis=1)).ravel()

@@ -442,6 +442,90 @@ def test_edge_scores_forward_memory_is_one_cache_chunk():
     assert peak < 4 * 2**20, peak
 
 
+def test_edge_scores_backward_memory_is_one_accumulator_and_chunks():
+    import tracemalloc
+
+    rng = RngStream(25, ("edge-backward-memory",))
+    n, p, nnz = 400, 200, 20_000
+    xp = Parameter(rng.child("x").random((n, p)), name="xp")
+    rows = rng.child("rows").integers(0, n, nnz)
+    cols = rng.child("cols").integers(0, n, nnz)
+    a = Parameter(rng.child("a").random(p) - 0.5, name="a")
+    loss = tape.vdot_const(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), rng.child("g").random(nnz) - 0.5)
+    tracemalloc.start()
+    try:
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (n, p) accumulator is 0.64 MB and a chunk's sign buffer 0.26 MB;
+    # the (nnz, p) signs of a whole block would be 32 MB
+    assert peak < 3 * 2**20, peak
+    assert xp.grad.shape == (n, p) and a.grad.shape == (p,)
+
+
+@pytest.mark.parametrize("vdtype,hdtype", [(np.float32, np.float32), (np.float64, np.float64),
+                                           (np.float32, np.float64), (np.float64, np.float32)])
+@pytest.mark.parametrize("width", [1, 3])
+def test_pattern_products_add_into_out_as_scipy_does(vdtype, hdtype, width):
+    """Without out a product is scipy's, dtype included; with out it is
+    added, entry by entry in storage order, to what out holds.  Small
+    integers keep every sum exact, so out0 + scipy's product is the
+    oracle for the second."""
+    rng = RngStream(29, ("pattern-out",))
+    n, p = 7, 5
+    indptr = np.array([0, 0, 3, 6, 8, 8, 10, 12])
+    indices = np.array([4, 0, 2, 3, 1, 0, 2, 4, 1, 0, 4, 3])
+    values = rng.child("v").integers(-3, 4, indices.size).astype(vdtype)
+    h = rng.child("h").integers(-3, 4, (p, width)).astype(hdtype)
+    g = rng.child("g").integers(-3, 4, (n, width)).astype(hdtype)
+    m = sp.csr_matrix((values, indices, indptr), shape=(n, p))
+    pattern = tape.Pattern(indptr, indices, (n, p))
+    for got, want, operand in ((pattern.product, m @ h, h), (pattern.t_product, m.T @ g, g)):
+        plain = got(values, operand)
+        assert plain.dtype == want.dtype and np.array_equal(plain, want)
+        start = rng.child("out").integers(-5, 6, want.shape).astype(want.dtype)
+        out = start.copy()
+        assert got(values, operand, out=out) is out
+        assert np.array_equal(out, start + want)
+        with pytest.raises(ValueError):
+            got(values, operand, out=np.zeros((want.shape[0] + 1, width), want.dtype))
+    with pytest.raises(ValueError):
+        pattern.product(values, g)  # n rows where the pattern has p columns
+    with pytest.raises(ValueError):
+        pattern.product(values[:-1], h)
+
+
+def test_a_gradient_shared_by_two_parents_is_not_changed_through_the_other():
+    # add hands its one g to both parents; x then takes a second gradient
+    # through the relu, which must not reach y's grad
+    x = Parameter(np.array([1.0, -2.0, 3.0]), name="x")
+    y = Parameter(np.array([0.5, 0.5, 0.5]), name="y")
+    weights = np.array([1.0, 2.0, 3.0])
+    backward(tape.add(tape.vdot_const(tape.add(x, y), weights), tape.sum_sq(tape.relu(x))))
+    np.testing.assert_array_equal(y.grad, weights)
+    np.testing.assert_array_equal(x.grad, weights + 2.0 * np.maximum(x.value, 0.0))
+    assert x.grad is not y.grad
+
+
+def test_a_float64_gradient_rounds_into_a_float32_grad_as_in_place_add_does():
+    # the first gradient is kept as it is; the second, float64 with bits
+    # below float32's, is added out of place and rounded once, as += does
+    rng = RngStream(30, ("round",))
+    first = rng.child("a").random(64).astype(np.float32)
+    kept = first.copy()
+    second = rng.child("b").random(64) * 1e-3
+    node = Parameter(np.zeros(64, dtype=np.float32), name="node")
+    tape._accumulate(node, first)
+    assert node.grad is first
+    tape._accumulate(node, second)
+    want = kept.copy()
+    want += second
+    assert node.grad.dtype == np.float32
+    assert np.array_equal(node.grad, want)
+    assert np.array_equal(first, kept)
+
+
 def test_take_or_zero_gradients_match_finite_differences():
     from dualgcn.optim import finite_diff_check
 
