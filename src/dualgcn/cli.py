@@ -221,7 +221,7 @@ def cmd_train(args) -> int:
         overrides[f"cluster_{k}"] = v
     dataset_name = args.dataset if args.dataset in _PROFILES else os.path.basename(os.path.normpath(args.dataset))
     merged = merge_config(dataset_name, file_cfg, overrides)
-    use_cluster = args.cluster is not None or any(key in merged for key in _UNSET)
+    use_cluster = args.cluster is not None or any(key.startswith("cluster_") for key in {**file_cfg, **overrides})
     if use_cluster and "cluster_c" not in merged:
         raise ConfigError("cluster training requires c (e.g. --cluster c=10 q=2)")
     bundle = resolve_dataset(args.dataset, args.data_dir)

@@ -579,6 +579,10 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
         raise DataError("dataset has no train/val/test masks; apply a split first")
     if partition is None:
         partition = partition_graph(dataset.graph, part_cfg)
+    elif partition.n != dataset.n:
+        raise DataError(f"partition covers {partition.n} nodes, the dataset has {dataset.n}")
+    elif partition.c != part_cfg.c:
+        raise ConfigError(f"partition has c={partition.c} clusters, the config asks for c={part_cfg.c}")
 
     def next_batch(epoch, rng):
         batch = form_batch(partition, part_cfg.q, rng.child("batch", epoch),

@@ -30,6 +30,7 @@ __all__ = [
     "learn_S_masked",
     "gl_loss",
     "support_distances",
+    "entry_block",
 ]
 
 
@@ -81,10 +82,8 @@ class SupportStructure:
     pair_rows/pair_cols hold the entries with row < col in CSR order, and
     pair_of maps every entry to its pair's index (self-pairs to npairs).
     All keep the adjacency's CSR index dtype (12 B per entry for int32); indptr gives row ids.
-    pattern, over indptr and cols, is what S's products run through.
-    pairs holds pair_rows/pair_cols for the edge scorer, whose first
-    backward builds their interleaved node array there (8 B per pair for
-    int32), so it lives as long as the support and eval never builds it.
+    pattern, over indptr and cols, is what S's products run through, and
+    the edge scorer reads pair_rows/pair_cols a cache-sized chunk at a time.
     """
 
     def __init__(self, g: Graph):
@@ -111,7 +110,6 @@ class SupportStructure:
         self.pair_of[upper] = np.arange(self.npairs)
         self.pair_of[lower[by_mirror]] = by_key
         self.pattern = tape.Pattern(self.indptr, self.cols, (self.n, self.n))
-        self.pairs = tape.Pairs(self.pair_rows, self.pair_cols)
 
     @classmethod
     def complete(cls, n: int) -> "SupportStructure":
@@ -140,9 +138,10 @@ class LearnedGraph:
         return self.support.pattern
 
     def matrix(self) -> sp.csr_matrix:
-        """Detached copy of S as a concrete matrix, for the PPMI walks."""
+        """S as scipy holds it, over S's values and the support's arrays, for
+        the PPMI walks, which only read it."""
         s = self.support
-        return sp.csr_matrix((self.values.value.copy(), s.cols.copy(), s.indptr.copy()), shape=(s.n, s.n))
+        return sp.csr_matrix((self.values.value, s.cols, s.indptr), shape=(s.n, s.n))
 
 
 def learn_S_masked(x, gl: GraphLearnerParams, support: SupportStructure) -> LearnedGraph:
@@ -155,27 +154,33 @@ def learn_S_masked(x, gl: GraphLearnerParams, support: SupportStructure) -> Lear
     when gl projects it.
     """
     xp = x if gl.proj is None else tape.matmul(x, gl.proj)
-    pair = tape.relu(tape.edge_scores(xp, gl.a, support.pairs))
+    pair = tape.relu(tape.edge_scores(xp, gl.a, support.pair_rows, support.pair_cols))
     scores = tape.take_or_zero(pair, support.pair_of)
     values = tape.segment_softmax(scores, support.indptr)
     return LearnedGraph(values=values, support=support)
+
+
+def entry_block(p: int) -> int:
+    """Support entries per block so one block's (block, p) float64 array is ~32 MB
+    (~16 MB in float32: the count does not depend on the dtype)."""
+    return max(1, 2**22 // p)
 
 
 def support_distances(x, support: SupportStructure) -> np.ndarray:
     """||x_i - x_j||^2 per support entry (constant wrt parameters).
 
     Taken once per unordered pair and spread to both entries, with 0 on
-    self-pairs.  The per-pair dot products are taken over blocks of pairs
-    (tape.entry_block, ~32 MB), so no (npairs, p) array is
-    built.  Not the smaller tape.cache_block: indexing rows of a sparse x
-    costs ~0.25 ms per block whatever its size.
+    self-pairs.  The per-pair dot products are taken over blocks of
+    entry_block(p) pairs, so no (npairs, p) array is built.  Not the
+    smaller tape.cache_block: indexing rows of a sparse x costs ~0.25 ms
+    per block whatever its size.
     """
     sparse = sp.issparse(x)
     dtype = tape._value_dtype(x.dtype)
     if not sparse:
         x = np.asarray(x, dtype=dtype)
     sq = np.asarray(x.multiply(x).sum(axis=1)).ravel() if sparse else (x * x).sum(axis=1)
-    block = tape.entry_block(x.shape[1])
+    block = entry_block(x.shape[1])
     rows, cols = support.pair_rows, support.pair_cols
     dots = np.empty(support.npairs, dtype=dtype)
     for lo in range(0, support.npairs, block):

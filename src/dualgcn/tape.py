@@ -18,9 +18,9 @@ Conventions
 * Sparse products call scipy's csr_matvecs/csc_matvecs kernels on a
   Pattern's arrays, the ones scipy's own products run, so they match
   scipy bit for bit.  The kernels add into a caller-owned output when one
-  is given, so a backward can scatter chunk by chunk into one
-  accumulator: backward scratch is cache-sized chunks plus the
-  gradients themselves.
+  is given, so a backward scatters chunk by chunk into one accumulator,
+  term by term in the same order whatever the chunk size: backward
+  scratch is cache-sized chunks plus the gradients themselves.
 * Gradients are not copied.  A node's first gradient of its dtype and
   shape becomes its grad as it is, so one array may be the grad of two
   nodes; later gradients are added out of place, and no VJP writes its
@@ -60,9 +60,7 @@ __all__ = [
     "sum_sq_diff",
     "tape_nbytes",
     "no_grad",
-    "entry_block",
     "cache_block",
-    "Pairs",
     "edge_scores",
     "take_or_zero",
     "segment_softmax",
@@ -402,18 +400,6 @@ def sum_sq_diff(t: Tensor, c) -> Tensor:
 # masked-sparse ops: values live on a fixed CSR support (cols, indptr)
 # ---------------------------------------------------------------------------
 
-def entry_block(p: int) -> int:
-    """Support entries per block so one block's (block, p) float64 array is ~32 MB
-    (~16 MB in float32: the count does not depend on the dtype).
-
-    For work that must span more than a cache_block chunk: edge_scores'
-    backward sums each block's scatter in its own (n, p) accumulator, which
-    fixes its rounding, and support_distances' sparse row indexing costs a
-    fixed amount per block, which small blocks would multiply.
-    """
-    return max(1, 2**22 // p)
-
-
 def cache_block(p: int) -> int:
     """Support entries per chunk so one chunk's (chunk, p) float64 array is ~256 KB
     (~128 KB in float32: the count does not depend on the dtype).
@@ -425,53 +411,24 @@ def cache_block(p: int) -> int:
     return max(1, 2**15 // p)
 
 
-class Pairs:
-    """The node pairs (rows_k, cols_k) that edge_scores scores.
-
-    nodes() interleaves them, pair k's two nodes at 2k and 2k + 1: the
-    indices of the (pairs, n) pattern whose row k holds pair k's nodes.
-    With the values (+g_k, -g_k), its transposed product sends pair k's
-    row to rows_k and, negated, to cols_k, which is how edge_scores'
-    backward scatters.  The first backward that needs x's gradient builds
-    it (8 B per pair for int32 nodes), and it lives as long as this
-    object, so a pass that runs no backward never builds it.
-    """
-
-    __slots__ = ("rows", "cols", "_nodes")
-
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
-        self._nodes = None
-
-    def nodes(self):
-        """rows and cols interleaved, pair k's nodes at 2k and 2k + 1."""
-        if self._nodes is None:
-            self._nodes = np.stack([self.rows, self.cols], axis=1).ravel()
-        return self._nodes
-
-
-def edge_scores(xp, a: Tensor, pairs: Pairs) -> Tensor:
-    """s_k = a . |xp[rows_k] - xp[cols_k]| per pair of pairs, shape (len(rows),).
+def edge_scores(xp, a: Tensor, rows, cols) -> Tensor:
+    """s_k = a . |xp[rows_k] - xp[cols_k]| per pair k, shape (len(rows),).
 
     xp is a tape value or a dense constant.  The (len(rows), p) difference
     is formed over chunks of at most cache_block(p) pairs, so the transient
     memory is one cache-sized chunk rather than O(nnz * p); backward
     recomputes it the same way.
     Backward takes sign(difference) of each chunk in a chunk-sized buffer
-    and scatters it at once, with the values +-g, through the chunk's
-    slice of pairs.nodes() into its block's (n, p) accumulator; a
-    multiplies the summed result once.  Backward holds one accumulator
-    per block of entry_block(p) pairs (~32 MB of differences) and the sum
-    of the blocks before it: the per-block partial sums keep the rounding
-    independent of the chunk size.
+    and scatters it at once into one (n, p) accumulator, through the
+    (chunk, n) pattern whose row k holds pair k's nodes, rows_k at 2k and
+    cols_k at 2k + 1, with the values +g_k and -g_k; a multiplies the
+    result once.  The kernel adds pair by pair in order into the one
+    accumulator, so xp's gradient does not depend on the chunk size.
     """
-    rows, cols = pairs.rows, pairs.cols
     tracked = isinstance(xp, Tensor)
     x = xp.value if tracked else xp
     n, p = x.shape
-    block = entry_block(p)
-    chunk = min(block, cache_block(p))
+    chunk = cache_block(p)
     nnz = rows.size
     dtype = np.result_type(x.dtype, a.value.dtype)
 
@@ -483,37 +440,31 @@ def edge_scores(xp, a: Tensor, pairs: Pairs) -> Tensor:
 
     def vjp(g):
         scatter = tracked and xp.needs_grad
-        gx = None
+        gx = np.zeros((n, p), dtype=dtype) if scatter else None
         ga = np.zeros_like(a.value) if a.needs_grad else None
         if scatter:
-            nodes = pairs.nodes()
-            ptr = np.arange(0, 2 * min(chunk, nnz) + 1, 2, dtype=nodes.dtype)
-            weights = np.empty(2 * nnz, dtype=dtype)  # pair k's +g_k and -g_k at 2k and 2k + 1
-            weights[0::2] = g
-            np.negative(g, out=weights[1::2])
-            signs = np.empty((min(chunk, nnz), p), dtype=dtype)
-        for lo in range(0, nnz, block):
-            hi = min(lo + block, nnz)
-            part = np.zeros((n, p), dtype=dtype) if scatter else None
-            for clo in range(lo, hi, chunk):
-                chi = min(clo + chunk, hi)
-                d = x[rows[clo:chi]]
-                d -= x[cols[clo:chi]]
-                if scatter:
-                    size = chi - clo
-                    np.sign(d, out=signs[:size])
-                    # one product per chunk; np.add.at is ~10x slower
-                    Pattern(ptr[:size + 1], nodes[2 * clo:2 * chi], (size, n)).t_product(
-                        weights[2 * clo:2 * chi], signs[:size], out=part)
-                if ga is not None:
-                    ga += np.abs(d, out=d).T @ g[clo:chi]
-            if part is not None:
-                if gx is None:
-                    gx = part
-                else:
-                    gx += part
+            width = min(chunk, nnz)
+            ptr = np.arange(0, 2 * width + 1, 2, dtype=rows.dtype)
+            # a chunk's pair k has its nodes and its values +g_k, -g_k at 2k and 2k + 1
+            nodes = np.empty((width, 2), dtype=rows.dtype)
+            weights = np.empty((width, 2), dtype=dtype)
+            signs = np.empty((width, p), dtype=dtype)
+        for lo in range(0, nnz, chunk):
+            hi = min(lo + chunk, nnz)
+            d = x[rows[lo:hi]]
+            d -= x[cols[lo:hi]]
+            if scatter:
+                size = hi - lo
+                nodes[:size, 0], nodes[:size, 1] = rows[lo:hi], cols[lo:hi]
+                weights[:size, 0] = g[lo:hi]
+                np.negative(g[lo:hi], out=weights[:size, 1])
+                np.sign(d, out=signs[:size])
+                # one product per chunk; np.add.at is ~10x slower
+                Pattern(ptr[:size + 1], nodes[:size].ravel(), (size, n)).t_product(
+                    weights[:size].ravel(), signs[:size], out=gx)
+            if ga is not None:
+                ga += np.abs(d, out=d).T @ g[lo:hi]
         if scatter:
-            gx = np.zeros_like(x, dtype=dtype) if gx is None else gx
             gx *= a.value
         return (gx, ga) if tracked else (ga,)
 

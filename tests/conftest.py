@@ -307,35 +307,36 @@ def save_dataset(bundle: DatasetBundle, path) -> None:
         fh.write(f"n={bundle.n}, classes={bundle.class_count}\n")
 
 
-def edge_scores_grads_by_selectors(x, a, rows, cols, g):
-    """The gradients of tape.edge_scores' pair scores, as its backward took
-    them with two one-hot selectors per block: sign(d_k) * a * g_k per pair,
-    scattered to rows_k through one (block x n) selector's transpose and
-    subtracted at cols_k through the other's.  Blocks and chunks are read
-    from tape.entry_block and tape.cache_block at the call.  The oracle for
-    edge_scores' scatter through its Pairs' patterns.  Returns (gx, ga)."""
+def edge_scores_grads_by_selectors(x, a, rows, cols, g, block=None):
+    """The gradients of tape.edge_scores' pair scores, taken with two one-hot
+    selectors per block: sign(d_k) * a * g_k per pair, scattered to rows_k
+    through one (block x n) selector's transpose and subtracted at cols_k
+    through the other's.  Blocks hold block pairs (default: a (block, p)
+    float64 array of ~32 MB); d and a's gradient are taken over chunks of
+    tape.cache_block pairs read at the call, as edge_scores takes them.
+    The oracle for edge_scores' scatter through its chunks' patterns.
+    Returns (gx, ga)."""
     from dualgcn import tape
 
     n, p = x.shape
-    block = tape.entry_block(p)
-    chunk = min(block, tape.cache_block(p))
+    block = block or max(1, 2**22 // p)
+    chunk = tape.cache_block(p)
     nnz = rows.size
     dtype = np.result_type(x.dtype, a.dtype)
     gx = np.zeros_like(x)
     ga = np.zeros_like(a)
+    gs = np.empty((nnz, p), dtype=dtype)
+    for lo in range(0, nnz, chunk):
+        d = x[rows[lo:lo + chunk]]
+        d -= x[cols[lo:lo + chunk]]
+        part = np.sign(d, out=gs[lo:lo + chunk])
+        part *= a
+        part *= g[lo:lo + chunk, None]
+        ga += np.abs(d, out=d).T @ g[lo:lo + chunk]
     for lo in range(0, nnz, block):
         hi = min(lo + block, nnz)
-        gs = np.empty((hi - lo, p), dtype=dtype)
-        for clo in range(lo, hi, chunk):
-            chi = min(clo + chunk, hi)
-            d = x[rows[clo:chi]]
-            d -= x[cols[clo:chi]]
-            part = np.sign(d, out=gs[clo - lo:chi - lo])
-            part *= a
-            part *= g[clo:chi, None]
-            ga += np.abs(d, out=d).T @ g[clo:chi]
         ones = np.ones(hi - lo, dtype=dtype)
         ptr = np.arange(hi - lo + 1)
-        gx += sp.csc_matrix((ones, rows[lo:hi], ptr), shape=(n, hi - lo)) @ gs
-        gx -= sp.csc_matrix((ones, cols[lo:hi], ptr), shape=(n, hi - lo)) @ gs
+        gx += sp.csc_matrix((ones, rows[lo:hi], ptr), shape=(n, hi - lo)) @ gs[lo:hi]
+        gx -= sp.csc_matrix((ones, cols[lo:hi], ptr), shape=(n, hi - lo)) @ gs[lo:hi]
     return gx, ga

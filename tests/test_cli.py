@@ -208,12 +208,19 @@ def test_train_unknown_key_exit_2(tmp_path):
 
 
 def test_train_cluster_settings_without_c_exit_2(tmp_path, capsys):
+    """Any cluster key without cluster_c, from --set or a config file, is a
+    config error: none trains full batch and records the key as set."""
+    config = tmp_path / "cluster.cfg"
+    config.write_text("cluster_balance = 1.5\n")
     out = tmp_path / "run"
-    rc = run(["train", "--dataset", "karate", "--set", "cluster_q=2", "--set", "cluster_seed=5",
-              "--out", str(out)] + FAST_TRAIN)
-    assert rc == 2
-    assert "cluster training requires c" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    for given in (["--set", "cluster_q=2", "--set", "cluster_seed=5"],
+                  ["--set", "cluster_balance=1.5", "--set", "cluster_weighted=false"],
+                  ["--set", "cluster_weighted=true"],
+                  ["--config", str(config)]):
+        rc = run(["train", "--dataset", "karate", *given, "--out", str(out)] + FAST_TRAIN)
+        assert rc == 2, given
+        assert "cluster training requires c" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 def _save_unsplit(path):

@@ -27,7 +27,7 @@ from dualgcn.cluster import (
     random_balanced_partition,
     save_partition_cache,
 )
-from dualgcn.errors import ConfigError
+from dualgcn.errors import ConfigError, DataError
 from dualgcn.graph import add_self_loops, build_graph, sym_normalize
 from dualgcn.model import ModelConfig, accuracy, fit, forward, predict, total_loss
 from dualgcn.ppmi import WalkConfig
@@ -285,6 +285,22 @@ def test_cluster_fit_c1_bit_identical_to_full_batch(karate):
     for p1, p2 in zip(full.params.all_parameters(), clustered.params.all_parameters()):
         np.testing.assert_array_equal(p1.value, p2.value)
 
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_cluster_fit_rejects_a_partition_of_another_node_count(karate, n):
+    """A partition of 20 nodes would train on 20 of karate's 34, and one of
+    40 would index past the features."""
+    part_cfg = PartitionConfig(c=2, q=1, seed=0)
+    part = partition_graph(make_random_graph(n, 0.2, seed=1), part_cfg)
+    with pytest.raises(DataError, match=f"partition covers {n} nodes, the dataset has 34"):
+        cluster_fit(karate, ModelConfig(epochs=2, seed=0), part_cfg, partition=part)
+
+
+def test_cluster_fit_rejects_a_partition_of_another_cluster_count(karate):
+    part = partition_graph(karate.graph, PartitionConfig(c=3, q=1, seed=0))
+    with pytest.raises(ConfigError, match="partition has c=3 clusters, the config asks for c=2"):
+        cluster_fit(karate, ModelConfig(epochs=2, seed=0), PartitionConfig(c=2, q=1, seed=0), partition=part)
 
 def _record_ppmi_builds(monkeypatch):
     """Wrap model._build_ppmi_operator; each build is recorded as

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dualgcn import tape
+from dualgcn import graphlearn, tape
 from dualgcn.graph import Graph, add_self_loops, build_graph
 from dualgcn.graphlearn import (
     GlConfig,
@@ -66,6 +66,21 @@ def test_dense_crafted_scores_proportional():
     row = s.matrix().toarray()[0]
     np.testing.assert_allclose(row, np.array([1.0, 2.0, 1.0]) / 4.0, rtol=1e-12)
 
+
+
+def test_matrix_shares_s_values_and_the_support_arrays():
+    """matrix() copies nothing, and the PPMI walks that read it leave S as it was."""
+    from dualgcn.ppmi import WalkConfig, frequency_matrix
+
+    g = add_self_loops(make_random_graph(9, 0.4, seed=15))
+    s = _learn(RngStream(15).random((9, 4)), g, init_graph_learner(4, 3, RngStream(16)))
+    before = [s.values.value.copy(), s.support.cols.copy(), s.support.indptr.copy()]
+    m = s.matrix()
+    for shared, own in zip((m.data, m.indices, m.indptr), (s.values.value, s.support.cols, s.support.indptr)):
+        assert np.shares_memory(shared, own)
+    frequency_matrix(m, WalkConfig(q=4, w=2, gamma_walks=3), RngStream(17))
+    for was, now in zip(before, (s.values.value, s.support.cols, s.support.indptr)):
+        np.testing.assert_array_equal(now, was)
 
 def test_dense_limit_enforced(monkeypatch):
     from dataclasses import replace
@@ -223,7 +238,7 @@ def test_support_distances_match_dense_oracle(monkeypatch):
     xs = sp.csr_matrix(np.where(x > 0.5, x, 0.0))
     d2s = support_distances(xs, sup)
     # blocking over entries leaves every per-entry sum bit-identical
-    monkeypatch.setattr(tape, "entry_block", lambda p: 4)
+    monkeypatch.setattr(graphlearn, "entry_block", lambda p: 4)
     np.testing.assert_array_equal(support_distances(x, sup), d2)
     np.testing.assert_array_equal(support_distances(xs, sup), d2s)
 
@@ -279,7 +294,7 @@ def test_entry_blocking_leaves_loss_and_gradients_unchanged(monkeypatch):
         return loss.item(), [p.grad.copy() for p in params]
 
     whole_loss, whole_grads = loss_and_grads()
-    monkeypatch.setattr(tape, "entry_block", lambda p: 5)  # 36 entries in 8 blocks
+    monkeypatch.setattr(graphlearn, "entry_block", lambda p: 5)  # 36 entries in 8 blocks
     blocked_loss, blocked_grads = loss_and_grads()
     assert blocked_loss == pytest.approx(whole_loss, rel=1e-13)
     for a, b in zip(whole_grads, blocked_grads):

@@ -777,8 +777,8 @@ def test_checkpoints_load_across_feature_dtypes(tmp_path):
 def test_karate_epochs_build_no_scipy_matrix(monkeypatch, karate):
     """Every sparse product runs scipy's kernels on its pattern's arrays:
     past the first epoch an epoch builds no CSR and no CSC matrix, the
-    edge scorer's scatter included, which runs through the interleaved
-    nodes its support's Pairs built at the first backward.  Unprojected
+    edge scorer's scatter included, which runs through a pattern over each
+    chunk's pairs.  Unprojected
     features (the karate profile) are made dense once per context, not
     per epoch.  predict, which runs no backward, builds no transposed
     (CSC) matrix."""

@@ -272,12 +272,12 @@ def test_edge_scores_blocked_gradients_match_finite_differences(kind, monkeypatc
     xp = {"tape": Parameter(x, name="xp"), "dense": x}[kind]
 
     expected = np.abs(x[rows] - x[cols]) @ a.value
-    np.testing.assert_allclose(tape.edge_scores(xp, a, tape.Pairs(rows, cols)).value, expected, rtol=1e-12)
-    monkeypatch.setattr(tape, "entry_block", lambda p: 5)  # backward scatters 23 pairs in blocks of 5
-    np.testing.assert_allclose(tape.edge_scores(xp, a, tape.Pairs(rows, cols)).value, expected, rtol=1e-12)
+    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
+    monkeypatch.setattr(tape, "cache_block", lambda p: 5)  # 23 pairs in chunks of 5
+    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
 
     def loss_fn():
-        return tape.vdot_const(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), weights)
+        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols), weights)
 
     params = [a, xp] if kind == "tape" else [a]
     report = finite_diff_check(loss_fn, params, h=1e-6)
@@ -287,6 +287,9 @@ def test_edge_scores_blocked_gradients_match_finite_differences(kind, monkeypatc
 @pytest.mark.parametrize("kind", ["tape", "dense"])
 @pytest.mark.parametrize("block", [5, None])
 def test_edge_scores_cache_chunks_match_oracle_and_finite_differences(kind, block, monkeypatch):
+    """29 pairs in chunks of 3, which divide neither the pair count nor the
+    oracle's blocks of 5 (block=None: one block of all 29)."""
+    from conftest import edge_scores_grads_by_selectors
     from dualgcn.optim import finite_diff_check
 
     rng = RngStream(23, ("edge-chunks",))
@@ -299,17 +302,18 @@ def test_edge_scores_cache_chunks_match_oracle_and_finite_differences(kind, bloc
     a = Parameter(rng.child("a").random(p) - 0.5, name="a")
     weights = rng.child("w").random(nnz) - 0.5
     xp = {"tape": Parameter(x, name="xp"), "dense": x}[kind]
-    # chunks of 3 do not divide blocks of 5; block=None keeps entry_block's
-    # default, one block of all 29 in chunks of 3
     monkeypatch.setattr(tape, "cache_block", lambda p: 3)
-    if block is not None:
-        monkeypatch.setattr(tape, "entry_block", lambda p: block)
 
     expected = np.abs(x[rows] - x[cols]) @ a.value
-    np.testing.assert_allclose(tape.edge_scores(xp, a, tape.Pairs(rows, cols)).value, expected, rtol=1e-12)
+    np.testing.assert_allclose(tape.edge_scores(xp, a, rows, cols).value, expected, rtol=1e-12)
+    backward(tape.vdot_const(tape.edge_scores(xp, a, rows, cols), weights))
+    gx, ga = edge_scores_grads_by_selectors(x, a.value, rows, cols, weights, block=block)
+    np.testing.assert_allclose(a.grad, ga, rtol=1e-12)
+    if kind == "tape":
+        np.testing.assert_allclose(xp.grad, gx, rtol=1e-12)
 
     def loss_fn():
-        return tape.vdot_const(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), weights)
+        return tape.vdot_const(tape.edge_scores(xp, a, rows, cols), weights)
 
     params = [a, xp] if kind == "tape" else [a]
     report = finite_diff_check(loss_fn, params, h=1e-6)
@@ -319,11 +323,12 @@ def test_edge_scores_cache_chunks_match_oracle_and_finite_differences(kind, bloc
 @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
 @pytest.mark.parametrize("block,chunk", [(None, None), (5, 3)])
 def test_edge_scores_scatter_matches_two_selector_oracle(dtype, rtol, block, chunk, monkeypatch):
-    """Backward scatters sign(d) once per block through its Pairs' patterns,
-    with +-g as the values, and multiplies by a once: gx and ga equal the
-    two-selector scatter's to rounding.  Self-pairs, a repeated pair and a
-    pair of identical feature rows have sign 0 or count twice; (5, 3)
-    spans seven blocks whose chunks do not divide them."""
+    """Backward scatters sign(d) once per chunk through the chunk's pattern,
+    with +-g as the values, into one accumulator and multiplies by a once:
+    gx and ga equal the two-selector scatter's to rounding.  Self-pairs, a
+    repeated pair and a pair of identical feature rows have sign 0 or count
+    twice; (5, 3) scores in chunks of 3 against the oracle's seven blocks
+    of 5, which the chunks do not divide."""
     from conftest import edge_scores_grads_by_selectors
 
     rng = RngStream(27, ("edge-oracle",))
@@ -340,12 +345,11 @@ def test_edge_scores_scatter_matches_two_selector_oracle(dtype, rtol, block, chu
     a = Parameter((rng.child("a").random(p) - 0.5).astype(dtype), name="a")
     xp = Parameter(x, name="xp")
     g = (rng.child("g").random(nnz) - 0.5).astype(dtype)
-    if block is not None:
-        monkeypatch.setattr(tape, "entry_block", lambda p: block)
+    if chunk is not None:
         monkeypatch.setattr(tape, "cache_block", lambda p: chunk)
 
-    backward(tape.vdot_const(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), g))
-    gx, ga = edge_scores_grads_by_selectors(x, a.value, rows, cols, g)
+    backward(tape.vdot_const(tape.edge_scores(xp, a, rows, cols), g))
+    gx, ga = edge_scores_grads_by_selectors(x, a.value, rows, cols, g, block=block)
     assert xp.grad.dtype == a.grad.dtype == dtype
     np.testing.assert_allclose(xp.grad, gx, rtol=rtol)
     np.testing.assert_allclose(a.grad, ga, rtol=rtol)
@@ -434,7 +438,7 @@ def test_edge_scores_forward_memory_is_one_cache_chunk():
     a = Parameter(rng.child("a").random(p) - 0.5, name="a")
     tracemalloc.start()
     try:
-        tape.edge_scores(x, a, tape.Pairs(rows, cols))
+        tape.edge_scores(x, a, rows, cols)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -446,22 +450,48 @@ def test_edge_scores_backward_memory_is_one_accumulator_and_chunks():
     import tracemalloc
 
     rng = RngStream(25, ("edge-backward-memory",))
-    n, p, nnz = 400, 200, 20_000
+    # 50,000 pairs: more than 2**22 // p = 20,971, what a 32 MB block of differences holds
+    n, p, nnz = 4000, 200, 50_000
     xp = Parameter(rng.child("x").random((n, p)), name="xp")
     rows = rng.child("rows").integers(0, n, nnz)
     cols = rng.child("cols").integers(0, n, nnz)
     a = Parameter(rng.child("a").random(p) - 0.5, name="a")
-    loss = tape.vdot_const(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), rng.child("g").random(nnz) - 0.5)
+    loss = tape.vdot_const(tape.edge_scores(xp, a, rows, cols), rng.child("g").random(nnz) - 0.5)
     tracemalloc.start()
     try:
         backward(loss)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one (n, p) accumulator is 0.64 MB and a chunk's sign buffer 0.26 MB;
-    # the (nnz, p) signs of a whole block would be 32 MB
-    assert peak < 3 * 2**20, peak
+    # the one (n, p) accumulator is 6.4 MB, and the rest is the incoming g
+    # (0.4 MB) and a chunk's differences and signs (~0.26 MB each); a
+    # second accumulator, or 24 B per pair, would break the bound
+    assert peak < 1.25 * n * p * 8, peak
     assert xp.grad.shape == (n, p) and a.grad.shape == (p,)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_edge_scores_x_gradient_does_not_depend_on_the_chunk_size(dtype, monkeypatch):
+    """The scatter adds pair by pair, in order, into one accumulator, so
+    xp's gradient is the same bit for bit in chunks of 1, of 3 (which do
+    not divide the 31 pairs) and of the default size (one chunk)."""
+    rng = RngStream(32, ("edge-chunk-size",))
+    n, p, nnz = 8, 6, 31
+    rows = rng.child("rows").integers(0, n, nnz)
+    cols = rng.child("cols").integers(0, n, nnz)
+    x = rng.child("x").random((n, p)).astype(dtype)
+    a = Parameter((rng.child("a").random(p) - 0.5).astype(dtype), name="a")
+    g = (rng.child("g").random(nnz) - 0.5).astype(dtype)
+
+    def x_grad():
+        xp = Parameter(x, name="xp")
+        backward(tape.vdot_const(tape.edge_scores(xp, a, rows, cols), g))
+        return xp.grad
+
+    whole = x_grad()
+    for chunk in (1, 3):
+        monkeypatch.setattr(tape, "cache_block", lambda p, chunk=chunk: chunk)
+        assert np.array_equal(x_grad(), whole), chunk
 
 
 @pytest.mark.parametrize("vdtype,hdtype", [(np.float32, np.float32), (np.float64, np.float64),
@@ -580,7 +610,7 @@ def _case_masked_cross_entropy(rng):
 def _case_edge_scores(rng):
     xp, a = _param(rng, "xp", (5, 3)), _param(rng, "a", 3)
     rows, cols = np.array([0, 1, 1, 2, 4, 3, 0]), np.array([1, 0, 2, 4, 3, 1, 4])
-    return lambda: _weighted(tape.edge_scores(xp, a, tape.Pairs(rows, cols)), rng), [xp, a]
+    return lambda: _weighted(tape.edge_scores(xp, a, rows, cols), rng), [xp, a]
 
 
 def _case_spmm_values(rng):
@@ -623,7 +653,7 @@ _OP_CASES = {
     "segment_softmax": _one_param(lambda x: tape.segment_softmax(x, np.array([0, 3, 4, 9])), shape=9),
     "spmm_values": _case_spmm_values,
 }
-_NOT_OPS = {"Tensor", "Parameter", "Pattern", "SparseConst", "Pairs", "backward", "tape_nbytes", "no_grad", "entry_block", "cache_block"}
+_NOT_OPS = {"Tensor", "Parameter", "Pattern", "SparseConst", "backward", "tape_nbytes", "no_grad", "cache_block"}
 
 
 def test_every_op_gradient_matches_finite_differences():
