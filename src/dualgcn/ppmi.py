@@ -97,8 +97,9 @@ def _batch_walks(m: sp.csr_matrix, starts: np.ndarray, q: int, rng: RngStream) -
         for _ in range(rounds):
             mid = (l + h) >> 1
             right = cum[mid] <= target
-            l = np.where(right, mid + 1, l)
-            h = np.where(right, h, mid)
+            # integer selects: np.where branches per walker on a coin flip
+            l = l + right * (mid + 1 - l)
+            h = mid + right * (h - mid)
         cur = indices[np.minimum(l, last)]
         walks[live, step] = cur
     return walks

@@ -21,6 +21,18 @@ Conventions
   is given, so a backward scatters chunk by chunk into one accumulator,
   term by term in the same order whatever the chunk size: backward
   scratch is cache-sized chunks plus the gradients themselves.
+* Masked selects and row reductions run without a branch or a call per
+  row: numpy's np.where branches on every element, which a random
+  dropout mask mispredicts about half the time, and a reduce along the
+  rows of a narrow C-order array makes one inner-loop call per row.  So
+  relu is fmax(x, 0) plus 0.0, dropout ANDs each value's bits with -keep,
+  and row_softmax reduces a Fortran-order copy, one call per column.
+  relu and dropout are byte-equal to the np.where forms for every input
+  (-0.0, NaN, inf and subnormals included).  The max is exact at any
+  width (a row holding a NaN is all NaN either way, though the NaN's sign
+  may differ); a Fortran-order sum adds 0 + c0 + c1 + ... in column
+  order, which is numpy's own order below 8 columns, and rounds otherwise
+  (numpy sums 8 or more contiguous values pairwise).
 * Gradients are not copied.  A node's first gradient of its dtype and
   shape becomes its grad as it is, so one array may be the grad of two
   nodes; later gradients are added out of place, and no VJP writes its
@@ -269,23 +281,23 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.value > 0
-    out = np.where(mask, x.value, 0.0)
+    out = np.fmax(x.value, 0.0)  # NaN -> 0, as x > 0 is false for it
+    out += 0.0  # -0.0 -> +0.0
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return Tensor(out, (x,), vjp)
 
 
 def row_softmax(x: Tensor) -> Tensor:
     v = x.value
-    shifted = v - v.max(axis=1, keepdims=True)
+    shifted = v - np.asfortranarray(v).max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / np.asfortranarray(e).sum(axis=1, keepdims=True)
 
     def vjp(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
+        inner = np.asfortranarray(g * out).sum(axis=1, keepdims=True)
         return (out * (g - inner),)
 
     return Tensor(out, (x,), vjp)
@@ -305,16 +317,27 @@ def dropout(x, rate: float, rng, training: bool):
     scale_ = 1.0 / (1.0 - rate)
     v = _value(x.values if sparse else x)
     keep = rng.random(v.shape) >= rate
-    out = np.where(keep, v * scale_, 0.0)
+    out = _keep_or_zero(v * scale_, keep)
     if sparse:
         return SparseConst(out, x.pattern)
     if not isinstance(x, Tensor):
         return out
 
     def vjp(g):
-        return (np.where(keep, g * scale_, 0.0),)
+        return (_keep_or_zero(g * scale_, keep),)
 
     return Tensor(out, (x,), vjp)
+
+
+def _keep_or_zero(v, keep):
+    """np.where(keep, v, 0.0) for a new float array v, written into v.
+
+    Each element's bits are ANDed with -keep in the integer type of v's
+    width: all ones where kept, zero (+0.0) where dropped.
+    """
+    bits = v.view(f"i{v.itemsize}")
+    bits &= np.negative(keep, dtype=bits.dtype)
+    return v
 
 
 # ---------------------------------------------------------------------------

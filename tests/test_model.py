@@ -812,6 +812,27 @@ def test_karate_epochs_build_no_scipy_matrix(monkeypatch, karate):
         assert built["csr"] - before["csr"] <= 5
 
 
+def test_karate_epochs_call_no_numpy_where(monkeypatch, karate):
+    """relu and dropout select without np.where, which branches per
+    element: past the first epoch a karate epoch calls it 0 times, with
+    either profile.  PPMI refreshes are off (ppmi_refresh=0), as they are
+    not per step."""
+    from dualgcn.cli import merge_config, model_config_from
+
+    calls = [0]
+
+    def counted(*args, _where=np.where, **kwargs):
+        calls[0] += 1
+        return _where(*args, **kwargs)
+    monkeypatch.setattr(np, "where", counted)
+    for profile in ("karate", "cora"):
+        cfg = model_config_from(merge_config(profile, {}, {"epochs": "20", "ppmi_refresh": "0"}))
+        per_epoch = []
+        fit(karate, cfg, on_epoch=lambda row: per_epoch.append(calls[0]))
+        assert len(per_epoch) == 20
+        assert np.diff(per_epoch).tolist() == [0] * 19, profile
+
+
 def test_unprojected_sparse_features_score_as_their_dense_copy_made_once(monkeypatch):
     """Without a projection the scorer reads the features' rows: the context
     densifies CSR features once, and S and gl.a's gradient from them equal

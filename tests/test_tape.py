@@ -109,6 +109,91 @@ def test_dropout_of_a_constant_stays_a_constant_of_its_kind():
     np.testing.assert_array_equal(out.values, np.where(keep, mat.data * 2.0, 0.0))
 
 
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _special_values(dtype, shape, seed):
+    """Normal draws with -0.0, +0.0, NaN, +-inf and +-subnormals planted at random."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 7 * tiny, -3 * tiny],
+                       dtype=dtype)
+    flat = v.reshape(-1)
+    flat[rng.choice(flat.size, 4 * special.size, replace=False)] = np.tile(special, 4)
+    return v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_and_dropout_equal_the_where_forms_byte_for_byte(dtype):
+    """relu and dropout select without np.where; forward and VJP keep the
+    bytes np.where gave, signed zeros, NaN payloads and subnormals included,
+    also for a VJP whose g has the other float dtype."""
+    other = np.float64 if dtype == np.float32 else np.float32
+    x = Parameter(_special_values(dtype, (40, 7), 1))
+    g = _special_values(dtype, (40, 7), 2)
+    full = tape.Pattern(np.arange(0, x.value.size + 1, 7), np.tile(np.arange(7), 40), x.shape)
+    short = Parameter(np.array([[-0.0, np.nan, -1.0]], dtype))  # below numpy's SIMD width fmax keeps -0.0
+    _same_bytes(tape.relu(short).value, np.where(short.value > 0, short.value, 0.0))
+    out = tape.relu(x)
+    _same_bytes(out.value, np.where(x.value > 0, x.value, 0.0))
+    with np.errstate(invalid="ignore"):  # NaN * 0 and inf * 0
+        _same_bytes(out._vjp(g)[0], g * (x.value > 0))
+    for rate in (0.3, 0.5):
+        scale = 1.0 / (1.0 - rate)
+        keep = RngStream(3, ("drop",)).random(x.shape) >= rate
+        out = tape.dropout(x, rate, RngStream(3, ("drop",)), True)
+        _same_bytes(out.value, np.where(keep, x.value * scale, 0.0))
+        for grad in (g, g.astype(other)):
+            _same_bytes(out._vjp(grad)[0], np.where(keep, grad * scale, 0.0))
+        values = tape.dropout(tape.SparseConst(x.value.ravel(), full), rate, RngStream(3, ("drop",)), True).values
+        _same_bytes(values, np.where(keep.ravel(), x.value.ravel() * scale, 0.0))
+
+
+def _softmax_reference(v):
+    shifted = v - v.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_softmax_equals_the_row_order_form_byte_for_byte_below_8_columns(dtype, width):
+    """Below 8 columns a reduce over a Fortran-order copy adds in numpy's own
+    order, so forward and VJP keep the bytes of the C-order reduces.  A row
+    holding a NaN comes out all NaN either way; only the sign of the max's
+    NaN may differ (the C-order reduce returns numpy's default NaN)."""
+    v = _special_values(dtype, (300, width), width) * 30
+    g = _special_values(dtype, (300, width), 10 + width)
+    nan_rows = np.isnan(v).any(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isnan(tape.row_softmax(Parameter(v)).value[nan_rows]).all()
+        v[np.isnan(v)] = 1.0
+        out = tape.row_softmax(Parameter(v))
+        want = _softmax_reference(v)
+        _same_bytes(out.value, want)
+        inner = (g * want).sum(axis=1, keepdims=True)
+        _same_bytes(out._vjp(g)[0], want * (g - inner))
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+@pytest.mark.parametrize("width", [8, 16])
+def test_row_softmax_from_8_columns_is_close_and_rows_sum_to_one(dtype, rtol, width):
+    """From 8 columns the column-order sums round differently from numpy's
+    pairwise ones, within a few units in the last place."""
+    rng = np.random.default_rng(width)
+    v = (rng.standard_normal((300, width)) * 5).astype(dtype)
+    g = rng.standard_normal((300, width)).astype(dtype)
+    out = tape.row_softmax(Parameter(v))
+    want = _softmax_reference(v)
+    np.testing.assert_allclose(out.value, want, rtol=rtol)
+    np.testing.assert_allclose(out.value.sum(axis=1), 1.0, rtol=4 * rtol)
+    inner = (g * want).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(out._vjp(g)[0], want * (g - inner), rtol=rtol, atol=rtol * np.abs(g).max())
+
+
 def test_matmul_takes_dense_and_sparse_constants_on_either_side():
     rng = RngStream(5)
     w = Parameter(rng.random((4, 3)), name="w")
