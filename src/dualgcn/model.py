@@ -70,6 +70,11 @@ HISTORY_COLUMNS = ("epoch", "train_loss", "l0", "lreg", "lgl", "val_acc")
 # largest node count of data without a graph, whose S spans all n^2 pairs
 DENSE_LIMIT = 20000
 
+# a graphless fit's peak traced memory per node pair, by the dtype it trains in:
+# under tracemalloc (default config, 50 features, 3 epochs) 52.9 B at n=2,000
+# and 52.6 at 3,000 in float32, 70.1 and 69.4 in float64; rounded up
+_PAIR_BYTES = {np.dtype(np.float32): 54, np.dtype(np.float64): 71}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -93,6 +98,10 @@ class ModelConfig:
     stop_threshold: float = 0.0  # stop when max-abs param change falls below; 0 disables
     eval_every: int = 1
     init: str = "glorot"  # "he" keeps gradients alive through deep ReLU stacks
+
+    @property
+    def needs_ppmi(self) -> bool:  # whether the objective reads the PPMI branch
+        return self.lambda1 > 0 or self.supervise in ("p", "both")
 
     def __post_init__(self):
         if self.depth < 2:
@@ -235,15 +244,13 @@ def total_loss(cache: ForwardCache, labels, train_idx, gl_term: Tensor | None, c
         train_idx = np.flatnonzero(train_idx)
     if train_idx.size == 0:
         raise DataError("empty training mask")
+    if cfg.supervise != "a" and cache.zp is None:
+        raise ConfigError(f"supervise={cfg.supervise!r} requires the PPMI branch")
     if cfg.supervise == "a":
         l0 = tape.masked_cross_entropy(cache.za, labels, train_idx)
     elif cfg.supervise == "p":
-        if cache.zp is None:
-            raise ConfigError("supervise='p' requires the PPMI branch")
         l0 = tape.masked_cross_entropy(cache.zp, labels, train_idx)
     else:
-        if cache.zp is None:
-            raise ConfigError("supervise='both' requires the PPMI branch")
         l0 = tape.scale(
             tape.add(
                 tape.masked_cross_entropy(cache.za, labels, train_idx),
@@ -275,8 +282,11 @@ class FitResult:
     history: list[dict]
     best_epoch: int
     best_val_acc: float
-    epochs_run: int
     skipped_batches: int = 0
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.history)
 
 
 def _physical_memory() -> int | None:
@@ -318,13 +328,12 @@ class _GraphContext:
             n = x.shape[0]
             if n > DENSE_LIMIT:
                 raise ConfigError(f"without a graph S spans all n^2 pairs: n={n} > {DENSE_LIMIT}")
-            # held per pair under tracemalloc at n=1,500: 12 B in complete(n), 8 each in S's values and dist2
-            need = 28 * n * n
+            need = _PAIR_BYTES[tape._value_dtype(x.dtype)] * n * n
             have = _physical_memory()
             if have is not None and need > have:
-                raise ConfigError(f"without a graph S and its support need ~{need / 1e9:.1f} GB at n={n}, "
+                raise ConfigError(f"without a graph a fit peaks at ~{need / 1e9:.1f} GB at n={n}, "
                                   f"more than this machine's {have / 1e9:.1f} GB of memory")
-            _log.warning("no graph: S spans all %d^2 node pairs, ~%.0f MB for S and its support", n, need / 1e6)
+            _log.warning("no graph: S spans all %d^2 node pairs; a fit peaks at ~%.0f MB", n, need / 1e6)
             self.support = SupportStructure.complete(n)
         elif cfg.learn_graph:
             self.support = SupportStructure(add_self_loops(graph))
@@ -436,6 +445,19 @@ class _TrainBatch:
     ppmi_key: object  # a batch whose key differs from the last build's rebuilds P
 
 
+def _batch_loss(batch: _TrainBatch, s, p_op, params: ModelParams, cfg: ModelConfig, rng: RngStream, epoch: int):
+    """One step's objective on batch, scaled by batch.share: the training
+    forward (dropout drawn from rng for epoch), the graph-learning term on
+    s and total_loss.  Returns (loss tensor, float components)."""
+    cache = forward(batch.ctx.x_in, s, p_op, params, cfg, "train", rng, epoch)
+    gl_term = batch.ctx.gl_term(s, cfg)
+    loss, comps = total_loss(cache, batch.y, batch.train_idx, gl_term, cfg)
+    if batch.share != 1.0:
+        loss = tape.scale(loss, batch.share)
+        comps["total"] = comps["total"] * batch.share
+    return loss, comps
+
+
 def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphContext | None = None) -> FitResult:
     """The epoch loop behind fit and cluster_fit.
 
@@ -452,9 +474,10 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     counted.  Aborts on a non-finite loss or parameter; returns the
     best-validation parameter snapshot.
 
-    forward, total_loss, adam_step, _eval_predictions, _build_ppmi_operator
-    and tape.backward are looked up on their modules at each call, never
-    bound to locals, so wrappers installed on the modules see every call.
+    _batch_loss, forward, total_loss, adam_step, _eval_predictions,
+    _build_ppmi_operator and tape.backward are looked up on their modules
+    at each call, never bound to locals, so wrappers installed on the
+    modules see every call.
     glibc's heap thresholds are pinned first (_pin_heap_thresholds).
     """
     _pin_heap_thresholds()
@@ -469,7 +492,6 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     groups = [(group, init_adam_states(group), lr)
               for group, lr in ((params.gl_parameters(), cfg.lr1), (params.conv_parameters(), cfg.lr2))
               if group]
-    need_p = cfg.lambda1 > 0 or cfg.supervise in ("p", "both")
 
     p_key = p_op = None  # the one live PPMI operator and the batch key it was built for
     s_next = None  # eval_ctx's S, built by validation for the next step
@@ -479,7 +501,6 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     last_val = float("nan")
     history: list[dict] = []
     skipped = 0
-    epochs_run = 0
 
     for epoch in range(cfg.epochs):
         batch = next_batch(epoch, rng)
@@ -492,29 +513,22 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
             skipped += 1
             comps = dict.fromkeys(("total", "l0", "lreg", "lgl"), float("nan"))
         else:
-            ctx = batch.ctx
-            s = s_next if s_next is not None and ctx is eval_ctx else ctx.build_affinity(params, cfg)
+            s = s_next if s_next is not None and batch.ctx is eval_ctx else batch.ctx.build_affinity(params, cfg)
             s_next = None  # the step below changes the parameters it was built from
-            if need_p and (p_op is None or batch.ppmi_key != p_key):
+            if cfg.needs_ppmi and (p_op is None or batch.ppmi_key != p_key):
                 p_op = None  # freed before its successor is built
                 p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch))
                 p_key = batch.ppmi_key
-            cache = forward(ctx.x_in, s, p_op, params, cfg, "train", rng, epoch)
-            gl_term = ctx.gl_term(s, cfg)
-            loss, comps = total_loss(cache, batch.y, batch.train_idx, gl_term, cfg)
-            if batch.share != 1.0:
-                loss = tape.scale(loss, batch.share)
-                comps["total"] = comps["total"] * batch.share
+            loss, comps = _batch_loss(batch, s, p_op, params, cfg, rng, epoch)
             if not np.isfinite(comps["total"]):
                 raise NumericError(f"non-finite loss at epoch {epoch}: {comps}")
             tape.backward(loss)
-            del s, cache, gl_term, loss  # free the step's tape before Adam allocates
+            del s, loss  # free the step's tape before Adam allocates
             for group, states, lr in groups:
                 adam_step(group, states, lr, cfg.weight_decay)
             for p in params.all_parameters():
                 if not np.isfinite(p.value).all():
                     raise NumericError(f"non-finite parameter {p.name} after the update at epoch {epoch}")
-        epochs_run = epoch + 1
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             if epoch < cfg.epochs - 1 and batch.ctx is eval_ctx:
@@ -545,7 +559,7 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     if best_state is not None:
         params.load_state_dict(best_state)
     return FitResult(params=params, history=history, best_epoch=best_epoch,
-                     best_val_acc=best_val, epochs_run=epochs_run, skipped_batches=skipped)
+                     best_val_acc=best_val, skipped_batches=skipped)
 
 
 try:

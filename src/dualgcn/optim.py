@@ -79,7 +79,7 @@ _ZERO_ATOL = 1e-7
 def finite_diff_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4) -> dict:
     """Compare analytic gradients against central differences.
 
-    loss_fn must be deterministic (dropout off, fixed operators) and
+    loss_fn must be deterministic (dropout masks fixed, fixed operators) and
     rebuild the tape from the current parameter values on every call.
     Returns {param name: {"max_rel_err", "passed", "status"}}.
     """

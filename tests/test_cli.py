@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -470,10 +471,25 @@ def test_gradcheck_exit_codes(monkeypatch):
         assert run(["gradcheck", "--seed", "0"]) == 5
 
 
-def test_gradcheck_lambda2_zero_skips_learner(capsys):
+def test_gradcheck_lambda2_zero_checks_learner(capsys):
+    # without the graph-learning term the cross-entropy still trains the learner
     assert run(["gradcheck", "--seed", "1", "--set", "lambda2=0"]) == 0
     out = capsys.readouterr().out
+    assert re.search(r"^graph-learner: max_rel_err=\S+ PASS$", out, re.M), out
+    assert run(["gradcheck", "--seed", "1", "--set", "learn_graph=false"]) == 0
+    out = capsys.readouterr().out
     assert "graph-learner: no-grad, skipped" in out
+    assert re.search(r"^convolution: max_rel_err=\S+ PASS$", out, re.M), out
+
+
+@pytest.mark.parametrize("lambda1", ["0", "0.01"])
+@pytest.mark.parametrize("supervise", ["a", "p", "both"])
+def test_gradcheck_passes_for_every_supervised_branch(supervise, lambda1, capsys):
+    # the objective fit trains: supervise=p with lambda1=0 still builds the PPMI branch
+    assert run(["gradcheck", "--seed", "0", "--set", f"supervise={supervise}", "--set", f"lambda1={lambda1}"]) == 0
+    out = capsys.readouterr().out
+    for group in ("graph-learner", "convolution"):
+        assert re.search(rf"^{group}: max_rel_err=\S+ PASS$", out, re.M), out
 
 
 def test_ppmi_gamma_growth_improves_oracle_distance(tmp_path, karate):

@@ -94,19 +94,44 @@ def test_dense_limit_enforced(monkeypatch):
 
 
 def test_graphless_data_beyond_physical_memory_is_refused(monkeypatch):
-    # S and its support take ~28 B per pair: 28 * 12^2 = 4,032 B at n=12
     from dataclasses import replace
 
     from dualgcn import model
 
     no_graph = replace(make_sbm_bundle(n=12, k=2, per_class_train=2), graph=None)
+    need = model._PAIR_BYTES[no_graph.x.dtype] * 12**2  # the charge per pair for float64 features
     cfg = ModelConfig(hidden_gl=None, epochs=1)
-    monkeypatch.setattr(model, "_physical_memory", lambda: 4031)
+    monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
     with pytest.raises(ConfigError, match="more than this machine"):
         fit(no_graph, cfg)
-    for have in (4032, None):  # enough memory, or a system that does not say
+    for have in (need, None):  # enough memory, or a system that does not say
         monkeypatch.setattr(model, "_physical_memory", lambda: have)
         assert len(fit(no_graph, cfg).history) == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_graphless_fit_peaks_under_the_memory_guards_charge(dtype):
+    import tracemalloc
+
+    from dualgcn import model
+    from dualgcn.data import DatasetBundle
+
+    n, k = 2000, 3
+    y = np.arange(n) % k
+    x = (RngStream(8).random((n, 50)) + np.eye(k, 50)[y]).astype(dtype)
+    train = np.arange(n) < 5 * k
+    val = ~train & (np.arange(n) < n // 2)
+    no_graph = DatasetBundle(name="dense", x=x, y=y, graph=None, train_mask=train, val_mask=val,
+                             test_mask=~(train | val), class_count=k)
+    tracemalloc.start()
+    try:
+        fit(no_graph, ModelConfig(hidden_gl=None, epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charge = model._PAIR_BYTES[np.dtype(dtype)] * n * n
+    # the charge is the measured peak, rounded up: neither below it nor far above
+    assert 0.9 * charge < peak < charge
 
 
 def test_physical_memory_probe_reads_the_os_or_gives_none(monkeypatch):

@@ -773,7 +773,7 @@ def test_no_grad_records_no_parents_and_no_closures():
         za = forward(x, ctx.build_affinity(params, cfg), None, params, cfg, mode="eval").za
     assert tape.tape_nbytes(za) == za.value.nbytes
     assert za._parents == () and za._vjp is None and not za.needs_grad
-    # an eval-mode forward outside no_grad still records: gradcheck differentiates one
+    # an eval-mode forward outside no_grad still records, as a training forward does
     recorded = forward(x, ctx.build_affinity(params, cfg), None, params, cfg, mode="eval").za
     np.testing.assert_array_equal(recorded.value, za.value)
     assert tape.tape_nbytes(recorded) > 10 * za.value.nbytes
