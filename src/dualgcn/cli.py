@@ -349,6 +349,10 @@ def cmd_gradcheck(args) -> int:
             print(f"{name}: no-grad, skipped")
             continue
         report = finite_diff_check(loss_fn, group, h=1e-5, tolerance=1e-4)
+        if not any(entry["compared"] for entry in report.values()):
+            print(f"{name}: compared no entry FAIL")
+            all_ok = False
+            continue
         worst = max(entry["max_rel_err"] for entry in report.values())
         passed = all(entry["passed"] for entry in report.values())
         print(f"{name}: max_rel_err={worst:.3e} {'PASS' if passed else 'FAIL'}")

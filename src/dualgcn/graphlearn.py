@@ -84,37 +84,44 @@ class SupportStructure:
     All keep the adjacency's CSR index dtype (12 B per entry for int32); indptr gives row ids.
     pattern, over indptr and cols, is what S's products run through, and
     the edge scorer reads pair_rows/pair_cols a cache-sized chunk at a time.
+
+    Rows are sorted on entry.  One transpose of pair_of (the pair id on
+    upper entries, npairs elsewhere) moves each value to its mirror's slot
+    in O(nnz), with no sort: the pattern is symmetric exactly when it is
+    its own transpose, and each lower entry then finds its pair id there.
+    The build peaks near 22 B per entry.
     """
 
     def __init__(self, g: Graph):
         adj = g.adj
         if (adj.diagonal() == 0).any():
             raise ValueError("support graph must carry self-loops on every node")
+        if not adj.has_sorted_indices:
+            adj = adj.sorted_indices()
         self.n = g.n
         self.indptr = adj.indptr.copy()
         self.cols = adj.indices.copy()
+        self.pattern = tape.Pattern(self.indptr, self.cols, (self.n, self.n))
         rows = np.repeat(np.arange(self.n, dtype=self.cols.dtype), np.diff(self.indptr))
         upper = rows < self.cols
-        lower = (rows > self.cols).nonzero()[0]
         self.pair_rows = rows[upper]
-        self.pair_cols = self.cols[upper]
-        # the k-th smallest mirrored key is the k-th smallest pair key; int64, as n^2 > 2^31 past n = 46,341
-        keys = self.pair_rows.astype(np.int64) * self.n + self.pair_cols
-        mirror = self.cols[lower].astype(np.int64) * self.n + rows[lower]
         del rows
-        by_key, by_mirror = keys.argsort(kind="stable"), mirror.argsort(kind="stable")
-        if mirror.size != keys.size or (keys[by_key] != mirror[by_mirror]).any():
-            raise ValueError("support pattern must be symmetric")
-        del keys, mirror
+        self.pair_cols = self.cols[upper]
         self.pair_of = np.full(self.nnz, self.npairs, dtype=self.cols.dtype)
-        self.pair_of[upper] = np.arange(self.npairs)
-        self.pair_of[lower[by_mirror]] = by_key
-        self.pattern = tape.Pattern(self.indptr, self.cols, (self.n, self.n))
+        self.pair_of[upper] = np.arange(self.npairs, dtype=self.cols.dtype)
+        del upper
+        transposed, mirror = self.pattern.transpose(self.pair_of)
+        if not (np.array_equal(transposed.indptr, self.indptr) and np.array_equal(transposed.indices, self.cols)):
+            raise ValueError("support pattern must be symmetric")
+        del transposed
+        # an upper entry's mirror is lower (npairs); a lower entry's is its pair's upper entry
+        np.minimum(self.pair_of, mirror, out=self.pair_of)
 
     @classmethod
     def complete(cls, n: int) -> "SupportStructure":
         """Every ordered pair, self-pairs included: the support for data without a graph."""
-        ones = sp.csr_matrix((np.ones(n * n), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)), shape=(n, n))
+        cols = np.tile(np.arange(n, dtype=np.int32), n)
+        ones = sp.csr_matrix((np.ones(n * n, dtype=np.int8), cols, np.arange(0, n * n + 1, n)), shape=(n, n))
         return cls(Graph(n=n, adj=ones))
 
     @property
@@ -170,17 +177,18 @@ def support_distances(x, support: SupportStructure) -> np.ndarray:
     """||x_i - x_j||^2 per support entry (constant wrt parameters).
 
     Taken once per unordered pair and spread to both entries, with 0 on
-    self-pairs.  The per-pair dot products are taken over blocks of
-    entry_block(p) pairs, so no (npairs, p) array is built.  Not the
-    smaller tape.cache_block: indexing rows of a sparse x costs ~0.25 ms
-    per block whatever its size.
+    self-pairs.  The per-pair dot products are taken over blocks of pairs,
+    so no (npairs, p) array is built: tape.cache_block(p) pairs for dense
+    x, entry_block(p) for sparse x, as indexing rows of a sparse x costs
+    ~0.25 ms per block whatever its size.  Each pair's dot is summed on
+    its own, so the block size does not change the result.
     """
     sparse = sp.issparse(x)
     dtype = tape._value_dtype(x.dtype)
     if not sparse:
         x = np.asarray(x, dtype=dtype)
     sq = np.asarray(x.multiply(x).sum(axis=1)).ravel() if sparse else (x * x).sum(axis=1)
-    block = entry_block(x.shape[1])
+    block = entry_block(x.shape[1]) if sparse else tape.cache_block(x.shape[1])
     rows, cols = support.pair_rows, support.pair_cols
     dots = np.empty(support.npairs, dtype=dtype)
     for lo in range(0, support.npairs, block):

@@ -72,7 +72,8 @@ DENSE_LIMIT = 20000
 
 # a graphless fit's peak traced memory per node pair, by the dtype it trains in:
 # under tracemalloc (default config, 50 features, 3 epochs) 52.9 B at n=2,000
-# and 52.6 at 3,000 in float32, 70.1 and 69.4 in float64; rounded up
+# and 52.6 at 3,000 in float32, 70.1 and 69.4 in float64 (one epoch at n=1,000:
+# 53.0 and 70.3); rounded up
 _PAIR_BYTES = {np.dtype(np.float32): 54, np.dtype(np.float64): 71}
 
 

@@ -81,7 +81,9 @@ def finite_diff_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4)
 
     loss_fn must be deterministic (dropout masks fixed, fixed operators) and
     rebuild the tape from the current parameter values on every call.
-    Returns {param name: {"max_rel_err", "passed", "status"}}.
+    Entries where both gradients are below _ZERO_ATOL are not compared.
+    Returns {param name: {"max_rel_err", "passed", "status", "compared"}},
+    compared counting the entries that were.
     """
     for p in params:
         p.zero_grad()
@@ -92,11 +94,11 @@ def finite_diff_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4)
     for p in params:
         an = analytic[id(p)]
         if an is None:
-            report[p.name] = {"max_rel_err": 0.0, "passed": True, "status": "no-grad, skipped"}
+            report[p.name] = {"max_rel_err": 0.0, "passed": True, "status": "no-grad, skipped", "compared": 0}
             continue
         flat_v = p.value.ravel()
         flat_a = an.ravel()
-        worst = 0.0
+        worst, compared = 0.0, 0
         for k in range(flat_v.size):
             orig = flat_v[k]
             flat_v[k] = orig + h
@@ -109,11 +111,13 @@ def finite_diff_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4)
             scale = max(abs(a), abs(fd))
             if scale < _ZERO_ATOL:
                 continue
+            compared += 1
             worst = max(worst, abs(a - fd) / max(scale, _REL_FLOOR))
         report[p.name] = {
             "max_rel_err": worst,
             "passed": worst <= tolerance,
             "status": "checked",
+            "compared": compared,
         }
         p.zero_grad()
     return report

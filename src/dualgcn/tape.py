@@ -535,13 +535,14 @@ class Pattern:
 
     Holds indptr, indices and shape, and no values, so it keeps no tape
     value alive past the call that used it.  product runs scipy's
-    csr_matvecs and t_product its csc_matvecs on these arrays: the
-    kernels that scipy's own m @ h and m.T @ g run (m.T is the CSC matrix
-    over m's arrays), so the results are scipy's bit for bit and no scipy
-    matrix is built.  Both kernels add into their output: without out a
-    product lands in new zeros of the operands' common dtype, as scipy's
-    does; a caller that passes out owns it and gets the product added,
-    term by term in storage order, to what it holds.
+    csr_matvecs, t_product its csc_matvecs and transpose its csr_tocsc on
+    these arrays: the kernels that scipy's own m @ h, m.T @ g and
+    m.T.tocsr() run (m.T is the CSC matrix over m's arrays), so the
+    results are scipy's bit for bit and no scipy matrix is built.  The
+    products add into their output: without out a product lands in new
+    zeros of the operands' common dtype, as scipy's does; a caller that
+    passes out owns it and gets the product added, term by term in
+    storage order, to what it holds.
     """
 
     __slots__ = ("indptr", "indices", "shape")
@@ -563,6 +564,20 @@ class Pattern:
     def t_product(self, values, g, out=None):
         """m.T @ g for the matrix m with these values, added into out if given."""
         return self._matvecs(_sparsetools.csc_matvecs, self.shape[::-1], values, g, out)
+
+    def transpose(self, values):
+        """(pattern, values) of m.T for the matrix m with these values, in
+        scipy's m.T.tocsr() form: csr_tocsc, a counting sort, lists each
+        row's columns in ascending order and moves every value to its
+        mirror's slot.  Outputs keep the index and value dtypes."""
+        if values.shape != self.indices.shape:
+            raise ValueError(f"{values.shape} values for a pattern of {self.indices.size} entries")
+        rows, cols = self.shape
+        indptr = np.empty(cols + 1, dtype=self.indices.dtype)
+        indices = np.empty_like(self.indices)
+        out = np.empty_like(values)
+        _sparsetools.csr_tocsc(rows, cols, self.indptr, self.indices, values, indptr, indices, out)
+        return Pattern(indptr, indices, (cols, rows)), out
 
     def _matvecs(self, kernel, shape, values, h, out):
         # the kernels index raw memory: every shape is checked before the call

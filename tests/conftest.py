@@ -124,6 +124,28 @@ def citation_graph(seed: int, n: int, k: int, avg_deg: float = 4.0) -> Graph:
     return build_graph(np.stack([keys // n, keys % n], axis=1), n)
 
 
+def support_by_sort(adj) -> dict:
+    """SupportStructure's arrays for a symmetric CSR pattern with self-loops,
+    paired by sorting: an int64 key row * n + col for each upper entry and
+    col * n + row for each lower one, one stable argsort of each, and the
+    k-th smallest mirrored key matched to the k-th smallest pair key.
+    Rows keep the order adj gives them.  The reference for the transpose."""
+    n = adj.shape[0]
+    indptr, cols = adj.indptr.copy(), adj.indices.copy()
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
+    upper = rows < cols
+    lower = (rows > cols).nonzero()[0]
+    pair_rows, pair_cols = rows[upper], cols[upper]
+    keys = pair_rows.astype(np.int64) * n + pair_cols
+    mirror = cols[lower].astype(np.int64) * n + rows[lower]
+    by_key, by_mirror = keys.argsort(kind="stable"), mirror.argsort(kind="stable")
+    assert mirror.size == keys.size and (keys[by_key] == mirror[by_mirror]).all(), "asymmetric pattern"
+    pair_of = np.full(cols.size, pair_rows.size, dtype=cols.dtype)
+    pair_of[upper] = np.arange(pair_rows.size)
+    pair_of[lower[by_mirror]] = by_key
+    return {"indptr": indptr, "cols": cols, "pair_rows": pair_rows, "pair_cols": pair_cols, "pair_of": pair_of}
+
+
 def refine_by_rebuild(adj, node_w, assign, c: int, cap: int):
     """The refinement of cluster._refine with nothing kept between rounds:
     every trial is scored by a pass over all of adj, every kept round

@@ -251,21 +251,30 @@ def test_criterion_8a_pubmed_deep_cluster():
 def test_criterion_8b_memory_tracks_batch_not_graph():
     from dualgcn import tape
     from dualgcn.cluster import form_batch
-    from dualgcn.model import _GraphContext, forward, init_params, total_loss
+    from dualgcn.model import _batch_loss, _build_ppmi_operator, _GraphContext, _TrainBatch, init_params
     from conftest import make_sbm_bundle
 
     def batch_bytes(n, c, seed):
+        """The tape bytes of the first step cluster_fit trains (q=1), built as that step builds it."""
         bundle = make_sbm_bundle(n=n, k=4, seed=seed)
         cfg = ModelConfig(hidden_gcn=8, hidden_gl=4, dropout=0.0, epochs=1, seed=0,
                           lambda1=0.01, lambda2=0.01,
                           walk=WalkConfig(q=2, w=2, gamma_walks=4))
         part = partition_graph(bundle.graph, PartitionConfig(c=c, seed=0))
-        params = init_params(bundle.p, bundle.class_count, cfg, RngStream(1))
-        batch = form_batch(part, 1, RngStream(2), bundle.graph, bundle.x, bundle.y)
-        ctx = _GraphContext(batch.x, batch.graph, cfg)
-        s = ctx.build_affinity(params, cfg)
-        cache = forward(batch.x, s, None, params, cfg, "train", RngStream(3), 0)
-        loss, _ = total_loss(cache, batch.y, np.arange(batch.nodes.size), ctx.gl_term(s, cfg), cfg)
+        rng = RngStream(cfg.seed)
+        params = init_params(bundle.p, bundle.class_count, cfg, rng)
+        epoch = 0
+        while True:  # cluster_fit skips batches without train labels
+            batch = form_batch(part, 1, rng.child("batch", epoch), bundle.graph, bundle.x, bundle.y)
+            train_local = np.flatnonzero(bundle.train_mask[batch.nodes])
+            if train_local.size:
+                break
+            epoch += 1
+        step = _TrainBatch(_GraphContext(batch.x, batch.graph, cfg), batch.y, train_local,
+                           batch.nodes.size / bundle.n, ppmi_key=batch.cluster_ids)
+        s = step.ctx.build_affinity(params, cfg)
+        p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch)) if cfg.needs_ppmi else None
+        loss, _ = _batch_loss(step, s, p_op, params, cfg, rng, epoch)
         return tape.tape_nbytes(loss), batch.nodes.size
 
     small, small_nodes = batch_bytes(256, 8, 31)

@@ -482,6 +482,14 @@ def test_gradcheck_lambda2_zero_checks_learner(capsys):
     assert re.search(r"^convolution: max_rel_err=\S+ PASS$", out, re.M), out
 
 
+def test_gradcheck_fails_a_group_that_compared_no_entry(capsys):
+    # at this seed dropout zeroes every gradient of the 4-wide hidden layers
+    assert run(["gradcheck", "--seed", "0", "--set", "depth=4"]) == 5
+    out = capsys.readouterr().out
+    assert re.search(r"^graph-learner: max_rel_err=\S+ PASS$", out, re.M), out
+    assert re.search(r"^convolution: compared no entry FAIL$", out, re.M), out
+
+
 @pytest.mark.parametrize("lambda1", ["0", "0.01"])
 @pytest.mark.parametrize("supervise", ["a", "p", "both"])
 def test_gradcheck_passes_for_every_supervised_branch(supervise, lambda1, capsys):

@@ -19,7 +19,7 @@ from dualgcn.model import ModelConfig, fit
 from dualgcn.optim import finite_diff_check
 from dualgcn.rng import RngStream
 from dualgcn.tape import Parameter
-from conftest import constant, make_random_graph, make_sbm_bundle
+from conftest import citation_graph, constant, make_random_graph, make_sbm_bundle, support_by_sort
 
 
 def _params(a_values, proj=None):
@@ -109,14 +109,16 @@ def test_graphless_data_beyond_physical_memory_is_refused(monkeypatch):
         assert len(fit(no_graph, cfg).history) == 1
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_graphless_fit_peaks_under_the_memory_guards_charge(dtype):
+# n=1,000 is where support_distances' blocks, not the n^2 terms, set the peak
+@pytest.mark.parametrize("dtype, n", [(np.float32, 2000), (np.float64, 2000), (np.float32, 1000), (np.float64, 1000)],
+                         ids=["float32", "float64", "float32-1000", "float64-1000"])
+def test_graphless_fit_peaks_under_the_memory_guards_charge(dtype, n):
     import tracemalloc
 
     from dualgcn import model
     from dualgcn.data import DatasetBundle
 
-    n, k = 2000, 3
+    k = 3
     y = np.arange(n) % k
     x = (RngStream(8).random((n, 50)) + np.eye(k, 50)[y]).astype(dtype)
     train = np.arange(n) < 5 * k
@@ -421,6 +423,48 @@ def test_support_pairs_past_2_31_keys():
     assert 61_356 * n + 67_296 - 20_000 == 2**32
     with pytest.raises(ValueError, match="symmetric"):
         _ring_support(n, extra=[(0, 20_000), (67_296, 61_356)])
+
+
+def _assert_support_is(sup, want):
+    for name, array in want.items():
+        got = getattr(sup, name)
+        assert got.dtype == array.dtype, name
+        np.testing.assert_array_equal(got, array, err_msg=name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16), reverse=st.booleans())
+def test_support_pairs_equal_the_sort_reference(n, density, seed, reverse):
+    """The transpose pairs every entry as the sort did; rows given in reverse
+    order are sorted on entry (density 1 is the complete pattern)."""
+    upper = np.triu(RngStream(seed, ("support-pattern",)).random((n, n)) < density, 1)
+    adj = sp.csr_matrix((upper | upper.T | np.eye(n, dtype=bool)).astype(np.float64))
+    want = support_by_sort(adj)
+    if reverse:
+        flipped = np.concatenate([adj.indices[lo:hi][::-1] for lo, hi in zip(adj.indptr[:-1], adj.indptr[1:])])
+        adj = sp.csr_matrix((adj.data, flipped, adj.indptr), shape=adj.shape)
+    _assert_support_is(SupportStructure(Graph(n=n, adj=adj)), want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 120))
+def test_complete_support_equals_the_sort_reference(n):
+    _assert_support_is(SupportStructure.complete(n), support_by_sort(sp.csr_matrix(np.ones((n, n)))))
+
+
+@pytest.mark.parametrize("kind", ["pubmed", "complete"])
+def test_support_build_peaks_under_28_bytes_per_entry(kind):
+    import tracemalloc
+
+    g = add_self_loops(citation_graph(1, 19717, 3)) if kind == "pubmed" else None  # 98,585 entries
+    tracemalloc.start()
+    try:
+        sup = SupportStructure(g) if g is not None else SupportStructure.complete(1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 12 B per entry are kept; sorting int64 keys peaked at 31.8 (pubmed) and 49.5 (complete)
+    assert peak <= 28 * sup.nnz, peak / sup.nnz
 
 
 @pytest.mark.parametrize("kind", ["graph", "unsorted", "complete"])

@@ -512,6 +512,25 @@ def test_pattern_products_equal_scipy_exactly(dtype):
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+def test_pattern_transpose_equals_scipys_and_checks_the_values(dtype):
+    # the 7 x 5 pattern above: rows 0 and 4 empty, and four rows out of order
+    indptr = np.array([0, 0, 3, 6, 8, 8, 10, 12], dtype=np.int32)
+    indices = np.array([4, 0, 2, 3, 1, 0, 2, 4, 1, 0, 4, 3], dtype=np.int32)
+    values = (RngStream(29, ("transpose",)).random(indices.size) * 100).astype(dtype)
+    pattern = tape.Pattern(indptr, indices, (7, 5))
+    got, got_values = pattern.transpose(values)
+    want = sp.csr_matrix((values, indices, indptr), shape=(7, 5)).T.tocsr()
+    assert got.shape == want.shape == (5, 7)
+    for x, y in ((got.indptr, want.indptr), (got.indices, want.indices), (got_values, want.data)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+    with pytest.raises(ValueError, match="values for a pattern of 12 entries"):
+        pattern.transpose(values[:-1])
+    with pytest.raises(ValueError, match="values for a pattern of 12 entries"):
+        pattern.transpose(values.reshape(3, 4))
+
+
 def test_edge_scores_forward_memory_is_one_cache_chunk():
     import tracemalloc
 
