@@ -25,7 +25,6 @@ from .cluster import (
     edge_cut_report,
     partition_graph,
     random_balanced_partition,
-    save_partition_cache,
 )
 from .data import SplitSpec, resolve_dataset, with_split
 from .errors import ConfigError, DataError, NumericError
@@ -324,7 +323,8 @@ def _gradcheck_instance(seed: int):
 
 def cmd_gradcheck(args) -> int:
     merged = merge_config(None, *_config_sources(args))
-    merged.update({"hidden_gcn": 4, "hidden_gl": 3})
+    # dropout can zero every gradient through 4-wide hidden layers stacked deeper
+    merged.update({"hidden_gcn": 4 if merged["depth"] <= 2 else 8, "hidden_gl": 3})
     cfg = model_config_from(merged)
     g, x, y, train_idx = _gradcheck_instance(merged["seed"])
     rng = RngStream(merged["seed"])
@@ -378,9 +378,6 @@ def cmd_partition(args) -> int:
     report["c"] = args.c
     report["seed"] = args.seed
     report["partition_s"] = partition_s
-    out_path = args.out or f"{bundle.name}_partition.txt"
-    _write_atomic(out_path, lambda fh: save_partition_cache(fh, part, args.seed))
-    report["file"] = out_path
     print(json.dumps(report, sort_keys=True))
     return _EXIT_OK
 
@@ -422,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--c", type=int, required=True)
     p_part.add_argument("--seed", type=int, default=PartitionConfig.seed)
     p_part.add_argument("--balance", type=float, default=PartitionConfig.balance_tolerance)
-    p_part.add_argument("--out", default=None)
     p_part.set_defaults(func=cmd_partition)
     return parser
 

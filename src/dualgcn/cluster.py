@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
-from .graph import Graph, graph_from_csr
+from .graph import Graph
 from .model import FitResult, ModelConfig, _GraphContext, _TrainBatch, _release_freed_heap, _train
 # not called here: perfbench/layers.py wraps these names in both trainer modules
 from .model import _build_ppmi_operator, _eval_predictions, forward, total_loss  # noqa: F401
@@ -44,7 +44,6 @@ __all__ = [
     "edge_cut_report",
     "cluster_fit",
     "random_balanced_partition",
-    "save_partition_cache",
 ]
 
 
@@ -539,9 +538,9 @@ def form_batch(part: Partition, q: int, rng: RngStream, g: Graph, x, y) -> Batch
         raise ConfigError(f"q={q} exceeds cluster count c={part.c}")
     chosen = np.sort(rng.choice(np.arange(part.c), size=q, replace=False))
     nodes = np.sort(np.concatenate([part.members[t] for t in chosen]))
-    sub_graph = graph_from_csr(g.adj[nodes][:, nodes])
     return Batch(cluster_ids=tuple(int(t) for t in chosen), nodes=nodes,
-                 graph=sub_graph, x=x[nodes], y=np.asarray(y)[nodes])
+                 graph=Graph(n=nodes.size, adj=g.adj[nodes][:, nodes]),
+                 x=x[nodes], y=np.asarray(y)[nodes])
 
 
 def edge_cut_report(part: Partition) -> dict:
@@ -595,13 +594,3 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     result = _train(dataset, cfg, next_batch, on_epoch)
     _release_freed_heap()
     return result
-
-
-# ---------------------------------------------------------------------------
-# partition file: "# partition n=<n> c=<c> seed=<seed>" + one index per line
-# ---------------------------------------------------------------------------
-
-def save_partition_cache(fh, part: Partition, seed: int) -> None:
-    """Write the partition file to a binary file object."""
-    lines = [f"# partition n={part.n} c={part.c} seed={seed}\n"] + [f"{t}\n" for t in part.assign]
-    fh.write("".join(lines).encode())

@@ -79,13 +79,6 @@ def build_graph(edges, n: int) -> Graph:
     return Graph(n=n, adj=adj)
 
 
-def graph_from_csr(adj: sp.spmatrix) -> Graph:
-    """Wrap an already-symmetric sparse adjacency (no re-symmetrization)."""
-    adj = sp.csr_matrix(adj, dtype=np.float64)
-    adj.sum_duplicates()
-    return Graph(n=adj.shape[0], adj=adj)
-
-
 def add_self_loops(g: Graph) -> Graph:
     """Return the graph of A + I; existing self-loops are incremented."""
     adj = (g.adj + sp.eye(g.n, format="csr", dtype=np.float64)).tocsr()
@@ -108,8 +101,11 @@ def sym_normalize(m) -> sp.csr_matrix:
     with np.errstate(divide="ignore"):
         dinv = np.where(d > 0, d, 1.0) ** -0.5
     dinv[d <= 0] = 0.0
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    data = mat.data * dinv[rows] * dinv[mat.indices]
+    # row ids in the index dtype, and the products taken in place: the
+    # transient is one float64 gather on top of data
+    data = dinv[np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))]
+    data *= mat.data
+    data *= dinv[mat.indices]
     # fresh index arrays: mat may share them with m, and summing
     # duplicates sorts them in place
     out = sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import Graph, add_self_loops, graph_from_csr, sym_normalize
+from .graph import Graph, add_self_loops, sym_normalize
 from .graphlearn import (
     GlConfig,
     GraphLearnerParams,
@@ -388,7 +388,8 @@ def _validation_context(dataset, cfg: ModelConfig, full_ctx: _GraphContext | Non
     depth - 1 hops keeps its whole closed neighbourhood in the ball, so
     its softmax row of S is complete.  The frozen operator is the full
     graph's, sliced, since its boundary nodes need their full-graph
-    degrees.
+    degrees.  A ball that covers the graph is the whole data's context,
+    built on dataset.x and dataset.graph themselves, not on a copy.
     """
     val_idx = np.flatnonzero(dataset.val_mask)
     if val_idx.size == 0:
@@ -401,7 +402,9 @@ def _validation_context(dataset, cfg: ModelConfig, full_ctx: _GraphContext | Non
     for _ in range(cfg.depth):
         ball |= g.adj @ ball.astype(np.float64) > 0
     nodes = np.flatnonzero(ball)
-    sub = graph_from_csr(g.adj[nodes][:, nodes])
+    if nodes.size == g.n:
+        return _GraphContext(dataset.x, g, cfg), val_idx
+    sub = Graph(n=nodes.size, adj=g.adj[nodes][:, nodes])
     frozen = None
     if not cfg.learn_graph:
         frozen = sym_normalize(add_self_loops(g).adj)[nodes][:, nodes]

@@ -25,10 +25,9 @@ from dualgcn.cluster import (
     partition_from_assign,
     partition_graph,
     random_balanced_partition,
-    save_partition_cache,
 )
 from dualgcn.errors import ConfigError, DataError
-from dualgcn.graph import add_self_loops, build_graph, sym_normalize
+from dualgcn.graph import Graph, add_self_loops, build_graph, sym_normalize
 from dualgcn.model import ModelConfig, accuracy, fit, forward, predict, total_loss
 from dualgcn.ppmi import WalkConfig
 from dualgcn.rng import RngStream
@@ -253,8 +252,6 @@ def test_loss_additivity_over_clusters():
 
     params = init_params(bundle.p, bundle.class_count, cfg, RngStream(3))
     total_blocks = 0.0
-    from dualgcn.graph import graph_from_csr
-
     for b in cluster_blocks(part, g, bundle.x, bundle.y):
         train_local = np.flatnonzero(bundle.train_mask[b.nodes])
         if train_local.size == 0:
@@ -267,7 +264,7 @@ def test_loss_additivity_over_clusters():
     coo = g.adj.tocoo()
     keep = part.assign[coo.row] == part.assign[coo.col]
     blockdiag = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=g.adj.shape)
-    op_full = sym_normalize(add_self_loops(graph_from_csr(blockdiag)).adj)
+    op_full = sym_normalize(add_self_loops(Graph(n=g.n, adj=blockdiag)).adj)
     cache_full = forward(bundle.x, op_full, None, params, cfg, mode="eval")
     loss_full, _ = total_loss(cache_full, bundle.y, np.flatnonzero(bundle.train_mask), None, cfg)
     assert total_blocks == pytest.approx(loss_full.item(), rel=1e-10)
@@ -391,17 +388,6 @@ def test_cluster_fit_stop_threshold(karate):
                       walk=WalkConfig(q=2, w=2, gamma_walks=4))
     res = cluster_fit(karate, cfg, PartitionConfig(c=2, q=1, seed=0))
     assert res.epochs_run < 50
-
-
-def test_partition_cache_roundtrip(tmp_path):
-    g = make_random_graph(20, 0.3, seed=5)
-    cfg = PartitionConfig(c=4, seed=3)
-    part = partition_graph(g, cfg)
-    path = tmp_path / "part.txt"
-    with open(path, "wb") as fh:
-        save_partition_cache(fh, part, cfg.seed)
-    assert path.read_text().splitlines()[0] == "# partition n=20 c=4 seed=3"
-    np.testing.assert_array_equal(np.loadtxt(path, dtype=np.int64), part.assign)
 
 
 def _two_cliques():

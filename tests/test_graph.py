@@ -221,6 +221,21 @@ def test_sym_normalize_preserves_symmetry(seed):
     assert rel <= 1e-12
 
 
+def test_sym_normalize_peak_is_one_gather_above_its_output():
+    import tracemalloc
+
+    m = add_self_loops(build_graph(np.random.default_rng(0).integers(0, 20_000, (200_000, 2)), 20_000)).adj
+    tracemalloc.start()
+    try:
+        sym_normalize(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output holds 12 B per entry (float64 values, int32 indices) and the
+    # transient is one float64 gather; int64 row ids and two gathers made 24
+    assert peak / m.nnz < 20
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 500))
 def test_spmm_dense_oracle_small_graphs(seed):

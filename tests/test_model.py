@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from dualgcn import model, tape
 from dualgcn.data import load_dataset
 from dualgcn.errors import ConfigError, DataError, NumericError
-from dualgcn.graph import add_self_loops, sym_normalize
+from dualgcn.graph import Graph, add_self_loops, sym_normalize
 from dualgcn.model import (
     ForwardCache,
     ModelConfig,
@@ -484,16 +484,24 @@ def test_ball_context_gives_the_full_graph_validation_rows(learn_graph, depth, w
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("depth", [2, 3])
 def test_frozen_operator_renormalized_on_the_ball_is_not_exact(depth, weighted):
-    from dualgcn.graph import graph_from_csr
-
     bundle, cfg, params = _ball_case(False, depth, weighted)
     val_idx = np.flatnonzero(bundle.val_mask)
     ball = _hop_ball_oracle(bundle.graph, val_idx, depth)
-    sub = graph_from_csr(bundle.graph.adj[ball][:, ball])
+    sub = Graph(n=ball.size, adj=bundle.graph.adj[ball][:, ball])
     renormalized = _GraphContext(bundle.x[ball], sub, cfg)
     want = _eval_za(_GraphContext(bundle.x, bundle.graph, cfg), params, cfg)[val_idx]
     got = _eval_za(renormalized, params, cfg)[np.searchsorted(ball, val_idx)]
     assert not np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("learn_graph", [True, False])
+def test_validation_context_of_a_ball_that_covers_the_graph_copies_nothing(karate, learn_graph):
+    cfg = _cfg(depth=2, learn_graph=learn_graph)
+    val_idx = np.flatnonzero(karate.val_mask)
+    assert _hop_ball_oracle(karate.graph, val_idx, cfg.depth).size == karate.n
+    ctx, val_pos = model._validation_context(karate, cfg)
+    assert ctx.x is karate.x and ctx.graph is karate.graph
+    np.testing.assert_array_equal(val_pos, val_idx)
 
 
 def test_validation_context_rejects_an_empty_validation_mask():
