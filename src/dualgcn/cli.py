@@ -322,7 +322,11 @@ def _gradcheck_instance(seed: int):
 
 
 def cmd_gradcheck(args) -> int:
-    merged = merge_config(None, *_config_sources(args))
+    file_cfg, overrides = _config_sources(args)
+    widths = sorted({"hidden_gcn", "hidden_gl"}.intersection({**file_cfg, **overrides}))
+    if widths:
+        raise ConfigError(f"gradcheck sets the hidden widths itself; drop {' and '.join(widths)}")
+    merged = merge_config(None, file_cfg, overrides)
     # dropout can zero every gradient through 4-wide hidden layers stacked deeper
     merged.update({"hidden_gcn": 4 if merged["depth"] <= 2 else 8, "hidden_gl": 3})
     cfg = model_config_from(merged)

@@ -17,7 +17,10 @@ product adj @ onehot(assign); like KaMinPar (Gottesbueren et al., ESA
 round that lowers the cut by less than _STOP_FRACTION of it.  Training
 then samples q clusters per step, trains on their induced subgraph
 (cross-cluster edges between chosen clusters stay in), and scales the
-loss by the batch's node share.
+loss by the batch's node share.  The whole graph's context (the support
+of A + I, dist2 and A + I's values) is built once per fit, and each batch
+is cut from it by whole-array gathers (_GraphContext.restrict), so no
+step slices the adjacency or measures distances again.
 """
 
 from __future__ import annotations
@@ -84,16 +87,18 @@ class Partition:
 
 @dataclass(frozen=True)
 class Batch:
-    """Union of q clusters with its induced subgraph and local slices.
+    """Union of q clusters and the context of its induced subgraph.
 
     nodes is the sorted global id array; local index i corresponds to
-    global node nodes[i] (the local->global bijection).
+    global node nodes[i] (the local->global bijection).  ctx holds the
+    batch's features (ctx.x), its support of A + I (ctx.support) and, as
+    the config asks, its dist2 and frozen operator, all cut from the whole
+    data's context.
     """
 
     cluster_ids: tuple
     nodes: np.ndarray = field(repr=False)
-    graph: Graph = field(repr=False)
-    x: object = field(repr=False)
+    ctx: _GraphContext = field(repr=False)
     y: np.ndarray = field(repr=False)
 
 
@@ -529,18 +534,19 @@ def partition_graph(g: Graph, cfg: PartitionConfig) -> Partition:
 # batching
 # ---------------------------------------------------------------------------
 
-def form_batch(part: Partition, q: int, rng: RngStream, g: Graph, x, y) -> Batch:
-    """Sample q distinct clusters uniformly and induce their subgraph.
+def form_batch(part: Partition, q: int, rng: RngStream, whole: _GraphContext, cfg: ModelConfig, y) -> Batch:
+    """Sample q distinct clusters uniformly and cut their induced subgraph's
+    context from whole, the whole data's context (see _GraphContext.restrict).
 
     Edges between the chosen clusters are inside the union and are kept.
+    A batch that covers the graph trains on whole itself.
     """
     if q > part.c:
         raise ConfigError(f"q={q} exceeds cluster count c={part.c}")
     chosen = np.sort(rng.choice(np.arange(part.c), size=q, replace=False))
     nodes = np.sort(np.concatenate([part.members[t] for t in chosen]))
     return Batch(cluster_ids=tuple(int(t) for t in chosen), nodes=nodes,
-                 graph=Graph(n=nodes.size, adj=g.adj[nodes][:, nodes]),
-                 x=x[nodes], y=np.asarray(y)[nodes])
+                 ctx=whole.restrict(nodes, cfg), y=np.asarray(y)[nodes])
 
 
 def edge_cut_report(part: Partition) -> dict:
@@ -567,10 +573,13 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     |batch| / n.  The batch's PPMI operator is rebuilt when a refresh is
     due or the cluster set differs from the one it was built for, so a
     run with q = c builds on fit's schedule.  Batches with no training
-    labels are skipped and counted.  Validation accuracy is scored on the
-    depth-hop ball of the validation nodes (see model._validation_context),
-    built once per run; only cluster_fit builds it, as fit validates on
-    its whole-graph training context.
+    labels are skipped and counted.  The whole graph's context is built
+    once, dist2 included when the objective reads it, and every batch is
+    cut from it (form_batch), as is the depth-hop ball of the validation
+    nodes that validation accuracy is scored on (see
+    model._validation_context), cut once per run; only cluster_fit cuts
+    it, as fit validates on its whole-graph training context.  The whole
+    context is freed before the heap is trimmed.
     """
     if dataset.graph is None:
         raise DataError("cluster training requires a dataset with a graph")
@@ -583,14 +592,17 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     elif partition.c != part_cfg.c:
         raise ConfigError(f"partition has c={partition.c} clusters, the config asks for c={part_cfg.c}")
 
+    whole = _GraphContext(dataset.x, dataset.graph, cfg)
+    whole.distances(cfg)  # built once, for every batch to gather
+
     def next_batch(epoch, rng):
-        batch = form_batch(partition, part_cfg.q, rng.child("batch", epoch),
-                           dataset.graph, dataset.x, dataset.y)
+        batch = form_batch(partition, part_cfg.q, rng.child("batch", epoch), whole, cfg, dataset.y)
         train_local = np.flatnonzero(dataset.train_mask[batch.nodes])
-        ctx = _GraphContext(batch.x, batch.graph, cfg) if train_local.size else None
+        ctx = batch.ctx if train_local.size else None
         share = batch.nodes.size / dataset.n if weighted_loss else 1.0
         return _TrainBatch(ctx, batch.y, train_local, share, ppmi_key=batch.cluster_ids)
 
-    result = _train(dataset, cfg, next_batch, on_epoch)
+    result = _train(dataset, cfg, next_batch, on_epoch, whole, ball=True)
+    del whole  # so the whole graph's context is freed before the trim
     _release_freed_heap()
     return result

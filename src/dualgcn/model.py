@@ -302,27 +302,36 @@ def _physical_memory() -> int | None:
 class _GraphContext:
     """Prebuilt per-graph structures shared by train and eval passes.
 
-    Without a graph the learned affinity lives on the complete graph, and
-    graph is left None so the loss has no adjacency-fidelity term.
-    frozen_op, when given, replaces the normalized adjacency of graph as
-    the frozen operator, which is cast to the tape's dtype for x.  x_in is
-    x as forward takes it: sparse features, like the frozen operator, are
-    held as a tape.SparseConst, so both patterns live as long as the
-    context.  x_gl is x as the graph learner's scorer takes it: x_in, or,
-    when cfg has no projection, sparse features made dense once here, as
-    the scorer indexes their rows.  dist2 is built by the first gl_term call.
+    graph is the data's graph, or None: the learned affinity then lives on
+    the complete graph and the loss has no adjacency-fidelity term.  With
+    a graph the support is that of A + I, whatever cfg.learn_graph is, so
+    restrict can cut a context from the whole data's one.  With
+    learn_graph=False, a_values holds A + I's values on the support and
+    frozen_op, which replaces S, their normalized form, cast to the tape's
+    dtype for x.  x_in is x as forward takes it: sparse features, like the
+    frozen operator, are held as a tape.SparseConst, so both patterns live
+    as long as the context.  x_gl is x as the graph learner's scorer takes
+    it, set by the first build_affinity: x_in, or, when the learner has no
+    projection, sparse features made dense once, as the scorer indexes
+    their rows.  dist2 is built by the first gl_term call, or up front by
+    distances.
+
+    support, a_values, frozen_op and dist2, when given, are cut from the
+    whole data's context, as restrict passes them; graph is then the whole
+    data's, read only for the fidelity term.
     """
 
-    def __init__(self, x, graph: Graph | None, cfg: ModelConfig,
-                 frozen_op: sp.csr_matrix | None = None):
+    def __init__(self, x, graph: Graph | None, cfg: ModelConfig, *,
+                 support: SupportStructure | None = None, a_values: np.ndarray | None = None,
+                 frozen_op: sp.csr_matrix | None = None, dist2: np.ndarray | None = None):
         self.x = x
         self.x_in = tape.SparseConst.of(x) if sp.issparse(x) else x
-        unprojected = sp.issparse(x) and cfg.learn_graph and cfg.hidden_gl is None
-        self.x_gl = x.toarray() if unprojected else self.x_in
+        self.x_gl = None
         self.graph = graph
-        self.support = None
+        self.support = support
+        self.a_values = a_values
         self.frozen_op = None
-        self.dist2 = None
+        self.dist2 = dist2
         if graph is None:
             if not cfg.learn_graph:
                 raise ConfigError("learn_graph=False requires a dataset with a graph")
@@ -336,25 +345,64 @@ class _GraphContext:
                                   f"more than this machine's {have / 1e9:.1f} GB of memory")
             _log.warning("no graph: S spans all %d^2 node pairs; a fit peaks at ~%.0f MB", n, need / 1e6)
             self.support = SupportStructure.complete(n)
-        elif cfg.learn_graph:
-            self.support = SupportStructure(add_self_loops(graph))
-        else:
+            return
+        if support is None:
+            loops = add_self_loops(graph)
+            self.support = SupportStructure(loops)
+            if not cfg.learn_graph:
+                self.a_values = loops.adj.data
+        if not cfg.learn_graph:
             if frozen_op is None:
-                frozen_op = sym_normalize(add_self_loops(graph).adj)
+                s = self.support
+                frozen_op = sym_normalize(sp.csr_matrix((self.a_values, s.cols, s.indptr), shape=(s.n, s.n)))
             # a float64 operator times float32 activations would upcast the branch
             self.frozen_op = tape.SparseConst.of(frozen_op.astype(tape._value_dtype(x.dtype), copy=False))
+
+    def restrict(self, nodes: np.ndarray, cfg: ModelConfig, ball: bool = False) -> "_GraphContext":
+        """The context of the subgraph induced by the sorted nodes, cut from
+        this whole data's context with no scipy slice.
+
+        The support is SupportStructure.restrict's, and a_values and dist2
+        are gathered at its entry ids.  A batch's frozen operator
+        normalizes its own A + I; a validation ball's (ball=True) gathers
+        the whole normalized operator, as its boundary nodes keep their
+        whole-graph degrees.  Each array equals the one built from the
+        induced subgraph itself.  Nodes that cover the graph give this
+        context itself.
+        """
+        if nodes.size == self.support.n:
+            return self
+        support, entries = self.support.restrict(nodes)
+        a_values = frozen = None
+        if not cfg.learn_graph:
+            a_values = self.a_values[entries]
+            if ball:
+                frozen = sp.csr_matrix((self.frozen_op.values[entries], support.cols, support.indptr),
+                                       shape=(support.n, support.n))
+        dist2 = None if self.dist2 is None else self.dist2[entries]
+        return _GraphContext(self.x[nodes], self.graph, cfg, support=support, a_values=a_values,
+                             frozen_op=frozen, dist2=dist2)
 
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
         if not cfg.learn_graph:
             return self.frozen_op
+        if self.x_gl is None:
+            unprojected = sp.issparse(self.x) and params.gl.proj is None
+            self.x_gl = self.x.toarray() if unprojected else self.x_in
         return learn_S_masked(self.x_gl, params.gl, self.support)
 
-    def gl_term(self, s, cfg: ModelConfig):
+    def distances(self, cfg: ModelConfig) -> np.ndarray | None:
+        """dist2, built on the first call, or None when the objective has no
+        graph-learning term."""
         if not cfg.learn_graph or cfg.lambda2 <= 0:
             return None
         if self.dist2 is None:
             self.dist2 = support_distances(self.x, self.support)
-        return gl_loss(s, self.graph, cfg.gl, self.dist2)
+        return self.dist2
+
+    def gl_term(self, s, cfg: ModelConfig):
+        dist2 = self.distances(cfg)
+        return None if dist2 is None else gl_loss(s, self.graph, cfg.gl, dist2)
 
 
 def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> tape.SparseConst:
@@ -377,39 +425,36 @@ def _eval_predictions(ctx: _GraphContext, params: ModelParams, cfg: ModelConfig,
     return np.argmax(cache.za.value, axis=1)
 
 
-def _validation_context(dataset, cfg: ModelConfig, full_ctx: _GraphContext | None = None):
+def _validation_context(dataset, cfg: ModelConfig, whole: _GraphContext | None = None, ball: bool = True):
     """The context validation is scored on, and the validation nodes' rows in it.
 
-    full_ctx, the whole data's context, is returned whenever it is given:
-    fit passes its training context, so a fit holds one support.  Without
-    it (cluster_fit) this is the subgraph induced by the cfg.depth-hop
-    ball around the validation nodes.  The ball is exact: a depth-layer
-    output reads only nodes within depth hops, and every node within
-    depth - 1 hops keeps its whole closed neighbourhood in the ball, so
-    its softmax row of S is complete.  The frozen operator is the full
-    graph's, sliced, since its boundary nodes need their full-graph
-    degrees.  A ball that covers the graph is the whole data's context,
-    built on dataset.x and dataset.graph themselves, not on a copy.
+    whole is the whole data's context, built here when not given.  fit
+    passes its training context with ball=False and validates on it, so a
+    fit holds one support.  Otherwise (cluster_fit passes the context its
+    batches are cut from) this is the subgraph induced by the cfg.depth-hop
+    ball around the validation nodes, cut from whole by restrict.  The
+    ball is exact: a depth-layer output reads only nodes within depth hops,
+    and every node within depth - 1 hops keeps its whole closed
+    neighbourhood in the ball, so its softmax row of S is complete.  The
+    frozen operator is the whole graph's, cut to the ball, since its
+    boundary nodes need their full-graph degrees.  A ball that covers the
+    graph is whole itself, built on dataset.x and dataset.graph, not on a
+    copy.
     """
     val_idx = np.flatnonzero(dataset.val_mask)
     if val_idx.size == 0:
         raise DataError("empty validation mask")
-    if full_ctx is not None:
-        return full_ctx, val_idx
+    if whole is None:
+        whole = _GraphContext(dataset.x, dataset.graph, cfg)
+    if not ball:
+        return whole, val_idx
     g = dataset.graph
-    ball = np.zeros(g.n, dtype=bool)
-    ball[val_idx] = True
+    near = np.zeros(g.n, dtype=bool)
+    near[val_idx] = True
     for _ in range(cfg.depth):
-        ball |= g.adj @ ball.astype(np.float64) > 0
-    nodes = np.flatnonzero(ball)
-    if nodes.size == g.n:
-        return _GraphContext(dataset.x, g, cfg), val_idx
-    sub = Graph(n=nodes.size, adj=g.adj[nodes][:, nodes])
-    frozen = None
-    if not cfg.learn_graph:
-        frozen = sym_normalize(add_self_loops(g).adj)[nodes][:, nodes]
-    ctx = _GraphContext(dataset.x[nodes], sub, cfg, frozen)
-    return ctx, np.searchsorted(nodes, val_idx)
+        near |= g.adj @ near.astype(np.float64) > 0
+    nodes = np.flatnonzero(near)
+    return whole.restrict(nodes, cfg, ball=True), np.searchsorted(nodes, val_idx)
 
 
 def accuracy(pred, labels, mask) -> float:
@@ -462,7 +507,7 @@ def _batch_loss(batch: _TrainBatch, s, p_op, params: ModelParams, cfg: ModelConf
     return loss, comps
 
 
-def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphContext | None = None) -> FitResult:
+def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, whole: _GraphContext, ball: bool) -> FitResult:
     """The epoch loop behind fit and cluster_fit.
 
     Per epoch: take the batch next_batch(epoch, rng) gives, build the
@@ -471,12 +516,12 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     epoch); one operator is alive at a time), take one Adam step on the
     batch loss (graph-learner group at lr1, convolution group at lr2),
     then score the validation set on the context _validation_context
-    gives once per fit (full_ctx when given, else the ball).  When that
-    context is the one just trained and another step follows, validation
-    builds S tape-tracked and the next step trains on it, as S depends
-    only on the parameters.  A batch without train labels is skipped and
-    counted.  Aborts on a non-finite loss or parameter; returns the
-    best-validation parameter snapshot.
+    gives once per fit: whole itself, or with ball the ball cut from it.
+    When that context is the one just trained and another step follows,
+    validation builds S tape-tracked and the next step trains on it, as S
+    depends only on the parameters.  A batch without train labels is
+    skipped and counted.  Aborts on a non-finite loss or parameter;
+    returns the best-validation parameter snapshot.
 
     _batch_loss, forward, total_loss, adam_step, _eval_predictions,
     _build_ppmi_operator and tape.backward are looked up on their modules
@@ -491,7 +536,7 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, full_ctx: _GraphCont
     dtype = tape._value_dtype(dataset.x.dtype)
     for p in params.all_parameters():
         p.value = p.value.astype(dtype, copy=False)
-    eval_ctx, val_pos = _validation_context(dataset, cfg, full_ctx)
+    eval_ctx, val_pos = _validation_context(dataset, cfg, whole, ball)
     val_y = np.asarray(dataset.y)[np.flatnonzero(dataset.val_mask)]
     groups = [(group, init_adam_states(group), lr)
               for group, lr in ((params.gl_parameters(), cfg.lr1), (params.conv_parameters(), cfg.lr2))
@@ -630,11 +675,11 @@ def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
     if not dataset.has_masks():
         raise DataError("dataset has no train/val/test masks; apply a split first")
     ctx = _GraphContext(dataset.x, dataset.graph, cfg)
-    whole = _TrainBatch(ctx, dataset.y, np.flatnonzero(dataset.train_mask), share=1.0, ppmi_key=None)
-    if whole.train_idx.size == 0:
+    batch = _TrainBatch(ctx, dataset.y, np.flatnonzero(dataset.train_mask), share=1.0, ppmi_key=None)
+    if batch.train_idx.size == 0:
         raise DataError("empty training mask")
-    result = _train(dataset, cfg, lambda epoch, rng: whole, on_epoch, ctx)
-    del ctx, whole  # so the training context's pages are freed before the trim
+    result = _train(dataset, cfg, lambda epoch, rng: batch, on_epoch, ctx, ball=False)
+    del ctx, batch  # so the training context's pages are freed before the trim
     _release_freed_heap()
     return result
 

@@ -108,16 +108,18 @@ def _batch_walks(m: sp.csr_matrix, starts: np.ndarray, q: int, rng: RngStream) -
 def _pair_counts(walks: np.ndarray, q: int, w: int, n: int) -> sp.csr_matrix:
     """Window co-occurrence counts of the walks, symmetric with a doubled diagonal.
 
-    Each pair is keyed once as min * n + max in int64 (keys reach n * n),
-    written column pair by column pair into one preallocated array: 8 B
-    per window pair, and a column's keys are its only other transient.
+    Each pair is keyed once as min * n + max, in int32 when every key fits
+    (keys reach n * n - 1, so up to n = 46,340) and in int64 above that,
+    written column pair by column pair into one preallocated array: 4 or
+    8 B per window pair, and a column's keys are its only other transient.
     One sort of the keys gives the upper triangle's entries in CSR order
     and their counts.  Only when a walker truncated are a column pair's
     slots masked to the ones whose two nodes are both set.
     """
     col_pairs = [(s, s + d) for s in range(q) for d in range(1, min(w, q - s) + 1)]
     truncated = walks.min(initial=0) < 0
-    keys = np.empty(len(col_pairs) * walks.shape[0], dtype=np.int64)
+    key_dtype = np.int32 if n * n - 1 <= np.iinfo(np.int32).max else np.int64
+    keys = np.empty(len(col_pairs) * walks.shape[0], dtype=key_dtype)
     end = 0
     for s, t in col_pairs:
         a, b = walks[:, s], walks[:, t]

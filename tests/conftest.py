@@ -204,30 +204,41 @@ def contract_by_coo(adj, node_w, match):
     return coarse_adj, coarse_w, coarse_map
 
 
-def cluster_blocks(part, g: Graph, x, y) -> list:
-    """Every cluster's batch as form_batch induces it with q = 1, in cluster order."""
+def cluster_blocks(part, g: Graph, x, y, cfg=None) -> list:
+    """Every cluster's batch as form_batch cuts it with q = 1, in cluster order,
+    from the whole context of (x, g) under cfg (default: a frozen operator,
+    so each block carries its support and its normalized A + I)."""
     from dualgcn.cluster import form_batch
+    from dualgcn.model import ModelConfig, _GraphContext
 
+    cfg = cfg or ModelConfig(learn_graph=False)
+    whole = _GraphContext(x, g, cfg)
     rng = RngStream(0, ("cluster-blocks",))
     found = {}
     draw = 0
     while len(found) < part.c:
-        batch = form_batch(part, 1, rng.child(draw), g, x, y)
+        batch = form_batch(part, 1, rng.child(draw), whole, cfg, y)
         found.setdefault(batch.cluster_ids[0], batch)
         draw += 1
     return [found[t] for t in range(part.c)]
 
 
 def reassemble(blocks, part, g: Graph) -> sp.csr_matrix:
-    """The cluster blocks placed on the diagonal plus the edges that cross clusters."""
+    """The cluster blocks' A + I values without the identity, placed on the
+    diagonal, plus the edges that cross clusters: blocks cut under a frozen
+    operator (learn_graph=False) carry A + I's values on their supports."""
     coo = g.adj.tocoo()
     cross = part.assign[coo.row] != part.assign[coo.col]
     parts = [(coo.row[cross], coo.col[cross], coo.data[cross])]
     for b in blocks:
-        local = b.graph.adj.tocoo()
-        parts.append((b.nodes[local.row], b.nodes[local.col], local.data))
+        sup = b.ctx.support
+        rows = np.repeat(np.arange(sup.n), np.diff(sup.indptr))
+        vals = b.ctx.a_values - (rows == sup.cols)
+        parts.append((b.nodes[rows], b.nodes[sup.cols], vals))
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    out = sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    out.eliminate_zeros()
+    return out
 
 
 def dataset_dir(name: str):

@@ -263,14 +263,16 @@ def test_criterion_8b_memory_tracks_batch_not_graph():
         part = partition_graph(bundle.graph, PartitionConfig(c=c, seed=0))
         rng = RngStream(cfg.seed)
         params = init_params(bundle.p, bundle.class_count, cfg, rng)
+        whole = _GraphContext(bundle.x, bundle.graph, cfg)
+        whole.distances(cfg)
         epoch = 0
         while True:  # cluster_fit skips batches without train labels
-            batch = form_batch(part, 1, rng.child("batch", epoch), bundle.graph, bundle.x, bundle.y)
+            batch = form_batch(part, 1, rng.child("batch", epoch), whole, cfg, bundle.y)
             train_local = np.flatnonzero(bundle.train_mask[batch.nodes])
             if train_local.size:
                 break
             epoch += 1
-        step = _TrainBatch(_GraphContext(batch.x, batch.graph, cfg), batch.y, train_local,
+        step = _TrainBatch(batch.ctx, batch.y, train_local,
                            batch.nodes.size / bundle.n, ppmi_key=batch.cluster_ids)
         s = step.ctx.build_affinity(params, cfg)
         p_op = _build_ppmi_operator(s, cfg.walk, rng.child("ppmi", epoch)) if cfg.needs_ppmi else None

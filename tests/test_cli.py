@@ -497,6 +497,19 @@ def test_gradcheck_widens_the_hidden_layers_of_a_deeper_stack(capsys):
     assert re.search(r"^convolution: max_rel_err=\S+ PASS$", out, re.M), out
 
 
+def test_gradcheck_refuses_the_widths_it_sets_itself(tmp_path, capsys):
+    # it checks widths 4 (8 past depth 2) and 3 whatever is asked, so asking is refused
+    assert run(["gradcheck", "--seed", "0", "--set", "hidden_gcn=16", "--set", "hidden_gl=9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "hidden_gcn and hidden_gl" in captured.err
+    cfg = tmp_path / "widths.cfg"
+    cfg.write_text("hidden_gl = 9\n")
+    assert run(["gradcheck", "--seed", "0", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "hidden_gl" in err and "hidden_gcn" not in err
+
+
 @pytest.mark.parametrize("lambda1", ["0", "0.01"])
 @pytest.mark.parametrize("supervise", ["a", "p", "both"])
 def test_gradcheck_passes_for_every_supervised_branch(supervise, lambda1, capsys):

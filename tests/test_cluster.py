@@ -28,7 +28,8 @@ from dualgcn.cluster import (
 )
 from dualgcn.errors import ConfigError, DataError
 from dualgcn.graph import Graph, add_self_loops, build_graph, sym_normalize
-from dualgcn.model import ModelConfig, accuracy, fit, forward, predict, total_loss
+from dualgcn.graphlearn import SupportStructure, support_distances
+from dualgcn.model import ModelConfig, _GraphContext, accuracy, fit, forward, predict, total_loss
 from dualgcn.ppmi import WalkConfig
 from dualgcn.rng import RngStream
 from conftest import (
@@ -40,6 +41,10 @@ from conftest import (
     reassemble,
     refine_by_rebuild,
 )
+
+
+# the config of the whole contexts that form_batch cuts from in these tests
+_CFG = ModelConfig()
 
 
 def _p4():
@@ -147,8 +152,8 @@ def test_cluster_blocks_of_one_cluster_are_the_whole_graph():
     part = partition_graph(g, PartitionConfig(c=1))
     (batch,) = cluster_blocks(part, g, x, y)
     np.testing.assert_array_equal(batch.nodes, np.arange(10))
-    assert (batch.graph.adj != g.adj).nnz == 0
-    np.testing.assert_array_equal(batch.x, x)
+    assert batch.ctx.x is x  # the whole context itself: nothing is cut
+    assert (reassemble([batch], part, g) != g.adj).nnz == 0
     np.testing.assert_array_equal(batch.y, y)
 
 
@@ -157,8 +162,10 @@ def test_cluster_blocks_drop_the_crossing_edge_of_p4():
     part = partition_from_assign(g, np.array([0, 0, 1, 1]), 2)
     x = np.arange(8.0).reshape(4, 2)
     blocks = cluster_blocks(part, g, x, np.arange(4))
-    assert [b.graph.adj.nnz for b in blocks] == [2, 2]  # the edges (0,1) and (2,3), stored twice
-    np.testing.assert_array_equal(blocks[1].x, x[2:])
+    # the edges (0,1) and (2,3), stored twice, and each node's self-loop
+    assert [b.ctx.support.nnz for b in blocks] == [4, 4]
+    assert [b.ctx.support.npairs for b in blocks] == [1, 1]
+    np.testing.assert_array_equal(blocks[1].ctx.x, x[2:])
     # edge (1,2) crosses the clusters and is in no block
     assert (reassemble(blocks, part, g) != g.adj).nnz == 0
 
@@ -175,7 +182,7 @@ def test_cluster_blocks_reassemble_random_partitions(seed):
     blocks = cluster_blocks(part, g, x, y)
     for t, b in enumerate(blocks):
         np.testing.assert_array_equal(b.nodes, part.members[t])
-        np.testing.assert_array_equal(b.x, x[b.nodes])
+        np.testing.assert_array_equal(b.ctx.x, x[b.nodes])
         np.testing.assert_array_equal(b.y, y[b.nodes])
     rebuilt = reassemble(blocks, part, g)
     assert (rebuilt != g.adj).nnz == 0
@@ -185,42 +192,44 @@ def test_cluster_blocks_reassemble_random_partitions(seed):
 def test_form_batch_whole_graph_when_q_equals_c():
     g = make_random_graph(9, 0.4, seed=4)
     part = partition_graph(g, PartitionConfig(c=3, q=3, seed=0))
-    batch = form_batch(part, 3, RngStream(5), g, np.eye(9), np.arange(9))
+    whole = _GraphContext(np.eye(9), g, _CFG)
+    batch = form_batch(part, 3, RngStream(5), whole, _CFG, np.arange(9))
     np.testing.assert_array_equal(batch.nodes, np.arange(9))
-    assert (batch.graph.adj != g.adj).nnz == 0
+    assert batch.ctx is whole
 
 
 def test_form_batch_single_cluster_on_p4():
     g = _p4()
     part = partition_from_assign(g, np.array([0, 0, 1, 1]), 2)
-    batch = form_batch(part, 1, RngStream(0, ("b",)), g, np.eye(4), np.arange(4))
+    batch = form_batch(part, 1, RngStream(0, ("b",)), _GraphContext(np.eye(4), g, _CFG), _CFG, np.arange(4))
     assert batch.nodes.size == 2
-    assert batch.graph.num_edges == 1
+    assert batch.ctx.support.npairs == 1
 
 
 def test_form_batch_includes_cross_cluster_edges():
     g = _p4()
     part = partition_from_assign(g, np.array([0, 0, 1, 1]), 2)
-    batch = form_batch(part, 2, RngStream(1), g, np.eye(4), np.arange(4))
+    batch = form_batch(part, 2, RngStream(1), _GraphContext(np.eye(4), g, _CFG), _CFG, np.arange(4))
     # union is the whole path: edge (1,2) between the two clusters stays
-    assert batch.graph.adj[1, 2] == 1.0
+    assert (1, 2) in zip(batch.ctx.support.pair_rows, batch.ctx.support.pair_cols)
 
 
 def test_form_batch_rejects_q_above_c():
     g = _p4()
     part = partition_graph(g, PartitionConfig(c=2))
     with pytest.raises(ConfigError):
-        form_batch(part, 3, RngStream(0), g, np.eye(4), np.arange(4))
+        form_batch(part, 3, RngStream(0), _GraphContext(np.eye(4), g, _CFG), _CFG, np.arange(4))
 
 
 def test_form_batch_uniform_pair_frequencies():
     g = make_random_graph(16, 0.3, seed=6)
     part = partition_graph(g, PartitionConfig(c=4, seed=0))
     rng = RngStream(2, ("freq",))
+    whole = _GraphContext(np.eye(16), g, _CFG)
     draws = 10_000
     counts: dict[tuple, int] = {}
     for i in range(draws):
-        b = form_batch(part, 2, rng.child(i), g, np.eye(16), np.arange(16))
+        b = form_batch(part, 2, rng.child(i), whole, _CFG, np.arange(16))
         counts[b.cluster_ids] = counts.get(b.cluster_ids, 0) + 1
     n_pairs = 6
     expected = draws / n_pairs
@@ -228,6 +237,76 @@ def test_form_batch_uniform_pair_frequencies():
     assert len(counts) == n_pairs
     for pair, cnt in counts.items():
         assert abs(cnt - expected) <= 3 * sigma, (pair, cnt)
+
+
+def _restriction_nodes(g: Graph, kind: str, rng: RngStream) -> np.ndarray:
+    """A sorted node set of the given kind: one node, nodes with no edge
+    among them (self-loops allowed), every node, or a random subset."""
+    n = g.n
+    if kind == "one":
+        return np.array([int(rng.integers(0, n))])
+    if kind == "all":
+        return np.arange(n)
+    if kind == "random":
+        return np.sort(rng.choice(np.arange(n), size=int(rng.integers(1, n + 1)), replace=False))
+    taken = []
+    for v in rng.permutation(np.arange(n)):
+        nbrs = g.adj.indices[g.adj.indptr[v]:g.adj.indptr[v + 1]]
+        if not np.isin(nbrs[nbrs != v], taken).any():
+            taken.append(int(v))
+    return np.sort(np.array(taken))
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype, (got.dtype, want.dtype)
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 90), st.sampled_from(["one", "edgeless", "all", "random"]),
+       st.booleans(), st.booleans(), st.integers(0, 10_000))
+def test_restrict_equals_the_build_from_the_induced_subgraph(n, m, kind, sparse_x, float32, seed):
+    """Every array a cut context holds, dtypes included, equals the one the
+    per-batch build gives from g.adj[nodes][:, nodes]: the support and its
+    pairing, dist2, the batch's renormalized operator and the ball's slice
+    of the whole one."""
+    rng = RngStream(seed, ("restrict",))
+    # weighted edges, with repeats (their weights sum) and self-loops
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    g = build_graph(np.column_stack([i, j, rng.random(m) + 0.5]), n)
+    x = rng.random((n, 5)) * (rng.random((n, 5)) < 0.5)
+    x = x.astype(np.float32 if float32 else np.float64)
+    if sparse_x:
+        x = sp.csr_matrix(x)
+    nodes = _restriction_nodes(g, kind, rng.child("nodes"))
+    cfg = ModelConfig(learn_graph=False)
+    whole = _GraphContext(x, g, cfg)
+    whole.dist2 = support_distances(x, whole.support)
+    batch, ball = whole.restrict(nodes, cfg), whole.restrict(nodes, cfg, ball=True)
+
+    sub = Graph(n=nodes.size, adj=g.adj[nodes][:, nodes])
+    loops = add_self_loops(sub)
+    want = SupportStructure(loops)
+    dtype = np.float32 if float32 else np.float64
+    for ctx in (batch, ball):
+        got = ctx.support
+        assert got.n == want.n == nodes.size
+        for name in ("indptr", "cols", "pair_rows", "pair_cols", "pair_of"):
+            _assert_same_array(getattr(got, name), getattr(want, name))
+        _assert_same_array(ctx.dist2, support_distances(x[nodes], want))
+        _assert_same_array(ctx.a_values, loops.adj.data)
+        if sparse_x:
+            assert (ctx.x != x[nodes]).nnz == 0
+        else:
+            _assert_same_array(ctx.x, x[nodes])
+    for ctx, op in ((batch, sym_normalize(loops.adj)),
+                    (ball, sym_normalize(add_self_loops(g).adj)[nodes][:, nodes])):
+        op = op.astype(dtype)
+        _assert_same_array(ctx.frozen_op.values, op.data)
+        _assert_same_array(ctx.frozen_op.pattern.indices, op.indices)
+        _assert_same_array(ctx.frozen_op.pattern.indptr, op.indptr)
+    if kind == "all":
+        assert batch is whole and ball is whole
 
 
 def test_edge_cut_report_cases():
@@ -252,12 +331,12 @@ def test_loss_additivity_over_clusters():
 
     params = init_params(bundle.p, bundle.class_count, cfg, RngStream(3))
     total_blocks = 0.0
-    for b in cluster_blocks(part, g, bundle.x, bundle.y):
+    for b in cluster_blocks(part, g, bundle.x, bundle.y, cfg):
         train_local = np.flatnonzero(bundle.train_mask[b.nodes])
         if train_local.size == 0:
             continue
-        op = sym_normalize(add_self_loops(b.graph).adj)
-        cache = forward(b.x, op, None, params, cfg, mode="eval")
+        # the block's own normalized A + I, as restrict cuts it
+        cache = forward(b.ctx.x, b.ctx.frozen_op, None, params, cfg, mode="eval")
         loss, _ = total_loss(cache, b.y, train_local, None, cfg)
         total_blocks += loss.item()
     # block-diagonal graph: original adjacency minus the cross edges

@@ -381,10 +381,35 @@ def test_pair_counts_keys_past_int32_range():
     assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == dict(want)
 
 
+@pytest.mark.parametrize("n", [46_340, 46_341])
+def test_pair_counts_in_int32_and_int64_keys_match_a_unique_oracle(n):
+    """46,340 is the largest n whose keys (up to n * n - 1) fit int32, 46,341
+    the smallest that needs int64: walks of length 1 on a sparse ring whose
+    last node also pairs with itself, so the largest key is there."""
+    from dualgcn.ppmi import _pair_counts
+
+    rng = np.random.default_rng(n)
+    starts = np.repeat(np.arange(n, dtype=np.int32), 2)
+    walks = np.column_stack([starts, (starts + rng.choice([-1, 1], starts.size)) % n]).astype(np.int32)
+    walks[-1, 1] = n - 1
+    keys = np.minimum(walks[:, 0], walks[:, 1]).astype(np.int64) * n + np.maximum(walks[:, 0], walks[:, 1])
+    assert keys.max() == n * n - 1
+    uniq, counts = np.unique(keys, return_counts=True)
+    rows, cols = np.divmod(uniq, n)
+    up = sp.csr_matrix((counts.astype(np.float64), (rows, cols)), shape=(n, n))
+    want = up + up.T.tocsr()
+    got = _pair_counts(walks, 1, 1, n)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("truncated", [False, True])
 def test_pair_counts_peak_bytes_per_window_pair(truncated):
     # walks on a ring, whose window pairs repeat (~6% are distinct), as
-    # walks on a sparse graph's do; the int64 keys alone take 8 B per pair
+    # walks on a sparse graph's do; the keys alone take 4 B per pair here
+    # (int32, as n * n fits), 8 B in int64
     import tracemalloc
 
     from dualgcn.ppmi import _pair_counts
