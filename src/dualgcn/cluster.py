@@ -93,12 +93,13 @@ class Batch:
     global node nodes[i] (the local->global bijection).  ctx holds the
     batch's features (ctx.x), its support of A + I (ctx.support) and, as
     the config asks, its dist2 and frozen operator, all cut from the whole
-    data's context.
+    data's context; it is None for a batch that form_batch found without
+    training labels.
     """
 
     cluster_ids: tuple
     nodes: np.ndarray = field(repr=False)
-    ctx: _GraphContext = field(repr=False)
+    ctx: _GraphContext | None = field(repr=False)
     y: np.ndarray = field(repr=False)
 
 
@@ -534,19 +535,23 @@ def partition_graph(g: Graph, cfg: PartitionConfig) -> Partition:
 # batching
 # ---------------------------------------------------------------------------
 
-def form_batch(part: Partition, q: int, rng: RngStream, whole: _GraphContext, cfg: ModelConfig, y) -> Batch:
+def form_batch(part: Partition, q: int, rng: RngStream, whole: _GraphContext, cfg: ModelConfig, y,
+               train_mask=None) -> Batch:
     """Sample q distinct clusters uniformly and cut their induced subgraph's
     context from whole, the whole data's context (see _GraphContext.restrict).
 
     Edges between the chosen clusters are inside the union and are kept.
-    A batch that covers the graph trains on whole itself.
+    A batch that covers the graph trains on whole itself.  When train_mask
+    is given and marks none of the union's nodes, no context is cut and
+    ctx is None, as the batch trains nothing.
     """
     if q > part.c:
         raise ConfigError(f"q={q} exceeds cluster count c={part.c}")
     chosen = np.sort(rng.choice(np.arange(part.c), size=q, replace=False))
     nodes = np.sort(np.concatenate([part.members[t] for t in chosen]))
+    labelled = train_mask is None or train_mask[nodes].any()
     return Batch(cluster_ids=tuple(int(t) for t in chosen), nodes=nodes,
-                 ctx=whole.restrict(nodes, cfg), y=np.asarray(y)[nodes])
+                 ctx=whole.restrict(nodes, cfg) if labelled else None, y=np.asarray(y)[nodes])
 
 
 def edge_cut_report(part: Partition) -> dict:
@@ -573,13 +578,15 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     |batch| / n.  The batch's PPMI operator is rebuilt when a refresh is
     due or the cluster set differs from the one it was built for, so a
     run with q = c builds on fit's schedule.  Batches with no training
-    labels are skipped and counted.  The whole graph's context is built
-    once, dist2 included when the objective reads it, and every batch is
-    cut from it (form_batch), as is the depth-hop ball of the validation
-    nodes that validation accuracy is scored on (see
-    model._validation_context), cut once per run; only cluster_fit cuts
-    it, as fit validates on its whole-graph training context.  The whole
-    context is freed before the heap is trimmed.
+    labels are skipped and counted, and no context is cut for them.  The
+    whole graph's context is built once, dist2 included when the
+    objective reads it, and every batch is cut from it (form_batch), as
+    is the depth-hop ball of the validation nodes that validation
+    accuracy is scored on (see model._validation_context), cut once per
+    run; only cluster_fit cuts it, as fit validates on its whole-graph
+    training context.  The whole context is freed before the heap is
+    trimmed; its support is the graph's (Graph.support) and stays with
+    the graph for later fits and predicts.
     """
     if dataset.graph is None:
         raise DataError("cluster training requires a dataset with a graph")
@@ -596,11 +603,11 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     whole.distances(cfg)  # built once, for every batch to gather
 
     def next_batch(epoch, rng):
-        batch = form_batch(partition, part_cfg.q, rng.child("batch", epoch), whole, cfg, dataset.y)
+        batch = form_batch(partition, part_cfg.q, rng.child("batch", epoch), whole, cfg, dataset.y,
+                           dataset.train_mask)
         train_local = np.flatnonzero(dataset.train_mask[batch.nodes])
-        ctx = batch.ctx if train_local.size else None
         share = batch.nodes.size / dataset.n if weighted_loss else 1.0
-        return _TrainBatch(ctx, batch.y, train_local, share, ppmi_key=batch.cluster_ids)
+        return _TrainBatch(batch.ctx, batch.y, train_local, share, ppmi_key=batch.cluster_ids)
 
     result = _train(dataset, cfg, next_batch, on_epoch, whole, ball=True)
     del whole  # so the whole graph's context is freed before the trim

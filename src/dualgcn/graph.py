@@ -10,6 +10,7 @@ isolated nodes survive real datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,10 +32,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph with weighted CSR adjacency."""
+    """Immutable undirected graph with weighted CSR adjacency.
+
+    support, the SupportStructure of A + I, is built on first read and kept
+    for the graph's lifetime, so every fit and predict on the graph shares
+    one; its arrays are read-only, as a write would reach all of them.  A
+    new Graph (dataclasses.replace included) builds its own.
+    """
 
     n: int
     adj: sp.csr_matrix = field(repr=False)
+
+    @cached_property
+    def support(self):
+        """The SupportStructure of A + I (~12 B per entry with int32 indices)."""
+        from .graphlearn import SupportStructure  # graphlearn imports this module
+
+        s = SupportStructure(add_self_loops(self))
+        for a in (s.indptr, s.cols, s.pair_rows, s.pair_cols, s.pair_of):
+            a.flags.writeable = False
+        return s
 
     @property
     def num_edges(self) -> int:

@@ -240,27 +240,33 @@ def support_distances(x, support: SupportStructure) -> np.ndarray:
     its own, so the block size does not change the result, nor does the
     row set: a pair's value is the same in the whole graph's support and
     in any restriction of it.  A sparse x's squared norms square its
-    values over its own index arrays, copying neither.
+    values over its own index arrays, copying neither.  Each block's pair
+    values go straight into one npairs + 1 array, which the final gather
+    reads, so the build peaks near 1.5x the array it returns.
     """
     sparse = sp.issparse(x)
     dtype = tape._value_dtype(x.dtype)
     if sparse:
         x = x.tocsr()
         squares = sp.csr_matrix((x.data * x.data, x.indices, x.indptr), shape=x.shape)
-        sq = np.asarray(squares.sum(axis=1)).ravel()
+        sq = np.asarray(squares.sum(axis=1), dtype=dtype).ravel()
         del squares
     else:
         x = np.asarray(x, dtype=dtype)
         sq = (x * x).sum(axis=1)
     block = entry_block(x.shape[1]) if sparse else tape.cache_block(x.shape[1])
     rows, cols = support.pair_rows, support.pair_cols
-    dots = np.empty(support.npairs, dtype=dtype)
+    # the pairs' values, then the self-pairs' 0, which the gather reads
+    d2 = np.empty(support.npairs + 1, dtype=dtype)
     for lo in range(0, support.npairs, block):
         r, c = rows[lo:lo + block], cols[lo:lo + block]
         prod = x[r].multiply(x[c]) if sparse else x[r] * x[c]
-        dots[lo:lo + block] = np.asarray(prod.sum(axis=1)).ravel()
-    d2 = np.maximum(sq[rows] + sq[cols] - 2.0 * dots, 0.0)
-    return np.append(d2, np.zeros(1, dtype))[support.pair_of]
+        dots = np.asarray(prod.sum(axis=1), dtype=dtype).ravel()
+        np.maximum(sq[r] + sq[c] - 2.0 * dots, 0.0, out=d2[lo:lo + r.size])
+        del prod, dots  # so the last block's are not held through the gather
+    d2[-1] = 0.0
+    del sq  # freed before the gather, which sets the peak
+    return d2[support.pair_of]
 
 
 def gl_loss(s: LearnedGraph, a_graph: Graph | None, cfg: GlConfig, dist2: np.ndarray) -> Tensor:

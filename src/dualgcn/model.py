@@ -303,18 +303,19 @@ class _GraphContext:
     """Prebuilt per-graph structures shared by train and eval passes.
 
     graph is the data's graph, or None: the learned affinity then lives on
-    the complete graph and the loss has no adjacency-fidelity term.  With
-    a graph the support is that of A + I, whatever cfg.learn_graph is, so
-    restrict can cut a context from the whole data's one.  With
-    learn_graph=False, a_values holds A + I's values on the support and
-    frozen_op, which replaces S, their normalized form, cast to the tape's
-    dtype for x.  x_in is x as forward takes it: sparse features, like the
-    frozen operator, are held as a tape.SparseConst, so both patterns live
-    as long as the context.  x_gl is x as the graph learner's scorer takes
-    it, set by the first build_affinity: x_in, or, when the learner has no
-    projection, sparse features made dense once, as the scorer indexes
-    their rows.  dist2 is built by the first gl_term call, or up front by
-    distances.
+    the complete graph, built here, and the loss has no adjacency-fidelity
+    term.  With a graph the support is graph.support, that of A + I, built
+    once per graph and shared by every context on it, whatever
+    cfg.learn_graph is, so restrict can cut a context from the whole
+    data's one.  With learn_graph=False, a_values holds A + I's values
+    on the support and frozen_op, which replaces S, their normalized form,
+    cast to the tape's dtype for x.  x_in is x as forward takes it: sparse
+    features, like the frozen operator, are held as a tape.SparseConst, so
+    both patterns live as long as the context.  x_gl is x as the graph
+    learner's scorer takes it, set by the first build_affinity: x_in, or,
+    when the learner has no projection, sparse features made dense once,
+    as the scorer indexes their rows.  dist2 is built by the first gl_term
+    call, or up front by distances.
 
     support, a_values, frozen_op and dist2, when given, are cut from the
     whole data's context, as restrict passes them; graph is then the whole
@@ -347,10 +348,9 @@ class _GraphContext:
             self.support = SupportStructure.complete(n)
             return
         if support is None:
-            loops = add_self_loops(graph)
-            self.support = SupportStructure(loops)
+            self.support = graph.support
             if not cfg.learn_graph:
-                self.a_values = loops.adj.data
+                self.a_values = add_self_loops(graph).adj.data
         if not cfg.learn_graph:
             if frozen_op is None:
                 s = self.support
@@ -470,7 +470,12 @@ def accuracy(pred, labels, mask) -> float:
 
 def predict(params: ModelParams, dataset) -> np.ndarray:
     """Class index per node from branch A (za), as validation reads it,
-    whichever branch carried the cross-entropy; ties break low."""
+    whichever branch carried the cross-entropy; ties break low.
+
+    The context is built per call, but its support is the graph's own
+    (Graph.support): a predict after a fit, or after another predict, on
+    the same graph builds no support.
+    """
     width = params.w_a[0].value.shape[0]
     if width != dataset.p:
         raise DataError(f"parameters expect {width} features per node, dataset has {dataset.p}")
@@ -668,9 +673,10 @@ def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
     """Full-batch training: the one-batch case of the epoch loop.
 
     Every epoch trains on the whole graph with an unscaled loss, and
-    validation is scored on this same context, so a fit builds one
-    support (for data without a graph, the O(n^2) complete one) and one
-    S per epoch.
+    validation is scored on this same context, so a fit holds one support
+    and builds one S per epoch.  The support is the graph's (Graph.support),
+    built by the first fit or predict on the graph and reused by later
+    ones; for data without a graph each fit builds the O(n^2) complete one.
     """
     if not dataset.has_masks():
         raise DataError("dataset has no train/val/test masks; apply a split first")

@@ -124,6 +124,22 @@ def citation_graph(seed: int, n: int, k: int, avg_deg: float = 4.0) -> Graph:
     return build_graph(np.stack([keys // n, keys % n], axis=1), n)
 
 
+def count_support_builds(monkeypatch) -> list:
+    """Record the node count of every SupportStructure built from a graph
+    from here on (restrict's cuts build none)."""
+    from dualgcn.graphlearn import SupportStructure
+
+    builds = []
+    real = SupportStructure.__init__
+
+    def counting(self, g):
+        builds.append(g.n)
+        real(self, g)
+
+    monkeypatch.setattr(SupportStructure, "__init__", counting)
+    return builds
+
+
 def support_by_sort(adj) -> dict:
     """SupportStructure's arrays for a symmetric CSR pattern with self-loops,
     paired by sorting: an int64 key row * n + col for each upper entry and

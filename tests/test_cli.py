@@ -11,7 +11,7 @@ from dualgcn import cli
 from dualgcn.cli import main, merge_config, read_config_file
 from dualgcn.errors import ConfigError
 from dualgcn.tape import Tensor
-from conftest import exact_frequency_matrix, make_sbm_bundle, save_dataset
+from conftest import count_support_builds, exact_frequency_matrix, make_sbm_bundle, save_dataset
 
 FAST_TRAIN = ["--set", "epochs=8", "--set", "hidden_gl=4", "--set", "walk_gamma=4",
               "--set", "ppmi_refresh=4"]
@@ -317,6 +317,24 @@ def test_eval_checkpoint(tmp_path):
     summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
     assert summary["command"] == "eval"
     assert 0.0 <= summary["test_acc"] <= 1.0
+
+
+def test_train_predict_and_eval_build_each_bundles_support_once(tmp_path, monkeypatch):
+    from dualgcn.data import builtin_karate
+    from dualgcn.model import load_checkpoint, predict
+
+    bundle = builtin_karate()
+    monkeypatch.setattr(cli, "resolve_dataset", lambda name, data_dir=None: bundle)
+    builds = count_support_builds(monkeypatch)
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "karate", "--out", str(out)] + FAST_TRAIN) == 0
+    params, _ = load_checkpoint(out / "checkpoint.npz")
+    preds = [predict(params, bundle).tobytes() for _ in range(3)]
+    # the fit's support serves its closing predict and the three after it
+    assert builds == [34] and len(set(preds)) == 1
+    bundle = builtin_karate()
+    assert run(["eval", "--dataset", "karate", "--checkpoint", str(out / "checkpoint.npz")]) == 0
+    assert builds == [34, 34]
 
 
 def test_eval_splits_as_the_checkpoint_was_trained(tmp_path, capsys):

@@ -440,7 +440,15 @@ def test_cluster_fit_close_to_full_batch_on_sbm():
     assert acc_clu >= acc_full - 0.1, (acc_full, acc_clu)
 
 
-def test_cluster_fit_skips_batches_without_labels():
+def test_cluster_fit_skips_batches_without_labels(monkeypatch):
+    cuts = []
+    real_restrict = _GraphContext.restrict
+
+    def counting_restrict(self, nodes, *args, **kwargs):
+        cuts.append(nodes.size)
+        return real_restrict(self, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(_GraphContext, "restrict", counting_restrict)
     bundle = make_sbm_bundle(n=60, k=3, seed=15, per_class_train=2)
     # concentrate all train labels in cluster 0's nodes
     train = np.zeros(60, dtype=bool)
@@ -458,6 +466,8 @@ def test_cluster_fit_skips_batches_without_labels():
     res = cluster_fit(bundle, cfg, PartitionConfig(c=6, q=1, seed=2))
     assert res.skipped_batches > 0
     assert len(res.history) == 12
+    # a cut per trained batch and one for the validation ball: none for a skipped batch
+    assert len(cuts) == 12 - res.skipped_batches + 1
 
 
 def test_cluster_fit_stop_threshold(karate):

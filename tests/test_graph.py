@@ -12,8 +12,9 @@ from dualgcn.graph import (
     read_edge_list,
     sym_normalize,
 )
+from dualgcn.graphlearn import SupportStructure
 from dualgcn.rng import RngStream
-from conftest import make_random_graph, write_edge_list
+from conftest import count_support_builds, make_random_graph, write_edge_list
 
 
 def test_build_triangle_degrees():
@@ -403,3 +404,22 @@ def test_edge_list_error_names_the_first_bad_line(tmp_path, monkeypatch, block_b
     path.write_bytes(text)
     with pytest.raises(DataError, match=f"edges.tsv:{where}: {message}"):
         read_edge_list(path, 5)
+
+
+def test_graph_support_is_built_once_and_read_only(monkeypatch):
+    from dataclasses import replace
+
+    g = make_random_graph(9, 0.3, seed=4)
+    want = SupportStructure(add_self_loops(g))
+    builds = count_support_builds(monkeypatch)
+    sup = g.support
+    assert g.support is sup and builds == [9]
+    for name in ("indptr", "cols", "pair_rows", "pair_cols", "pair_of"):
+        arr = getattr(sup, name)
+        np.testing.assert_array_equal(arr, getattr(want, name))
+        assert arr.dtype == getattr(want, name).dtype
+        # shared by every fit and predict on g: a write must fail, not leak into them
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    # a new Graph, though equal, builds its own
+    assert replace(g, adj=g.adj.copy()).support is not sup and builds == [9, 9]

@@ -21,7 +21,7 @@ from dualgcn.model import (
 )
 from dualgcn.ppmi import WalkConfig
 from dualgcn.rng import RngStream
-from conftest import constant, make_random_graph, make_sbm_bundle, save_dataset
+from conftest import constant, count_support_builds, make_random_graph, make_sbm_bundle, save_dataset
 
 
 def _identity_op(n):
@@ -253,6 +253,19 @@ def test_predict_uniform_rows_tie_break_to_class_zero(karate):
         p.value[...] = 0.0
     pred = predict(params, karate)
     np.testing.assert_array_equal(pred, np.zeros(34, dtype=np.int64))
+
+
+def test_predict_reuses_the_fits_support_and_a_new_graph_builds_its_own(monkeypatch, karate):
+    from dataclasses import replace
+
+    params = fit(karate, _cfg(epochs=4)).params
+    builds = count_support_builds(monkeypatch)
+    pred = predict(params, karate)
+    assert predict(params, karate).tobytes() == pred.tobytes()
+    assert builds == []  # the fit built karate's support
+    fresh = replace(karate, graph=Graph(n=karate.n, adj=karate.graph.adj.copy()))
+    assert predict(params, fresh).tobytes() == pred.tobytes()
+    assert builds == [34]
 
 
 def test_prediction_invariant_to_constant_logit_shift():
