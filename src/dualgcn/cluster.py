@@ -581,10 +581,11 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     labels are skipped and counted, and no context is cut for them.  The
     whole graph's context is built once, dist2 included when the
     objective reads it, and every batch is cut from it (form_batch), as
-    is the depth-hop ball of the validation nodes that validation
-    accuracy is scored on (see model._validation_context), cut once per
-    run; only cluster_fit cuts it, as fit validates on its whole-graph
-    training context.  The whole context is freed before the heap is
+    is the depth-hop ball of the validation nodes, cut once per run with
+    the rows of it that validation accuracy is scored on (see
+    model._validation_context and _GraphContext.layer_rows); only
+    cluster_fit cuts them, as fit validates on its whole-graph training
+    context.  The whole context is freed before the heap is
     trimmed; its support is the graph's (Graph.support) and stays with
     the graph for later fits and predicts.
     """

@@ -31,6 +31,7 @@ __all__ = [
     "gl_loss",
     "support_distances",
     "entry_block",
+    "dense_block",
 ]
 
 
@@ -84,6 +85,8 @@ class SupportStructure:
     All keep the adjacency's CSR index dtype (12 B per entry for int32); indptr gives row ids.
     pattern, over indptr and cols, is what S's products run through, and
     the edge scorer reads pair_rows/pair_cols a cache-sized chunk at a time.
+    n counts the rows.  The pattern is square but for rect's cuts, whose
+    columns and pair nodes are numbered over a column set of their own.
 
     Rows are sorted on entry.  One transpose of pair_of (the pair id on
     upper entries, npairs elsewhere) moves each value to its mirror's slot
@@ -117,6 +120,14 @@ class SupportStructure:
         # an upper entry's mirror is lower (npairs); a lower entry's is its pair's upper entry
         np.minimum(self.pair_of, mirror, out=self.pair_of)
 
+    def _row_entries(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the rows at nodes' entries, row after row, and
+        the cumulative entry count at each row's end."""
+        start = self.indptr[nodes]
+        lens = self.indptr[nodes + 1] - start
+        ends = np.cumsum(lens)
+        return np.repeat(start - ends + lens, lens) + np.arange(ends[-1] if nodes.size else 0), ends
+
     def restrict(self, nodes: np.ndarray) -> tuple["SupportStructure", np.ndarray]:
         """The support of the subgraph of A + I induced by nodes (sorted,
         distinct), and the ids of its entries in this support.
@@ -134,11 +145,7 @@ class SupportStructure:
         k = nodes.size
         local = np.full(self.n, -1, dtype=idx)
         local[nodes] = np.arange(k, dtype=idx)
-        start = self.indptr[nodes]
-        lens = self.indptr[nodes + 1] - start
-        ends = np.cumsum(lens)
-        # the positions of the nodes' row entries, row after row
-        pos = np.repeat(start - ends + lens, lens) + np.arange(ends[-1] if k else 0)
+        pos, ends = self._row_entries(nodes)
         cols = local[self.cols[pos]]
         keep = cols >= 0
         indptr = np.zeros(k + 1, dtype=self.indptr.dtype)
@@ -155,15 +162,63 @@ class SupportStructure:
         local_pair = np.empty(self.npairs + 1, dtype=idx)
         local_pair[whole_pair[upper]] = np.arange(upper.size, dtype=idx)
         local_pair[self.npairs] = upper.size
-        sub = SupportStructure._of(k, indptr, cols, rows[upper], cols[upper], local_pair[whole_pair])
+        sub = SupportStructure._of((k, k), indptr, cols, rows[upper], cols[upper], local_pair[whole_pair])
         return sub, entries
 
+    def rect(self, rows: np.ndarray, cols: np.ndarray) -> tuple["SupportStructure", np.ndarray]:
+        """The rows at rows over the columns at cols (both sorted, distinct),
+        and the ids of their entries in this support.
+
+        Every entry of those rows must have its column in cols: each row
+        keeps all its entries, so its softmax stays exact.  These are the
+        rows of a (d-1)-hop ball over the d-hop ball, or, cut from such a
+        rectangle, one layer's rows over the rows the layer before gives.
+        As each row holds its self-loop, both nodes of every pair are
+        columns, and pair_rows/pair_cols number them as cols does.
+
+        Whole-array gathers only, with no sort and no transpose.  A pair
+        may be read from one entry alone, where its other node's row is not
+        kept, so the kept pairs are the distinct pair ids of the kept
+        entries, marked in one map over this support's pair ids and
+        numbered in their order, as restrict numbers them.
+        """
+        idx = self.cols.dtype
+        local = np.full(self.pattern.shape[1], -1, dtype=idx)
+        local[cols] = np.arange(cols.size, dtype=idx)
+        entries, ends = self._row_entries(rows)
+        rect_cols = local[self.cols[entries]]
+        if (rect_cols < 0).any():
+            raise ValueError("a kept row reads a column outside cols")
+        indptr = np.zeros(rows.size + 1, dtype=self.indptr.dtype)
+        indptr[1:] = ends
+        pair_of = self.pair_of[entries]
+        read = np.zeros(self.npairs + 1, dtype=bool)
+        read[pair_of] = True
+        pairs = np.flatnonzero(read[:-1])
+        local_pair = np.empty(self.npairs + 1, dtype=idx)
+        local_pair[pairs] = np.arange(pairs.size, dtype=idx)
+        local_pair[self.npairs] = pairs.size
+        sub = SupportStructure._of((rows.size, cols.size), indptr, rect_cols, local[self.pair_rows[pairs]],
+                                   local[self.pair_cols[pairs]], local_pair[pair_of])
+        return sub, entries
+
+    def hops(self, nodes: np.ndarray, depth: int) -> list[np.ndarray]:
+        """The sorted nodes within 0, 1, ..., depth hops of nodes (sorted,
+        distinct) on this square pattern, each ball one array."""
+        balls = [nodes]
+        near = np.zeros(self.n, dtype=bool)
+        near[nodes] = True
+        for _ in range(depth):
+            near[self.cols[self._row_entries(balls[-1])[0]]] = True
+            balls.append(np.flatnonzero(near))
+        return balls
+
     @classmethod
-    def _of(cls, n, indptr, cols, pair_rows, pair_cols, pair_of) -> "SupportStructure":
-        """A support over arrays already paired, as restrict cuts them."""
+    def _of(cls, shape, indptr, cols, pair_rows, pair_cols, pair_of) -> "SupportStructure":
+        """A support over arrays already paired, as restrict and rect cut them."""
         self = cls.__new__(cls)
-        self.n, self.indptr, self.cols = n, indptr, cols
-        self.pattern = tape.Pattern(indptr, cols, (n, n))
+        self.n, self.indptr, self.cols = shape[0], indptr, cols
+        self.pattern = tape.Pattern(indptr, cols, shape)
         self.pair_rows, self.pair_cols, self.pair_of = pair_rows, pair_cols, pair_of
         return self
 
@@ -198,7 +253,7 @@ class LearnedGraph:
         """S as scipy holds it, over S's values and the support's arrays, for
         the PPMI walks, which only read it."""
         s = self.support
-        return sp.csr_matrix((self.values.value, s.cols, s.indptr), shape=(s.n, s.n))
+        return sp.csr_matrix((self.values.value, s.cols, s.indptr), shape=s.pattern.shape)
 
 
 def learn_S_masked(x, gl: GraphLearnerParams, support: SupportStructure) -> LearnedGraph:
@@ -229,14 +284,22 @@ def entry_block(p: int) -> int:
     return max(1, min(2048, 2**22 // p))
 
 
+def dense_block(p: int, itemsize: int) -> int:
+    """Pairs per block of a dense x's row products: as many as fill ~256 KB
+    of gathered rows, so a block's two gathers and their product stay in
+    cache: 45 pairs at p=1433 in float32, 22 in float64.  The rows' bytes
+    set the count, not p alone, as float32 rows take half the room."""
+    return max(1, 2**18 // (p * itemsize))
+
+
 def support_distances(x, support: SupportStructure) -> np.ndarray:
     """||x_i - x_j||^2 per support entry (constant wrt parameters).
 
     Taken once per unordered pair and spread to both entries, with 0 on
     self-pairs.  The per-pair dot products are taken over blocks of pairs,
-    so no (npairs, p) array is built: tape.cache_block(p) pairs for dense
-    x, entry_block(p) for sparse x, as indexing rows of a sparse x costs
-    ~0.25 ms per block whatever its size.  Each pair's dot is summed on
+    so no (npairs, p) array is built: dense_block(p, itemsize) pairs for
+    dense x, entry_block(p) for sparse x, as indexing rows of a sparse x
+    costs ~0.25 ms per block whatever its size.  Each pair's dot is summed on
     its own, so the block size does not change the result, nor does the
     row set: a pair's value is the same in the whole graph's support and
     in any restriction of it.  A sparse x's squared norms square its
@@ -254,7 +317,7 @@ def support_distances(x, support: SupportStructure) -> np.ndarray:
     else:
         x = np.asarray(x, dtype=dtype)
         sq = (x * x).sum(axis=1)
-    block = entry_block(x.shape[1]) if sparse else tape.cache_block(x.shape[1])
+    block = entry_block(x.shape[1]) if sparse else dense_block(x.shape[1], x.itemsize)
     rows, cols = support.pair_rows, support.pair_cols
     # the pairs' values, then the self-pairs' 0, which the gather reads
     d2 = np.empty(support.npairs + 1, dtype=dtype)

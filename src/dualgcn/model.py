@@ -12,9 +12,12 @@ a row softmax; the objective is
 
 with supervision attached to branch A by default.  fit scores validation
 on its training context, and the next step trains on the S that
-validation built; cluster_fit scores it on the subgraph induced by the
-depth-hop ball around the validation nodes, which fixes their outputs
-exactly.  predict scores every node.
+validation built.  cluster_fit scores it on a cut of the depth-hop ball
+around the validation nodes that holds only the rows a depth-layer
+forward reads: S on the (depth-1)-hop ball's rows, over the whole ball,
+and each layer's output only on the nodes the next layer reads, down to
+the validation rows alone.  The cut fixes their outputs exactly.
+predict scores every node.
 """
 
 from __future__ import annotations
@@ -190,6 +193,20 @@ def init_params(p_in: int, n_classes: int, cfg: ModelConfig, rng: RngStream) -> 
     return ModelParams(gl=gl, w_a=w_a, w_p=w_p, share_weights=cfg.share_weights)
 
 
+@dataclass(frozen=True)
+class _LayerCut:
+    """The operators a layer_rows cut propagates through, one per layer: S
+    (a LearnedGraph or tape.SparseConst) on the rows the first layer reads,
+    then each later layer's rows of it, as tape.SparseConst.  values are
+    S's, read as S's own are."""
+
+    ops: list
+
+    @property
+    def values(self):
+        return self.ops[0].values
+
+
 @dataclass
 class ForwardCache:
     """Branch outputs after softmax."""
@@ -200,15 +217,17 @@ class ForwardCache:
 
 def _branch(x, s, weights, tag: str, cfg: ModelConfig, rng, training: bool, epoch: int) -> Tensor:
     """One branch's softmax output: each layer drops its input, multiplies
-    by its weight and propagates through s's values on its pattern."""
+    by its weight and propagates through s's values on its pattern, or
+    through its own operator when s is a _LayerCut."""
     h = x
     last = len(weights) - 1
-    for layer, w in enumerate(weights):
+    ops = s.ops if isinstance(s, _LayerCut) else [s] * len(weights)
+    for layer, (w, op) in enumerate(zip(weights, ops)):
         drop_rng = rng.child("dropout", epoch, tag, layer) if training else None
         u = tape.matmul(tape.dropout(h, cfg.dropout, drop_rng, training), w)
         # the paper propagates through D_s^{-1/2} S D_s^{-1/2}; a learned S is a
         # row softmax, so D_s = I and S is used as it is
-        v = tape.spmm_values(s.values, s.pattern, u)
+        v = tape.spmm_values(op.values, op.pattern, u)
         h = tape.relu(v) if layer < last else v
     return tape.row_softmax(h)
 
@@ -218,10 +237,12 @@ def forward(x, s, p_op, params: ModelParams, cfg: ModelConfig,
     """Run both branches; p_op None skips the PPMI branch entirely.
 
     s is either a LearnedGraph (tape-tracked affinity) or a fixed sparse
-    propagation matrix.  A sparse x, s or p_op comes as a tape.SparseConst,
-    whose pattern its owner keeps, or as a scipy matrix, whose pattern is
-    built for this call.  ReLU sits between layers, none after the last;
-    dropout is applied to every layer input in training mode.
+    propagation matrix, or a _LayerCut of one such operator per layer, each
+    over the rows the layer before gives (_GraphContext.layer_rows).  A
+    sparse x, s or p_op comes as a tape.SparseConst, whose pattern its
+    owner keeps, or as a scipy matrix, whose pattern is built for this
+    call.  ReLU sits between layers, none after the last; dropout is
+    applied to every layer input in training mode.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train|eval, got {mode}")
@@ -229,8 +250,10 @@ def forward(x, s, p_op, params: ModelParams, cfg: ModelConfig,
     if training and rng is None:
         raise ConfigError("training forward needs an RngStream for dropout")
     x, s, p_op = (tape.SparseConst.of(m) if sp.issparse(m) else m for m in (x, s, p_op))
-    if not isinstance(s, (LearnedGraph, tape.SparseConst)):
+    if not isinstance(s, (LearnedGraph, tape.SparseConst, _LayerCut)):
         raise ConfigError(f"unsupported affinity object: {type(s)!r}")
+    if isinstance(s, _LayerCut) and len(s.ops) != len(params.w_a):
+        raise ConfigError(f"{len(s.ops)} per-layer operators for {len(params.w_a)} layers")
     za = _branch(x, s, params.w_a, "a", cfg, rng, training, epoch)
     zp = None
     if p_op is not None:
@@ -319,7 +342,9 @@ class _GraphContext:
 
     support, a_values, frozen_op and dist2, when given, are cut from the
     whole data's context, as restrict passes them; graph is then the whole
-    data's, read only for the fidelity term.
+    data's, read only for the fidelity term.  layers is None but in
+    layer_rows' cuts, whose S build_affinity hands out one operator per
+    layer.
     """
 
     def __init__(self, x, graph: Graph | None, cfg: ModelConfig, *,
@@ -333,6 +358,7 @@ class _GraphContext:
         self.a_values = a_values
         self.frozen_op = None
         self.dist2 = dist2
+        self.layers = None
         if graph is None:
             if not cfg.learn_graph:
                 raise ConfigError("learn_graph=False requires a dataset with a graph")
@@ -384,12 +410,54 @@ class _GraphContext:
                              frozen_op=frozen, dist2=dist2)
 
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
+        """S, or the frozen operator, on the support; for a layer_rows cut,
+        the _LayerCut of it."""
         if not cfg.learn_graph:
-            return self.frozen_op
-        if self.x_gl is None:
-            unprojected = sp.issparse(self.x) and params.gl.proj is None
-            self.x_gl = self.x.toarray() if unprojected else self.x_in
-        return learn_S_masked(self.x_gl, params.gl, self.support)
+            s = self.frozen_op
+        else:
+            if self.x_gl is None:
+                unprojected = sp.issparse(self.x) and params.gl.proj is None
+                self.x_gl = self.x.toarray() if unprojected else self.x_in
+            s = learn_S_masked(self.x_gl, params.gl, self.support)
+        if self.layers is None:
+            return s
+        values = tape._value(s.values)
+        return _LayerCut([s] + [tape.SparseConst(values[take], pattern) for pattern, take in self.layers])
+
+    def layer_rows(self, seeds: np.ndarray, cfg: ModelConfig) -> "_GraphContext":
+        """The cut of this context that a cfg.depth-layer forward reads to
+        score the sorted nodes seeds, whose depth-hop ball this context
+        holds: a validation ball, or the whole data's context.
+
+        Layer l's output is read only within depth - 1 - l hops of the
+        seeds (Hamilton, Ying & Leskovec, NeurIPS 2017, Algorithm 2), so
+        the last layer runs on the seeds' rows alone.  S is built on the
+        rows of the (depth-1)-hop ball over all of this context's nodes,
+        which the first layer reads (SupportStructure.rect): each of those
+        rows keeps its whole closed neighbourhood, so its softmax is exact.
+        Every later layer's rows are cut from that rectangle in turn:
+        layers holds each one's pattern over the rows the layer before
+        gives and its entries' positions in S's values.  x and graph are
+        this context's, and a frozen operator is this one's values at the
+        rectangle's entries.  The cut holds no dist2 and no A + I values:
+        it scores, and never trains.  Its forward gives the seeds' rows,
+        in order, each summed over the same entries in the same order as in
+        this context, so they are this context's rows; only a one-row dense
+        product, which BLAS runs as gemv, may round its last bit otherwise.
+        """
+        balls = self.support.hops(seeds, cfg.depth - 1)
+        inner = balls[-1]
+        support, entries = self.support.rect(inner, np.arange(self.support.n))
+        frozen = None
+        if not cfg.learn_graph:
+            frozen = sp.csr_matrix((self.frozen_op.values[entries], support.cols, support.indptr),
+                                   shape=support.pattern.shape)
+        cut = _GraphContext(self.x, self.graph, cfg, support=support, frozen_op=frozen)
+        # layer l reads balls[depth - 1 - l]'s rows over balls[depth - l]
+        cut.layers = [(sub.pattern, take) for sub, take in
+                      (support.rect(np.searchsorted(inner, rows), cols)
+                       for rows, cols in zip(balls[-2::-1], balls[:0:-1]))]
+        return cut
 
     def distances(self, cfg: ModelConfig) -> np.ndarray | None:
         """dist2, built on the first call, or None when the objective has no
@@ -417,7 +485,9 @@ def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> tape.SparseCons
 
 
 def _eval_predictions(ctx: _GraphContext, params: ModelParams, cfg: ModelConfig, s=None) -> np.ndarray:
-    """Branch A's class per node of ctx; s, when given, is ctx's S for params."""
+    """Branch A's class per row its forward gives: per node of ctx, or per
+    seed of a layer_rows cut, whose argmax reads those rows alone.  s, when
+    given, is ctx's S for params."""
     with tape.no_grad():
         if s is None:
             s = ctx.build_affinity(params, cfg)
@@ -439,7 +509,9 @@ def _validation_context(dataset, cfg: ModelConfig, whole: _GraphContext | None =
     frozen operator is the whole graph's, cut to the ball, since its
     boundary nodes need their full-graph degrees.  A ball that covers the
     graph is whole itself, built on dataset.x and dataset.graph, not on a
-    copy.
+    copy.  Wherever validation's S is not the next step's, _train scores
+    on the ball's layer_rows cut instead, which holds only the rows that
+    the validation nodes' outputs depend on.
     """
     val_idx = np.flatnonzero(dataset.val_mask)
     if val_idx.size == 0:
@@ -448,12 +520,7 @@ def _validation_context(dataset, cfg: ModelConfig, whole: _GraphContext | None =
         whole = _GraphContext(dataset.x, dataset.graph, cfg)
     if not ball:
         return whole, val_idx
-    g = dataset.graph
-    near = np.zeros(g.n, dtype=bool)
-    near[val_idx] = True
-    for _ in range(cfg.depth):
-        near |= g.adj @ near.astype(np.float64) > 0
-    nodes = np.flatnonzero(near)
+    nodes = whole.support.hops(val_idx, cfg.depth)[-1]
     return whole.restrict(nodes, cfg, ball=True), np.searchsorted(nodes, val_idx)
 
 
@@ -523,8 +590,12 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, whole: _GraphContext
     then score the validation set on the context _validation_context
     gives once per fit: whole itself, or with ball the ball cut from it.
     When that context is the one just trained and another step follows,
-    validation builds S tape-tracked and the next step trains on it, as S
-    depends only on the parameters.  A batch without train labels is
+    validation builds S tape-tracked on it and the next step trains on
+    it, as S depends only on the parameters.  Otherwise, with ball,
+    validation scores on the ball's layer_rows cut, also made once per
+    fit: S on the rows the first layer reads, and each layer on the rows
+    the next reads, down to the validation rows, whose predictions equal
+    the whole graph's.  A batch without train labels is
     skipped and counted.  Aborts on a non-finite loss or parameter;
     returns the best-validation parameter snapshot.
 
@@ -542,6 +613,8 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, whole: _GraphContext
     for p in params.all_parameters():
         p.value = p.value.astype(dtype, copy=False)
     eval_ctx, val_pos = _validation_context(dataset, cfg, whole, ball)
+    # where validation's S is not the next step's: the rows it reads, or fit's whole context
+    scored, scored_pos = (eval_ctx.layer_rows(val_pos, cfg), slice(None)) if ball else (eval_ctx, val_pos)
     val_y = np.asarray(dataset.y)[np.flatnonzero(dataset.val_mask)]
     groups = [(group, init_adam_states(group), lr)
               for group, lr in ((params.gl_parameters(), cfg.lr1), (params.conv_parameters(), cfg.lr2))
@@ -587,8 +660,10 @@ def _train(dataset, cfg: ModelConfig, next_batch, on_epoch, whole: _GraphContext
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             if epoch < cfg.epochs - 1 and batch.ctx is eval_ctx:
                 s_next = eval_ctx.build_affinity(params, cfg)
-            pred = _eval_predictions(eval_ctx, params, cfg, s_next)
-            last_val = float((pred[val_pos] == val_y).mean())
+                pred = _eval_predictions(eval_ctx, params, cfg, s_next)[val_pos]
+            else:
+                pred = _eval_predictions(scored, params, cfg)[scored_pos]
+            last_val = float((pred == val_y).mean())
             # ties go to the later epoch: more training at equal validation
             if last_val >= best_val:
                 best_val = last_val

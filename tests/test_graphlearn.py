@@ -296,6 +296,7 @@ def _distances_as_appended(x, support):
 def test_support_distances_are_byte_equal_to_the_appended_form(monkeypatch, dtype, block):
     if block is not None:  # many blocks, and a short last one
         monkeypatch.setattr(graphlearn, "entry_block", lambda p: block)
+        monkeypatch.setattr(graphlearn, "dense_block", lambda p, itemsize: block)
         monkeypatch.setattr(tape, "cache_block", lambda p: block)
     sup = SupportStructure(add_self_loops(make_random_graph(40, 0.2, seed=21)))
     x = RngStream(22).random((40, 6)).astype(dtype)
@@ -304,6 +305,20 @@ def test_support_distances_are_byte_equal_to_the_appended_form(monkeypatch, dtyp
         got, want = support_distances(feats, sup), _distances_as_appended(feats, sup)
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_support_distances_do_not_depend_on_the_block_size(monkeypatch, dtype):
+    """Blocks of one pair, of a few, of the byte-sized default and of every
+    pair at once give the same bytes: each pair's dot is summed on its own."""
+    sup = SupportStructure(add_self_loops(make_random_graph(60, 0.15, seed=25)))
+    x = RngStream(26).random((60, 300)).astype(dtype)
+    want = support_distances(x, sup)
+    for block in (1, 3, 22, 45, sup.npairs):
+        monkeypatch.setattr(graphlearn, "dense_block", lambda p, itemsize: block)
+        got = support_distances(x, sup)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes(), block
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from dualgcn import model, tape
 from dualgcn.data import load_dataset
@@ -523,6 +524,153 @@ def test_validation_context_rejects_an_empty_validation_mask():
     bundle = _ball_bundle(False)
     with pytest.raises(DataError):
         model._validation_context(replace(bundle, val_mask=np.zeros(bundle.n, dtype=bool)), _cfg())
+
+
+def _entry_ids(sup):
+    """sup's pattern with entry k's value k + 1, so scipy slices carry each
+    entry's id (no stored value is 0)."""
+    return sp.csr_matrix((np.arange(1, sup.nnz + 1), sup.cols, sup.indptr), shape=sup.pattern.shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 30), m=st.integers(0, 80), k=st.integers(1, 4), lonely=st.booleans(),
+       depth=st.sampled_from([2, 3]), learn_graph=st.booleans(), seed=st.integers(0, 10_000))
+def test_layer_rows_equal_the_cut_by_hand_from_the_square_ball(n, m, k, lonely, depth, learn_graph, seed):
+    """The rectangle's arrays, dtypes included, and each layer's row set
+    equal scipy's slices of the square ball's support, and the cut's
+    forward gives the whole graph's validation rows and predictions.  Edges
+    are weighted, repeat and carry self-loops; node n has no neighbours,
+    and the ball covers the graph wherever the draw connects it.  Outputs
+    agree to rounding, not bit for bit: a one-row dense product runs BLAS's
+    gemv, not its gemm, which may round the last bit differently."""
+    from dualgcn.graph import build_graph
+
+    rng = RngStream(seed, ("layer-rows",))
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    g = build_graph(np.column_stack([i, j, rng.random(m) + 0.5]), n + 1)
+    x = rng.random((n + 1, 5))
+    seeds = np.sort(rng.choice(np.arange(n), size=min(k, n), replace=False))
+    if lonely:
+        seeds = np.append(seeds, n)
+    cfg = _cfg(depth=depth, hidden_gl=3, learn_graph=learn_graph)
+    whole = _GraphContext(x, g, cfg)
+    ball = _hop_ball_oracle(g, seeds, depth)
+    ctx = whole.restrict(ball, cfg, ball=True)
+    cut = ctx.layer_rows(np.searchsorted(ball, seeds), cfg)
+
+    square = ctx.support
+    idx = square.cols.dtype
+    ids = _entry_ids(square)
+    # levels[h]: the h-hop ball, as rows of the square ball
+    levels = [np.searchsorted(ball, _hop_ball_oracle(g, seeds, h)) for h in range(depth)]
+    rect = ids[levels[-1]]
+    entries = rect.data - 1
+    pairs = np.unique(square.pair_of[entries])
+    pairs = pairs[pairs < square.npairs]
+    want = {"indptr": rect.indptr.astype(square.indptr.dtype), "cols": rect.indices.astype(idx),
+            "pair_rows": square.pair_rows[pairs], "pair_cols": square.pair_cols[pairs],
+            "pair_of": np.searchsorted(pairs, square.pair_of[entries]).astype(idx)}
+    for name, array in want.items():
+        got = getattr(cut.support, name)
+        assert got.dtype == array.dtype, name
+        np.testing.assert_array_equal(got, array, err_msg=name)
+    assert cut.support.pattern.shape == (levels[-1].size, ball.size) and cut.support.n == levels[-1].size
+    assert len(cut.layers) == depth - 1
+    for layer, (pattern, take) in enumerate(cut.layers, start=1):
+        rows, cols = levels[depth - 1 - layer], levels[depth - layer]
+        sub = ids[rows][:, cols]
+        assert sub.nnz == ids[rows].nnz  # every row keeps all its entries
+        assert pattern.shape == (rows.size, cols.size)
+        assert pattern.indptr.dtype == square.indptr.dtype and pattern.indices.dtype == idx
+        np.testing.assert_array_equal(pattern.indptr, sub.indptr)
+        np.testing.assert_array_equal(pattern.indices, sub.indices)
+        np.testing.assert_array_equal(take, np.searchsorted(entries, sub.data - 1))
+    assert cut.x is ctx.x and cut.dist2 is None
+    if learn_graph:
+        assert cut.frozen_op is None
+    else:
+        assert cut.frozen_op.values.dtype == ctx.frozen_op.values.dtype
+        np.testing.assert_array_equal(cut.frozen_op.values, ctx.frozen_op.values[entries])
+
+    params = init_params(x.shape[1], 3, cfg, RngStream(seed, ("params",)))
+    if params.gl is not None:
+        params.gl.a.value[...] = np.abs(params.gl.a.value) + 0.5
+    full = _GraphContext(x, g, cfg)
+    np.testing.assert_allclose(_eval_za(cut, params, cfg), _eval_za(full, params, cfg)[seeds], rtol=1e-12)
+    np.testing.assert_array_equal(model._eval_predictions(cut, params, cfg),
+                                  model._eval_predictions(full, params, cfg)[seeds])
+
+
+def test_rect_refuses_a_row_that_reads_outside_its_columns():
+    from dualgcn.graphlearn import SupportStructure
+
+    sup = SupportStructure(add_self_loops(make_random_graph(6, 0.0, seed=1)))  # a 6-ring
+    cut, entries = sup.rect(np.array([1]), np.array([0, 1, 2]))
+    np.testing.assert_array_equal(entries, [3, 4, 5])
+    with pytest.raises(ValueError, match="outside cols"):
+        sup.rect(np.array([1]), np.array([1, 2]))
+
+
+@pytest.mark.parametrize("learn_graph,depth", [(True, 2), (False, 2), (True, 3), (False, 3)])
+def test_cluster_fit_val_acc_equals_the_whole_graph_scores(monkeypatch, learn_graph, depth):
+    """Every validation pass scores on the ball's layer_rows cut, and its
+    predictions and the val_acc history equal those scored on the whole
+    graph with the same parameters, float for float."""
+    from dualgcn.cluster import PartitionConfig, cluster_fit
+
+    from conftest import make_citation_surrogate
+
+    bundle = make_citation_surrogate(n=200, k=3, p=40, avg_deg=2.0, seed=1)  # 141 nodes in the 2-hop ball
+    cfg = _cfg(epochs=8, hidden_gl=3, learn_graph=learn_graph, depth=depth, seed=3, dropout=0.3)
+    val_idx = np.flatnonzero(bundle.val_mask)
+    whole = _GraphContext(bundle.x, bundle.graph, cfg)
+    scores = []
+    real = model._eval_predictions
+
+    def on_the_whole_graph(ctx, params, cfg, s=None):
+        assert ctx.layers is not None and ctx.support.n < bundle.n
+        pred = real(ctx, params, cfg, s)
+        want = real(whole, params, cfg)[val_idx]
+        np.testing.assert_array_equal(pred, want)
+        scores.append(float((want == bundle.y[val_idx]).mean()))
+        return pred
+
+    monkeypatch.setattr(model, "_eval_predictions", on_the_whole_graph)
+    res = cluster_fit(bundle, cfg, PartitionConfig(c=4, q=2, seed=0))
+    assert [row["val_acc"] for row in res.history] == scores
+    assert len(set(scores)) > 1  # the scores move, so equal histories say something
+
+
+def test_each_cluster_validation_pass_calls_the_traced_names(monkeypatch):
+    """perfbench times validation by wrapping _eval_predictions, forward and
+    _GraphContext.build_affinity where the program looks them up: a pass
+    on the layer_rows cut calls each, the last two inside the first."""
+    from dualgcn.cluster import PartitionConfig, cluster_fit
+
+    calls = []
+    scorer, fwd, build = model._eval_predictions, model.forward, _GraphContext.build_affinity
+
+    def scored(*args):
+        calls.append("[")
+        out = scorer(*args)
+        calls.append("]")
+        return out
+
+    def forwarded(*args, **kwargs):
+        calls.append("forward_" + (args[5] if len(args) > 5 else kwargs.get("mode", "train")))
+        return fwd(*args, **kwargs)
+
+    def built(self, *args):
+        calls.append("affinity")
+        return build(self, *args)
+
+    monkeypatch.setattr(model, "_eval_predictions", scored)
+    monkeypatch.setattr(model, "forward", forwarded)
+    monkeypatch.setattr(_GraphContext, "build_affinity", built)
+    epochs = 5
+    cluster_fit(_ball_bundle(False), _cfg(epochs=epochs, hidden_gl=3), PartitionConfig(c=4, q=2, seed=0))
+    passes = [p.split("]")[0].split() for p in " ".join(calls).split("[")[1:]]
+    assert passes == [["affinity", "forward_eval"]] * epochs, calls
 
 
 def test_graphless_fit_builds_the_complete_support_once(monkeypatch):

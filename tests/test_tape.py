@@ -335,6 +335,39 @@ def test_segment_softmax_rejects_empty_segment():
         tape.segment_softmax(constant(np.array([1.0])), np.array([0, 0, 1]))
 
 
+def _segment_softmax_by_reduceat(v, indptr):
+    """segment_softmax's values with each row's max from np.maximum.reduceat."""
+    counts, starts = np.diff(indptr), indptr[:-1]
+    e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts), counts))
+    return e / np.repeat(np.add.reduceat(e, starts), counts)
+
+
+_EDGE_SCORES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5, 1e30, 1e-45, -5e-324]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(-50, 50)), min_size=1, max_size=6),
+                min_size=1, max_size=12),
+       st.sampled_from([np.float32, np.float64]))
+def test_segment_softmax_is_byte_equal_to_the_reduceat_max(rows, dtype):
+    """One-entry rows, NaN of either sign, +-inf, signed zeros and
+    subnormals: the max from -inf by np.maximum.at gives
+    np.maximum.reduceat's bits.  One exception: reduceat turns a row's
+    leading -NaN into numpy's default +NaN (np.maximum.at keeps it), so a
+    row holding a NaN, all NaN either way, may differ in the NaN's sign."""
+    v = np.array([s for row in rows for s in row], dtype=dtype)
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
+    got = tape.segment_softmax(tape.Tensor(v, needs_grad=False), indptr).value
+    want = _segment_softmax_by_reduceat(v, indptr)
+    assert got.dtype == want.dtype == dtype
+    if not (np.isnan(v) & np.signbit(v)).any():
+        assert got.tobytes() == want.tobytes()
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_tape_nbytes_counts_reachable_values():
     w = Parameter(np.ones((10, 10)))
     out = tape.relu(w)
