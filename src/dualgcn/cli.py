@@ -366,8 +366,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_partition(args) -> int:
     bundle = resolve_dataset(args.dataset, args.data_dir)
-    if bundle.graph is None:
-        raise DataError("partition requires a dataset with a graph")
     part_cfg = PartitionConfig(c=args.c, q=1, seed=args.seed,
                                balance_tolerance=args.balance)
     t0 = time.perf_counter()

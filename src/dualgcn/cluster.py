@@ -585,12 +585,10 @@ def cluster_fit(dataset, cfg: ModelConfig, part_cfg: PartitionConfig,
     the rows of it that validation accuracy is scored on (see
     model._validation_context and _GraphContext.layer_rows); only
     cluster_fit cuts them, as fit validates on its whole-graph training
-    context.  The whole context is freed before the heap is
-    trimmed; its support is the graph's (Graph.support) and stays with
-    the graph for later fits and predicts.
+    context.  The whole context is freed before the heap is trimmed; its
+    support and frozen operator are the graph's own (Graph.support,
+    Graph.frozen_op), kept for later fits and predicts.
     """
-    if dataset.graph is None:
-        raise DataError("cluster training requires a dataset with a graph")
     if not dataset.has_masks():
         raise DataError("dataset has no train/val/test masks; apply a split first")
     if partition is None:

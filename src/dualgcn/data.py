@@ -4,7 +4,7 @@ Canonical on-disk layout (plain text, one directory per dataset):
 
     features.csv   comma-separated reals, one node per row
     labels.txt     one integer class per line
-    edges.tsv      optional; "i j [w]" separated by tabs or spaces, '#' comments allowed
+    edges.tsv      "i j [w]" separated by tabs or spaces, '#' comments allowed
     train.txt / val.txt / test.txt   optional node-id lists
     manifest.txt   optional "n=..., classes=..." assertions
 
@@ -64,12 +64,12 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Features, labels, optional graph and train/val/test masks."""
+    """Features, labels, graph and train/val/test masks."""
 
     name: str
     x: object  # (n, p) ndarray or CSR matrix
     y: np.ndarray
-    graph: Graph | None = None
+    graph: Graph
     train_mask: np.ndarray | None = None
     val_mask: np.ndarray | None = None
     test_mask: np.ndarray | None = None
@@ -89,7 +89,7 @@ class DatasetBundle:
     def validate(self) -> None:
         if self.y.shape[0] != self.n:
             raise DataError(f"labels rows ({self.y.shape[0]}) != feature rows ({self.n})")
-        if self.graph is not None and self.graph.n != self.n:
+        if self.graph.n != self.n:
             raise DataError(f"graph nodes ({self.graph.n}) != feature rows ({self.n})")
         if self.y.min() < 0 or self.y.max() >= self.class_count:
             raise DataError(f"label outside [0, {self.class_count})")
@@ -290,17 +290,15 @@ def load_dataset(path, name: str | None = None) -> DatasetBundle:
         raise DataError(f"labels.txt has {y.shape[0]} rows, features.csv has {n}")
     class_count = int(y.max()) + 1 if y.size else 0
 
-    graph = None
     edge_path = os.path.join(path, "edges.tsv")
-    if os.path.isfile(edge_path):
-        graph = build_graph(read_edge_list(edge_path, n), n)
+    if not os.path.isfile(edge_path):
+        raise DataError(f"missing edges.tsv in {path}")
+    graph = build_graph(read_edge_list(edge_path, n), n)
 
     manifest_path = os.path.join(path, "manifest.txt")
     if os.path.isfile(manifest_path):
         manifest = _parse_manifest(manifest_path)
-        checks = {"n": n, "classes": class_count, "features": x.shape[1]}
-        if graph is not None:
-            checks["edges"] = graph.num_edges
+        checks = {"n": n, "classes": class_count, "features": x.shape[1], "edges": graph.num_edges}
         for key, expected in manifest.items():
             if key in checks and checks[key] != expected:
                 raise DataError(f"manifest mismatch: {key}={expected} but dataset has {checks[key]}")

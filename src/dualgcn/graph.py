@@ -36,8 +36,9 @@ class Graph:
 
     support, the SupportStructure of A + I, is built on first read and kept
     for the graph's lifetime, so every fit and predict on the graph shares
-    one; its arrays are read-only, as a write would reach all of them.  A
-    new Graph (dataclasses.replace included) builds its own.
+    one; its arrays are read-only, as a write would reach all of them, and
+    so are loop_values' and frozen_op's.  A new Graph (dataclasses.replace
+    included) builds its own.
     """
 
     n: int
@@ -52,6 +53,22 @@ class Graph:
         for a in (s.indptr, s.cols, s.pair_rows, s.pair_cols, s.pair_of):
             a.flags.writeable = False
         return s
+
+    @cached_property
+    def loop_values(self) -> np.ndarray:
+        """A + I's values on support's entries, read-only."""
+        values = add_self_loops(self).adj.data
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def frozen_op(self) -> sp.csr_matrix:
+        """D^{-1/2} (A + I) D^{-1/2} on support's pattern: the frozen affinity."""
+        s = self.support
+        op = sym_normalize(sp.csr_matrix((self.loop_values, s.cols, s.indptr), shape=(self.n, self.n)))
+        for a in (op.data, op.indices, op.indptr):
+            a.flags.writeable = False
+        return op
 
     @property
     def num_edges(self) -> int:

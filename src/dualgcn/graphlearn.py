@@ -3,9 +3,8 @@
 The learner scores node pairs by a^T |x_i - x_j| (optionally after a
 linear projection of the features), passes the scores through ReLU and
 normalizes each row with a softmax, so S is non-negative and
-row-stochastic.  The scores are restricted to a support: that of A + I
-when the data has a graph, otherwise the complete graph with self-pairs,
-so every pair participates (memory grows as n^2).
+row-stochastic.  The scores are restricted to the support of A + I, the
+data's graph with self-loops, so memory grows with its entries.
 """
 
 from __future__ import annotations
@@ -222,13 +221,6 @@ class SupportStructure:
         self.pair_rows, self.pair_cols, self.pair_of = pair_rows, pair_cols, pair_of
         return self
 
-    @classmethod
-    def complete(cls, n: int) -> "SupportStructure":
-        """Every ordered pair, self-pairs included: the support for data without a graph."""
-        cols = np.tile(np.arange(n, dtype=np.int32), n)
-        ones = sp.csr_matrix((np.ones(n * n, dtype=np.int8), cols, np.arange(0, n * n + 1, n)), shape=(n, n))
-        return cls(Graph(n=n, adj=ones))
-
     @property
     def nnz(self) -> int:
         return self.cols.size
@@ -257,7 +249,7 @@ class LearnedGraph:
 
 
 def learn_S_masked(x, gl: GraphLearnerParams, support: SupportStructure) -> LearnedGraph:
-    """Affinity restricted to the support (that of A + I, or the complete graph).
+    """Affinity restricted to the support, that of A + I.
 
     S_ij = A~_ij exp(ReLU(a^T |x_i - x_j|)) / sum_j A~_ij exp(...), so each
     row is a softmax over the node's closed neighborhood.  The score is
@@ -332,15 +324,15 @@ def support_distances(x, support: SupportStructure) -> np.ndarray:
     return d2[support.pair_of]
 
 
-def gl_loss(s: LearnedGraph, a_graph: Graph | None, cfg: GlConfig, dist2: np.ndarray) -> Tensor:
+def gl_loss(s: LearnedGraph, cfg: GlConfig, dist2: np.ndarray) -> Tensor:
     """Graph-learning objective.
 
-    sum_ij ||x_i - x_j||^2 S_ij + gamma ||S||_F^2, plus (when a graph is
-    given) beta ||S - A~||_F^2 against the binary support of A + I, which
-    is exactly the support S is stored on.  dist2 holds ||x_i - x_j||^2
-    per support entry, as support_distances gives it.
+    sum_ij ||x_i - x_j||^2 S_ij + gamma ||S||_F^2 + beta ||S - A~||_F^2,
+    the last against the binary support of A + I, which is exactly the
+    support S is stored on, and left out when beta is 0.  dist2 holds
+    ||x_i - x_j||^2 per support entry, as support_distances gives it.
     """
     loss = tape.add(tape.vdot_const(s.values, dist2), tape.scale(tape.sum_sq(s.values), cfg.gamma_reg))
-    if a_graph is not None and cfg.beta > 0:
+    if cfg.beta > 0:
         loss = tape.add(loss, tape.scale(tape.sum_sq_diff(s.values, 1.0), cfg.beta))
     return loss

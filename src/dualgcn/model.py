@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import logging
-import os
 import zipfile
 from dataclasses import dataclass, field
 
@@ -33,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import Graph, add_self_loops, sym_normalize
+from .graph import Graph, sym_normalize
 from .graphlearn import (
     GlConfig,
     GraphLearnerParams,
@@ -66,18 +64,7 @@ __all__ = [
     "HISTORY_COLUMNS",
 ]
 
-_log = logging.getLogger(__name__)
-
 HISTORY_COLUMNS = ("epoch", "train_loss", "l0", "lreg", "lgl", "val_acc")
-
-# largest node count of data without a graph, whose S spans all n^2 pairs
-DENSE_LIMIT = 20000
-
-# a graphless fit's peak traced memory per node pair, by the dtype it trains in:
-# under tracemalloc (default config, 50 features, 3 epochs) 52.9 B at n=2,000
-# and 52.6 at 3,000 in float32, 70.1 and 69.4 in float64 (one epoch at n=1,000:
-# 53.0 and 70.3); rounded up
-_PAIR_BYTES = {np.dtype(np.float32): 54, np.dtype(np.float64): 71}
 
 
 @dataclass(frozen=True)
@@ -313,25 +300,14 @@ class FitResult:
         return len(self.history)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the OS does not say."""
-    try:
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return None
-    return have if have > 0 else None
-
-
 class _GraphContext:
     """Prebuilt per-graph structures shared by train and eval passes.
 
-    graph is the data's graph, or None: the learned affinity then lives on
-    the complete graph, built here, and the loss has no adjacency-fidelity
-    term.  With a graph the support is graph.support, that of A + I, built
-    once per graph and shared by every context on it, whatever
-    cfg.learn_graph is, so restrict can cut a context from the whole
-    data's one.  With learn_graph=False, a_values holds A + I's values
-    on the support and frozen_op, which replaces S, their normalized form,
+    graph is the data's Graph, whose support, that of A + I, every context
+    on it shares, whatever cfg.learn_graph is, so restrict can cut a
+    context from the whole data's one.  With learn_graph=False, a_values
+    holds A + I's values on the support and frozen_op, which replaces S,
+    their normalized form (the graph's Graph.loop_values and frozen_op),
     cast to the tape's dtype for x.  x_in is x as forward takes it: sparse
     features, like the frozen operator, are held as a tape.SparseConst, so
     both patterns live as long as the context.  x_gl is x as the graph
@@ -340,43 +316,26 @@ class _GraphContext:
     as the scorer indexes their rows.  dist2 is built by the first gl_term
     call, or up front by distances.
 
-    support, a_values, frozen_op and dist2, when given, are cut from the
-    whole data's context, as restrict passes them; graph is then the whole
-    data's, read only for the fidelity term.  layers is None but in
+    restrict and layer_rows pass their cut SupportStructure as graph, with
+    a_values, frozen_op and dist2 cut from the whole data's; a frozen_op
+    not given is normalized from a_values.  layers is None but in
     layer_rows' cuts, whose S build_affinity hands out one operator per
     layer.
     """
 
-    def __init__(self, x, graph: Graph | None, cfg: ModelConfig, *,
-                 support: SupportStructure | None = None, a_values: np.ndarray | None = None,
-                 frozen_op: sp.csr_matrix | None = None, dist2: np.ndarray | None = None):
+    def __init__(self, x, graph: Graph | SupportStructure, cfg: ModelConfig, *,
+                 a_values: np.ndarray | None = None, frozen_op: sp.csr_matrix | None = None,
+                 dist2: np.ndarray | None = None):
         self.x = x
         self.x_in = tape.SparseConst.of(x) if sp.issparse(x) else x
         self.x_gl = None
-        self.graph = graph
-        self.support = support
+        self.support = graph.support if isinstance(graph, Graph) else graph
+        if isinstance(graph, Graph) and not cfg.learn_graph:
+            a_values, frozen_op = graph.loop_values, graph.frozen_op
         self.a_values = a_values
         self.frozen_op = None
         self.dist2 = dist2
         self.layers = None
-        if graph is None:
-            if not cfg.learn_graph:
-                raise ConfigError("learn_graph=False requires a dataset with a graph")
-            n = x.shape[0]
-            if n > DENSE_LIMIT:
-                raise ConfigError(f"without a graph S spans all n^2 pairs: n={n} > {DENSE_LIMIT}")
-            need = _PAIR_BYTES[tape._value_dtype(x.dtype)] * n * n
-            have = _physical_memory()
-            if have is not None and need > have:
-                raise ConfigError(f"without a graph a fit peaks at ~{need / 1e9:.1f} GB at n={n}, "
-                                  f"more than this machine's {have / 1e9:.1f} GB of memory")
-            _log.warning("no graph: S spans all %d^2 node pairs; a fit peaks at ~%.0f MB", n, need / 1e6)
-            self.support = SupportStructure.complete(n)
-            return
-        if support is None:
-            self.support = graph.support
-            if not cfg.learn_graph:
-                self.a_values = add_self_loops(graph).adj.data
         if not cfg.learn_graph:
             if frozen_op is None:
                 s = self.support
@@ -406,8 +365,7 @@ class _GraphContext:
                 frozen = sp.csr_matrix((self.frozen_op.values[entries], support.cols, support.indptr),
                                        shape=(support.n, support.n))
         dist2 = None if self.dist2 is None else self.dist2[entries]
-        return _GraphContext(self.x[nodes], self.graph, cfg, support=support, a_values=a_values,
-                             frozen_op=frozen, dist2=dist2)
+        return _GraphContext(self.x[nodes], support, cfg, a_values=a_values, frozen_op=frozen, dist2=dist2)
 
     def build_affinity(self, params: ModelParams, cfg: ModelConfig):
         """S, or the frozen operator, on the support; for a layer_rows cut,
@@ -437,8 +395,8 @@ class _GraphContext:
         rows keeps its whole closed neighbourhood, so its softmax is exact.
         Every later layer's rows are cut from that rectangle in turn:
         layers holds each one's pattern over the rows the layer before
-        gives and its entries' positions in S's values.  x and graph are
-        this context's, and a frozen operator is this one's values at the
+        gives and its entries' positions in S's values.  x is this
+        context's, and a frozen operator is this one's values at the
         rectangle's entries.  The cut holds no dist2 and no A + I values:
         it scores, and never trains.  Its forward gives the seeds' rows,
         in order, each summed over the same entries in the same order as in
@@ -452,7 +410,7 @@ class _GraphContext:
         if not cfg.learn_graph:
             frozen = sp.csr_matrix((self.frozen_op.values[entries], support.cols, support.indptr),
                                    shape=support.pattern.shape)
-        cut = _GraphContext(self.x, self.graph, cfg, support=support, frozen_op=frozen)
+        cut = _GraphContext(self.x, support, cfg, frozen_op=frozen)
         # layer l reads balls[depth - 1 - l]'s rows over balls[depth - l]
         cut.layers = [(sub.pattern, take) for sub, take in
                       (support.rect(np.searchsorted(inner, rows), cols)
@@ -470,7 +428,7 @@ class _GraphContext:
 
     def gl_term(self, s, cfg: ModelConfig):
         dist2 = self.distances(cfg)
-        return None if dist2 is None else gl_loss(s, self.graph, cfg.gl, dist2)
+        return None if dist2 is None else gl_loss(s, cfg.gl, dist2)
 
 
 def _build_ppmi_operator(s, walk: WalkConfig, rng: RngStream) -> tape.SparseConst:
@@ -539,16 +497,15 @@ def predict(params: ModelParams, dataset) -> np.ndarray:
     """Class index per node from branch A (za), as validation reads it,
     whichever branch carried the cross-entropy; ties break low.
 
-    The context is built per call, but its support is the graph's own
-    (Graph.support): a predict after a fit, or after another predict, on
-    the same graph builds no support.
+    The context is built per call, but its support, and with a frozen
+    affinity its operator, are the graph's own (Graph.support,
+    Graph.frozen_op): a predict after a fit, or after another predict, on
+    the same graph builds neither.
     """
     width = params.w_a[0].value.shape[0]
     if width != dataset.p:
         raise DataError(f"parameters expect {width} features per node, dataset has {dataset.p}")
     gl = params.gl
-    if gl is None and dataset.graph is None:
-        raise DataError("parameters without a graph learner need a dataset with a graph")
     proj = gl.proj if gl is not None else None
     cfg = ModelConfig(learn_graph=gl is not None, hidden_gl=None if proj is None else proj.value.shape[1])
     ctx = _GraphContext(dataset.x, dataset.graph, cfg)
@@ -751,7 +708,7 @@ def fit(dataset, cfg: ModelConfig, on_epoch=None) -> FitResult:
     validation is scored on this same context, so a fit holds one support
     and builds one S per epoch.  The support is the graph's (Graph.support),
     built by the first fit or predict on the graph and reused by later
-    ones; for data without a graph each fit builds the O(n^2) complete one.
+    ones.
     """
     if not dataset.has_masks():
         raise DataError("dataset has no train/val/test masks; apply a split first")

@@ -345,8 +345,7 @@ def save_dataset(bundle: DatasetBundle, path) -> None:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     with open(os.path.join(path, "labels.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(str(int(v)) for v in bundle.y) + "\n")
-    if bundle.graph is not None:
-        write_edge_list(bundle.graph, os.path.join(path, "edges.tsv"))
+    write_edge_list(bundle.graph, os.path.join(path, "edges.tsv"))
     for part, mask in (("train", bundle.train_mask), ("val", bundle.val_mask), ("test", bundle.test_mask)):
         if mask is not None:
             ids = np.flatnonzero(mask)

@@ -388,18 +388,22 @@ def test_eval_checkpoint_of_another_feature_width_exit_3(tmp_path, capsys):
     assert "data error" in err and "34" in err and "5" in err
 
 
-def test_eval_checkpoint_without_graph_learner_on_graphless_data_exit_3(tmp_path, capsys):
-    from dataclasses import replace
+@pytest.mark.parametrize("command", ["train", "eval", "partition"])
+def test_dataset_without_edges_file_exit_3(tmp_path, capsys, command):
     from dualgcn.data import builtin_karate
+    from dualgcn.model import ModelConfig, init_params, save_checkpoint
+    from dualgcn.rng import RngStream
 
-    out = tmp_path / "run"
-    assert run(["train", "--dataset", "karate", "--set", "learn_graph=false", "--out", str(out)] + FAST_TRAIN) == 0
-    save_dataset(replace(builtin_karate(), graph=None), tmp_path / "graphless")
+    data = tmp_path / "no-edges"
+    save_dataset(builtin_karate(), data)
+    (data / "edges.tsv").unlink()
+    checkpoint = tmp_path / "checkpoint.npz"
+    save_checkpoint(checkpoint, init_params(34, 4, ModelConfig(), RngStream(0)))
+    extra = {"train": FAST_TRAIN, "eval": ["--checkpoint", str(checkpoint)], "partition": ["--c", "2"]}
     capsys.readouterr()
-    rc = run(["eval", "--dataset", str(tmp_path / "graphless"), "--checkpoint", str(out / "checkpoint.npz")])
-    assert rc == 3
+    assert run([command, "--dataset", str(data)] + extra[command]) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and "graph" in err
+    assert "data error" in err and "edges.tsv" in err
 
 
 def _write_bad_checkpoint(path, case):

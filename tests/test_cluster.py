@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dualgcn import cluster
 from dualgcn.cluster import (
-    Partition,
     PartitionConfig,
     _connectivity,
     _contract,

@@ -62,10 +62,8 @@ def test_load_without_edges_gives_graphless_bundle(tmp_path):
     out.mkdir()
     (out / "features.csv").write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
     (out / "labels.txt").write_text("0\n1\n0\n")
-    bundle = load_dataset(out)
-    assert bundle.graph is None
-    assert bundle.n == 3 and bundle.p == 2
-    assert not bundle.has_masks()
+    with pytest.raises(DataError, match="missing edges.tsv in"):
+        load_dataset(out)
 
 
 def test_load_missing_files(tmp_path):
@@ -170,6 +168,7 @@ def test_sparse_feature_storage(tmp_path):
     rows = ["0," * 39 + "1"] * 6
     (d / "features.csv").write_text("\n".join(rows) + "\n")
     (d / "labels.txt").write_text("\n".join("01" * 3) + "\n")
+    (d / "edges.tsv").write_text("")
     bundle = load_dataset(d)
     assert sp.issparse(bundle.x)
     assert bundle.x.shape == (6, 40)
@@ -179,6 +178,7 @@ def _write_features(d, rows):
     d.mkdir()
     (d / "features.csv").write_text("".join(rows))
     (d / "labels.txt").write_text("".join(f"{i % 2}\n" for i in range(len(rows))))
+    (d / "edges.tsv").write_text("")
 
 
 def _feature_lines(rng, density):

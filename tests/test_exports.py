@@ -71,3 +71,41 @@ def test_every_definition_has_a_caller():
               for name in _definitions(ast.parse(path.read_text(), str(path)))
               if name not in named and not (name.startswith("__") and name.endswith("__"))]
     assert not unused, f"defined but named nowhere: {unused}"
+
+
+def _unread_imports(source: str, filename: str) -> list[str]:
+    """Names an import binds that the module never reads, lists in
+    __all__ or marks with `# noqa: F401` on the import's line."""
+    tree = ast.parse(source, filename)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unread.append(f"{filename}:{alias.lineno}: {bound}")
+    return unread
+
+
+def test_unread_import_scan_flags_what_it_should():
+    source = ("from __future__ import annotations\nimport os\nimport logging as log\n"
+              "from x import (\n    a,\n    b,\n)\nfrom y import c  # noqa: F401\n"
+              "from z import d\n__all__ = ['d']\n\ndef f():\n    import json\n    return a\n")
+    assert _unread_imports(source, "m.py") == ["m.py:2: os", "m.py:3: log", "m.py:6: b", "m.py:13: json"]
+
+
+def test_every_import_is_read():
+    """Each name a package module imports is read there, exported in its
+    __all__ or marked `# noqa: F401`: no linter runs on the package.  The
+    package's __init__ imports only to re-export, which
+    test_package_reexports_only_exported_names checks."""
+    unread = [entry for path in sorted((REPO / "src" / "dualgcn").glob("*.py")) if path.name != "__init__.py"
+              for entry in _unread_imports(path.read_text(), path.name)]
+    assert not unread, f"imported but never read: {unread}"

@@ -423,3 +423,21 @@ def test_graph_support_is_built_once_and_read_only(monkeypatch):
             arr[0] = arr[0]
     # a new Graph, though equal, builds its own
     assert replace(g, adj=g.adj.copy()).support is not sup and builds == [9, 9]
+
+
+def test_graph_frozen_operator_is_built_once_and_read_only(monkeypatch):
+    from dualgcn import graph
+
+    g = make_random_graph(9, 0.3, seed=5)
+    loops = add_self_loops(g).adj
+    want = sym_normalize(loops)
+    calls = []
+    monkeypatch.setattr(graph, "sym_normalize", lambda m: calls.append(1) or sym_normalize(m))
+    op = g.frozen_op
+    assert g.frozen_op is op and g.loop_values is g.loop_values and calls == [1]
+    np.testing.assert_array_equal(g.loop_values, loops.data)
+    for got, array in ((op.data, want.data), (op.indices, want.indices), (op.indptr, want.indptr)):
+        np.testing.assert_array_equal(got, array)
+    for arr in (g.loop_values, op.data, op.indices, op.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]

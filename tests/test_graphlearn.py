@@ -15,11 +15,10 @@ from dualgcn.graphlearn import (
     support_distances,
 )
 from dualgcn.errors import ConfigError
-from dualgcn.model import ModelConfig, fit
 from dualgcn.optim import finite_diff_check
 from dualgcn.rng import RngStream
 from dualgcn.tape import Parameter
-from conftest import citation_graph, constant, make_random_graph, make_sbm_bundle, support_by_sort
+from conftest import citation_graph, constant, make_random_graph, support_by_sort
 
 
 def _params(a_values, proj=None):
@@ -27,9 +26,18 @@ def _params(a_values, proj=None):
                               proj=proj)
 
 
+def _complete_graph(n):
+    """The graph of every ordered pair, self-pairs included."""
+    return Graph(n=n, adj=sp.csr_matrix(np.ones((n, n))))
+
+
+def _complete_support(n):
+    return SupportStructure(_complete_graph(n))
+
+
 def _learn_complete(x, gl):
-    """S over every node pair, as a graphless dataset learns it."""
-    return learn_S_masked(x, gl, SupportStructure.complete(x.shape[0]))
+    """S over every node pair."""
+    return learn_S_masked(x, gl, _complete_support(x.shape[0]))
 
 
 def _learn(x, g, gl):
@@ -42,9 +50,9 @@ def _rows(sup):
     return np.repeat(np.arange(sup.n), np.diff(sup.indptr))
 
 
-def _gl_loss(x, s, g, cfg):
+def _gl_loss(x, s, cfg):
     """gl_loss with the feature distances taken on the support of s."""
-    return gl_loss(s, g, cfg, support_distances(x, s.support))
+    return gl_loss(s, cfg, support_distances(x, s.support))
 
 
 def test_dense_zero_scorer_gives_uniform_rows():
@@ -81,69 +89,6 @@ def test_matrix_shares_s_values_and_the_support_arrays():
     frequency_matrix(m, WalkConfig(q=4, w=2, gamma_walks=3), RngStream(17))
     for was, now in zip(before, (s.values.value, s.support.cols, s.support.indptr)):
         np.testing.assert_array_equal(now, was)
-
-def test_dense_limit_enforced(monkeypatch):
-    from dataclasses import replace
-
-    from dualgcn import model
-
-    monkeypatch.setattr(model, "DENSE_LIMIT", 10)
-    no_graph = replace(make_sbm_bundle(n=12, k=2, per_class_train=2), graph=None)
-    with pytest.raises(ConfigError):
-        fit(no_graph, ModelConfig(hidden_gl=None, epochs=1))
-
-
-def test_graphless_data_beyond_physical_memory_is_refused(monkeypatch):
-    from dataclasses import replace
-
-    from dualgcn import model
-
-    no_graph = replace(make_sbm_bundle(n=12, k=2, per_class_train=2), graph=None)
-    need = model._PAIR_BYTES[no_graph.x.dtype] * 12**2  # the charge per pair for float64 features
-    cfg = ModelConfig(hidden_gl=None, epochs=1)
-    monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
-    with pytest.raises(ConfigError, match="more than this machine"):
-        fit(no_graph, cfg)
-    for have in (need, None):  # enough memory, or a system that does not say
-        monkeypatch.setattr(model, "_physical_memory", lambda: have)
-        assert len(fit(no_graph, cfg).history) == 1
-
-
-# n=1,000 is where support_distances' blocks, not the n^2 terms, set the peak
-@pytest.mark.parametrize("dtype, n", [(np.float32, 2000), (np.float64, 2000), (np.float32, 1000), (np.float64, 1000)],
-                         ids=["float32", "float64", "float32-1000", "float64-1000"])
-def test_graphless_fit_peaks_under_the_memory_guards_charge(dtype, n):
-    import tracemalloc
-
-    from dualgcn import model
-    from dualgcn.data import DatasetBundle
-
-    k = 3
-    y = np.arange(n) % k
-    x = (RngStream(8).random((n, 50)) + np.eye(k, 50)[y]).astype(dtype)
-    train = np.arange(n) < 5 * k
-    val = ~train & (np.arange(n) < n // 2)
-    no_graph = DatasetBundle(name="dense", x=x, y=y, graph=None, train_mask=train, val_mask=val,
-                             test_mask=~(train | val), class_count=k)
-    tracemalloc.start()
-    try:
-        fit(no_graph, ModelConfig(hidden_gl=None, epochs=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    charge = model._PAIR_BYTES[np.dtype(dtype)] * n * n
-    # the charge is the measured peak, rounded up: neither below it nor far above
-    assert 0.9 * charge < peak < charge
-
-
-def test_physical_memory_probe_reads_the_os_or_gives_none(monkeypatch):
-    from dualgcn import model
-
-    have = model._physical_memory()
-    assert have is None or have > 0
-    monkeypatch.delattr(model.os, "sysconf")
-    assert model._physical_memory() is None
-
 
 def test_masked_zero_scorer_uniform_over_neighborhood():
     g = add_self_loops(build_graph([(0, 1), (1, 2)], n=3))
@@ -226,7 +171,7 @@ def test_score_monotonicity_in_single_pair():
 def test_gl_loss_identical_features_zero():
     x = np.ones((4, 3))
     s = _learn_complete(x, _params(np.zeros(3)))
-    loss = _gl_loss(x, s, None, GlConfig(gamma_reg=0.0, beta=0.0))
+    loss = _gl_loss(x, s, GlConfig(gamma_reg=0.0, beta=0.0))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -237,7 +182,7 @@ def test_gl_loss_uniform_three_node_hand_value():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     d2 = np.ones((3, 3)) - np.eye(3)  # unit squared distance between every pair
     s = _learn_complete(x, _params(np.zeros(2)))
-    loss = gl_loss(s, None, GlConfig(gamma_reg=gamma, beta=0.0), d2.ravel())
+    loss = gl_loss(s, GlConfig(gamma_reg=gamma, beta=0.0), d2.ravel())
     assert loss.item() == pytest.approx(2.0 + gamma, rel=1e-12)
 
 
@@ -248,7 +193,7 @@ def test_gl_loss_masked_fidelity_term_zero_when_s_matches_binary():
     x = np.zeros((2, 2))
     s = _learn(x, g, _params(np.zeros(2)))
     cfg = GlConfig(gamma_reg=0.0, beta=1.0)
-    loss = _gl_loss(x, s, g, cfg)
+    loss = _gl_loss(x, s, cfg)
     # S rows are (0.5, 0.5): ||S - 1||^2 = 4 * 0.25 = 1.0
     assert loss.item() == pytest.approx(1.0, rel=1e-12)
 
@@ -349,7 +294,7 @@ def test_gl_gradients_match_finite_differences():
 
     def loss_fn():
         s = _learn(x, g, gl)
-        return _gl_loss(x, s, g, cfg)
+        return _gl_loss(x, s, cfg)
 
     report = finite_diff_check(loss_fn, gl.parameters(), h=1e-5)
     assert all(entry["max_rel_err"] <= 1e-4 for entry in report.values())
@@ -363,7 +308,7 @@ def test_gl_dense_gradients_match_finite_differences():
 
     def loss_fn():
         s = _learn_complete(x, gl)
-        return _gl_loss(x, s, None, cfg)
+        return _gl_loss(x, s, cfg)
 
     report = finite_diff_check(loss_fn, gl.parameters(), h=1e-5)
     assert all(entry["max_rel_err"] <= 1e-4 for entry in report.values())
@@ -386,7 +331,7 @@ def test_entry_blocking_leaves_loss_and_gradients_unchanged(monkeypatch):
             p.zero_grad()
         s = _learn_complete(x, gl)
         h = tape.spmm_values(s.values, s.support.pattern, tape.matmul(constant(x), w))
-        loss = tape.add(tape.sum_sq(h), _gl_loss(x, s, None, GlConfig()))
+        loss = tape.add(tape.sum_sq(h), _gl_loss(x, s, GlConfig(beta=0.0)))
         tape.backward(loss)
         return loss.item(), [p.grad.copy() for p in params]
 
@@ -405,7 +350,7 @@ def _pair_supports():
     unsorted = sp.csr_matrix((adj.data, flipped, adj.indptr), shape=adj.shape)
     return {"graph": SupportStructure(Graph(n=9, adj=adj)),
             "unsorted": SupportStructure(Graph(n=9, adj=unsorted)),
-            "complete": SupportStructure.complete(7)}
+            "complete": _complete_support(7)}
 
 
 @pytest.mark.parametrize("kind", ["graph", "unsorted", "complete"])
@@ -519,17 +464,17 @@ def test_support_pairs_equal_the_sort_reference(n, density, seed, reverse):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 120))
 def test_complete_support_equals_the_sort_reference(n):
-    _assert_support_is(SupportStructure.complete(n), support_by_sort(sp.csr_matrix(np.ones((n, n)))))
+    _assert_support_is(_complete_support(n), support_by_sort(sp.csr_matrix(np.ones((n, n)))))
 
 
 @pytest.mark.parametrize("kind", ["pubmed", "complete"])
 def test_support_build_peaks_under_28_bytes_per_entry(kind):
     import tracemalloc
 
-    g = add_self_loops(citation_graph(1, 19717, 3)) if kind == "pubmed" else None  # 98,585 entries
+    g = add_self_loops(citation_graph(1, 19717, 3)) if kind == "pubmed" else _complete_graph(1500)  # 98,585 entries
     tracemalloc.start()
     try:
-        sup = SupportStructure(g) if g is not None else SupportStructure.complete(1500)
+        sup = SupportStructure(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

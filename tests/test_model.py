@@ -323,18 +323,6 @@ def test_fit_learns_synthetic_blocks():
     assert test_acc >= 0.8, f"synthetic block accuracy too low: {test_acc}"
 
 
-def test_fit_dense_mode_without_graph():
-    from dataclasses import replace
-
-    bundle = make_sbm_bundle(n=60, k=3, seed=14, noise=0.15)
-    no_graph = replace(bundle, graph=None)
-    cfg = _cfg(hidden_gcn=8, hidden_gl=None, dropout=0.2, epochs=200, seed=0,
-               lr1=0.02, lr2=0.02, weight_decay=1e-4, lambda1=0.01, lambda2=0.001)
-    res = fit(no_graph, cfg)
-    pred = predict(res.params, no_graph)
-    assert accuracy(pred, no_graph.y, no_graph.test_mask) >= 0.7
-
-
 # ---------------------------------------------------------------------------
 # reduction: frozen affinity + lambda1 = lambda2 = 0 must track a standalone
 # two-layer graph convolution trained the same way
@@ -514,7 +502,7 @@ def test_validation_context_of_a_ball_that_covers_the_graph_copies_nothing(karat
     val_idx = np.flatnonzero(karate.val_mask)
     assert _hop_ball_oracle(karate.graph, val_idx, cfg.depth).size == karate.n
     ctx, val_pos = model._validation_context(karate, cfg)
-    assert ctx.x is karate.x and ctx.graph is karate.graph
+    assert ctx.x is karate.x and ctx.support is karate.graph.support
     np.testing.assert_array_equal(val_pos, val_idx)
 
 
@@ -673,19 +661,20 @@ def test_each_cluster_validation_pass_calls_the_traced_names(monkeypatch):
     assert passes == [["affinity", "forward_eval"]] * epochs, calls
 
 
-def test_graphless_fit_builds_the_complete_support_once(monkeypatch):
-    from dataclasses import replace
+def test_frozen_predict_builds_no_operator(monkeypatch):
+    """A fit with learn_graph=False leaves the normalized A + I on the graph
+    (Graph.frozen_op), and every later predict propagates through it."""
+    from dualgcn import graph
 
-    from dualgcn.graphlearn import SupportStructure
-
-    sizes = []
-    complete = SupportStructure.complete
-    monkeypatch.setattr(SupportStructure, "complete", lambda n: sizes.append(n) or complete(n))
-    bundle = replace(make_sbm_bundle(n=40, k=3, seed=15), graph=None)
-    res = fit(bundle, _cfg(epochs=3, lambda2=0.01))
-    assert sizes == [40]
-    val_idx = np.flatnonzero(bundle.val_mask)
-    assert accuracy(predict(res.params, bundle), bundle.y, val_idx) == pytest.approx(res.best_val_acc)
+    bundle = make_sbm_bundle(n=40, k=3, seed=16)
+    res = fit(bundle, _cfg(epochs=2, learn_graph=False))
+    calls = []
+    for module in (model, graph):
+        monkeypatch.setattr(module, "sym_normalize", lambda m: calls.append(1) or sym_normalize(m))
+    first = predict(res.params, bundle)
+    second = predict(res.params, bundle)
+    assert calls == []
+    np.testing.assert_array_equal(first, second)
 
 
 def test_graph_fit_builds_one_context_and_one_affinity_per_epoch(monkeypatch):
